@@ -29,14 +29,13 @@ The static-coupling stationary distribution is evaluated in two variants:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from mobicell.ccdf import ClassProfile
-from mobicell.flowsim import MACRO, QueueTrace, TrafficSpec, TransitionRates
+from mobicell.flowsim import QueueTrace, TrafficSpec, TransitionRates, empirical_metrics
 from mobicell.special import log_factorial
 
 STATIC_VARIANTS = ("subclass_marginal", "as_printed")
@@ -46,6 +45,10 @@ _MAX_STATES = 2_000_000
 
 class InstabilityError(RuntimeError):
     pass
+
+
+class ConvergenceError(InstabilityError):
+    """A fixed-point iteration that did not converge within its budget."""
 
 
 class UndefinedChainError(ValueError):
@@ -89,7 +92,8 @@ def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec,
     (0, 0).  Each cell's load enters the partner's phase mix clamped at 1, so
     the map is monotone and bounded and the iteration converges to the least
     fixed point; the returned loads themselves may exceed 1 (overload is
-    informative), with the clamped values exposed as properties."""
+    informative), with the clamped values exposed as properties.  Raises
+    ConvergenceError after ``max_iter`` iterations without convergence."""
     rho = rho_tilde = 0.0
     for it in range(1, max_iter + 1):
         a, at = _phase_mixed_loads(profile, traffic, rho, rho_tilde)
@@ -98,7 +102,9 @@ def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec,
         if abs(new_rho - rho) < tol and abs(new_rho_tilde - rho_tilde) < tol:
             return CoupledLoads(new_rho, new_rho_tilde, converged=True, iterations=it)
         rho, rho_tilde = new_rho, new_rho_tilde
-    return CoupledLoads(rho, rho_tilde, converged=False, iterations=max_iter)
+    raise ConvergenceError(
+        f"coupled load fixed point did not converge in {max_iter} iterations "
+        f"(last step rho={rho:.6g}, rho_tilde={rho_tilde:.6g})")
 
 
 @dataclass
@@ -138,24 +144,51 @@ class StationaryDistribution:
         return float(em.sum() + es.sum())
 
 
-def _enumerate_states(K: int, L: int, n_max: int):
+def _enumerate_states(K: int, L: int, n_max: int) -> np.ndarray:
+    """Every state (n_1..n_K, m_1..m_L) with counts up to n_max, one per row."""
     if (n_max + 1) ** (K + L) > _MAX_STATES:
         raise ValueError(
             f"state space (n_max+1)^(K+L) = {(n_max + 1) ** (K + L)} too large to enumerate")
-    for n in itertools.product(range(n_max + 1), repeat=K):
-        for m in itertools.product(range(n_max + 1), repeat=L):
-            yield n, m
+    return np.indices((n_max + 1,) * (K + L)).reshape(K + L, -1).T
 
 
-def _shell_deficit(states, raw, cap: int) -> float:
-    """Geometric extrapolation of the mass beyond the truncation shell."""
-    shell = np.array([sum(n) + sum(m) for n, m in states])
-    s_last = raw[shell == cap].sum()
-    s_prev = raw[shell == cap - 1].sum()
-    if s_prev <= 0 or s_last <= 0:
-        return 0.0
-    r = s_last / s_prev
-    return float(s_last * r / (1.0 - r)) if r < 1.0 else math.inf
+def _class_log_weight(counts: np.ndarray, log_coef: np.ndarray, split=None) -> np.ndarray:
+    """Per state, the sum over one cell's classes of n_k * log_coef_k minus
+    ln(n_k!), or, with a phase split s, minus ln((s n_k)!) + ln(((1-s) n_k)!)
+    (Gamma-extended).  -inf where an occupied class has a non-finite
+    coefficient (no arrivals or no service in it)."""
+    n = counts.astype(np.float64)
+    occupied = counts > 0
+    with np.errstate(invalid="ignore"):
+        lw = np.where(occupied, n * log_coef, 0.0)
+    if split is None:
+        lw -= log_factorial(n)
+    else:
+        lw -= log_factorial(split * n) + log_factorial((1.0 - split) * n)
+    lw = lw.sum(axis=1)
+    lw[(occupied & ~np.isfinite(log_coef)).any(axis=1)] = -math.inf
+    return lw
+
+
+def _distribution(states: np.ndarray, lw: np.ndarray, K: int, n_max: int,
+                  variant: str, total_is_one: bool = False) -> StationaryDistribution:
+    """Weights exp(lw) normalized over the truncated space.  The mass missing
+    from the truncation is 1 minus the raw total when the full-space total is
+    exactly 1, otherwise a geometric extrapolation beyond the outer shell."""
+    raw = np.exp(lw)
+    raw_total = float(raw.sum())
+    if total_is_one:
+        deficit = max(0.0, 1.0 - raw_total)
+    else:
+        shell = states.sum(axis=1)
+        s_last = raw[shell == n_max].sum()
+        s_prev = raw[shell == n_max - 1].sum()
+        ratio = s_last / s_prev if s_prev > 0 and s_last > 0 else 0.0
+        deficit = float(s_last * ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
+    probs = raw / raw_total if raw_total > 0 else raw
+    pairs = [(tuple(row[:K]), tuple(row[K:])) for row in states.tolist()]
+    return StationaryDistribution(pairs, probs, raw, raw_total, deficit, K,
+                                  states.shape[1] - K, n_max, variant)
 
 
 def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: CoupledLoads,
@@ -171,69 +204,27 @@ def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: Couple
         raise InstabilityError(
             f"static stationary form needs rho, rho_tilde < 1, got "
             f"({loads.rho:.4f}, {loads.rho_tilde:.4f})")
-    K, L = profile.K, profile.L
-    a, at = _phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde)
-    s = traffic.sigma0
-    rho_m = float(a.sum())
-    rho_s = float(at.sum())
-    states = list(_enumerate_states(K, L, n_max))
-    raw = np.empty(len(states))
-
+    K = profile.K
+    states = _enumerate_states(K, profile.L, n_max)
+    n, m = states[:, :K], states[:, K:]
+    lw = log_factorial(n.sum(axis=1)) + log_factorial(m.sum(axis=1))
     if variant == "subclass_marginal":
+        a, at = _phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde)
         with np.errstate(divide="ignore"):
-            log_a = np.where(a > 0, np.log(np.maximum(a, 1e-300)), -math.inf)
-            log_at = np.where(at > 0, np.log(np.maximum(at, 1e-300)), -math.inf)
-        pref = math.log((1.0 - rho_m) * (1.0 - rho_s))
-        for i, (n, m) in enumerate(states):
-            lw = pref + log_factorial(sum(n)) + log_factorial(sum(m))
-            for k in range(K):
-                if n[k]:
-                    if log_a[k] == -math.inf:
-                        lw = -math.inf
-                        break
-                    lw += n[k] * log_a[k] - log_factorial(n[k])
-            if lw > -math.inf:
-                for l in range(L):
-                    if m[l]:
-                        if log_at[l] == -math.inf:
-                            lw = -math.inf
-                            break
-                        lw += m[l] * log_at[l] - log_factorial(m[l])
-            raw[i] = math.exp(lw) if lw > -math.inf else 0.0
-        raw_total = float(raw.sum())
-        deficit = max(0.0, 1.0 - raw_total)  # full-space total is exactly 1
-    else:
-        rt = loads.rho_tilde_clamped
-        r = loads.rho_clamped
-        lm0 = np.log(profile.lambda_macro * s / profile.eta_macro[:, 0])
-        lm1 = np.log(profile.lambda_macro * s / profile.eta_macro[:, 1])
-        ls0 = np.log(profile.lambda_small * s / profile.eta_small[:, 0])
-        ls1 = np.log(profile.lambda_small * s / profile.eta_small[:, 1])
-        pref = math.log((1.0 - loads.rho) * (1.0 - loads.rho_tilde))
-        for i, (n, m) in enumerate(states):
-            lw = pref + log_factorial(sum(n)) + log_factorial(sum(m))
-            ok = True
-            for k in range(K):
-                if n[k]:
-                    if not np.isfinite(lm0[k]) or not np.isfinite(lm1[k]):
-                        ok = False
-                        break
-                    lw += ((1.0 - rt) * n[k] * lm0[k] + rt * n[k] * lm1[k]
-                           - log_factorial(rt * n[k]) - log_factorial((1.0 - rt) * n[k]))
-            if ok:
-                for l in range(L):
-                    if m[l]:
-                        if not np.isfinite(ls0[l]) or not np.isfinite(ls1[l]):
-                            ok = False
-                            break
-                        lw += ((1.0 - r) * m[l] * ls0[l] + r * m[l] * ls1[l]
-                               - log_factorial(r * m[l]) - log_factorial((1.0 - r) * m[l]))
-            raw[i] = math.exp(lw) if ok else 0.0
-        raw_total = float(raw.sum())
-        deficit = _shell_deficit(states, raw, n_max)
-
-    probs = raw / raw_total if raw_total > 0 else raw
-    return StationaryDistribution(states, probs, raw, raw_total, deficit, K, L, n_max, variant)
+            lw += (math.log((1.0 - float(a.sum())) * (1.0 - float(at.sum())))
+                   + _class_log_weight(n, np.log(a)) + _class_log_weight(m, np.log(at)))
+        return _distribution(states, lw, K, n_max, variant, total_is_one=True)
+    rt, r = loads.rho_tilde_clamped, loads.rho_clamped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_m = profile.lambda_macro * traffic.sigma0
+        lam_s = profile.lambda_small * traffic.sigma0
+        coef_m = ((1.0 - rt) * np.log(lam_m / profile.eta_macro[:, 0])
+                  + rt * np.log(lam_m / profile.eta_macro[:, 1]))
+        coef_s = ((1.0 - r) * np.log(lam_s / profile.eta_small[:, 0])
+                  + r * np.log(lam_s / profile.eta_small[:, 1]))
+    lw += (math.log((1.0 - loads.rho) * (1.0 - loads.rho_tilde))
+           + _class_log_weight(n, coef_m, rt) + _class_log_weight(m, coef_s, r))
+    return _distribution(states, lw, K, n_max, variant)
 
 
 def class_membership(rates_series, variant: str = "detailed_balance"):
@@ -342,38 +333,15 @@ def stationary_mobile(q: np.ndarray, q_tilde: np.ndarray, loads: CoupledLoads,
             "(per-cell loads may exceed 1, the system-level load may not)")
     if rho_bar < 0.0:
         raise ValueError("rho_bar must be nonnegative")
-    K, L = len(q), len(q_tilde)
-    r = loads.rho_clamped
-    rt = loads.rho_tilde_clamped
-    states = list(_enumerate_states(K, L, n_max))
-    raw = np.empty(len(states))
-    log_rho = math.log(rho_bar) if rho_bar > 0 else -math.inf
-    lq = np.where(np.asarray(q) > 0, np.log(np.maximum(q, 1e-300)), -math.inf)
-    lqt = np.where(np.asarray(q_tilde) > 0, np.log(np.maximum(q_tilde, 1e-300)), -math.inf)
-    pref = math.log(1.0 - rho_bar)
-    for i, (n, m) in enumerate(states):
-        tot = sum(n) + sum(m)
-        lw = pref + (tot * log_rho if tot else 0.0) + log_factorial(tot)
-        ok = True
-        for k in range(K):
-            if n[k]:
-                if lq[k] == -math.inf:
-                    ok = False
-                    break
-                lw += n[k] * lq[k] - log_factorial(rt * n[k]) - log_factorial((1.0 - rt) * n[k])
-        if ok:
-            for l in range(L):
-                if m[l]:
-                    if lqt[l] == -math.inf:
-                        ok = False
-                        break
-                    lw += m[l] * lqt[l] - log_factorial(r * m[l]) - log_factorial((1.0 - r) * m[l])
-        raw[i] = math.exp(lw) if ok else 0.0
-    raw_total = float(raw.sum())
-    deficit = _shell_deficit(states, raw, n_max)
-    probs = raw / raw_total if raw_total > 0 else raw
-    return StationaryDistribution(states, probs, raw, raw_total, deficit, K, L, n_max,
-                                  "mobile")
+    K = len(q)
+    states = _enumerate_states(K, len(q_tilde), n_max)
+    tot = states.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw = (math.log(1.0 - rho_bar) + np.where(tot > 0, tot * np.log(rho_bar), 0.0)
+              + log_factorial(tot)
+              + _class_log_weight(states[:, :K], np.log(q), loads.rho_tilde_clamped)
+              + _class_log_weight(states[:, K:], np.log(q_tilde), loads.rho_clamped))
+    return _distribution(states, lw, K, n_max, "mobile")
 
 
 def mean_flow_throughput(source, traffic: TrafficSpec | None = None) -> float:
@@ -386,10 +354,10 @@ def mean_flow_throughput(source, traffic: TrafficSpec | None = None) -> float:
     system, which for a single PS queue equals eta_bar * (1 - rho_bar).
     """
     if isinstance(source, QueueTrace):
-        int_total = float(sum(sum(c) for c in source.int_n))
-        if int_total <= 0.0:
+        m = empirical_metrics(source)
+        if m.mean_n.sum() + m.mean_n_tilde.sum() <= 0.0:
             raise ValueError("no flow was ever active; mean throughput undefined")
-        return source.served_mbits() / int_total
+        return m.mean_flow_throughput
     if isinstance(source, StationaryDistribution):
         if traffic is None:
             raise ValueError("traffic spec required with a stationary distribution")
@@ -400,8 +368,7 @@ def mean_flow_throughput(source, traffic: TrafficSpec | None = None) -> float:
     raise TypeError(f"unsupported source {type(source)!r}")
 
 
-def conservation_residual(trace: QueueTrace, traffic: TrafficSpec | None = None) -> float:
+def conservation_residual(trace: QueueTrace) -> float:
     """Offered minus served traffic rate, Mbps; near 0 on stable runs and
     strictly positive when the system cannot drain what arrives."""
-    tr = traffic if traffic is not None else trace.traffic
-    return tr.lambda_tot * tr.sigma0 - trace.served_mbits() / trace.T
+    return empirical_metrics(trace).conservation_residual

@@ -21,7 +21,9 @@ from scipy.integrate import quad
 from mobicell.geometry import CellLayout
 from mobicell.geometry import PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
-from mobicell.radio import RadioParams, _g_formula, inverse_interference_factor, psi
+from mobicell.radio import (RadioParams, _g_formula, inverse_interference_factor,
+                            macro_association, macro_inverse_sinr, psi,
+                            small_inverse_sinr)
 from mobicell.special import log_bessel_i0
 
 # fraction of the inter-site distance beyond which the macro interference
@@ -92,8 +94,7 @@ class FieldSamples:
             d_neg_pow = d ** (-2.0 * self.params.b_small)
         small_rx = self.params.kappa * d_neg_pow
         in_region = (self.macro_disk | (d <= region.small_reach)) & self.domain
-        macro_assoc = small_rx <= self.r_neg_pow
-        return in_region, macro_assoc, small_rx
+        return in_region, macro_association(small_rx, self.r_neg_pow), small_rx
 
 
 def _counts_curve(inv_gamma: np.ndarray, levels: np.ndarray, params: RadioParams):
@@ -108,7 +109,7 @@ def _counts_curve(inv_gamma: np.ndarray, levels: np.ndarray, params: RadioParams
     return values
 
 
-def _finish_curve(inv_gamma, levels, params, cell, t, mass, n_total) -> CcdfCurve:
+def _finish_curve(inv_gamma, levels, params, cell, t, mass) -> CcdfCurve:
     n_sel = len(inv_gamma)
     if n_sel == 0:
         z = np.zeros(len(levels))
@@ -136,9 +137,9 @@ def macro_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: Radi
     sel = in_region & macro_assoc
     mass = float(np.count_nonzero(sel)) / samples.n
     inv_gamma = samples.g[sel]
-    if include_small_interference and params.kappa > 0.0:
-        inv_gamma = inv_gamma + small_rx[sel] * samples.r_pow[sel]
-    return _finish_curve(inv_gamma, levels, params, Cell.MACRO, t, mass, samples.n)
+    if include_small_interference:
+        inv_gamma = macro_inverse_sinr(inv_gamma, samples.r_pow[sel], small_rx[sel])
+    return _finish_curve(inv_gamma, levels, params, Cell.MACRO, t, mass)
 
 
 def small_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: RadioParams,
@@ -153,12 +154,9 @@ def small_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: Radi
     in_region, macro_assoc, small_rx = samples.at(Ls, region)
     sel = in_region & ~macro_assoc
     mass = float(np.count_nonzero(sel)) / samples.n
-    serving = small_rx[sel] * samples.r_pow[sel]
-    denom = samples.g[sel] + (1.0 if include_central_macro else 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_gamma = np.where(serving > 0.0, denom / serving, np.inf)
-        inv_gamma = np.where(np.isinf(serving), 0.0, inv_gamma)
-    return _finish_curve(inv_gamma, levels, params, Cell.SMALL, t, mass, samples.n)
+    inv_gamma = small_inverse_sinr(samples.g[sel], samples.r_pow[sel], small_rx[sel],
+                                   include_central_macro)
+    return _finish_curve(inv_gamma, levels, params, Cell.SMALL, t, mass)
 
 
 def combined_ccdf(macro_curve: CcdfCurve, small_curve: CcdfCurve) -> CcdfCurve:

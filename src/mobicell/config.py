@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from mobicell.ccdf import default_levels
 from mobicell.geometry import CellLayout
 from mobicell.hotspot import HotspotSpec
-from mobicell.mobility import ManhattanGrid, MobilityPolicy, cruise_beta
+from mobicell.mobility import ManhattanGrid, MobilityPolicy, route_cruise_policy
 from mobicell.radio import OMEGA_VARIANTS, RadioParams
 from mobicell.flowsim import TrafficSpec
 
@@ -114,7 +114,6 @@ class ScenarioConfig:
     extra_migration_rate: float
     workers: int
     scenario_id: str = ""
-    raw_items: dict = field(default_factory=dict, repr=False)
 
 
 def _canonical(items: dict) -> str:
@@ -225,13 +224,9 @@ def _build(items: dict) -> ScenarioConfig:
         dv = float(items[("mobility", "dv_kmh")])
         speed_raw = items[("mobility", "speed_kmh")].strip()
         if route is not None:
-            length = sum(abs(a[0] - b[0]) + abs(a[1] - b[1])
-                         for a, b in zip(route, route[1:] + route[:1]))
-            # speed derived from route length over the pass period unless pinned
-            speed = float(speed_raw) if speed_raw else length / period * 3600.0
-            policy = MobilityPolicy(v_max=max(v_max, speed), dv=dv,
-                                    beta_law=cruise_beta(speed), turn_probs=turn_probs,
-                                    route=route, stops=stops, initial_speed=speed)
+            policy = route_cruise_policy(route, period, v_max=v_max, dv=dv,
+                                         turn_probs=turn_probs, stops=stops,
+                                         speed_kmh=float(speed_raw) if speed_raw else None)
         else:
             speed = float(speed_raw) if speed_raw else 0.0
             policy = MobilityPolicy(v_max=v_max, dv=dv, turn_probs=turn_probs,
@@ -284,7 +279,7 @@ def _build(items: dict) -> ScenarioConfig:
         snapshot_s=snapshot, trajectory_dt_s=dt, seed=seed, replications=reps,
         mc_samples=mc, n_max=n_max, small_reach_km=reach, levels=levels,
         nu_floor=nu_floor, extra_migration_rate=extra_mig, workers=workers,
-        scenario_id=scenario_id, raw_items=items,
+        scenario_id=scenario_id,
     )
 
 

@@ -560,7 +560,6 @@ class MetricsReport:
     P_k: np.ndarray
     P_tilde_l: np.ndarray
     mean_flow_throughput: float   # Mbps, offered bits over flow-time (Little form)
-    per_flow_throughput: float    # Mbps, mean of size/sojourn over departed flows
     rho_busy: float               # macro busy fraction
     rho_tilde_busy: float
     served_mbits: float
@@ -581,12 +580,10 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
     served = trace.served_mbits()
     int_total_n = float(sum(sum(c) for c in trace.int_n))
     R = served / int_total_n if int_total_n > 0 else 0.0
-    done = [f for f in trace.flows if not math.isnan(f.departure) and f.departure > f.arrival]
-    per_flow = float(np.mean([f.size / (f.departure - f.arrival) for f in done])) if done else 0.0
     offered = trace.traffic.lambda_tot * trace.traffic.sigma0 * trace.T
     return MetricsReport(
         T=trace.T, mean_n=mean_m, mean_n_tilde=mean_s, P_k=P_k, P_tilde_l=P_l,
-        mean_flow_throughput=R, per_flow_throughput=per_flow,
+        mean_flow_throughput=R,
         rho_busy=trace.busy_time[MACRO] / trace.T,
         rho_tilde_busy=trace.busy_time[SMALL] / trace.T,
         served_mbits=served, offered_mbits=offered,

@@ -120,12 +120,13 @@ class MobilityPolicy:
                 raise ValueError("stop dwell durations must be >= 0")
 
 
+@dataclass(frozen=True)
 class CruiseBeta:
     """Beta law that accelerates to a target speed and then holds it.
-    A class (not a closure) so policies stay picklable for worker pools."""
+    A dataclass (not a closure) so policies stay picklable for worker pools
+    and compare by value."""
 
-    def __init__(self, target_kmh: float):
-        self.target_kmh = target_kmh
+    target_kmh: float
 
     def __call__(self, rng, state: TrajectoryState) -> float:
         if state.velocity < self.target_kmh:
@@ -137,6 +138,20 @@ class CruiseBeta:
 
 def cruise_beta(target_kmh: float) -> CruiseBeta:
     return CruiseBeta(target_kmh)
+
+
+def route_cruise_policy(route: tuple, period_s: float, *, v_max: float, dv: float,
+                        turn_probs, stops=(), speed_kmh: float | None = None
+                        ) -> MobilityPolicy:
+    """Cruise the cyclic ``route`` once per ``period_s`` unless ``speed_kmh``
+    pins the speed; ``v_max`` is raised to that speed if lower."""
+    if speed_kmh is None:
+        length = sum(abs(a[0] - b[0]) + abs(a[1] - b[1])
+                     for a, b in zip(route, route[1:] + route[:1]))
+        speed_kmh = length / period_s * 3600.0
+    return MobilityPolicy(v_max=max(v_max, speed_kmh), dv=dv,
+                          beta_law=cruise_beta(speed_kmh), turn_probs=turn_probs,
+                          route=route, stops=stops, initial_speed=speed_kmh)
 
 
 def _next_crossing(s: float, block: float, direction: float) -> float:

@@ -419,7 +419,7 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
         macro_vals = (1.0 - w_small_busy) * m0.values + w_small_busy * m1.values
         small_vals = (1.0 - w_macro_busy) * s0.values + w_macro_busy * s1.values
         acc_c += m1.mass * macro_vals + s1.mass * small_vals
-        acc_s += s1.mass * ((1.0 - w_macro_busy) * s0.values + w_macro_busy * s1.values)
+        acc_s += s1.mass * small_vals
         mass_c += m1.mass + s1.mass
         mass_s += s1.mass
     avg_combined = CcdfCurve(cfg.levels, acc_c / max(mass_c, 1e-12),
@@ -450,7 +450,7 @@ def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig
     from dataclasses import replace
     from mobicell.radio import RadioParams
     from mobicell.hotspot import HotspotSpec
-    from mobicell.mobility import MobilityPolicy, cruise_beta
+    from mobicell.mobility import route_cruise_policy
     if param == "kappa":
         params = RadioParams(**{**cfg.params.__dict__, "kappa": float(value)})
         return replace(cfg, params=params)
@@ -465,13 +465,9 @@ def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig
     if param == "period_s":
         if cfg.policy.route is None:
             raise ValueError("period sweep needs a route scenario")
-        route = cfg.policy.route
-        length = sum(abs(a[0] - b[0]) + abs(a[1] - b[1])
-                     for a, b in zip(route, tuple(route[1:]) + (route[0],)))
-        speed = length / float(value) * 3600.0
-        policy = MobilityPolicy(v_max=max(cfg.policy.v_max, speed), dv=cfg.policy.dv,
-                                beta_law=cruise_beta(speed), turn_probs=cfg.policy.turn_probs,
-                                route=route, stops=cfg.policy.stops, initial_speed=speed)
+        p = cfg.policy
+        policy = route_cruise_policy(p.route, float(value), v_max=p.v_max, dv=p.dv,
+                                     turn_probs=p.turn_probs, stops=p.stops)
         return replace(cfg, policy=policy, period_s=float(value))
     raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,8 +39,6 @@ class RadioParams:
     kappa: float             # small/macro effective power ratio, in [0, 1]
     b_macro: float           # half pathloss exponent, macro links (> 1)
     b_small: float           # half pathloss exponent, small-cell links
-    pl_const_macro: float    # pathloss intercept folded into P (dB at 1 Km), kept for record
-    pl_const_small: float
     P_N: float               # noise power over the bandwidth (linear mW)
     alpha: float             # average load of interfering macro cells, in [0, 1]
     W: float                 # bandwidth (MHz)
@@ -100,8 +97,6 @@ class RadioParams:
             kappa=p_small / p_macro,
             b_macro=pl_exp_macro / 2.0,
             b_small=pl_exp_small / 2.0,
-            pl_const_macro=pl_const_macro_db,
-            pl_const_small=pl_const_small_db,
             P_N=p_noise,
             alpha=alpha,
             W=bandwidth_mhz,
@@ -110,17 +105,6 @@ class RadioParams:
             eta0=eta0_mbps,
             omega_variant=omega_variant,
         )
-
-
-class Serving(Enum):
-    MACRO = "macro"
-    SMALL = "small"
-
-
-@dataclass(frozen=True)
-class SinrSample:
-    gamma: float
-    serving: Serving
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,6 +158,18 @@ def interference_factor(r, params: RadioParams, layout: CellLayout):
     return _g_formula(r, params, layout)
 
 
+def _lattice_g(px, py, r, params: RadioParams, layout: CellLayout):
+    """Direct lattice sum for g at positions (px, py) of radius r, elementwise:
+    (alpha * P * sum_i d_i^-2b + P_N) / (P * r^-2b)."""
+    sites = interferer_positions(layout)
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+    b2 = 2.0 * params.b_macro
+    d = np.hypot(np.asarray(px)[..., None] - sx, np.asarray(py)[..., None] - sy)
+    return (params.alpha * params.P * np.sum(d ** (-b2), axis=-1) + params.P_N) \
+        / (params.P * r ** (-b2))
+
+
 def interference_factor_oracle(point: PolarPoint, params: RadioParams, layout: CellLayout) -> float:
     """Brute-force g at an explicit position: direct sum over the interferer
     lattice, (alpha * P * sum_i d_i^-2b + P_N) / (P * r^-2b).
@@ -186,29 +182,15 @@ def interference_factor_oracle(point: PolarPoint, params: RadioParams, layout: C
         raise ValueError("oracle undefined at r = 0 (serving power infinite)")
     if r > layout.R:
         raise ValueError(f"r outside (0, R={layout.R:.6f}] Km")
-    b2 = 2.0 * params.b_macro
-    acc = 0.0
-    for site in interferer_positions(layout):
-        acc += distance(point, site) ** (-b2)
-    return (params.alpha * params.P * acc + params.P_N) / (params.P * r ** (-b2))
+    return float(_lattice_g(point.x, point.y, r, params, layout))
 
 
 def _interference_oracle_grid(r_values, params: RadioParams, layout: CellLayout,
                               n_azimuths: int = 360) -> np.ndarray:
     """Azimuth-averaged lattice-sum g on an array of radii (vectorized)."""
-    sites = interferer_positions(layout)
-    sx = np.array([s.x for s in sites])
-    sy = np.array([s.y for s in sites])
-    b2 = 2.0 * params.b_macro
     theta = np.linspace(0.0, 2.0 * math.pi, n_azimuths, endpoint=False)
-    out = np.empty(len(r_values))
-    for i, r in enumerate(r_values):
-        px = r * np.cos(theta)[:, None]
-        py = r * np.sin(theta)[:, None]
-        d = np.hypot(px - sx[None, :], py - sy[None, :])
-        interf = params.alpha * params.P * np.sum(d ** (-b2), axis=1) + params.P_N
-        out[i] = float(np.mean(interf / (params.P * r ** (-b2))))
-    return out
+    return np.array([np.mean(_lattice_g(r * np.cos(theta), r * np.sin(theta), r,
+                                        params, layout)) for r in r_values])
 
 
 def inverse_interference_factor(y, params: RadioParams, layout: CellLayout):
@@ -239,6 +221,46 @@ def inverse_interference_factor(y, params: RadioParams, layout: CellLayout):
     return out
 
 
+def macro_association(small_rx, r_neg_pow):
+    """Cell selection by received power, ties to the macro cell, elementwise:
+    small_rx = kappa * d^-2b_small against r_neg_pow = r^-2b_macro."""
+    return small_rx <= r_neg_pow
+
+
+def macro_inverse_sinr(g, r_pow, small_rx):
+    """1/SINR from the central macro cell while the small cell transmits,
+    elementwise, from g = g(r), r_pow = r^2b_macro and small_rx; it is g(r)
+    itself while the small cell is silent."""
+    return g + small_rx * r_pow
+
+
+def small_inverse_sinr(g, r_pow, small_rx, include_central_macro: bool = True):
+    """1/SINR from the small cell, elementwise, on the inputs of
+    ``macro_inverse_sinr``: (g + 1) / (small_rx * r_pow), or g / (...) with
+    the central macro silent; 0 where small_rx is infinite."""
+    serving = small_rx * r_pow
+    denom = g + (1.0 if include_central_macro else 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_gamma = np.where(serving > 0.0, denom / serving, np.inf)
+    return np.where(np.isinf(serving), 0.0, inv_gamma)
+
+
+def _small_rx(m: PolarPoint, Ls: PolarPoint, params: RadioParams) -> float:
+    """kappa * d^-2b_small at one position; infinite on the small-cell site."""
+    d = distance(m, Ls)
+    return math.inf if d == 0.0 else params.kappa * d ** (-2.0 * params.b_small)
+
+
+def _link_terms(m: PolarPoint, Ls: PolarPoint, params: RadioParams, layout: CellLayout,
+                what: str):
+    """Scalar kernel inputs (g, r^2b_macro, small_rx) at one position."""
+    r = m.r
+    if r >= layout.delta:
+        raise ValueError(f"{what} SINR model is limited to r < delta")
+    return (_g_formula(r, params, layout), r ** (2.0 * params.b_macro),
+            _small_rx(m, Ls, params))
+
+
 def sinr_macro(m: PolarPoint, Ls: PolarPoint, params: RadioParams, layout: CellLayout,
                include_small_interference: bool = True) -> float:
     """Linear SINR from the central macro cell at position ``m`` with the
@@ -247,19 +269,12 @@ def sinr_macro(m: PolarPoint, Ls: PolarPoint, params: RadioParams, layout: CellL
     1 / (g(r) + kappa * d^-2b_small * r^2b_macro); +inf at r = 0 and 0 when
     the user sits exactly on an interfering small cell.
     """
-    r = m.r
-    if r >= layout.delta:
-        raise ValueError("macro SINR model is limited to r < delta")
-    small = 0.0
-    if include_small_interference and params.kappa > 0.0:
-        d = distance(m, Ls)
-        if d == 0.0:
-            return 0.0  # infinite small-cell interference; documented, not an error
-        small = params.kappa * d ** (-2.0 * params.b_small) * r ** (2.0 * params.b_macro)
-    denom = _g_formula(r, params, layout) + small
-    if denom == 0.0:
-        return math.inf
-    return 1.0 / denom
+    g, r_pow, small_rx = _link_terms(m, Ls, params, layout, "macro")
+    interfered = include_small_interference and params.kappa > 0.0
+    if interfered and small_rx == math.inf:
+        return 0.0  # infinite small-cell interference; documented, not an error
+    inv_gamma = macro_inverse_sinr(g, r_pow, small_rx) if interfered else g
+    return math.inf if inv_gamma == 0.0 else 1.0 / inv_gamma
 
 
 def sinr_small(m: PolarPoint, Ls: PolarPoint, params: RadioParams, layout: CellLayout,
@@ -271,44 +286,26 @@ def sinr_small(m: PolarPoint, Ls: PolarPoint, params: RadioParams, layout: CellL
     interference (the radio condition used for the small cell's
     no-macro-interference phase) so the denominator becomes g(r).
     """
-    r = m.r
-    if r >= layout.delta:
-        raise ValueError("small-cell SINR model is limited to r < delta")
-    d = distance(m, Ls)
-    if d == 0.0:
+    g, r_pow, small_rx = _link_terms(m, Ls, params, layout, "small-cell")
+    if small_rx == math.inf:
         return math.inf
-    serving = params.kappa * params.P * d ** (-2.0 * params.b_small)
-    if r == 0.0:
+    if m.r == 0.0:
         # power-domain evaluation: the macro-lattice interference stays finite
         # at the origin even though g(0) = 0 (serving macro power diverges)
         b = params.b_macro
         om = omega(b, params.omega_variant)
         lattice = 6.0 * params.alpha * params.P * layout.delta ** (-2.0 * b) * om + params.P_N
-        central = math.inf if include_central_macro else 0.0
-        denom = lattice + central
-        return 0.0 if denom == math.inf else serving / denom
-    denom = _g_formula(r, params, layout) + (1.0 if include_central_macro else 0.0)
-    if denom == 0.0:
-        return math.inf
-    return serving / (denom * params.P * r ** (-2.0 * params.b_macro))
+        return 0.0 if include_central_macro else params.P * small_rx / lattice
+    inv_gamma = float(small_inverse_sinr(g, r_pow, small_rx, include_central_macro))
+    return math.inf if inv_gamma == 0.0 else 1.0 / inv_gamma
 
 
 def macro_associated(m: PolarPoint, Ls: PolarPoint, params: RadioParams) -> bool:
     """Cell selection by received power, ties to the macro cell."""
-    r = m.r
-    d = distance(m, Ls)
     if params.kappa == 0.0:
         return True
-    small_rx = math.inf if d == 0.0 else params.kappa * d ** (-2.0 * params.b_small)
-    macro_rx = math.inf if r == 0.0 else r ** (-2.0 * params.b_macro)
-    return small_rx <= macro_rx
-
-
-def sinr_at(m: PolarPoint, Ls: PolarPoint, params: RadioParams, layout: CellLayout) -> SinrSample:
-    """SINR from the serving cell picked by the association rule."""
-    if macro_associated(m, Ls, params):
-        return SinrSample(sinr_macro(m, Ls, params, layout), Serving.MACRO)
-    return SinrSample(sinr_small(m, Ls, params, layout), Serving.SMALL)
+    r_neg_pow = math.inf if m.r == 0.0 else m.r ** (-2.0 * params.b_macro)
+    return bool(macro_association(_small_rx(m, Ls, params), r_neg_pow))
 
 
 def shannon_rate(gamma, params: RadioParams):

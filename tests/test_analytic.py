@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import coupled_chain_stationary, make_profile
-from mobicell.analytic import (CoupledLoads, InstabilityError, UndefinedChainError,
+from mobicell.analytic import (ConvergenceError, CoupledLoads, InstabilityError,
+                               UndefinedChainError,
                                class_membership, conservation_residual,
                                coupled_loads_fixed_point, effective_rate,
                                mean_flow_throughput, stationary_mobile,
@@ -28,6 +29,14 @@ def test_fixed_point_decoupled_case():
     assert loads.converged
     assert loads.rho == pytest.approx(2.0 * (1.0 / 10.0 + 0.5 / 20.0), abs=1e-9)
     assert loads.rho_tilde == pytest.approx(2.0 * 0.25 / 10.0, abs=1e-9)
+
+
+def test_fixed_point_raises_when_not_converged():
+    prof = make_profile(lam_m=(1.0, 0.5), lam_s=(0.25,), eta_m0=(10.0, 20.0),
+                        eta_s0=(10.0,))
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        coupled_loads_fixed_point(prof, TrafficSpec(1.75, 2.0), max_iter=1)
+    assert issubclass(ConvergenceError, InstabilityError)
 
 
 def test_fixed_point_zero_traffic():

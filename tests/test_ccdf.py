@@ -1,15 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mobicell.ccdf as ccdf_module
 from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            curve_pmf, curves_to_csv, default_levels,
                            extract_classes, macro_ccdf, macro_only_ccdf,
                            small_ccdf)
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
-from mobicell.radio import RadioParams, interference_factor, psi, shannon_rate
+from mobicell.radio import (RadioParams, interference_factor, macro_associated, psi,
+                            shannon_rate, sinr_macro, sinr_small)
 
 LAYOUT = CellLayout(delta=1.0, rings_for_oracle=30)
 PARAMS = RadioParams.from_link_budget()
@@ -261,3 +266,48 @@ def test_csv_export(tmp_path):
     assert lines[1] == "t_s,cell,level_mbps,ccdf,stderr"
     assert len(lines) == 2 + 2 * len(LEVELS)
     assert lines[2].split(",")[1] == "macro"
+
+
+def counted_inverse_sinrs(curve_fn, Ls, spec, region, samples, **flag):
+    """The per-user inverse SINRs one CCDF call counts, in sample order."""
+    seen = []
+    finish = ccdf_module._finish_curve
+
+    def spy(inv_gamma, *args):
+        seen.append(inv_gamma)
+        return finish(inv_gamma, *args)
+
+    with mock.patch.object(ccdf_module, "_finish_curve", spy):
+        curve_fn(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT, samples=samples, **flag)
+    return seen[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(r_h=st.floats(0.0, 0.5), theta_h=st.floats(0.0, 2.0 * math.pi),
+       sigma=st.floats(0.02, 0.2), ls_r=st.floats(0.0, 0.6),
+       ls_theta=st.floats(0.0, 2.0 * math.pi), reach=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r,
+                                                       ls_theta, reach, seed):
+    """The scalar association and SINRs agree, user by user, with what the
+    CCDF curves count for random hotspot geometry and small-cell position."""
+    spec = HotspotSpec(R_h=r_h, theta_h=theta_h, A=sigma)
+    Ls = PolarPoint.from_polar(ls_r, ls_theta)
+    region = region_at(Ls, reach)
+    samples = FieldSamples(spec, PARAMS, LAYOUT, 500, seed)
+    in_region, _, _ = samples.at(Ls, region)
+    users = [PolarPoint(float(x), float(y)) for x, y in samples.xy[in_region]]
+    assoc = [macro_associated(m, Ls, PARAMS) for m in users]
+    macro_users = [m for m, a in zip(users, assoc) if a]
+    small_users = [m for m, a in zip(users, assoc) if not a]
+    for flag in (True, False):
+        counted = counted_inverse_sinrs(macro_ccdf, Ls, spec, region, samples,
+                                        include_small_interference=flag)
+        scalar = [1.0 / sinr_macro(m, Ls, PARAMS, LAYOUT, include_small_interference=flag)
+                  for m in macro_users]
+        np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
+        counted = counted_inverse_sinrs(small_ccdf, Ls, spec, region, samples,
+                                        include_central_macro=flag)
+        scalar = [1.0 / sinr_small(m, Ls, PARAMS, LAYOUT, include_central_macro=flag)
+                  for m in small_users]
+        np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)

@@ -59,6 +59,19 @@ def test_dynamics_command_and_reproducibility(tmp_path, capsys):
                       "eta_bar_mbps,R_mbps,conservation_residual")
 
 
+def test_dynamics_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
+    import mobicell.pipeline as pipeline
+    fixed_point = pipeline.coupled_loads_fixed_point
+    monkeypatch.setattr(pipeline, "coupled_loads_fixed_point",
+                        lambda *args, **kw: fixed_point(*args, **{**kw, "max_iter": 1}))
+    rc = main(["dynamics", "--samples", "1000", "--replications", "1",
+               "--duration", "120", "--out", str(tmp_path / "d")])
+    assert rc == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "numerical"
+    assert "did not converge in 1 iterations" in payload["detail"]
+
+
 def test_dynamics_different_seed_differs(tmp_path):
     common = ["dynamics", "--samples", "20000", "--replications", "1",
               "--duration", "900"]

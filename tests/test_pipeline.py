@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mobicell.config import bundled_scenario_path, load_scenario
-from mobicell.pipeline import (analytic_windows, baseline_windows,
+from mobicell.pipeline import (_with_param, analytic_windows, baseline_windows,
                                macro_only_profile, mean_flux_rates, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
                                snapshot_series)
@@ -129,3 +129,11 @@ def test_dynamics_runs_with_workers(cfg_small, tmp_path):
     res = run_dynamics(cfg, out_dir=tmp_path / "d")
     assert len(res.replications) == 2
     assert (tmp_path / "d" / "summary.csv").exists()
+
+
+def test_period_sweep_at_loaded_period_gives_loaded_policy():
+    cfg = load_scenario(bundled_scenario_path())
+    swept = _with_param(cfg, "period_s", cfg.period_s)
+    assert swept.policy == cfg.policy and swept.period_s == cfg.period_s
+    slower = _with_param(cfg, "period_s", 2.0 * cfg.period_s).policy
+    assert slower.initial_speed == pytest.approx(cfg.policy.initial_speed / 2.0)
