@@ -86,15 +86,28 @@ class FieldSamples:
         rr = np.where(self.domain, self.r, 0.0)
         self.g = np.where(self.domain, _g_formula(rr, params, layout), np.inf)
         self.macro_disk = self.r <= layout.R
+        self._last = (None, None)   # (key, arrays) of the latest ``at`` call
 
     def at(self, Ls: PolarPoint, region: CoverageRegion):
-        """Position-dependent arrays for one snapshot."""
+        """Position-dependent arrays for one snapshot, read-only.
+
+        The latest result is kept: the macro and small curves of both phases
+        at one snapshot ask for the same position and region in turn.  The
+        key is exact, so a repeated call returns the very arrays a fresh
+        evaluation would compute."""
+        key = (Ls.x, Ls.y, region.macro_radius, region.small_reach)
+        if self._last[0] == key:
+            return self._last[1]
         d = np.hypot(self.xy[:, 0] - Ls.x, self.xy[:, 1] - Ls.y)
         with np.errstate(divide="ignore"):
             d_neg_pow = d ** (-2.0 * self.params.b_small)
         small_rx = self.params.kappa * d_neg_pow
         in_region = (self.macro_disk | (d <= region.small_reach)) & self.domain
-        return in_region, macro_association(small_rx, self.r_neg_pow), small_rx
+        out = (in_region, macro_association(small_rx, self.r_neg_pow), small_rx)
+        for a in out:
+            a.flags.writeable = False
+        self._last = (key, out)
+        return out
 
 
 def _counts_curve(inv_gamma: np.ndarray, levels: np.ndarray, params: RadioParams):

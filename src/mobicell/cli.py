@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from mobicell.analytic import InstabilityError, UndefinedChainError
-from mobicell.config import ConfigError, bundled_scenario_path, load_scenario
+from mobicell.config import (ConfigError, bundled_scenario_path, load_scenario,
+                             with_overrides)
 from mobicell.pipeline import SWEEP_PARAMS, run_ccdf, run_dynamics, run_sweep
 
 EXIT_CONFIG = 2
@@ -27,18 +27,11 @@ def _fail(code: int, kind: str, detail) -> int:
 
 def _load(args):
     path = args.config if args.config else bundled_scenario_path()
-    cfg = load_scenario(path)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.samples is not None:
-        cfg = replace(cfg, mc_samples=args.samples)
-    if getattr(args, "replications", None) is not None:
-        cfg = replace(cfg, replications=args.replications)
-    if getattr(args, "duration", None) is not None:
-        cfg = replace(cfg, duration_s=args.duration)
-    return cfg
+    overrides = {"seed": args.seed, "workers": args.workers, "mc_samples": args.samples,
+                 "replications": getattr(args, "replications", None),
+                 "duration_s": getattr(args, "duration", None)}
+    return with_overrides(load_scenario(path),
+                          **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_validate(args) -> int:

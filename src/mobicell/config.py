@@ -3,7 +3,8 @@
 Unknown sections or keys are rejected, every module-level invariant is
 revalidated on load, and all errors are collected and reported together.  A
 scenario is identified by the hash of its canonicalized content, which is
-stamped into every output file together with the seed.
+stamped into every output file together with the seed; run settings
+overridden after loading (``with_overrides``) enter that hash too.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -281,6 +282,20 @@ def _build(items: dict) -> ScenarioConfig:
         nu_floor=nu_floor, extra_migration_rate=extra_mig, workers=workers,
         scenario_id=scenario_id,
     )
+
+
+def with_overrides(cfg: ScenarioConfig, **values) -> ScenarioConfig:
+    """``cfg`` with run settings replaced, identified by the file hash plus
+    the sorted ``field=value`` pairs that changed a setting.  ``workers``
+    changes no output and stays out of the hash, so without another change
+    the id remains the file's."""
+    changed = sorted(f"{k}={v!r}" for k, v in values.items()
+                     if k != "workers" and getattr(cfg, k) != v)
+    out = replace(cfg, **values)
+    if changed:
+        text = "\n".join([cfg.scenario_id, *changed])
+        out = replace(out, scenario_id=hashlib.sha256(text.encode()).hexdigest()[:12])
+    return out
 
 
 def _parse_stops(text: str):

@@ -190,6 +190,10 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     parameters are piecewise constant between profile timestamps.  ``rates``
     may be None (no migrations or handovers), a single TransitionRates or a
     series aligned with the profile intervals.  Deterministic per seed.
+
+    ``sample_dt`` records the class occupancy at t = 0, dt, 2 dt, ... < T.
+    Sampling consumes no random draws, so a sampled run is the same
+    realisation as an unsampled one with the same seed.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -353,8 +357,6 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         bound = piece_edges[piece]
         if T < bound:
             bound = T
-        if next_sample < bound:
-            bound = next_sample
         dt_bound = bound - t
 
         delta = best_dep
@@ -366,6 +368,13 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             delta = dt_ho
         if dt_bound < delta:
             delta = dt_bound
+
+        # occupancy samples due by the end of the interval see the state
+        # before its event (boundary first on a tie); they draw nothing
+        while next_sample <= t + delta and next_sample < T:
+            sample_times.append(next_sample)
+            sample_counts.append((list(counts[MACRO]), list(counts[SMALL])))
+            next_sample = len(sample_times) * sample_dt
 
         # integrate the constant-occupancy interval
         if delta > 0.0:
@@ -423,10 +432,6 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         if delta == dt_bound:
             if t >= T:
                 break
-            if t >= next_sample:
-                sample_times.append(t)
-                sample_counts.append((list(counts[MACRO]), list(counts[SMALL])))
-                next_sample += sample_dt
             if t >= piece_edges[piece]:
                 piece += 1
                 lam, eta, rr, mig = piece_params(piece)

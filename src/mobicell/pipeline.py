@@ -33,9 +33,9 @@ from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            curves_to_csv, extract_classes, macro_ccdf,
                            macro_only_ccdf, small_ccdf)
 from mobicell.config import ScenarioConfig
-from mobicell.flowsim import (MACRO, SMALL, TrafficSpec, TransitionRates,
-                              empirical_metrics, estimate_transition_rates,
-                              simulate)
+from mobicell.flowsim import (MACRO, SMALL, QueueTrace, TrafficSpec,
+                              TransitionRates, empirical_metrics,
+                              estimate_transition_rates, simulate)
 from mobicell.geometry import PolarPoint
 from mobicell.hotspot import CoverageRegion
 from mobicell.mobility import distance_to_hotspot, generate_trajectory
@@ -223,6 +223,8 @@ class ReplicationResult:
     summary: dict
     emp_sc: dict
     emp_mo: dict
+    distance_km: np.ndarray        # per snapshot, small cell to hotspot centre
+    trace_sc: QueueTrace | None = None   # replication 0 only, occupancy sampled
 
 
 def _empirical_windows(trace) -> dict:
@@ -244,9 +246,17 @@ def _empirical_windows(trace) -> dict:
     }
 
 
-def run_replication(cfg: ScenarioConfig, rep: int) -> ReplicationResult:
+def run_replication(cfg: ScenarioConfig, rep: int,
+                    prof_mo: ClassProfile | None = None) -> ReplicationResult:
     """One full replication: fresh Monte Carlo draws for the radio pipeline
-    and a fresh arrival stream for both scenarios."""
+    and a fresh arrival stream for both scenarios.
+
+    It builds one snapshot series and runs two simulations, the
+    with-small-cell scenario and the macro-only baseline (``prof_mo``, built
+    here when not given).  Replication 0 samples its with-small-cell
+    occupancy every snapshot and keeps that trace for ``trace_rep0.csv`` and
+    ``flows_rep0.csv``; sampling draws nothing, so the trace is the very run
+    whose metrics the replication reports."""
     mc_seed = (cfg.seed, rep, 0)
     sim_seed = (cfg.seed, rep, 1)
     series = snapshot_series(cfg, mc_seed)
@@ -254,8 +264,9 @@ def run_replication(cfg: ScenarioConfig, rep: int) -> ReplicationResult:
     summary = ergodic_summary(series, cfg)
 
     trace_sc = simulate(series.profiles, series.rates, cfg.traffic, cfg.duration_s,
-                        sim_seed)
-    prof_mo, _ = macro_only_profile(cfg)
+                        sim_seed, sample_dt=cfg.snapshot_s if rep == 0 else None)
+    if prof_mo is None:
+        prof_mo, _ = macro_only_profile(cfg)
     # carve the baseline pieces on the same snapshot grid so windowed series align
     profs_mo = []
     for t in series.times:
@@ -263,7 +274,8 @@ def run_replication(cfg: ScenarioConfig, rep: int) -> ReplicationResult:
         profs_mo.append(p)
     trace_mo = simulate(profs_mo, None, cfg.traffic, cfg.duration_s, sim_seed)
     return ReplicationResult(rep, windows_sc, summary,
-                             _empirical_windows(trace_sc), _empirical_windows(trace_mo))
+                             _empirical_windows(trace_sc), _empirical_windows(trace_mo),
+                             series.distance_km, trace_sc if rep == 0 else None)
 
 
 @dataclass
@@ -283,23 +295,27 @@ class DynamicsResult:
 
 def run_dynamics(cfg: ScenarioConfig, out_dir=None) -> DynamicsResult:
     """Full dynamics experiment over all replications; optionally writes the
-    CSV outputs under ``out_dir``."""
-    probe = snapshot_series(cfg, (cfg.seed, 0, 0))
-    prof_mo, _ = macro_only_profile(cfg)
-    windows_mo = baseline_windows(prof_mo, cfg.traffic, probe.times)
-    baseline_stable = bool(windows_mo.rho_bar[0] < 1.0)
+    CSV outputs under ``out_dir``.
 
+    The macro-only profile is built once and shared by every replication.
+    Each replication costs one snapshot series and two simulations; the
+    snapshot times and distances come from replication 0."""
+    prof_mo, _ = macro_only_profile(cfg)
     reps = list(range(cfg.replications))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_replication, [cfg] * len(reps), reps))
+            results = list(pool.map(run_replication, [cfg] * len(reps), reps,
+                                    [prof_mo] * len(reps)))
     else:
-        results = [run_replication(cfg, r) for r in reps]
+        results = [run_replication(cfg, r, prof_mo) for r in reps]
 
-    out = DynamicsResult(cfg, probe.times, probe.distance_km, results, windows_mo,
+    rep0 = results[0]
+    windows_mo = baseline_windows(prof_mo, cfg.traffic, rep0.windows_sc.t)
+    baseline_stable = bool(windows_mo.rho_bar[0] < 1.0)
+    out = DynamicsResult(cfg, rep0.windows_sc.t, rep0.distance_km, results, windows_mo,
                          baseline_stable)
     if out_dir is not None:
-        _write_dynamics(out, out_dir, probe)
+        _write_dynamics(out, out_dir)
     return out
 
 
@@ -325,15 +341,16 @@ def _write_csv(path, header, rows, lines):
         w.writerows(rows)
 
 
-def _write_dynamics(res: DynamicsResult, out_dir, probe: SnapshotSeries):
+def _write_dynamics(res: DynamicsResult, out_dir):
+    """The six dynamics CSVs.  ``trace_rep0.csv`` and ``flows_rep0.csv`` are
+    written from replication 0's own with-small-cell simulation, the run
+    behind its reported metrics; nothing is simulated here."""
     import os
     os.makedirs(out_dir, exist_ok=True)
     cfg = res.cfg
     prov = provenance(cfg, "dynamics", cfg.seed)
 
-    # sampled queue trace and per-flow records of replication 0
-    trace0 = simulate(probe.profiles, probe.rates, cfg.traffic, cfg.duration_s,
-                      (cfg.seed, 0, 1), sample_dt=cfg.snapshot_s)
+    trace0 = res.replications[0].trace_sc
     trace0.to_csv(f"{out_dir}/trace_rep0.csv", (prov,))
     trace0.flows_to_csv(f"{out_dir}/flows_rep0.csv", (prov,))
 

@@ -75,6 +75,22 @@ def test_association_partition():
     assert mc.mass + sc.mass == pytest.approx(m_star, abs=1e-15)
 
 
+def test_field_at_memo_is_transparent():
+    """A repeated call, a call at a new position and a call with a new reach
+    return the arrays a fresh FieldSamples with the same seed computes."""
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4)
+    other = PolarPoint(SPEC.center.x + 0.05, SPEC.center.y - 0.02)
+    calls = [(SPEC.center, 0.2), (SPEC.center, 0.2), (other, 0.2), (other, 0.1),
+             (SPEC.center, 0.2)]
+    for Ls, reach in calls:
+        got = samples.at(Ls, region_at(Ls, reach))
+        want = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4).at(Ls, region_at(Ls, reach))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    first = samples.at(other, region_at(other))
+    assert samples.at(other, region_at(other))[2] is first[2]   # reused, not recomputed
+
+
 def test_simplified_and_direct_indicators_agree_bitwise():
     """Counting rate >= l directly and counting 1/gamma <= psi(l) give the
     same curve on the same draws."""

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mobicell.cli import main
+from mobicell.cli import _load, build_parser, main
+from mobicell.config import bundled_scenario_path, load_scenario
 
 
 def args_small(tmp_path, cmd, *extra):
@@ -96,3 +97,21 @@ def test_sweep_command(tmp_path):
     lines = (tmp_path / "sw" / "sweep_lambda_tot.csv").read_text().splitlines()
     assert lines[1].startswith("param,value,rep")
     assert len(lines) == 2 + 2  # one row per value per replication
+
+
+def test_overrides_enter_the_scenario_stamp():
+    """The stamp identifies the configuration that ran: a changed setting
+    changes it, --workers does not, and equal overrides give equal stamps."""
+    def stamp(*argv):
+        return _load(build_parser().parse_args(["dynamics", *argv])).scenario_id
+
+    file_id = load_scenario(bundled_scenario_path()).scenario_id
+    assert stamp() == file_id
+    assert stamp("--workers", "2") == file_id
+    reps2 = stamp("--replications", "2")
+    assert reps2 != file_id
+    assert stamp("--replications", "2", "--workers", "3") == reps2
+    assert stamp("--replications", "2") == reps2
+    seeded = stamp("--seed", "7", "--samples", "20000", "--duration", "900")
+    assert seeded not in (file_id, reps2)
+    assert stamp("--duration", "900", "--seed", "7", "--samples", "20000") == seeded

@@ -234,3 +234,37 @@ def test_trace_csv_exports(tmp_path):
     lines = p2.read_text().splitlines()
     assert lines[0] == "arrival_s,departure_s,cell_path,size_mbits"
     assert lines[1].split(",")[2].startswith("M1")
+
+
+def test_sampling_consumes_no_draws():
+    """Occupancy sampling, on the piece grid or off it, leaves the
+    realisation alone: same integrals, event counts and flow paths."""
+    T, piece_dt = 900.0, 30.0
+    profs, rates = [], []
+    for i in range(int(T / piece_dt)):
+        lam = 0.8 + 0.6 * math.sin(i / 4.0) ** 2
+        profs.append(make_profile(t=i * piece_dt, lam_m=(lam, 0.5), lam_s=(0.3, lam),
+                                  eta_m0=(6.0, 12.0), eta_m1=(4.0, 9.0),
+                                  eta_s0=(8.0, 16.0), eta_s1=(5.0, 11.0)))
+        rates.append(TransitionRates(i * piece_dt, nu_up=np.array([0.05, 0.0]),
+                                     nu_down=np.array([0.0, 0.03]),
+                                     nu_tilde_up=np.array([0.04, 0.0]),
+                                     nu_tilde_down=np.array([0.0, 0.02]),
+                                     nu_handover_m2s=0.01 * (i % 3),
+                                     nu_handover_s2m=0.01 * (i % 2)))
+    traffic = TrafficSpec(2.5, 2.0)
+    runs = {dt: simulate(profs, rates, traffic, T, 5, sample_dt=dt, validate=True)
+            for dt in (None, piece_dt, 7.0)}
+    base = runs[None]
+    assert base.n_migrations > 0 and base.n_handovers > 0
+    assert base.sample_times == []
+    for dt in (piece_dt, 7.0):
+        tr = runs[dt]
+        assert tr.int_n == base.int_n
+        assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
+            (base.n_arrivals, base.n_departures, base.n_migrations, base.n_handovers)
+        assert [(f.arrival, f.departure, f.path) for f in tr.flows] == \
+            [(f.arrival, f.departure, f.path) for f in base.flows]
+        assert len(tr.sample_times) == math.ceil(T / dt)
+        assert tr.sample_times[0] == 0.0
+        assert tr.sample_counts[0] == ([0, 0], [0, 0])

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -123,12 +124,41 @@ def test_sweep_rejects_unknown_parameter(cfg_small):
         run_sweep(cfg_small, "alpha", [0.5])
 
 
+DYNAMICS_CSVS = ("trace_rep0.csv", "flows_rep0.csv", "metrics_sc.csv",
+                 "metrics_macro_only.csv", "metrics_empirical.csv", "summary.csv")
+
+
 def test_dynamics_runs_with_workers(cfg_small, tmp_path):
+    """Worker processes change no output byte, the replication 0 trace they
+    send back included."""
     cfg = replace(cfg_small, replications=2, workers=2, duration_s=600.0,
                   mc_samples=20_000)
     res = run_dynamics(cfg, out_dir=tmp_path / "d")
     assert len(res.replications) == 2
-    assert (tmp_path / "d" / "summary.csv").exists()
+    run_dynamics(replace(cfg, workers=1), out_dir=tmp_path / "s")
+    for name in DYNAMICS_CSVS:
+        assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "s" / name).read_bytes(), name
+
+
+def test_rep0_files_describe_rep0(cfg_small, tmp_path):
+    """trace_rep0.csv and flows_rep0.csv come from the simulation behind
+    replication 0's reported metrics."""
+    cfg = replace(cfg_small, duration_s=600.0, snapshot_s=30.0, mc_samples=20_000)
+    res = run_dynamics(cfg, out_dir=tmp_path)
+    m = res.replications[0].emp_sc["metrics"]
+
+    def rows(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.reader(fh))[2:]   # past provenance and header
+
+    flows = rows("flows_rep0.csv")
+    assert len(flows) == m.n_arrivals
+    assert sum(1 for f in flows if f[1]) == m.n_departures
+    n_samples = math.ceil(cfg.duration_s / cfg.snapshot_s)
+    trace = rows("trace_rep0.csv")
+    assert len(trace) == n_samples * (cfg.K + cfg.L)
+    assert all(r[3] == "0" for r in trace[:cfg.K + cfg.L])   # empty at t = 0
+    assert all(rr.trace_sc is None for rr in res.replications[1:])
 
 
 def test_period_sweep_at_loaded_period_gives_loaded_policy():
