@@ -61,6 +61,14 @@ _SCHEMA = {
     },
 }
 
+# run settings that CLI options may override: (field, parser, rule, message)
+_RUN_RULES = (
+    ("duration_s", float, lambda v: v > 0, "must be positive"),
+    ("replications", int, lambda v: v >= 1, "must be >= 1"),
+    ("mc_samples", int, lambda v: v >= 100, "must be >= 100"),
+    ("workers", int, lambda v: v >= 1, "must be >= 1"),
+)
+
 _PI_RE = re.compile(r"^\s*(-?[\d.]*)\s*\*?\s*pi\s*(?:/\s*([\d.]+))?\s*$")
 
 
@@ -115,6 +123,17 @@ class ScenarioConfig:
     extra_migration_rate: float
     workers: int
     scenario_id: str = ""
+
+
+def _run_setting_errors(run: dict, snapshot_s) -> list:
+    """Errors of the ``_RUN_RULES`` settings in ``run`` (field -> value, None
+    where it did not parse), including a horizon shorter than two snapshots."""
+    errors = [f"sim.{key}={run[key]}: {what}" for key, _, ok, what in _RUN_RULES
+              if run[key] is not None and not ok(run[key])]
+    duration = run["duration_s"]
+    if snapshot_s is not None and duration is not None and 0 < duration < 2 * snapshot_s:
+        errors.append("sim.duration_s must cover at least two snapshots")
+    return errors
 
 
 def _canonical(items: dict) -> str:
@@ -245,22 +264,17 @@ def _build(items: dict) -> ScenarioConfig:
     K = get("classes", "k_macro", int, lambda v: v >= 1, "must be >= 1")
     L = get("classes", "l_small", int, lambda v: v >= 1, "must be >= 1")
 
-    duration = get("sim", "duration_s", float, lambda v: v > 0, "must be positive")
     snapshot = get("sim", "snapshot_s", float, lambda v: v > 0, "must be positive")
     dt = get("sim", "trajectory_dt_s", float, lambda v: v > 0, "must be positive")
     seed = get("sim", "seed", int)
-    reps = get("sim", "replications", int, lambda v: v >= 1, "must be >= 1")
-    mc = get("sim", "mc_samples", int, lambda v: v >= 100, "must be >= 100")
     n_max = get("sim", "n_max", int, lambda v: v >= 1, "must be >= 1")
     reach = get("sim", "small_reach_km", float, lambda v: v >= 0, "must be >= 0")
     n_levels = get("sim", "levels", int, lambda v: v >= 10, "must be >= 10")
     l_min = get("sim", "level_min_mbps", float, lambda v: v > 0, "must be positive")
     nu_floor = get("sim", "nu_floor", float, lambda v: v > 0, "must be positive")
     extra_mig = get("sim", "extra_migration_rate", float, lambda v: v >= 0, "must be >= 0")
-    workers = get("sim", "workers", int, lambda v: v >= 1, "must be >= 1")
-
-    if snapshot is not None and duration is not None and duration < 2 * snapshot:
-        errors.append("sim.duration_s must cover at least two snapshots")
+    run = {key: get("sim", key, conv) for key, conv, _, _ in _RUN_RULES}
+    errors.extend(_run_setting_errors(run, snapshot))
     if layout is not None and reach is not None and policy is not None \
             and policy.route is not None:
         far = max(math.hypot(x, y) for x, y in policy.route)
@@ -276,11 +290,10 @@ def _build(items: dict) -> ScenarioConfig:
     scenario_id = hashlib.sha256(canon.encode()).hexdigest()[:12]
     return ScenarioConfig(
         layout=layout, params=params, spec=spec, grid=grid, policy=policy,
-        traffic=traffic, K=K, L=L, period_s=period, duration_s=duration,
-        snapshot_s=snapshot, trajectory_dt_s=dt, seed=seed, replications=reps,
-        mc_samples=mc, n_max=n_max, small_reach_km=reach, levels=levels,
-        nu_floor=nu_floor, extra_migration_rate=extra_mig, workers=workers,
-        scenario_id=scenario_id,
+        traffic=traffic, K=K, L=L, period_s=period, snapshot_s=snapshot,
+        trajectory_dt_s=dt, seed=seed, n_max=n_max, small_reach_km=reach,
+        levels=levels, nu_floor=nu_floor, extra_migration_rate=extra_mig,
+        scenario_id=scenario_id, **run,
     )
 
 
@@ -288,10 +301,15 @@ def with_overrides(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     """``cfg`` with run settings replaced, identified by the file hash plus
     the sorted ``field=value`` pairs that changed a setting.  ``workers``
     changes no output and stays out of the hash, so without another change
-    the id remains the file's."""
+    the id remains the file's.  Settings that break the scenario file's run
+    rules raise ConfigError."""
     changed = sorted(f"{k}={v!r}" for k, v in values.items()
                      if k != "workers" and getattr(cfg, k) != v)
     out = replace(cfg, **values)
+    errors = _run_setting_errors({key: getattr(out, key) for key, *_ in _RUN_RULES},
+                                 out.snapshot_s)
+    if errors:
+        raise ConfigError(errors)
     if changed:
         text = "\n".join([cfg.scenario_id, *changed])
         out = replace(out, scenario_id=hashlib.sha256(text.encode()).hexdigest()[:12])

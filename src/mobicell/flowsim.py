@@ -5,9 +5,13 @@ with the partner queue's occupancy, plus class migrations and handovers.
 
 Service bookkeeping uses one virtual service clock per (cell, class): the
 clock advances by the common per-flow rate, and a flow departs when the clock
-passes its personal threshold (clock at entry + remaining size).  Per-event
-cost is O(K + L + log n) regardless of the number of active flows, and every
-departed flow has received exactly its drawn size.
+passes its personal threshold (clock at entry + remaining size).  Each flow
+in service has one entry, held both in its class's heap of thresholds and in
+its class's member list, which migrations and handovers draw from.  A flow
+that leaves its class is swap-removed from the list and only marked dead in
+the heap; dead tops are popped when a departure search reaches them.
+Per-event cost is O(K + L + log n) regardless of the number of active flows,
+and every departed flow has received exactly its drawn size.
 """
 
 from __future__ import annotations
@@ -95,21 +99,19 @@ class QueueTrace:
     traffic: TrafficSpec
     int_n: list                # [cell][k] of integral n_k dt
     int_served: list           # [cell][k] of integral eta_k * n_k/|n| dt (Mbits)
-    time_pos: list             # [cell][k] of time with n_k > 0
     busy_time: list            # [cell] time with |n| > 0
-    coupled_time: list         # [cell] time this cell busy while partner busy
-    piece_t: np.ndarray        # snapshot-piece boundaries used by the run
+    piece_t: np.ndarray        # snapshot-piece start times used by the run
     piece_time: np.ndarray     # observed duration per piece
     piece_int_n: np.ndarray    # (n_pieces, 2) integral of |n| dt per piece/cell
     piece_served: np.ndarray   # (n_pieces, 2) Mbits served per piece/cell
-    flows: list
+    flows: list                # FlowRecord per arrival, by fid; NaN departure if in service at T
     n_arrivals: int
     n_departures: int
     n_migrations: int
     n_handovers: int
-    states_time: dict | None = None
-    sample_times: list = field(default_factory=list)
-    sample_counts: list = field(default_factory=list)
+    states_time: dict | None = None    # (macro counts, small counts) -> time; track_states only
+    sample_times: list = field(default_factory=list)   # k * sample_dt < T
+    sample_counts: list = field(default_factory=list)  # (macro, small) class counts per sample
 
     def mean_counts(self) -> tuple[np.ndarray, np.ndarray]:
         m = np.asarray(self.int_n[MACRO]) / self.T
@@ -202,35 +204,27 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     K, L = profs[0].K, profs[0].L
     if any(p.K != K or p.L != L for p in profs):
         raise ValueError("all profiles must share the class counts")
-    if rates is None:
-        rate_list = [TransitionRates.zeros(K, L)]
-    else:
-        rate_list = _as_list(rates)
+    rate_list = [TransitionRates.zeros(K, L)] if rates is None else _as_list(rates)
     n_pieces = len(profs)
-
-    def rates_for(i: int) -> TransitionRates:
-        return rate_list[min(i, len(rate_list) - 1)]
 
     rng = _Rng(seed)
     sigma0 = traffic.sigma0
+    cells = (MACRO, SMALL)
+    n_cls = (K, L)
 
     counts = [[0] * K, [0] * L]
     total = [0, 0]
     vclock = [[0.0] * K, [0.0] * L]
-    heaps = [[[] for _ in range(K)], [[] for _ in range(L)]]
-    members = [[[] for _ in range(K)], [[] for _ in range(L)]]
-    stale = [[0] * K, [0] * L]          # abandoned heap entries per class
-    n_cls = (K, L)
-    flows: dict[int, FlowRecord] = {}
-    live_pos: dict[int, int] = {}       # fid -> index in its members list
-    live_thresh: dict[int, float] = {}  # fid -> active departure threshold
+    # one entry [threshold, fid, live, index, flow] per flow in service, in its
+    # class heap and at ``index`` in its class member list; entries of two
+    # flows differ in fid, so heapq never orders two FlowRecords
+    heaps = [[[] for _ in range(n)] for n in n_cls]
+    members = [[[] for _ in range(n)] for n in n_cls]
     records: list[FlowRecord] = []
 
     int_n = [[0.0] * K, [0.0] * L]
     int_served = [[0.0] * K, [0.0] * L]
-    time_pos = [[0.0] * K, [0.0] * L]
     busy_time = [0.0, 0.0]
-    coupled_time = [0.0, 0.0]
     piece_time = [0.0] * n_pieces
     piece_int_n = [[0.0, 0.0] for _ in range(n_pieces)]
     piece_served = [[0.0, 0.0] for _ in range(n_pieces)]
@@ -239,7 +233,6 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     sample_counts: list = []
 
     n_arr = n_dep = n_mig = n_ho = 0
-    next_fid = 0
 
     t = 0.0
     piece = 0
@@ -248,126 +241,88 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
     def piece_params(i: int):
         p = profs[i]
-        r = rates_for(i)
-        lam = [list(p.lambda_macro), list(p.lambda_small)]
+        r = rate_list[min(i, len(rate_list) - 1)]
+        lam = (list(p.lambda_macro), list(p.lambda_small))
+        arrivals = [(c, k, x) for c in cells for k, x in enumerate(lam[c]) if x > 0.0]
         # eta[cell][phase][class] as plain lists for fast scalar access
         eta = ([list(p.eta_macro[:, 0]), list(p.eta_macro[:, 1])],
                [list(p.eta_small[:, 0]), list(p.eta_small[:, 1])])
-        mig = ([float(x) for x in r.nu_up], [float(x) for x in r.nu_down],
-               [float(x) for x in r.nu_tilde_up], [float(x) for x in r.nu_tilde_down])
-        return lam, eta, r, mig
+        mig = (([float(x) for x in r.nu_up], [float(x) for x in r.nu_down]),
+               ([float(x) for x in r.nu_tilde_up], [float(x) for x in r.nu_tilde_down]))
+        return (arrivals, sum(lam[MACRO]) + sum(lam[SMALL]), eta, r, mig,
+                any(any(x) for pair in mig for x in pair))
 
-    lam, eta, rr, mig = piece_params(piece)
-    lam_tot = sum(lam[MACRO]) + sum(lam[SMALL])
-    any_migration = any(any(x) for x in mig)
+    arrivals, lam_tot, eta, rr, mig, any_migration = piece_params(piece)
 
-    def clean_top(c: int, k: int):
-        """Top live threshold of a class heap; stale entries (flows moved away
-        by migration or handover) are discarded lazily."""
-        h = heaps[c][k]
-        if stale[c][k] == 0:
-            return h[0][0] if h else None
-        ck = (c, k)
-        while h:
-            thresh, fid = h[0]
-            flow = flows.get(fid)
-            if flow is not None and live_thresh.get(fid) == thresh and flow.path[-1] == ck:
-                return thresh
-            heapq.heappop(h)
-            stale[c][k] -= 1
-        return None
-
-    def push_flow(fid: int, c: int, k: int, remaining: float):
-        thresh = vclock[c][k] + remaining
-        live_thresh[fid] = thresh
-        heapq.heappush(heaps[c][k], (thresh, fid))
-        live_pos[fid] = len(members[c][k])
-        members[c][k].append(fid)
+    def enter(flow: FlowRecord, c: int, k: int, remaining: float):
+        m = members[c][k]
+        entry = [vclock[c][k] + remaining, flow.fid, True, len(m), flow]
+        heapq.heappush(heaps[c][k], entry)
+        m.append(entry)
         counts[c][k] += 1
         total[c] += 1
-        flows[fid].path.append((c, k))
+        flow.path.append((c, k))
 
-    def remove_flow(fid: int, c: int, k: int):
-        idx = live_pos.pop(fid)
+    def leave(entry: list, c: int, k: int) -> float:
+        """Swap-remove ``entry`` from its class, mark it dead in the heap and
+        return the flow's remaining work."""
         m = members[c][k]
         last = m.pop()
-        if last != fid:
-            m[idx] = last
-            live_pos[last] = idx
+        if last is not entry:
+            m[entry[3]] = last
+            last[3] = entry[3]
+        entry[2] = False
         counts[c][k] -= 1
         total[c] -= 1
-        del live_thresh[fid]
+        return entry[0] - vclock[c][k]
+
+    def live_top(h: list) -> list:
+        """Heap top after discarding the dead entries of flows that left."""
+        while not h[0][2]:
+            heapq.heappop(h)
+        return h[0]
 
     inf = math.inf
     exp_draw = rng.exp
     uni_draw = rng.uni
 
     while t < T:
-        tm = total[MACRO]
-        ts = total[SMALL]
-        eta_m = eta[MACRO][1 if ts else 0]
-        eta_s = eta[SMALL][1 if tm else 0]
+        # per-class service rates of each cell, by its partner's phase
+        eta_now = (eta[MACRO][1 if total[SMALL] else 0], eta[SMALL][1 if total[MACRO] else 0])
 
         # next departure across occupied classes
         best_dep = inf
-        dep_c = dep_k = -1
-        if tm:
-            cm = counts[MACRO]
-            vm = vclock[MACRO]
-            for k in range(K):
-                if cm[k]:
-                    top = clean_top(MACRO, k)
-                    if top is not None:
-                        dt_k = (top - vm[k]) * tm / eta_m[k]
+        dep = None
+        for c in cells:
+            tc = total[c]
+            if tc:
+                cc, vc, ec, hc = counts[c], vclock[c], eta_now[c], heaps[c]
+                for k in range(n_cls[c]):
+                    if cc[k]:
+                        dt_k = (live_top(hc[k])[0] - vc[k]) * tc / ec[k]
                         if dt_k < best_dep:
                             best_dep = dt_k
-                            dep_c, dep_k = MACRO, k
-        if ts:
-            cs = counts[SMALL]
-            vs = vclock[SMALL]
-            for k in range(L):
-                if cs[k]:
-                    top = clean_top(SMALL, k)
-                    if top is not None:
-                        dt_k = (top - vs[k]) * ts / eta_s[k]
-                        if dt_k < best_dep:
-                            best_dep = dt_k
-                            dep_c, dep_k = SMALL, k
+                            dep = (c, k)
         if best_dep < 0.0:
             best_dep = 0.0
 
         dt_arr = exp_draw() / lam_tot if lam_tot > 0.0 else inf
 
         mig_rate = 0.0
-        if any_migration and (tm or ts):
-            up, down, tup, tdown = mig
-            cm = counts[MACRO]
-            for k in range(K):
-                if cm[k]:
-                    mig_rate += cm[k] * (up[k] + down[k])
-            cs = counts[SMALL]
-            for k in range(L):
-                if cs[k]:
-                    mig_rate += cs[k] * (tup[k] + tdown[k])
+        if any_migration:
+            for c in cells:
+                cc = counts[c]
+                ups, downs = mig[c]
+                for k in range(n_cls[c]):
+                    if cc[k]:
+                        mig_rate += cc[k] * (ups[k] + downs[k])
         dt_mig = exp_draw() / mig_rate if mig_rate > 0.0 else inf
 
-        ho_rate = tm * rr.nu_handover_m2s + ts * rr.nu_handover_s2m
+        ho_rate = total[MACRO] * rr.nu_handover_m2s + total[SMALL] * rr.nu_handover_s2m
         dt_ho = exp_draw() / ho_rate if ho_rate > 0.0 else inf
 
-        bound = piece_edges[piece]
-        if T < bound:
-            bound = T
-        dt_bound = bound - t
-
-        delta = best_dep
-        if dt_arr < delta:
-            delta = dt_arr
-        if dt_mig < delta:
-            delta = dt_mig
-        if dt_ho < delta:
-            delta = dt_ho
-        if dt_bound < delta:
-            delta = dt_bound
+        dt_bound = min(piece_edges[piece], T) - t
+        delta = min(best_dep, dt_arr, dt_mig, dt_ho, dt_bound)
 
         # occupancy samples due by the end of the interval see the state
         # before its event (boundary first on a tie); they draw nothing
@@ -378,50 +333,24 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
         # integrate the constant-occupancy interval
         if delta > 0.0:
-            if tm:
-                served_cell = 0.0
-                inv = delta / tm
-                cm = counts[MACRO]
-                vm = vclock[MACRO]
-                i_n = int_n[MACRO]
-                i_s = int_served[MACRO]
-                tp = time_pos[MACRO]
-                for k in range(K):
-                    nk = cm[k]
-                    if nk:
-                        i_n[k] += nk * delta
-                        tp[k] += delta
-                        vm[k] += eta_m[k] * inv
-                        sv = eta_m[k] * nk * inv
-                        i_s[k] += sv
-                        served_cell += sv
-                busy_time[MACRO] += delta
-                if ts:
-                    coupled_time[MACRO] += delta
-                piece_served[piece][MACRO] += served_cell
-                piece_int_n[piece][MACRO] += tm * delta
-            if ts:
-                served_cell = 0.0
-                inv = delta / ts
-                cs = counts[SMALL]
-                vs = vclock[SMALL]
-                i_n = int_n[SMALL]
-                i_s = int_served[SMALL]
-                tp = time_pos[SMALL]
-                for k in range(L):
-                    nk = cs[k]
-                    if nk:
-                        i_n[k] += nk * delta
-                        tp[k] += delta
-                        vs[k] += eta_s[k] * inv
-                        sv = eta_s[k] * nk * inv
-                        i_s[k] += sv
-                        served_cell += sv
-                busy_time[SMALL] += delta
-                if tm:
-                    coupled_time[SMALL] += delta
-                piece_served[piece][SMALL] += served_cell
-                piece_int_n[piece][SMALL] += ts * delta
+            for c in cells:
+                tc = total[c]
+                if tc:
+                    served_cell = 0.0
+                    inv = delta / tc
+                    cc, vc, ec = counts[c], vclock[c], eta_now[c]
+                    i_n, i_s = int_n[c], int_served[c]
+                    for k in range(n_cls[c]):
+                        nk = cc[k]
+                        if nk:
+                            i_n[k] += nk * delta
+                            vc[k] += ec[k] * inv
+                            sv = ec[k] * nk * inv
+                            i_s[k] += sv
+                            served_cell += sv
+                    busy_time[c] += delta
+                    piece_served[piece][c] += served_cell
+                    piece_int_n[piece][c] += tc * delta
             piece_time[piece] += delta
             if track_states:
                 key = (tuple(counts[MACRO]), tuple(counts[SMALL]))
@@ -434,16 +363,14 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 break
             if t >= piece_edges[piece]:
                 piece += 1
-                lam, eta, rr, mig = piece_params(piece)
-                lam_tot = sum(lam[MACRO]) + sum(lam[SMALL])
-                any_migration = any(any(x) for x in mig)
+                arrivals, lam_tot, eta, rr, mig, any_migration = piece_params(piece)
             continue
 
-        if delta == best_dep and dep_c >= 0:
-            clean_top(dep_c, dep_k)  # ensures the heap top is the departing flow
-            _, fid = heapq.heappop(heaps[dep_c][dep_k])
-            remove_flow(fid, dep_c, dep_k)
-            flow = flows.pop(fid)
+        if delta == best_dep:
+            c, k = dep
+            entry = heapq.heappop(heaps[c][k])  # live: the search cleaned this top
+            leave(entry, c, k)
+            flow = entry[4]
             flow.departure = t
             flow.served = flow.size
             records.append(flow)
@@ -453,23 +380,12 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         if delta == dt_arr:
             u = uni_draw() * lam_tot
             acc = 0.0
-            cell = cls = None
-            for c in (MACRO, SMALL):
-                lc = lam[c]
-                for k in range(n_cls[c]):
-                    if lc[k] <= 0.0:
-                        continue
-                    acc += lc[k]
-                    cell, cls = c, k  # rounding at u ~ lam_tot falls to the last positive class
-                    if u < acc:
-                        break
-                if cell is not None and u < acc:
-                    break
-            size = exp_draw() * sigma0
-            flow = FlowRecord(next_fid, t, math.nan, size, 0.0, [])
-            flows[next_fid] = flow
-            push_flow(next_fid, cell, cls, size)
-            next_fid += 1
+            for cell, cls, x in arrivals:
+                acc += x
+                if u < acc:
+                    break  # rounding at u ~ lam_tot falls to the last positive class
+            flow = FlowRecord(n_arr, t, math.nan, exp_draw() * sigma0, 0.0, [])
+            enter(flow, cell, cls, flow.size)
             n_arr += 1
             continue
 
@@ -477,11 +393,11 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             u = uni_draw() * mig_rate
             acc = 0.0
             move = None
-            up, down, tup, tdown = mig
-            for c, ups, downs in ((MACRO, up, down), (SMALL, tup, tdown)):
-                nk_list = counts[c]
+            for c in cells:
+                ups, downs = mig[c]
+                cc = counts[c]
                 for k in range(n_cls[c]):
-                    nk = nk_list[k]
+                    nk = cc[k]
                     if not nk:
                         continue
                     acc += nk * ups[k]
@@ -496,45 +412,40 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                     break
             if move:
                 c, k, k2 = move
-                fid = members[c][k][int(uni_draw() * counts[c][k])]
-                remaining = live_thresh[fid] - vclock[c][k]
-                remove_flow(fid, c, k)
-                stale[c][k] += 1
-                push_flow(fid, c, k2, remaining)
+                entry = members[c][k][int(uni_draw() * counts[c][k])]
+                enter(entry[4], c, k2, leave(entry, c, k))
                 n_mig += 1
             continue
 
         if delta == dt_ho:
             u = uni_draw() * ho_rate
-            src = MACRO if u < tm * rr.nu_handover_m2s else SMALL
+            src = MACRO if u < total[MACRO] * rr.nu_handover_m2s else SMALL
             pick = int(uni_draw() * total[src])
-            acc = 0
             for k in range(n_cls[src]):
-                acc += counts[src][k]
-                if pick < acc:
-                    fid = members[src][k][pick - (acc - counts[src][k])]
-                    remaining = live_thresh[fid] - vclock[src][k]
-                    remove_flow(fid, src, k)
-                    stale[src][k] += 1
-                    push_flow(fid, 1 - src, 0, remaining)  # into the first class
+                if pick < counts[src][k]:
+                    entry = members[src][k][pick]
+                    enter(entry[4], 1 - src, 0, leave(entry, src, k))  # into the first class
                     n_ho += 1
                     break
+                pick -= counts[src][k]
             continue
 
     # flows still in service keep a NaN departure; account their served bits
-    for fid, flow in flows.items():
-        c, k = flow.path[-1]
-        flow.served = flow.size - (live_thresh[fid] - vclock[c][k])
-        records.append(flow)
+    for c in cells:
+        for k, entries in enumerate(members[c]):
+            for entry in entries:
+                flow = entry[4]
+                flow.served = flow.size - (entry[0] - vclock[c][k])
+                records.append(flow)
+    records.sort(key=lambda f: f.fid)
 
     trace = QueueTrace(
         T=T, K=K, L=L, traffic=traffic,
-        int_n=int_n, int_served=int_served, time_pos=time_pos,
-        busy_time=busy_time, coupled_time=coupled_time,
+        int_n=int_n, int_served=int_served, busy_time=busy_time,
         piece_t=np.array([p.t for p in profs]),
         piece_time=np.array(piece_time), piece_int_n=np.array(piece_int_n),
         piece_served=np.array(piece_served),
-        flows=sorted(records, key=lambda f: f.fid),
+        flows=records,
         n_arrivals=n_arr, n_departures=n_dep, n_migrations=n_mig, n_handovers=n_ho,
         states_time=states_time,
         sample_times=sample_times, sample_counts=sample_counts,

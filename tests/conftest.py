@@ -1,5 +1,7 @@
 """Shared builders for synthetic class profiles and the exact coupled-chain
-oracle used by the flow-simulation and analytic tests."""
+oracles used by the flow-simulation and analytic tests."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -67,3 +69,53 @@ def coupled_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s
     pi /= pi.sum()
     return {(n, m): pi[idx(n, m)] for n in range(n_max + 1) for m in range(n_max + 1)
             if pi[idx(n, m)] > 0}
+
+
+def migration_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
+                               nu_up, nu_down, ho_m2s, ho_s2m, n_max=20):
+    """Exact stationary law of K macro classes and one small-cell class with
+    class migrations and handovers, truncated at ``n_max`` flows per class:
+    a CTMC on (n_1..n_K, m).  Macro class k drains at n_k/|n| * eta_k / sigma0
+    in the partner's phase; a macro flow in class k moves up at nu_up[k], down
+    at nu_down[k] and to the small cell at ho_m2s; a small-cell flow moves to
+    macro class 1 at ho_s2m.  Moves into a full class are blocked."""
+    K = len(lam_m)
+    states = list(itertools.product(range(n_max + 1), repeat=K + 1))
+    index = {s: i for i, s in enumerate(states)}
+    rows, cols, vals = [], [], []
+
+    def add(i, s, d, rate):
+        j = index.get(tuple(a + b for a, b in zip(s, d)))
+        if rate > 0 and j is not None:
+            rows.append(i)
+            cols.append(j)
+            vals.append(rate)
+
+    unit = np.eye(K + 1, dtype=int)
+    for i, s in enumerate(states):
+        n, m = s[:K], s[K]
+        tot = sum(n)
+        for k in range(K):
+            add(i, s, unit[k], lam_m[k])
+            if n[k]:
+                eta = eta_m1[k] if m else eta_m0[k]
+                add(i, s, -unit[k], n[k] / tot * eta / sigma0)
+                if k + 1 < K:
+                    add(i, s, unit[k + 1] - unit[k], n[k] * nu_up[k])
+                if k > 0:
+                    add(i, s, unit[k - 1] - unit[k], n[k] * nu_down[k])
+                add(i, s, unit[K] - unit[k], n[k] * ho_m2s)
+        add(i, s, unit[K], lam_s)
+        if m:
+            add(i, s, -unit[K], (eta_s1 if tot else eta_s0) / sigma0)
+            add(i, s, unit[0] - unit[K], m * ho_s2m)
+    size = len(states)
+    Q = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    Q = Q - sp.diags(np.asarray(Q.sum(axis=1)).ravel())
+    A = Q.T.tolil()
+    A[0, :] = 1.0
+    b = np.zeros(size)
+    b[0] = 1.0
+    pi = np.maximum(spla.spsolve(A.tocsr(), b), 0.0)
+    pi /= pi.sum()
+    return {(s[:K], s[K:]): p for s, p in zip(states, pi) if p > 0}

@@ -115,3 +115,17 @@ def test_overrides_enter_the_scenario_stamp():
     seeded = stamp("--seed", "7", "--samples", "20000", "--duration", "900")
     assert seeded not in (file_id, reps2)
     assert stamp("--duration", "900", "--seed", "7", "--samples", "20000") == seeded
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--replications", "0", "--samples", "2000"],
+    ["dynamics", "--duration", "45", "--samples", "2000", "--replications", "1"],
+    ["validate", "--samples", "5", "--workers", "0"],
+])
+def test_invalid_overrides_exit_2(argv, tmp_path, capsys):
+    """Overrides obey the scenario file's run rules: replications >= 1,
+    mc_samples >= 100, workers >= 1 and a horizon of two snapshots."""
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config"
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coupled_chain_stationary, make_profile
+from conftest import coupled_chain_stationary, make_profile, migration_chain_stationary
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
                            macro_ccdf, small_ccdf)
 from mobicell.flowsim import (MACRO, SMALL, InsufficientDataError, TrafficSpec,
@@ -268,3 +268,27 @@ def test_sampling_consumes_no_draws():
         assert len(tr.sample_times) == math.ceil(T / dt)
         assert tr.sample_times[0] == 0.0
         assert tr.sample_counts[0] == ([0, 0], [0, 0])
+
+
+def test_migrations_and_handovers_against_exact_chain():
+    """Two macro classes with up/down migration and one small-cell class,
+    handovers both ways, against the exact chain's stationary law (TV about
+    0.004).  A chain whose s->m handovers enter macro class 2 lies at TV 0.03
+    from the simulation, one with nu_up x 1.5 at 0.027, one with both at 0.055."""
+    lam_m, lam_s, sigma0 = (0.9, 0.6), 1.2, 2.0
+    eta_m0, eta_m1, eta_s0, eta_s1 = (6.0, 12.0), (4.0, 9.0), 10.0, 7.0
+    nu_up, nu_down, m2s, s2m = (0.5, 0.0), (0.0, 0.3), 0.2, 0.3
+    prof = make_profile(lam_m=lam_m, lam_s=(lam_s,), eta_m0=eta_m0, eta_m1=eta_m1,
+                        eta_s0=(eta_s0,), eta_s1=(eta_s1,))
+    rates = TransitionRates(0.0, nu_up=np.array(nu_up), nu_down=np.array(nu_down),
+                            nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1),
+                            nu_handover_m2s=m2s, nu_handover_s2m=s2m)
+    tr = simulate(prof, rates, TrafficSpec(sum(lam_m) + lam_s, sigma0), 60_000.0, 0,
+                  track_states=True, validate=True)
+    assert tr.n_migrations > 10_000 and tr.n_handovers > 10_000
+    sim = tr.state_frequencies()
+    exact = migration_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
+                                       nu_up, nu_down, m2s, s2m)
+    keys = set(sim) | set(exact)
+    tv = 0.5 * sum(abs(sim.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
+    assert tv < 0.02
