@@ -4,7 +4,9 @@ and discretization of the curves into coupled flow classes.
 All Monte Carlo curves at different snapshot times reuse the same hotspot
 draws (common random numbers): the hotspot is stationary, so only the
 small-cell position changes between snapshots and curve differences in time
-are not drowned in sampling noise.
+are not drowned in sampling noise.  ``snapshot_curves`` evaluates the field
+once per snapshot and gathers each cell's users once, for both interference
+phases.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ def default_levels(eta0: float, n: int = 200, l_min: float = 0.05) -> np.ndarray
     return np.geomspace(l_min, eta0, n)
 
 
-def _validate_levels(levels: np.ndarray):
+def _checked_levels(levels) -> np.ndarray:
+    levels = np.asarray(levels, dtype=np.float64)
     if len(levels) < 2 or np.any(np.diff(levels) <= 0) or levels[0] <= 0:
         raise ValueError("levels must be ascending and positive")
+    return levels
 
 
 class FieldSamples:
@@ -91,8 +95,8 @@ class FieldSamples:
     def at(self, Ls: PolarPoint, region: CoverageRegion):
         """Position-dependent arrays for one snapshot, read-only.
 
-        The latest result is kept: the macro and small curves of both phases
-        at one snapshot ask for the same position and region in turn.  The
+        The latest result is kept: the one-curve calls ``macro_ccdf`` and
+        ``small_ccdf`` at one snapshot ask for the same position in turn.  The
         key is exact, so a repeated call returns the very arrays a fresh
         evaluation would compute."""
         key = (Ls.x, Ls.y, region.macro_radius, region.small_reach)
@@ -132,6 +136,32 @@ def _finish_curve(inv_gamma, levels, params, cell, t, mass) -> CcdfCurve:
     return CcdfCurve(levels, values, stderr, cell, t, mass, n_sel)
 
 
+def _cell_users(samples: FieldSamples, arrays, small: bool):
+    """One cell's users within S* at one snapshot: their coverage mass and
+    the gathered g, r_pow and small_rx, from the ``arrays`` of ``samples.at``."""
+    in_region, macro_assoc, small_rx = arrays
+    sel = in_region & (~macro_assoc if small else macro_assoc)
+    mass = float(np.count_nonzero(sel)) / samples.n
+    return mass, samples.g[sel], samples.r_pow[sel], small_rx[sel]
+
+
+def snapshot_curves(t: float, Ls: PolarPoint, levels, params: RadioParams,
+                    region: CoverageRegion, samples: FieldSamples):
+    """The four curves of one snapshot, (m1, m0, s1, s0): macro and small
+    cell, each with its partner transmitting (1) and silent (0).  Both phases
+    of a cell come from one selection and one gather."""
+    levels = _checked_levels(levels)
+    arrays = samples.at(Ls, region)
+    mass, g, r_pow, small_rx = _cell_users(samples, arrays, small=False)
+    m1 = _finish_curve(macro_inverse_sinr(g, r_pow, small_rx), levels, params,
+                       Cell.MACRO, t, mass)
+    m0 = _finish_curve(g, levels, params, Cell.MACRO, t, mass)
+    mass, g, r_pow, small_rx = _cell_users(samples, arrays, small=True)
+    s1, s0 = (_finish_curve(small_inverse_sinr(g, r_pow, small_rx, central), levels,
+                            params, Cell.SMALL, t, mass) for central in (True, False))
+    return m1, m0, s1, s0
+
+
 def macro_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: RadioParams,
                region: CoverageRegion, layout: CellLayout, n: int = 200_000, seed=0,
                include_small_interference: bool = True,
@@ -142,16 +172,13 @@ def macro_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: Radi
     the small-cell term removed from the macro SINR (the partner-idle radio
     condition), which by construction dominates the interfered curve.
     """
-    levels = np.asarray(levels, dtype=np.float64)
-    _validate_levels(levels)
+    levels = _checked_levels(levels)
     if samples is None:
         samples = FieldSamples(spec, params, layout, n, seed)
-    in_region, macro_assoc, small_rx = samples.at(Ls, region)
-    sel = in_region & macro_assoc
-    mass = float(np.count_nonzero(sel)) / samples.n
-    inv_gamma = samples.g[sel]
+    mass, inv_gamma, r_pow, small_rx = _cell_users(samples, samples.at(Ls, region),
+                                                   small=False)
     if include_small_interference:
-        inv_gamma = macro_inverse_sinr(inv_gamma, samples.r_pow[sel], small_rx[sel])
+        inv_gamma = macro_inverse_sinr(inv_gamma, r_pow, small_rx)
     return _finish_curve(inv_gamma, levels, params, Cell.MACRO, t, mass)
 
 
@@ -160,15 +187,11 @@ def small_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: Radi
                include_central_macro: bool = True,
                samples: FieldSamples | None = None) -> CcdfCurve:
     """Throughput CCDF of small-cell-associated users within S*."""
-    levels = np.asarray(levels, dtype=np.float64)
-    _validate_levels(levels)
+    levels = _checked_levels(levels)
     if samples is None:
         samples = FieldSamples(spec, params, layout, n, seed)
-    in_region, macro_assoc, small_rx = samples.at(Ls, region)
-    sel = in_region & ~macro_assoc
-    mass = float(np.count_nonzero(sel)) / samples.n
-    inv_gamma = small_inverse_sinr(samples.g[sel], samples.r_pow[sel], small_rx[sel],
-                                   include_central_macro)
+    mass, g, r_pow, small_rx = _cell_users(samples, samples.at(Ls, region), small=True)
+    inv_gamma = small_inverse_sinr(g, r_pow, small_rx, include_central_macro)
     return _finish_curve(inv_gamma, levels, params, Cell.SMALL, t, mass)
 
 
@@ -196,8 +219,7 @@ def macro_only_ccdf(levels, spec: HotspotSpec, params: RadioParams,
     radial density of an offset Gaussian brings in the modified Bessel I0.
     Adaptive quadrature, absolute error well below 1e-8.
     """
-    levels = np.asarray(levels, dtype=np.float64)
-    _validate_levels(levels)
+    levels = _checked_levels(levels)
     if spec.R_h >= layout.R:
         raise ValueError("hotspot center must lie inside the macro disk")
     a2 = spec.A ** 2

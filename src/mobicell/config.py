@@ -303,17 +303,22 @@ def with_overrides(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     changes no output and stays out of the hash, so without another change
     the id remains the file's.  Settings that break the scenario file's run
     rules raise ConfigError."""
-    changed = sorted(f"{k}={v!r}" for k, v in values.items()
-                     if k != "workers" and getattr(cfg, k) != v)
+    changed = [f"{k}={v!r}" for k, v in values.items()
+               if k != "workers" and getattr(cfg, k) != v]
     out = replace(cfg, **values)
     errors = _run_setting_errors({key: getattr(out, key) for key, *_ in _RUN_RULES},
                                  out.snapshot_s)
     if errors:
         raise ConfigError(errors)
     if changed:
-        text = "\n".join([cfg.scenario_id, *changed])
-        out = replace(out, scenario_id=hashlib.sha256(text.encode()).hexdigest()[:12])
+        out = replace(out, scenario_id=derived_scenario_id(cfg.scenario_id, changed))
     return out
+
+
+def derived_scenario_id(scenario_id: str, changed) -> str:
+    """Id of a scenario with the ``field=value`` pairs ``changed`` applied."""
+    text = "\n".join([scenario_id, *sorted(changed)])
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _parse_stops(text: str):

@@ -1,25 +1,20 @@
-"""Gaussian user-location measure and Monte Carlo integration over the
-covered region.
+"""Gaussian user-location measure and the covered region.
 
 The covered region S* is the union of the disk-equivalent macro cell and a
 disk of radius ``small_reach`` around the small cell, so small-cell coverage
-may protrude past the macro edge.  All integrals against the user measure are
-Monte Carlo estimates; a fixed-grid quadrature lives in the test suite as the
-independent cross-check.
+may protrude past the macro edge.  Integrals against the user measure are
+Monte Carlo averages over ``sample_xy`` draws, taken by the CCDF layer; the
+test suite holds a standalone indicator integral and a fixed-grid quadrature
+as its cross-checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from mobicell.geometry import PolarPoint
-
-
-class DegenerateRegionError(RuntimeError):
-    """No probability mass of the hotspot falls inside the covered region."""
 
 
 @dataclass(frozen=True)
@@ -56,13 +51,6 @@ class CoverageRegion:
             raise ValueError("macro_radius must be positive")
 
 
-def density(m: PolarPoint, spec: HotspotSpec) -> float:
-    """Probability density (1/Km^2) of the user measure at point ``m``."""
-    c = spec.center
-    d2 = (m.x - c.x) ** 2 + (m.y - c.y) ** 2
-    return math.exp(-d2 / (2.0 * spec.A ** 2)) / (2.0 * math.pi * spec.A ** 2)
-
-
 def sample_xy(spec: HotspotSpec, n: int, rng) -> np.ndarray:
     """n i.i.d. draws from the user measure as an (n, 2) Cartesian array."""
     if n < 1:
@@ -73,52 +61,3 @@ def sample_xy(spec: HotspotSpec, n: int, rng) -> np.ndarray:
     return np.array([c.x, c.y]) + spec.A * rng.standard_normal((n, 2))
 
 
-def sample(spec: HotspotSpec, n: int, seed) -> list[PolarPoint]:
-    """Same draws as :func:`sample_xy`, materialized as points."""
-    xy = sample_xy(spec, n, seed)
-    return [PolarPoint(float(x), float(y)) for x, y in xy]
-
-
-def in_region_xy(xy: np.ndarray, region: CoverageRegion) -> np.ndarray:
-    """Boolean mask of points inside S*."""
-    r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
-    inside = r2 <= region.macro_radius ** 2
-    if region.small_reach > 0.0:
-        sc = region.small_center
-        d2 = (xy[:, 0] - sc.x) ** 2 + (xy[:, 1] - sc.y) ** 2
-        inside |= d2 <= region.small_reach ** 2
-    return inside
-
-
-@dataclass(frozen=True)
-class IndicatorEstimate:
-    mass: float       # estimated integral of the indicator against the measure over S*
-    stderr: float
-    n_accepted: int
-    n_total: int
-
-
-def integrate_indicator(f, spec: HotspotSpec, region: CoverageRegion, n: int, seed,
-                        vectorized: bool = False) -> IndicatorEstimate:
-    """Monte Carlo mass of {f holds} within S* under the user measure.
-
-    ``f`` maps a PolarPoint to bool; pass ``vectorized=True`` if it instead
-    accepts the full (n, 2) coordinate array and returns a boolean mask.
-    Sampling is deterministic for a fixed seed, so indicator estimates built
-    on a common seed share their draws (common random numbers).
-    """
-    xy = sample_xy(spec, n, seed)
-    inside = in_region_xy(xy, region)
-    n_acc = int(np.count_nonzero(inside))
-    if n_acc == 0:
-        raise DegenerateRegionError("no hotspot mass inside the covered region")
-    if vectorized:
-        hits = np.asarray(f(xy), dtype=bool) & inside
-    else:
-        hits = inside.copy()
-        idx = np.nonzero(inside)[0]
-        for i in idx:
-            hits[i] = f(PolarPoint(float(xy[i, 0]), float(xy[i, 1])))
-    p = float(np.count_nonzero(hits)) / n
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return IndicatorEstimate(mass=p, stderr=stderr, n_accepted=n_acc, n_total=n)

@@ -317,7 +317,9 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
 
     With a route the vehicle follows its waypoints cyclically and dwells at
     each stop (decelerating beforehand when ``dv`` allows); without one, turns
-    are drawn from ``turn_probs`` at every intersection.
+    are drawn from ``turn_probs`` at every intersection.  On a route with a
+    ``CruiseBeta`` law, once the vehicle is back at the start in its starting
+    state, later states repeat the first lap exactly.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -346,7 +348,6 @@ def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, r
     total = float(cum[-1])
 
     s = 0.0                 # arc position along the cyclic route
-    laps = 0.0              # completed length, for monotone stop bookkeeping
     v0 = policy.initial_speed if policy.initial_speed is not None else 0.0
     velocity = min(max(v0, 0.0), policy.v_max)
     dwell_left = 0.0
@@ -362,8 +363,17 @@ def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, r
 
     x, y, h = _route_point(pts, cum, s)
     states = [TrajectoryState(PolarPoint(x, y), velocity, h)]
+    # a beta law that draws nothing makes the motion a function of this state
+    # alone: once it recurs at the start, every later step repeats the lap
+    cyclic = isinstance(policy.beta_law, CruiseBeta)
+    start = (velocity, dwell_left, next_stop_idx, v_before_stop)
 
     for _ in range(len(times) - 1):
+        lap = len(states) - 1
+        if (cyclic and lap and min(s, total - s) <= _ON_STREET_TOL
+                and (velocity, dwell_left, next_stop_idx, v_before_stop) == start):
+            states = [states[j % lap] for j in range(len(times))]
+            break
         if dwell_left > 0.0:
             dwell_left -= dt
             if dwell_left <= 0.0:

@@ -2,6 +2,11 @@
 and transition rates -> coupled flow simulation plus the analytic evaluation,
 for both the with-small-cell scenario and the macro-only baseline.
 
+A snapshot series evaluates each distinct small-cell position once.  A route
+bus that returns to its starting state repeats its first lap exactly (see
+``mobility.generate_trajectory``), so on a horizon of several laps every
+later snapshot reuses the evaluation of its first-lap twin.
+
 Windowed analytic series
 ------------------------
 Flows are short-lived compared to the vehicle's motion, so each snapshot
@@ -22,7 +27,7 @@ import csv
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,15 +35,18 @@ from mobicell.analytic import (CoupledLoads, class_membership,
                                coupled_loads_fixed_point, effective_rate)
 from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            combined_ccdf, curve_pmf, _equal_mass_bins,
-                           curves_to_csv, extract_classes, macro_ccdf,
-                           macro_only_ccdf, small_ccdf)
-from mobicell.config import ScenarioConfig
+                           curves_to_csv, extract_classes, macro_only_ccdf,
+                           snapshot_curves)
+# re-exported: perfbench/spans.py times the one-curve API under these names
+from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
+from mobicell.config import ScenarioConfig, derived_scenario_id
 from mobicell.flowsim import (MACRO, SMALL, QueueTrace, TrafficSpec,
                               TransitionRates, empirical_metrics,
                               estimate_transition_rates, simulate)
 from mobicell.geometry import PolarPoint
-from mobicell.hotspot import CoverageRegion
-from mobicell.mobility import distance_to_hotspot, generate_trajectory
+from mobicell.hotspot import CoverageRegion, HotspotSpec
+from mobicell.mobility import distance_to_hotspot, generate_trajectory, route_cruise_policy
+from mobicell.radio import RadioParams
 
 SMALL_SHARE_EPS = 1e-3
 NEAR_WINDOW_KM = 0.06          # small cell essentially on the hotspot
@@ -63,7 +71,11 @@ class SnapshotSeries:
 
 
 def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False) -> SnapshotSeries:
-    """Trajectory plus the full CCDF/class pipeline on common random numbers."""
+    """Trajectory plus the full CCDF/class pipeline on common random numbers.
+
+    Each distinct small-cell position is evaluated once: a later snapshot at
+    the exact same position (a later lap, a dwelling bus) reuses its curves,
+    class profile and loads, restamped with its own time."""
     traj = generate_trajectory(cfg.policy, cfg.grid, cfg.duration_s,
                                cfg.trajectory_dt_s, seed=0)
     dist = distance_to_hotspot(traj, cfg.spec)
@@ -71,24 +83,29 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False) -> 
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
     positions, profiles, loads, curves = [], [], [], []
     d_at = []
+    seen = {}          # (x, y) -> (curves, profile, loads) of its first snapshot
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # degenerate far-off small curves
         for t in times:
             Ls = traj.position_at(float(t))
-            region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
-            kw = dict(samples=samples)
-            m1 = macro_ccdf(t, Ls, cfg.levels, cfg.spec, cfg.params, region, cfg.layout, **kw)
-            m0 = macro_ccdf(t, Ls, cfg.levels, cfg.spec, cfg.params, region, cfg.layout,
-                            include_small_interference=False, **kw)
-            s1 = small_ccdf(t, Ls, cfg.levels, cfg.spec, cfg.params, region, cfg.layout, **kw)
-            s0 = small_ccdf(t, Ls, cfg.levels, cfg.spec, cfg.params, region, cfg.layout,
-                            include_central_macro=False, **kw)
-            prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L, cfg.traffic.lambda_tot)
+            hit = seen.get((Ls.x, Ls.y))
+            if hit is None:
+                region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
+                m1, m0, s1, s0 = four = snapshot_curves(t, Ls, cfg.levels, cfg.params,
+                                                        region, samples)
+                prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L,
+                                       cfg.traffic.lambda_tot)
+                ld = coupled_loads_fixed_point(prof, cfg.traffic)
+                seen[(Ls.x, Ls.y)] = (four, prof, ld)
+            else:
+                four = tuple(replace(c, t=t) for c in hit[0])
+                prof = replace(hit[1], t=t, macro_curve=four[0], small_curve=four[2])
+                ld = hit[2]
             positions.append(Ls)
             profiles.append(prof)
-            loads.append(coupled_loads_fixed_point(prof, cfg.traffic))
+            loads.append(ld)
             if keep_curves:
-                curves.append((m1, m0, s1, s0))
+                curves.append(four)
             i = min(int(round(t / cfg.trajectory_dt_s)), len(dist) - 1)
             d_at.append(dist[i])
     rates = estimate_transition_rates(profiles, cfg.extra_migration_rate,
@@ -400,7 +417,9 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
     small-cell-to-hotspot distances), and the time-averaged combined and
     small-cell curves over the horizon.
 
-    The per-snapshot curves are the instantaneous ones (interference from the
+    A requested time or distance picks the nearest snapshot; on a tie (later
+    laps repeat the first lap's positions) the earliest snapshot wins.  The
+    per-snapshot curves are the instantaneous ones (interference from the
     other cell always on).  The time-averaged combined curve instead weights
     each cell's idle and interfered curves by the partner cell's activity
     (its clamped load), matching the coupling the flow-level model applies:
@@ -464,10 +483,6 @@ SWEEP_PARAMS = ("kappa", "sigma_km", "lambda_tot", "k_classes", "small_reach_km"
 
 
 def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    from dataclasses import replace
-    from mobicell.radio import RadioParams
-    from mobicell.hotspot import HotspotSpec
-    from mobicell.mobility import route_cruise_policy
     if param == "kappa":
         params = RadioParams(**{**cfg.params.__dict__, "kappa": float(value)})
         return replace(cfg, params=params)
@@ -491,17 +506,23 @@ def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig
 
 def run_sweep(cfg: ScenarioConfig, param: str, values, out_dir=None):
     """Dynamics summary metrics per parameter value, one row per value per
-    replication."""
+    replication; each row carries the scenario id of its value's run."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
     rows = []
     for value in values:
         sub = _with_param(cfg, param, float(value))
+        if any(v is not vars(cfg)[k] and v != vars(cfg)[k] for k, v in vars(sub).items()):
+            # a changed setting adds param=value to the id, as with_overrides
+            # does (identity first: the shared level array is not compared)
+            sub = replace(sub, scenario_id=derived_scenario_id(
+                cfg.scenario_id, [f"{param}={float(value)!r}"]))
         res = run_dynamics(sub)
         near, far = res.window_masks()
         for rr in res.replications:
             rows.append({
                 "param": param, "value": float(value), "rep": rr.rep,
+                "scenario_id": sub.scenario_id,
                 "rho_bar_mean": float(np.mean(rr.windows_sc.rho_bar)),
                 "rho_bar_near": float(np.mean(rr.windows_sc.rho_bar[near])) if near.any() else math.nan,
                 "rho_bar_far": float(np.mean(rr.windows_sc.rho_bar[far])) if far.any() else math.nan,

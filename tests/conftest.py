@@ -1,7 +1,10 @@
-"""Shared builders for synthetic class profiles and the exact coupled-chain
-oracles used by the flow-simulation and analytic tests."""
+"""Shared builders for synthetic class profiles, the exact coupled-chain
+oracles used by the flow-simulation and analytic tests, and the Monte Carlo
+indicator integral over the covered region used by the hotspot tests."""
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mobicell.ccdf import ClassProfile
+from mobicell.geometry import PolarPoint
+from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
 
 
 def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
@@ -119,3 +124,65 @@ def migration_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta
     pi = np.maximum(spla.spsolve(A.tocsr(), b), 0.0)
     pi /= pi.sum()
     return {(s[:K], s[K:]): p for s, p in zip(states, pi) if p > 0}
+
+
+class DegenerateRegionError(RuntimeError):
+    """No probability mass of the hotspot falls inside the covered region."""
+
+
+def density(m: PolarPoint, spec: HotspotSpec) -> float:
+    """Probability density (1/Km^2) of the user measure at point ``m``."""
+    c = spec.center
+    d2 = (m.x - c.x) ** 2 + (m.y - c.y) ** 2
+    return math.exp(-d2 / (2.0 * spec.A ** 2)) / (2.0 * math.pi * spec.A ** 2)
+
+
+def sample(spec: HotspotSpec, n: int, seed) -> list[PolarPoint]:
+    """Same draws as :func:`sample_xy`, materialized as points."""
+    xy = sample_xy(spec, n, seed)
+    return [PolarPoint(float(x), float(y)) for x, y in xy]
+
+
+def in_region_xy(xy: np.ndarray, region: CoverageRegion) -> np.ndarray:
+    """Boolean mask of points inside S*."""
+    r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
+    inside = r2 <= region.macro_radius ** 2
+    if region.small_reach > 0.0:
+        sc = region.small_center
+        d2 = (xy[:, 0] - sc.x) ** 2 + (xy[:, 1] - sc.y) ** 2
+        inside |= d2 <= region.small_reach ** 2
+    return inside
+
+
+@dataclass(frozen=True)
+class IndicatorEstimate:
+    mass: float       # estimated integral of the indicator against the measure over S*
+    stderr: float
+    n_accepted: int
+    n_total: int
+
+
+def integrate_indicator(f, spec: HotspotSpec, region: CoverageRegion, n: int, seed,
+                        vectorized: bool = False) -> IndicatorEstimate:
+    """Monte Carlo mass of {f holds} within S* under the user measure.
+
+    ``f`` maps a PolarPoint to bool; pass ``vectorized=True`` if it instead
+    accepts the full (n, 2) coordinate array and returns a boolean mask.
+    Sampling is deterministic for a fixed seed, so indicator estimates built
+    on a common seed share their draws (common random numbers).
+    """
+    xy = sample_xy(spec, n, seed)
+    inside = in_region_xy(xy, region)
+    n_acc = int(np.count_nonzero(inside))
+    if n_acc == 0:
+        raise DegenerateRegionError("no hotspot mass inside the covered region")
+    if vectorized:
+        hits = np.asarray(f(xy), dtype=bool) & inside
+    else:
+        hits = inside.copy()
+        idx = np.nonzero(inside)[0]
+        for i in idx:
+            hits[i] = f(PolarPoint(float(xy[i, 0]), float(xy[i, 1])))
+    p = float(np.count_nonzero(hits)) / n
+    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    return IndicatorEstimate(mass=p, stderr=stderr, n_accepted=n_acc, n_total=n)

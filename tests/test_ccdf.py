@@ -10,7 +10,7 @@ import mobicell.ccdf as ccdf_module
 from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            curve_pmf, curves_to_csv, default_levels,
                            extract_classes, macro_ccdf, macro_only_ccdf,
-                           small_ccdf)
+                           small_ccdf, snapshot_curves)
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
 from mobicell.radio import (RadioParams, interference_factor, macro_associated, psi,
@@ -327,3 +327,27 @@ def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r
         scalar = [1.0 / sinr_small(m, Ls, PARAMS, LAYOUT, include_central_macro=flag)
                   for m in small_users]
         np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ls_r=st.floats(0.0, 0.6), ls_theta=st.floats(0.0, 2.0 * math.pi),
+       reach=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_snapshot_curves_match_one_curve_calls(ls_r, ls_theta, reach, seed):
+    """The one-snapshot kernel gives, bit for bit, the curves of the four
+    one-curve calls, for random small-cell positions; every curve is
+    non-increasing in level and lies in [0, 1]."""
+    Ls = PolarPoint.from_polar(ls_r, ls_theta)
+    region = region_at(Ls, reach)
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
+    got = snapshot_curves(5.0, Ls, LEVELS, PARAMS, region, samples)
+    args = (5.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT)
+    want = (macro_ccdf(*args, samples=samples),
+            macro_ccdf(*args, include_small_interference=False, samples=samples),
+            small_ccdf(*args, samples=samples),
+            small_ccdf(*args, include_central_macro=False, samples=samples))
+    for g, w in zip(got, want):
+        assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
+            (w.cell, w.t, w.mass, w.n_samples, w.empty)
+        assert np.array_equal(g.values, w.values)
+        assert np.array_equal(g.stderr, w.stderr)
+        assert_curve_structure(g)

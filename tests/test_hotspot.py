@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mobicell.geometry import PolarPoint
-from mobicell.hotspot import (CoverageRegion, DegenerateRegionError, HotspotSpec,
-                              density, in_region_xy, integrate_indicator, sample,
-                              sample_xy)
+from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+
+from conftest import (DegenerateRegionError, density, in_region_xy, integrate_indicator,
+                      sample)
 
 
 @pytest.fixture

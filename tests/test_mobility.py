@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mobicell.config import bundled_scenario_path, load_scenario
 from mobicell.geometry import PolarPoint
 from mobicell.hotspot import HotspotSpec
 from mobicell.mobility import (Heading, InvalidRouteError, ManhattanGrid,
@@ -100,6 +102,36 @@ def test_route_loop_is_periodic():
     ac = ac / (len(x) - np.arange(len(x)))  # unbias by overlap length
     lag = int(np.argmax(ac[90:270])) + 90
     assert abs(lag - period_steps) <= 1
+
+
+def reference_route():
+    """The reference scenario's bus policy, its grid and its lap in 1 s steps."""
+    cfg = load_scenario(bundled_scenario_path())
+    return cfg.policy, cfg.grid, round(cfg.period_s)
+
+
+def test_route_cruise_repeats_its_lap_exactly():
+    """A cruising bus back at the start in its starting state repeats lap 1
+    state for state: same position, speed and heading to the bit."""
+    policy, grid, lap = reference_route()
+    traj = generate_trajectory(policy, grid, T=2.5 * lap, dt=1.0, seed=0)
+    for first, later in zip(traj.states, traj.states[lap:]):
+        assert (later.position.x, later.position.y, later.velocity, later.heading) == \
+            (first.position.x, first.position.y, first.velocity, first.heading)
+
+
+@pytest.mark.parametrize("change", [dict(beta_law=None),
+                                    dict(dv=3.0, initial_speed=0.0)],
+                         ids=["random-beta", "start-below-cruise"])
+def test_route_lap_not_repeated_unless_the_state_recurs(change):
+    """A beta law that draws, or a start below cruise speed, never brings the
+    starting state back (from rest the bus is at the start again one step
+    after a period, but at cruise speed), so no state repeats."""
+    policy, grid, lap = reference_route()
+    traj = generate_trajectory(replace(policy, **change), grid, T=2.0 * lap, dt=1.0,
+                               seed=0)
+    assert all(s != traj.states[0] for s in traj.states[1:])
+    assert all(later != first for first, later in zip(traj.states, traj.states[lap:]))
 
 
 def test_route_positions_on_route_and_speed_constant():

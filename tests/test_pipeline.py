@@ -1,11 +1,15 @@
 import csv
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mobicell.config import bundled_scenario_path, load_scenario
+from mobicell.analytic import coupled_loads_fixed_point
+from mobicell.ccdf import FieldSamples, extract_classes, snapshot_curves
+from mobicell.config import bundled_scenario_path, derived_scenario_id, load_scenario
+from mobicell.hotspot import CoverageRegion
 from mobicell.pipeline import (_with_param, analytic_windows, baseline_windows,
                                macro_only_profile, mean_flux_rates, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
@@ -35,6 +39,44 @@ def test_snapshot_series_structure(cfg_small, series_small):
         assert np.all(np.diff(p.eta_macro[:, 1]) >= 0)
         assert p.lambda_macro.sum() + p.lambda_small.sum() == pytest.approx(
             cfg_small.traffic.lambda_tot)
+
+
+def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
+    """Over two laps each distinct position is evaluated once, and a lap-2
+    snapshot returns what a fresh evaluation at its position computes, with
+    only the time differing from its lap-1 twin."""
+    cfg = replace(cfg_small, mc_samples=20_000, duration_s=2 * cfg_small.period_s,
+                  snapshot_s=300.0)
+    with mock.patch.object(FieldSamples, "at", autospec=True,
+                           side_effect=FieldSamples.at) as at:
+        s = snapshot_series(cfg, mc_seed=(1, 0, 0), keep_curves=True)
+    distinct = {(p.x, p.y) for p in s.positions}
+    assert at.call_count == len(distinct) < len(s.times)
+
+    t = cfg.period_s + 300.0
+    i, j = list(s.times).index(t), list(s.times).index(300.0)
+    Ls = s.positions[i]
+    assert (Ls.x, Ls.y) == (s.positions[j].x, s.positions[j].y)
+    samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, (1, 0, 0))
+    region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
+    fresh = snapshot_curves(t, Ls, cfg.levels, cfg.params, region, samples)
+    prof = extract_classes(fresh[0], fresh[2], fresh[1], fresh[3], cfg.K, cfg.L,
+                           cfg.traffic.lambda_tot)
+    for got, want, twin in zip(s.curves[i], fresh, s.curves[j]):
+        assert (got.t, twin.t) == (t, 300.0)
+        assert (got.cell, got.mass, got.n_samples, got.empty) == \
+            (want.cell, want.mass, want.n_samples, want.empty)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.stderr, want.stderr)
+    got = s.profiles[i]
+    assert (got.t, s.profiles[j].t) == (t, 300.0)
+    assert got.macro_curve is s.curves[i][0] and got.small_curve is s.curves[i][2]
+    for name in ("eta_macro", "eta_small", "p_macro", "p_small", "lambda_macro",
+                 "lambda_small", "macro_edges", "small_edges"):
+        assert np.array_equal(getattr(got, name), getattr(prof, name)), name
+    assert (got.K, got.L, got.S_t, got.S_tilde_t) == (prof.K, prof.L, prof.S_t,
+                                                      prof.S_tilde_t)
+    assert repr(s.loads[i]) == repr(coupled_loads_fixed_point(prof, cfg.traffic))
 
 
 def test_macro_only_profile(cfg_small):
@@ -117,6 +159,24 @@ def test_sweep_class_count_robustness(cfg_small):
     r_win = [r["R_windowed"] for r in rows]
     assert (max(rho) - min(rho)) / np.mean(rho) < 0.10
     assert (max(r_win) - min(r_win)) / np.mean(r_win) < 0.10
+
+
+def test_sweep_rows_carry_each_values_scenario_id(cfg_small, tmp_path):
+    """Each swept value runs under its own scenario id, the loaded id plus
+    ``param=value``; the loaded value keeps the loaded id, and the provenance
+    line keeps the id of the sweep's own scenario."""
+    cfg = replace(cfg_small, duration_s=600.0, snapshot_s=60.0, mc_samples=20_000)
+    loaded = cfg.traffic.lambda_tot
+    rows = run_sweep(cfg, "lambda_tot", [loaded, 3.0, 9.0], out_dir=tmp_path)
+    ids = [r["scenario_id"] for r in rows]
+    assert ids == [cfg.scenario_id,
+                   derived_scenario_id(cfg.scenario_id, ["lambda_tot=3.0"]),
+                   derived_scenario_id(cfg.scenario_id, ["lambda_tot=9.0"])]
+    assert len(set(ids)) == 3
+    with open(tmp_path / "sweep_lambda_tot.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0][0] == f"# scenario={cfg.scenario_id} seed={cfg.seed} command=sweep lambda_tot"
+    assert [row[lines[1].index("scenario_id")] for row in lines[2:]] == ids
 
 
 def test_sweep_rejects_unknown_parameter(cfg_small):
