@@ -59,7 +59,6 @@ class UndefinedChainError(ValueError):
 class CoupledLoads:
     rho: float
     rho_tilde: float
-    rho_bar: float = math.nan
     converged: bool = True
     iterations: int = 0
 

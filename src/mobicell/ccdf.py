@@ -7,6 +7,13 @@ small-cell position changes between snapshots and curve differences in time
 are not drowned in sampling noise.  ``snapshot_curves`` evaluates the field
 once per snapshot and gathers each cell's users once, for both interference
 phases.
+
+A snapshot touches only the draws that can be in S*: every draw in the macro
+disk and, of the draws outside it, those within ``small_reach`` of the small
+cell (with a reach of 0, a draw on the small cell itself).  Draws outside the
+domain are dropped once, when ``FieldSamples`` is built.  A curve counts
+sorted values against fixed thresholds, so it depends only on which users
+enter it, never on their order.
 """
 
 from __future__ import annotations
@@ -71,7 +78,14 @@ def _checked_levels(levels) -> np.ndarray:
 
 class FieldSamples:
     """Hotspot draws with the position-independent radio quantities
-    precomputed once; shared by every snapshot of one experiment."""
+    precomputed once; shared by every snapshot of one experiment.
+
+    Only the draws inside the domain are kept, in two order-preserving sets:
+    the first ``n_core`` lie in the macro disk and so are in S* at every
+    snapshot; the rest (the rim) are in S* only within ``small_reach`` of the
+    small cell.  ``xy``, ``g``, ``r_pow`` and ``r_neg_pow`` hold the core
+    draws followed by the rim draws; ``n`` still counts every draw, so masses
+    stay shares of the whole population."""
 
     def __init__(self, spec: HotspotSpec, params: RadioParams, layout: CellLayout,
                  n: int, seed):
@@ -80,20 +94,31 @@ class FieldSamples:
         self.layout = layout
         self.n = n
         self.seed = seed
-        self.xy = sample_xy(spec, n, seed)
-        self.r = np.hypot(self.xy[:, 0], self.xy[:, 1])
-        self.domain = self.r < _DOMAIN_FRAC * layout.delta
+        xy = sample_xy(spec, n, seed)
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        core = r <= layout.R                  # the macro disk lies inside the domain
+        rim = ~core & (r < _DOMAIN_FRAC * layout.delta)
+        self.n_core = int(np.count_nonzero(core))
+        self.xy = np.concatenate([xy[core], xy[rim]])
+        r = np.concatenate([r[core], r[rim]])
+        del xy                                # the draws are kept once, split
         b2 = 2.0 * params.b_macro
-        self.r_pow = self.r ** b2
+        self.r_pow = r ** b2
         with np.errstate(divide="ignore"):
-            self.r_neg_pow = self.r ** (-b2)
-        rr = np.where(self.domain, self.r, 0.0)
-        self.g = np.where(self.domain, _g_formula(rr, params, layout), np.inf)
-        self.macro_disk = self.r <= layout.R
+            self.r_neg_pow = r ** (-b2)
+        self.g = _g_formula(r, params, layout)
         self._last = (None, None)   # (key, arrays) of the latest ``at`` call
 
     def at(self, Ls: PolarPoint, region: CoverageRegion):
-        """Position-dependent arrays for one snapshot, read-only.
+        """Position-dependent arrays for one snapshot, read-only:
+        ``(rim, macro_assoc, small_rx)``.
+
+        The snapshot's S* users are every core draw followed by the rim draws
+        ``rim`` (indices into the draw arrays, ascending; see ``users``);
+        ``macro_assoc`` and ``small_rx`` hold one entry per user.  Only those
+        users are evaluated: the rest of the rim is tested against the
+        small-cell disk, and with ``small_reach`` 0 that disk holds only a
+        draw on the small cell itself.
 
         The latest result is kept: the one-curve calls ``macro_ccdf`` and
         ``small_ccdf`` at one snapshot ask for the same position in turn.  The
@@ -102,16 +127,29 @@ class FieldSamples:
         key = (Ls.x, Ls.y, region.macro_radius, region.small_reach)
         if self._last[0] == key:
             return self._last[1]
-        d = np.hypot(self.xy[:, 0] - Ls.x, self.xy[:, 1] - Ls.y)
+        x, y = self.xy[self.n_core:, 0], self.xy[self.n_core:, 1]
+        if region.small_reach > 0.0:
+            near = np.hypot(x - Ls.x, y - Ls.y) <= region.small_reach
+        else:
+            near = (x == Ls.x) & (y == Ls.y)
+        rim = self.n_core + np.flatnonzero(near)
+        users = self.users(rim) if len(rim) else slice(0, self.n_core)
+        xy = self.xy[users]
+        # small_rx = kappa * d^-2b_small, in place: fewer temporaries to fragment the heap
+        small_rx = xy[:, 0] - Ls.x
+        np.hypot(small_rx, xy[:, 1] - Ls.y, out=small_rx)
         with np.errstate(divide="ignore"):
-            d_neg_pow = d ** (-2.0 * self.params.b_small)
-        small_rx = self.params.kappa * d_neg_pow
-        in_region = (self.macro_disk | (d <= region.small_reach)) & self.domain
-        out = (in_region, macro_association(small_rx, self.r_neg_pow), small_rx)
+            np.power(small_rx, -2.0 * self.params.b_small, out=small_rx)
+        np.multiply(self.params.kappa, small_rx, out=small_rx)
+        out = (rim, macro_association(small_rx, self.r_neg_pow[users]), small_rx)
         for a in out:
             a.flags.writeable = False
         self._last = (key, out)
         return out
+
+    def users(self, rim: np.ndarray) -> np.ndarray:
+        """Draw index of each S* user of a snapshot whose ``at`` gave ``rim``."""
+        return np.concatenate([np.arange(self.n_core), rim])
 
 
 def _counts_curve(inv_gamma: np.ndarray, levels: np.ndarray, params: RadioParams):
@@ -139,10 +177,10 @@ def _finish_curve(inv_gamma, levels, params, cell, t, mass) -> CcdfCurve:
 def _cell_users(samples: FieldSamples, arrays, small: bool):
     """One cell's users within S* at one snapshot: their coverage mass and
     the gathered g, r_pow and small_rx, from the ``arrays`` of ``samples.at``."""
-    in_region, macro_assoc, small_rx = arrays
-    sel = in_region & (~macro_assoc if small else macro_assoc)
-    mass = float(np.count_nonzero(sel)) / samples.n
-    return mass, samples.g[sel], samples.r_pow[sel], small_rx[sel]
+    rim, macro_assoc, small_rx = arrays
+    sel = np.flatnonzero(~macro_assoc if small else macro_assoc)
+    draws = samples.users(rim)[sel] if len(rim) else sel
+    return len(sel) / samples.n, samples.g[draws], samples.r_pow[draws], small_rx[sel]
 
 
 def snapshot_curves(t: float, Ls: PolarPoint, levels, params: RadioParams,

@@ -45,7 +45,8 @@ from mobicell.flowsim import (MACRO, SMALL, QueueTrace, TrafficSpec,
                               estimate_transition_rates, simulate)
 from mobicell.geometry import PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec
-from mobicell.mobility import distance_to_hotspot, generate_trajectory, route_cruise_policy
+from mobicell.mobility import (Trajectory, distance_to_hotspot, generate_trajectory,
+                               route_cruise_policy)
 from mobicell.radio import RadioParams
 
 SMALL_SHARE_EPS = 1e-3
@@ -67,6 +68,7 @@ class SnapshotSeries:
     profiles: list
     loads: list
     rates: list                       # len(times) - 1, for the sim
+    trajectory: Trajectory = field(repr=False)   # the path the positions sample
     curves: list = field(repr=False, default=None)   # (m1, m0, s1, s0) per snapshot
 
 
@@ -111,7 +113,7 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False) -> 
     rates = estimate_transition_rates(profiles, cfg.extra_migration_rate,
                                       min_share=SMALL_SHARE_EPS)
     return SnapshotSeries(times, positions, np.asarray(d_at), profiles, loads, rates,
-                          curves if keep_curves else None)
+                          traj, curves if keep_curves else None)
 
 
 def macro_only_profile(cfg: ScenarioConfig) -> tuple[ClassProfile, CcdfCurve]:
@@ -468,12 +470,10 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
     if out_dir is not None:
         import os
         os.makedirs(out_dir, exist_ok=True)
-        traj = generate_trajectory(cfg.policy, cfg.grid, cfg.duration_s,
-                                   cfg.trajectory_dt_s, seed=0)
         curves_to_csv(f"{out_dir}/ccdf.csv", curves,
                       (provenance(cfg, "ccdf", cfg.seed),))
-        traj.to_csv(f"{out_dir}/trajectory.csv",
-                    (provenance(cfg, "ccdf", cfg.seed),))
+        series.trajectory.to_csv(f"{out_dir}/trajectory.csv",
+                                 (provenance(cfg, "ccdf", cfg.seed),))
     return {"baseline": baseline, "at_times": picked, "avg_combined": avg_combined,
             "avg_small": avg_small, "times": times, "series": series}
 

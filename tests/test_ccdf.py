@@ -1,9 +1,11 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import in_region_xy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mobicell.ccdf as ccdf_module
@@ -13,8 +15,9 @@ from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            small_ccdf, snapshot_curves)
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
-from mobicell.radio import (RadioParams, interference_factor, macro_associated, psi,
-                            shannon_rate, sinr_macro, sinr_small)
+from mobicell.radio import (RadioParams, _g_formula, interference_factor, macro_association,
+                            macro_associated, macro_inverse_sinr, psi, shannon_rate,
+                            sinr_macro, sinr_small, small_inverse_sinr)
 
 LAYOUT = CellLayout(delta=1.0, rings_for_oracle=30)
 PARAMS = RadioParams.from_link_budget()
@@ -70,8 +73,8 @@ def test_zero_above_peak_rate():
 def test_association_partition():
     mc, sc, samples = curves_at(SPEC.center)
     region = region_at(SPEC.center)
-    in_region, _, _ = samples.at(SPEC.center, region)
-    m_star = float(np.count_nonzero(in_region)) / samples.n
+    _, macro_assoc, _ = samples.at(SPEC.center, region)
+    m_star = float(len(macro_assoc)) / samples.n     # one entry per S* user
     assert mc.mass + sc.mass == pytest.approx(m_star, abs=1e-15)
 
 
@@ -97,9 +100,9 @@ def test_simplified_and_direct_indicators_agree_bitwise():
     Ls = SPEC.center
     region = region_at(Ls)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 30_000, 3)
-    in_region, macro_assoc, small_rx = samples.at(Ls, region)
-    sel = in_region & macro_assoc
-    inv_gamma = samples.g[sel] + small_rx[sel] * samples.r_pow[sel]
+    rim, macro_assoc, small_rx = samples.at(Ls, region)
+    draws = samples.users(rim)[macro_assoc]
+    inv_gamma = samples.g[draws] + small_rx[macro_assoc] * samples.r_pow[draws]
     with np.errstate(divide="ignore"):
         gamma = np.where(inv_gamma > 0, 1.0 / inv_gamma, np.inf)
     rates = shannon_rate(gamma, PARAMS)
@@ -311,8 +314,8 @@ def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     region = region_at(Ls, reach)
     samples = FieldSamples(spec, PARAMS, LAYOUT, 500, seed)
-    in_region, _, _ = samples.at(Ls, region)
-    users = [PolarPoint(float(x), float(y)) for x, y in samples.xy[in_region]]
+    rim, _, _ = samples.at(Ls, region)
+    users = [PolarPoint(float(x), float(y)) for x, y in samples.xy[samples.users(rim)]]
     assoc = [macro_associated(m, Ls, PARAMS) for m in users]
     macro_users = [m for m, a in zip(users, assoc) if a]
     small_users = [m for m, a in zip(users, assoc) if not a]
@@ -351,3 +354,93 @@ def test_snapshot_curves_match_one_curve_calls(ls_r, ls_theta, reach, seed):
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.stderr, w.stderr)
         assert_curve_structure(g)
+
+
+def brute_force_curves(Ls, region, n, seed):
+    """The four curves of a snapshot, (m1, m0, s1, s0), as (values, stderr,
+    mass, n_samples), from every draw: S* is ``in_region_xy`` within the
+    domain, plus a draw on the small cell itself (the disk of reach 0)."""
+    xy = sample_xy(SPEC, n, seed)
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    d = np.hypot(xy[:, 0] - Ls.x, xy[:, 1] - Ls.y)
+    domain = r < ccdf_module._DOMAIN_FRAC * LAYOUT.delta
+    inside = (in_region_xy(xy, region) | (d == 0.0)) & domain
+    b2 = 2.0 * PARAMS.b_macro
+    with np.errstate(divide="ignore"):
+        small_rx = PARAMS.kappa * d ** (-2.0 * PARAMS.b_small)
+        r_neg_pow = r ** (-b2)
+    assoc = macro_association(small_rx, r_neg_pow)
+    g = np.full(n, np.inf)
+    g[domain] = _g_formula(r[domain], PARAMS, LAYOUT)
+    r_pow = r ** b2
+    below = LEVELS <= PARAMS.eta0
+    thresholds = psi(LEVELS[below], PARAMS)
+
+    def curve(sel, inv_gamma):
+        k = int(np.count_nonzero(sel))
+        values = np.zeros(len(LEVELS))
+        if k:
+            values[below] = [np.count_nonzero(inv_gamma[sel] <= x) / k for x in thresholds]
+        stderr = np.sqrt(np.maximum(values * (1.0 - values), 0.0) / k) if k else values
+        return values, stderr, k / n, k
+
+    m, s = inside & assoc, inside & ~assoc
+    return (curve(m, macro_inverse_sinr(g, r_pow, small_rx)), curve(m, g),
+            curve(s, small_inverse_sinr(g, r_pow, small_rx, True)),
+            curve(s, small_inverse_sinr(g, r_pow, small_rx, False)))
+
+
+@settings(max_examples=24, deadline=None)
+@given(ls_r=st.floats(0.0, 0.9), ls_theta=st.floats(0.0, 2.0 * math.pi),
+       reach=st.sampled_from([0.0, 0.1, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
+       on_rim_draw=st.booleans())
+@example(ls_r=0.0, ls_theta=0.0, reach=0.0, seed=5, on_rim_draw=True)
+def test_snapshot_curves_match_brute_force_over_all_draws(ls_r, ls_theta, reach, seed,
+                                                          on_rim_draw):
+    """The compact kernel, which evaluates only the draws that can be in S*,
+    gives bit for bit the curves of an evaluation over every draw: for random
+    small-cell positions and reaches, and for a small cell of reach 0 placed
+    exactly on a draw outside the macro disk."""
+    n = 2_000
+    Ls = PolarPoint.from_polar(ls_r, ls_theta)
+    if on_rim_draw:
+        xy = sample_xy(SPEC, n, seed)
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        rim = np.flatnonzero((r > LAYOUT.R) & (r < ccdf_module._DOMAIN_FRAC * LAYOUT.delta))
+        Ls, reach = PolarPoint(*map(float, xy[rim[seed % len(rim)]])), 0.0
+    region = region_at(Ls, reach)
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
+    got = snapshot_curves(5.0, Ls, LEVELS, PARAMS, region, samples)
+    want = brute_force_curves(Ls, region, n, seed)
+    if on_rim_draw:
+        assert want[2][3] >= 1                 # the draw on the small cell is its user
+    for g, (values, stderr, mass, n_samples) in zip(got, want):
+        assert np.array_equal(g.values, values)
+        assert np.array_equal(g.stderr, stderr)
+        assert (g.mass, g.n_samples, g.empty) == (mass, n_samples, n_samples == 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ls_r=st.floats(0.0, 0.6), ls_theta=st.floats(0.0, 2.0 * math.pi),
+       reach=st.sampled_from([0.0, 0.2]), k=st.integers(1, 8), l=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_extract_classes_conserves_mean_and_phase_order(ls_r, ls_theta, reach, k, l, seed):
+    """Equal-mass classes keep each curve's mean: the class rates weighted
+    by p give the mean of ``curve_pmf``; and with the idle and interfered
+    curves taken from the same draws, every class is at least as fast idle
+    as interfered, up to the rounding of the class sums (two ulps seen where
+    both curves agree over a class's span)."""
+    Ls = PolarPoint.from_polar(ls_r, ls_theta)
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
+    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, LEVELS, PARAMS, region_at(Ls, reach), samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # single-rate curves
+        prof = extract_classes(m1, s1, m0, s0, K=k, L=l, lambda_tot=1.0)
+    for eta, p, idle, busy in ((prof.eta_macro, prof.p_macro, m0, m1),
+                               (prof.eta_small, prof.p_small, s0, s1)):
+        for col, curve in ((0, idle), (1, busy)):
+            if not curve.empty:
+                rates, masses = curve_pmf(curve)
+                assert float(np.dot(p, eta[:, col])) == pytest.approx(
+                    float(np.dot(rates, masses)), rel=1e-12)
+        assert np.all(eta[:, 0] >= eta[:, 1] - 1e-12)
