@@ -9,13 +9,19 @@ passes its personal threshold (clock at entry + remaining size).  Each flow
 in service has one entry, held both in its class's heap of thresholds and in
 its class's member list, which migrations and handovers draw from.  A flow
 that leaves its class is swap-removed from the list and only marked dead in
-the heap; dead tops are popped when a departure search reaches them.
-Per-event cost is O(K + L + log n) regardless of the number of active flows,
-and every departed flow has received exactly its drawn size.
+the heap; a class's live top threshold is cached, and dead tops are popped
+only when the flow that left was the top.  The per-class loops visit each
+cell's occupied classes, in ascending order.  Draws come as Python floats
+from two pooled streams (exponential, uniform) of one numpy Generator, and
+per-flow records are kept only on request.  Per-event cost is O(K + L + log n)
+regardless of the number of active flows; every departed flow has received
+exactly its drawn size, and the drawn work is the served work plus the
+backlog at T.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import math
@@ -91,7 +97,7 @@ class FlowRecord:
 
 @dataclass
 class QueueTrace:
-    """Exact time integrals of the queue process plus per-flow records."""
+    """Exact time integrals of the queue process; per-flow records on request."""
 
     T: float
     K: int
@@ -104,11 +110,13 @@ class QueueTrace:
     piece_time: np.ndarray     # observed duration per piece
     piece_int_n: np.ndarray    # (n_pieces, 2) integral of |n| dt per piece/cell
     piece_served: np.ndarray   # (n_pieces, 2) Mbits served per piece/cell
-    flows: list                # FlowRecord per arrival, by fid; NaN departure if in service at T
+    flows: list                # record_flows: FlowRecord per arrival, by fid; NaN departure if in service at T
     n_arrivals: int
     n_departures: int
     n_migrations: int
     n_handovers: int
+    offered_mbits_drawn: float  # sum of the drawn flow sizes
+    backlog_mbits: float        # work left at T in the flows still in service
     states_time: dict | None = None    # (macro counts, small counts) -> time; track_states only
     sample_times: list = field(default_factory=list)   # k * sample_dt < T
     sample_counts: list = field(default_factory=list)  # (macro, small) class counts per sample
@@ -139,44 +147,32 @@ class QueueTrace:
                         w.writerow([f"{t:.6f}", _CELL_NAME[c], k + 1, n])
 
     def flows_to_csv(self, path, extra_header_lines=()) -> None:
-        """Schema arrival_s, departure_s, cell_path, size_mbits."""
+        """Schema arrival_s, departure_s, cell_path, size_mbits; rows end in
+        \\r\\n, as csv.writer ends them (no field needs quoting)."""
+        labels = {}
+        rows = []
+        for f in self.flows:
+            key = tuple(f.path)
+            pth = labels.get(key)
+            if pth is None:
+                pth = labels[key] = ">".join(f"{'MS'[c]}{k + 1}" for c, k in key)
+            dep = "" if math.isnan(f.departure) else f"{f.departure:.6f}"
+            rows.append(f"{f.arrival:.6f},{dep},{pth},{f.size:.6f}\r\n")
         with open(path, "w", newline="") as fh:
             for line in extra_header_lines:
                 fh.write(line.rstrip("\n") + "\n")
-            w = csv.writer(fh)
-            w.writerow(["arrival_s", "departure_s", "cell_path", "size_mbits"])
-            for f in self.flows:
-                pth = ">".join(f"{'M' if c == MACRO else 'S'}{k + 1}" for c, k in f.path)
-                dep = f"{f.departure:.6f}" if not math.isnan(f.departure) else ""
-                w.writerow([f"{f.arrival:.6f}", dep, pth, f"{f.size:.6f}"])
+            fh.write("arrival_s,departure_s,cell_path,size_mbits\r\n" + "".join(rows))
 
 
-class _Rng:
-    """Pooled draws from a numpy Generator (scalar draws are the bottleneck)."""
+_BLOCK = 8192
 
-    def __init__(self, seed, block=8192):
-        self.g = np.random.default_rng(seed)
-        self.block = block
-        self._exp = self.g.standard_exponential(block)
-        self._uni = self.g.random(block)
-        self._ei = 0
-        self._ui = 0
 
-    def exp(self) -> float:
-        if self._ei >= self.block:
-            self._exp = self.g.standard_exponential(self.block)
-            self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return float(v)
-
-    def uni(self) -> float:
-        if self._ui >= self.block:
-            self._uni = self.g.random(self.block)
-            self._ui = 0
-        v = self._uni[self._ui]
-        self._ui += 1
-        return float(v)
+def _pool(draw, first):
+    """Endless draws as Python floats (a memoryview yields them one by one):
+    the block ``first``, then ``_BLOCK`` at a time from ``draw``."""
+    yield from memoryview(first)
+    while True:
+        yield from memoryview(draw(_BLOCK))
 
 
 def _as_list(x):
@@ -185,7 +181,7 @@ def _as_list(x):
 
 def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
              track_states: bool = False, sample_dt: float | None = None,
-             validate: bool = False) -> QueueTrace:
+             validate: bool = False, record_flows: bool = False) -> QueueTrace:
     """Run the coupled system for T seconds of model time.
 
     ``profiles`` is one ClassProfile or a time series; rates and class/arrival
@@ -195,7 +191,9 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
     ``sample_dt`` records the class occupancy at t = 0, dt, 2 dt, ... < T.
     Sampling consumes no random draws, so a sampled run is the same
-    realisation as an unsampled one with the same seed.
+    realisation as an unsampled one with the same seed.  So does
+    ``record_flows``, which keeps a FlowRecord per arrival in ``trace.flows``
+    (left empty otherwise).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -207,20 +205,28 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     rate_list = [TransitionRates.zeros(K, L)] if rates is None else _as_list(rates)
     n_pieces = len(profs)
 
-    rng = _Rng(seed)
+    # two pools on one Generator: the first exponential block is drawn before
+    # the first uniform one, later blocks as each pool runs out
+    g = np.random.default_rng(seed)
+    exps = _pool(g.standard_exponential, g.standard_exponential(_BLOCK))
+    unis = _pool(g.random, g.random(_BLOCK))
+    nxt = next
     sigma0 = traffic.sigma0
     cells = (MACRO, SMALL)
-    n_cls = (K, L)
+    inf = math.inf
 
     counts = [[0] * K, [0] * L]
     total = [0, 0]
     vclock = [[0.0] * K, [0.0] * L]
-    # one entry [threshold, fid, live, index, flow] per flow in service, in its
-    # class heap and at ``index`` in its class member list; entries of two
-    # flows differ in fid, so heapq never orders two FlowRecords
-    heaps = [[[] for _ in range(n)] for n in n_cls]
-    members = [[[] for _ in range(n)] for n in n_cls]
+    top = [[inf] * K, [inf] * L]   # threshold of each class's live heap top
+    occupied = [[], []]            # classes with a flow, ascending, per cell
+    # one entry [threshold, fid, live, index, record] per flow in service, in
+    # its class heap and at ``index`` in its class member list; entries of
+    # two flows differ in fid, so heapq never orders two records
+    heaps = [[[] for _ in range(n)] for n in (K, L)]
+    members = [[[] for _ in range(n)] for n in (K, L)]
     records: list[FlowRecord] = []
+    drawn = 0.0
 
     int_n = [[0.0] * K, [0.0] * L]
     int_served = [[0.0] * K, [0.0] * L]
@@ -236,36 +242,44 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
     t = 0.0
     piece = 0
-    piece_edges = [p.t for p in profs[1:]] + [math.inf]
-    next_sample = 0.0 if sample_dt else math.inf
+    piece_edges = [p.t for p in profs[1:]] + [inf]
+    next_sample = 0.0 if sample_dt else inf
 
     def piece_params(i: int):
         p = profs[i]
         r = rate_list[min(i, len(rate_list) - 1)]
-        lam = (list(p.lambda_macro), list(p.lambda_small))
+        lam = (p.lambda_macro.tolist(), p.lambda_small.tolist())
         arrivals = [(c, k, x) for c in cells for k, x in enumerate(lam[c]) if x > 0.0]
         # eta[cell][phase][class] as plain lists for fast scalar access
-        eta = ([list(p.eta_macro[:, 0]), list(p.eta_macro[:, 1])],
-               [list(p.eta_small[:, 0]), list(p.eta_small[:, 1])])
-        mig = (([float(x) for x in r.nu_up], [float(x) for x in r.nu_down]),
-               ([float(x) for x in r.nu_tilde_up], [float(x) for x in r.nu_tilde_down]))
-        return (arrivals, sum(lam[MACRO]) + sum(lam[SMALL]), eta, r, mig,
-                any(any(x) for pair in mig for x in pair))
+        eta = ([p.eta_macro[:, 0].tolist(), p.eta_macro[:, 1].tolist()],
+               [p.eta_small[:, 0].tolist(), p.eta_small[:, 1].tolist()])
+        mig = ((r.nu_up.tolist(), r.nu_down.tolist()),
+               (r.nu_tilde_up.tolist(), r.nu_tilde_down.tolist()))
+        hazard = [[u + d for u, d in zip(*pair)] for pair in mig]
+        return (arrivals, sum(lam[MACRO]) + sum(lam[SMALL]), eta, mig, hazard,
+                any(any(x) for pair in mig for x in pair), float(r.nu_handover_m2s),
+                float(r.nu_handover_s2m), min(piece_edges[i], T))
 
-    arrivals, lam_tot, eta, rr, mig, any_migration = piece_params(piece)
+    (arrivals, lam_tot, eta, mig, hazard, any_migration, ho_m2s, ho_s2m,
+     piece_end) = piece_params(piece)
 
-    def enter(flow: FlowRecord, c: int, k: int, remaining: float):
+    def enter(fid: int, record, c: int, k: int, remaining: float):
         m = members[c][k]
-        entry = [vclock[c][k] + remaining, flow.fid, True, len(m), flow]
+        entry = [vclock[c][k] + remaining, fid, True, len(m), record]
         heapq.heappush(heaps[c][k], entry)
         m.append(entry)
+        if entry[0] < top[c][k]:
+            top[c][k] = entry[0]
+        if not counts[c][k]:
+            bisect.insort(occupied[c], k)
         counts[c][k] += 1
         total[c] += 1
-        flow.path.append((c, k))
+        if record is not None:
+            record.path.append((c, k))
 
     def leave(entry: list, c: int, k: int) -> float:
-        """Swap-remove ``entry`` from its class, mark it dead in the heap and
-        return the flow's remaining work."""
+        """Swap-remove ``entry`` from its class and mark it dead in the heap,
+        popping the dead tops if it was the top; return its remaining work."""
         m = members[c][k]
         last = m.pop()
         if last is not entry:
@@ -274,17 +288,14 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         entry[2] = False
         counts[c][k] -= 1
         total[c] -= 1
+        if not counts[c][k]:
+            occupied[c].remove(k)
+        h = heaps[c][k]
+        if h[0] is entry:
+            while h and not h[0][2]:
+                heapq.heappop(h)
+            top[c][k] = h[0][0] if h else inf
         return entry[0] - vclock[c][k]
-
-    def live_top(h: list) -> list:
-        """Heap top after discarding the dead entries of flows that left."""
-        while not h[0][2]:
-            heapq.heappop(h)
-        return h[0]
-
-    inf = math.inf
-    exp_draw = rng.exp
-    uni_draw = rng.uni
 
     while t < T:
         # per-class service rates of each cell, by its partner's phase
@@ -292,36 +303,32 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
         # next departure across occupied classes
         best_dep = inf
-        dep = None
         for c in cells:
             tc = total[c]
             if tc:
-                cc, vc, ec, hc = counts[c], vclock[c], eta_now[c], heaps[c]
-                for k in range(n_cls[c]):
-                    if cc[k]:
-                        dt_k = (live_top(hc[k])[0] - vc[k]) * tc / ec[k]
-                        if dt_k < best_dep:
-                            best_dep = dt_k
-                            dep = (c, k)
+                vc, ec, tops = vclock[c], eta_now[c], top[c]
+                for k in occupied[c]:
+                    dt_k = (tops[k] - vc[k]) * tc / ec[k]
+                    if dt_k < best_dep:
+                        best_dep = dt_k
+                        dep_c, dep_k = c, k
         if best_dep < 0.0:
             best_dep = 0.0
 
-        dt_arr = exp_draw() / lam_tot if lam_tot > 0.0 else inf
+        dt_arr = nxt(exps) / lam_tot if lam_tot > 0.0 else inf
 
         mig_rate = 0.0
         if any_migration:
             for c in cells:
-                cc = counts[c]
-                ups, downs = mig[c]
-                for k in range(n_cls[c]):
-                    if cc[k]:
-                        mig_rate += cc[k] * (ups[k] + downs[k])
-        dt_mig = exp_draw() / mig_rate if mig_rate > 0.0 else inf
+                cc, hc = counts[c], hazard[c]
+                for k in occupied[c]:
+                    mig_rate += cc[k] * hc[k]
+        dt_mig = nxt(exps) / mig_rate if mig_rate > 0.0 else inf
 
-        ho_rate = total[MACRO] * rr.nu_handover_m2s + total[SMALL] * rr.nu_handover_s2m
-        dt_ho = exp_draw() / ho_rate if ho_rate > 0.0 else inf
+        ho_rate = total[MACRO] * ho_m2s + total[SMALL] * ho_s2m
+        dt_ho = nxt(exps) / ho_rate if ho_rate > 0.0 else inf
 
-        dt_bound = min(piece_edges[piece], T) - t
+        dt_bound = piece_end - t
         delta = min(best_dep, dt_arr, dt_mig, dt_ho, dt_bound)
 
         # occupancy samples due by the end of the interval see the state
@@ -340,14 +347,13 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                     inv = delta / tc
                     cc, vc, ec = counts[c], vclock[c], eta_now[c]
                     i_n, i_s = int_n[c], int_served[c]
-                    for k in range(n_cls[c]):
+                    for k in occupied[c]:
                         nk = cc[k]
-                        if nk:
-                            i_n[k] += nk * delta
-                            vc[k] += ec[k] * inv
-                            sv = ec[k] * nk * inv
-                            i_s[k] += sv
-                            served_cell += sv
+                        i_n[k] += nk * delta
+                        vc[k] += ec[k] * inv
+                        sv = ec[k] * nk * inv
+                        i_s[k] += sv
+                        served_cell += sv
                     busy_time[c] += delta
                     piece_served[piece][c] += served_cell
                     piece_int_n[piece][c] += tc * delta
@@ -363,43 +369,44 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 break
             if t >= piece_edges[piece]:
                 piece += 1
-                arrivals, lam_tot, eta, rr, mig, any_migration = piece_params(piece)
+                (arrivals, lam_tot, eta, mig, hazard, any_migration, ho_m2s, ho_s2m,
+                 piece_end) = piece_params(piece)
             continue
 
         if delta == best_dep:
-            c, k = dep
-            entry = heapq.heappop(heaps[c][k])  # live: the search cleaned this top
-            leave(entry, c, k)
-            flow = entry[4]
-            flow.departure = t
-            flow.served = flow.size
-            records.append(flow)
+            entry = heaps[dep_c][dep_k][0]   # live: tops are kept live
+            leave(entry, dep_c, dep_k)
+            if entry[4] is not None:
+                entry[4].departure = t
+                entry[4].served = entry[4].size
             n_dep += 1
             continue
 
         if delta == dt_arr:
-            u = uni_draw() * lam_tot
+            u = nxt(unis) * lam_tot
             acc = 0.0
             for cell, cls, x in arrivals:
                 acc += x
                 if u < acc:
                     break  # rounding at u ~ lam_tot falls to the last positive class
-            flow = FlowRecord(n_arr, t, math.nan, exp_draw() * sigma0, 0.0, [])
-            enter(flow, cell, cls, flow.size)
+            size = nxt(exps) * sigma0
+            drawn += size
+            record = FlowRecord(n_arr, t, math.nan, size, 0.0, []) if record_flows else None
+            if record_flows:
+                records.append(record)
+            enter(n_arr, record, cell, cls, size)
             n_arr += 1
             continue
 
         if delta == dt_mig:
-            u = uni_draw() * mig_rate
+            u = nxt(unis) * mig_rate
             acc = 0.0
             move = None
             for c in cells:
                 ups, downs = mig[c]
                 cc = counts[c]
-                for k in range(n_cls[c]):
+                for k in occupied[c]:
                     nk = cc[k]
-                    if not nk:
-                        continue
                     acc += nk * ups[k]
                     if u < acc:
                         move = (c, k, k + 1)
@@ -412,32 +419,35 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                     break
             if move:
                 c, k, k2 = move
-                entry = members[c][k][int(uni_draw() * counts[c][k])]
-                enter(entry[4], c, k2, leave(entry, c, k))
+                entry = members[c][k][int(nxt(unis) * counts[c][k])]
+                enter(entry[1], entry[4], c, k2, leave(entry, c, k))
                 n_mig += 1
             continue
 
         if delta == dt_ho:
-            u = uni_draw() * ho_rate
-            src = MACRO if u < total[MACRO] * rr.nu_handover_m2s else SMALL
-            pick = int(uni_draw() * total[src])
-            for k in range(n_cls[src]):
+            u = nxt(unis) * ho_rate
+            src = MACRO if u < total[MACRO] * ho_m2s else SMALL
+            pick = int(nxt(unis) * total[src])
+            for k in occupied[src]:
                 if pick < counts[src][k]:
                     entry = members[src][k][pick]
-                    enter(entry[4], 1 - src, 0, leave(entry, src, k))  # into the first class
+                    # into the first class
+                    enter(entry[1], entry[4], 1 - src, 0, leave(entry, src, k))
                     n_ho += 1
                     break
                 pick -= counts[src][k]
             continue
 
-    # flows still in service keep a NaN departure; account their served bits
+    # flows still in service keep a NaN departure; their remaining work is
+    # the backlog
+    backlog = 0.0
     for c in cells:
         for k, entries in enumerate(members[c]):
             for entry in entries:
-                flow = entry[4]
-                flow.served = flow.size - (entry[0] - vclock[c][k])
-                records.append(flow)
-    records.sort(key=lambda f: f.fid)
+                left = entry[0] - vclock[c][k]
+                backlog += left
+                if entry[4] is not None:
+                    entry[4].served = entry[4].size - left
 
     trace = QueueTrace(
         T=T, K=K, L=L, traffic=traffic,
@@ -447,6 +457,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         piece_served=np.array(piece_served),
         flows=records,
         n_arrivals=n_arr, n_departures=n_dep, n_migrations=n_mig, n_handovers=n_ho,
+        offered_mbits_drawn=drawn, backlog_mbits=backlog,
         states_time=states_time,
         sample_times=sample_times, sample_counts=sample_counts,
     )
@@ -456,8 +467,14 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
 
 def _validate_trace(trace: QueueTrace):
-    served_flows = sum(f.served for f in trace.flows)
     served_int = trace.served_mbits()
+    drawn, backlog = trace.offered_mbits_drawn, trace.backlog_mbits
+    if abs(drawn - served_int - backlog) > 1e-9 * drawn:
+        raise AssertionError(f"work not conserved: drawn {drawn} vs served {served_int} "
+                             f"+ backlog {backlog}")
+    if not trace.flows:
+        return
+    served_flows = sum(f.served for f in trace.flows)
     if served_int > 0 and abs(served_flows - served_int) > 1e-6 * max(served_int, 1.0):
         raise AssertionError(
             f"service bookkeeping mismatch: flows {served_flows} vs integral {served_int}")
@@ -479,8 +496,11 @@ class MetricsReport:
     rho_busy: float               # macro busy fraction
     rho_tilde_busy: float
     served_mbits: float
-    offered_mbits: float
+    offered_mbits: float          # lambda sigma0 T, the expected offered work
     conservation_residual: float  # Mbps, offered rate minus served rate
+    offered_mbits_drawn: float    # = served_mbits + backlog_mbits
+    backlog_mbits: float
+    drawn_z: float                # arrival noise: (drawn - offered) / its SD
     n_arrivals: int
     n_departures: int
 
@@ -496,7 +516,10 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
     served = trace.served_mbits()
     int_total_n = float(sum(sum(c) for c in trace.int_n))
     R = served / int_total_n if int_total_n > 0 else 0.0
-    offered = trace.traffic.lambda_tot * trace.traffic.sigma0 * trace.T
+    lam, sigma0 = trace.traffic.lambda_tot, trace.traffic.sigma0
+    offered = lam * sigma0 * trace.T
+    drawn = trace.offered_mbits_drawn
+    sd = sigma0 * math.sqrt(2.0 * lam * trace.T)
     return MetricsReport(
         T=trace.T, mean_n=mean_m, mean_n_tilde=mean_s, P_k=P_k, P_tilde_l=P_l,
         mean_flow_throughput=R,
@@ -504,6 +527,8 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
         rho_tilde_busy=trace.busy_time[SMALL] / trace.T,
         served_mbits=served, offered_mbits=offered,
         conservation_residual=(offered - served) / trace.T,
+        offered_mbits_drawn=drawn, backlog_mbits=trace.backlog_mbits,
+        drawn_z=(drawn - offered) / sd if sd > 0 else 0.0,
         n_arrivals=trace.n_arrivals, n_departures=trace.n_departures,
     )
 

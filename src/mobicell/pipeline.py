@@ -72,14 +72,22 @@ class SnapshotSeries:
     curves: list = field(repr=False, default=None)   # (m1, m0, s1, s0) per snapshot
 
 
-def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False) -> SnapshotSeries:
-    """Trajectory plus the full CCDF/class pipeline on common random numbers.
+def scenario_trajectory(cfg: ScenarioConfig) -> Trajectory:
+    """The small cell's path over the horizon; the same in every replication."""
+    return generate_trajectory(cfg.policy, cfg.grid, cfg.duration_s,
+                               cfg.trajectory_dt_s, seed=0)
+
+
+def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False,
+                    traj: Trajectory | None = None) -> SnapshotSeries:
+    """Trajectory (``traj``, generated when not given) plus the full
+    CCDF/class pipeline on common random numbers.
 
     Each distinct small-cell position is evaluated once: a later snapshot at
     the exact same position (a later lap, a dwelling bus) reuses its curves,
     class profile and loads, restamped with its own time."""
-    traj = generate_trajectory(cfg.policy, cfg.grid, cfg.duration_s,
-                               cfg.trajectory_dt_s, seed=0)
+    if traj is None:
+        traj = scenario_trajectory(cfg)
     dist = distance_to_hotspot(traj, cfg.spec)
     times = np.arange(0.0, cfg.duration_s + 0.5 * cfg.snapshot_s, cfg.snapshot_s)
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
@@ -265,25 +273,27 @@ def _empirical_windows(trace) -> dict:
     }
 
 
-def run_replication(cfg: ScenarioConfig, rep: int,
-                    prof_mo: ClassProfile | None = None) -> ReplicationResult:
+def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None = None,
+                    traj: Trajectory | None = None) -> ReplicationResult:
     """One full replication: fresh Monte Carlo draws for the radio pipeline
     and a fresh arrival stream for both scenarios.
 
     It builds one snapshot series and runs two simulations, the
     with-small-cell scenario and the macro-only baseline (``prof_mo``, built
-    here when not given).  Replication 0 samples its with-small-cell
-    occupancy every snapshot and keeps that trace for ``trace_rep0.csv`` and
-    ``flows_rep0.csv``; sampling draws nothing, so the trace is the very run
+    here when not given), along ``traj`` (generated when not given).
+    Replication 0 samples its with-small-cell occupancy every snapshot,
+    records its flows and keeps that trace for ``trace_rep0.csv`` and
+    ``flows_rep0.csv``; neither draws anything, so the trace is the very run
     whose metrics the replication reports."""
     mc_seed = (cfg.seed, rep, 0)
     sim_seed = (cfg.seed, rep, 1)
-    series = snapshot_series(cfg, mc_seed)
+    series = snapshot_series(cfg, mc_seed, traj=traj)
     windows_sc = analytic_windows(series, cfg.traffic)
     summary = ergodic_summary(series, cfg)
 
     trace_sc = simulate(series.profiles, series.rates, cfg.traffic, cfg.duration_s,
-                        sim_seed, sample_dt=cfg.snapshot_s if rep == 0 else None)
+                        sim_seed, sample_dt=cfg.snapshot_s if rep == 0 else None,
+                        record_flows=rep == 0)
     if prof_mo is None:
         prof_mo, _ = macro_only_profile(cfg)
     # carve the baseline pieces on the same snapshot grid so windowed series align
@@ -316,17 +326,18 @@ def run_dynamics(cfg: ScenarioConfig, out_dir=None) -> DynamicsResult:
     """Full dynamics experiment over all replications; optionally writes the
     CSV outputs under ``out_dir``.
 
-    The macro-only profile is built once and shared by every replication.
-    Each replication costs one snapshot series and two simulations; the
-    snapshot times and distances come from replication 0."""
+    The macro-only profile and the trajectory are built once and shared by
+    every replication.  Each replication costs one snapshot series and two
+    simulations; the snapshot times and distances come from replication 0."""
     prof_mo, _ = macro_only_profile(cfg)
+    traj = scenario_trajectory(cfg)
     reps = list(range(cfg.replications))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_replication, [cfg] * len(reps), reps,
-                                    [prof_mo] * len(reps)))
+                                    [prof_mo] * len(reps), [traj] * len(reps)))
     else:
-        results = [run_replication(cfg, r, prof_mo) for r in reps]
+        results = [run_replication(cfg, r, prof_mo, traj) for r in reps]
 
     rep0 = results[0]
     windows_mo = baseline_windows(prof_mo, cfg.traffic, rep0.windows_sc.t)

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured figures when it holds (pytest -s shows them; any failure fails
-the run).
+the run), plus an exact work-conservation check on criterion 6's runs.
 
 Criterion 8's sign statistics run on the windowed analytic series, whose
 replication-to-replication variation comes from the Monte Carlo draws of the
@@ -209,6 +209,22 @@ def test_criterion_6_traffic_conservation(cfg, dynamics):
             runs += 1
             assert rel < 0.02, f"run rep{rr.rep}: residual {rel:.3%}"
     report(6, f"{runs} runs, worst |residual|/offered = {worst:.3%} < 2%")
+
+
+def test_criterion_6_runs_conserve_drawn_work(dynamics):
+    """Criterion 6's runs, checked exactly: the drawn flow sizes equal the
+    served work plus the work left at T (1e-9 relative), so the residual
+    criterion 6 bounds is arrival noise (drawn_z) plus backlog, and none of
+    it is work the engine lost or made."""
+    zs = []
+    for rr in dynamics.replications:
+        for emp in (rr.emp_sc, rr.emp_mo):
+            m = emp["metrics"]
+            assert m.offered_mbits_drawn == pytest.approx(
+                m.served_mbits + m.backlog_mbits, rel=1e-9), f"rep{rr.rep}"
+            zs.append(m.drawn_z)
+    print(f"\n{len(zs)} runs conserve work; arrival noise z in "
+          f"[{min(zs):+.2f}, {max(zs):+.2f}]")
 
 
 def test_criterion_7_snapshot_ccdf_trends(cfg):

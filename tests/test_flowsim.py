@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import coupled_chain_stationary, make_profile, migration_chain_stationary
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
@@ -14,11 +16,12 @@ from mobicell.hotspot import CoverageRegion, HotspotSpec
 from mobicell.radio import RadioParams
 
 
-def run_mm1(rho, eta=10.0, sigma0=2.0, n_arrivals=30_000, seed=0):
+def run_mm1(rho, eta=10.0, sigma0=2.0, n_arrivals=30_000, seed=0, record_flows=False):
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     T = n_arrivals / lam
-    return simulate(prof, None, TrafficSpec(lam, sigma0), T, seed, validate=True)
+    return simulate(prof, None, TrafficSpec(lam, sigma0), T, seed, validate=True,
+                    record_flows=record_flows)
 
 
 def test_mm1_ps_mean_occupancy():
@@ -42,7 +45,7 @@ def test_empty_traffic_gives_empty_trace():
 
 
 def test_departed_flows_receive_exactly_their_size():
-    tr = run_mm1(0.6, n_arrivals=3000, seed=3)
+    tr = run_mm1(0.6, n_arrivals=3000, seed=3, record_flows=True)
     done = [f for f in tr.flows if not math.isnan(f.departure)]
     assert len(done) > 2500
     for f in done:
@@ -51,8 +54,8 @@ def test_departed_flows_receive_exactly_their_size():
 
 
 def test_reproducible_event_sequences():
-    a = run_mm1(0.5, n_arrivals=2000, seed=9)
-    b = run_mm1(0.5, n_arrivals=2000, seed=9)
+    a = run_mm1(0.5, n_arrivals=2000, seed=9, record_flows=True)
+    b = run_mm1(0.5, n_arrivals=2000, seed=9, record_flows=True)
     assert len(a.flows) == len(b.flows)
     for fa, fb in zip(a.flows, b.flows):
         assert fa.arrival == fb.arrival and fa.size == fb.size
@@ -114,7 +117,8 @@ def test_migrations_move_flows_between_classes():
                         eta_s0=(8.0,))
     rates = TransitionRates(0.0, nu_up=np.array([0.5, 0.0]), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1))
-    tr = simulate(prof, rates, TrafficSpec(lam, 2.0), 5000.0, 17, validate=True)
+    tr = simulate(prof, rates, TrafficSpec(lam, 2.0), 5000.0, 17, validate=True,
+                  record_flows=True)
     assert tr.n_migrations > 100
     # all arrivals enter class 1; anything served in class 2 got there by migration
     assert tr.int_n[MACRO][1] > 0.0
@@ -139,7 +143,8 @@ def test_handover_delivers_into_first_class():
     rates = TransitionRates(0.0, nu_up=np.zeros(2), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(2), nu_tilde_down=np.zeros(2),
                             nu_handover_m2s=0.2)
-    tr = simulate(prof, rates, TrafficSpec(2 * lam, 2.0), 3000.0, 19, validate=True)
+    tr = simulate(prof, rates, TrafficSpec(2 * lam, 2.0), 3000.0, 19, validate=True,
+                  record_flows=True)
     assert tr.n_handovers > 50
     handed = [f for f in tr.flows if any(c == SMALL for c, _ in f.path)]
     assert handed
@@ -223,7 +228,7 @@ def test_transition_rates_need_two_profiles():
 
 
 def test_trace_csv_exports(tmp_path):
-    tr = run_mm1(0.4, n_arrivals=500, seed=1)
+    tr = run_mm1(0.4, n_arrivals=500, seed=1, record_flows=True)
     tr2 = simulate(make_profile(lam_m=(1.0,), lam_s=(0.0,)), None, TrafficSpec(1.0, 2.0),
                    100.0, 1, sample_dt=10.0)
     p1 = tmp_path / "trace.csv"
@@ -236,9 +241,9 @@ def test_trace_csv_exports(tmp_path):
     assert lines[1].split(",")[2].startswith("M1")
 
 
-def test_sampling_consumes_no_draws():
-    """Occupancy sampling, on the piece grid or off it, leaves the
-    realisation alone: same integrals, event counts and flow paths."""
+def _moving_system():
+    """A 900 s horizon of 30 s pieces with drifting arrivals, migrations in
+    both cells and handovers both ways."""
     T, piece_dt = 900.0, 30.0
     profs, rates = [], []
     for i in range(int(T / piece_dt)):
@@ -252,8 +257,16 @@ def test_sampling_consumes_no_draws():
                                      nu_tilde_down=np.array([0.0, 0.02]),
                                      nu_handover_m2s=0.01 * (i % 3),
                                      nu_handover_s2m=0.01 * (i % 2)))
-    traffic = TrafficSpec(2.5, 2.0)
-    runs = {dt: simulate(profs, rates, traffic, T, 5, sample_dt=dt, validate=True)
+    return profs, rates, TrafficSpec(2.5, 2.0), T
+
+
+def test_sampling_consumes_no_draws():
+    """Occupancy sampling, on the piece grid or off it, leaves the
+    realisation alone: same integrals, event counts and flow paths."""
+    profs, rates, traffic, T = _moving_system()
+    piece_dt = 30.0
+    runs = {dt: simulate(profs, rates, traffic, T, 5, sample_dt=dt, validate=True,
+                         record_flows=True)
             for dt in (None, piece_dt, 7.0)}
     base = runs[None]
     assert base.n_migrations > 0 and base.n_handovers > 0
@@ -270,25 +283,100 @@ def test_sampling_consumes_no_draws():
         assert tr.sample_counts[0] == ([0, 0], [0, 0])
 
 
+def _realisation(tr):
+    """Everything of a trace but its flow records, as exact values."""
+    return (tr.int_n, tr.int_served, tr.busy_time, tr.piece_t.tolist(),
+            tr.piece_time.tolist(), tr.piece_int_n.tolist(), tr.piece_served.tolist(),
+            tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers,
+            tr.sample_times, tr.sample_counts, tr.states_time,
+            tr.offered_mbits_drawn, tr.backlog_mbits)
+
+
+def test_flow_records_consume_no_draws():
+    profs, rates, traffic, T = _moving_system()
+    on, off = (simulate(profs, rates, traffic, T, 5, sample_dt=7.0, track_states=True,
+                        validate=True, record_flows=rec) for rec in (True, False))
+    assert off.flows == [] and len(on.flows) == on.n_arrivals
+    assert _realisation(off) == _realisation(on)
+
+
+def test_moving_system_realisation_is_pinned():
+    """Event counts and integrals of one seed, pinned to the bit: a refactor
+    that moves, adds or drops a draw, or reorders a sum, fails here."""
+    profs, rates, traffic, T = _moving_system()
+    tr = simulate(profs, rates, traffic, T, 5)
+    assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
+        (2759, 2759, 58, 20)
+    assert [[repr(float(x)) for x in c] for c in tr.int_n] == \
+        [["776.0494948710838", "204.5878739739635"],
+         ["138.41486080126927", "207.42978047682644"]]
+    assert [[repr(float(x)) for x in c] for c in tr.int_served] == \
+        [["1814.9527549099187", "1057.6524566007215"],
+         ["629.4957955884588", "1954.969470718614"]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.integers(1, 3), L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.2, 3.0), nu=st.floats(0.0, 0.5), ho=st.floats(0.0, 0.3),
+       etas=st.lists(st.floats(1.0, 20.0), min_size=12, max_size=12))
+def test_flow_records_never_change_the_realisation(K, L, seed, lam, nu, ho, etas):
+    """Records on or off, any small profile gives the same realisation, and
+    the drawn work splits into served work and backlog."""
+    profs = [make_profile(t=t, lam_m=[lam / K] * K, lam_s=[lam / L] * L,
+                          eta_m0=etas[:K], eta_m1=[0.7 * x for x in etas[:K]],
+                          eta_s0=etas[6:6 + L], eta_s1=[0.5 * x for x in etas[6:6 + L]])
+             for t in (0.0, 40.0)]
+    up, down = [nu] * (K - 1) + [0.0], [0.0] + [nu] * (K - 1)
+    tup, tdown = [nu] * (L - 1) + [0.0], [0.0] + [nu] * (L - 1)
+    rates = TransitionRates(0.0, np.array(up), np.array(down), np.array(tup),
+                            np.array(tdown), ho, 2 * ho)
+    traffic = TrafficSpec(2 * lam, 2.0)
+    on, off = (simulate(profs, rates, traffic, 80.0, seed, sample_dt=5.0,
+                        track_states=True, validate=True, record_flows=rec)
+               for rec in (True, False))
+    assert _realisation(off) == _realisation(on)
+
+
+# the migration/handover oracle's system, in migration_chain_stationary's terms
+ORACLE = dict(lam_m=(0.9, 0.6), lam_s=1.2, sigma0=2.0, eta_m0=(6.0, 12.0),
+              eta_m1=(4.0, 9.0), eta_s0=10.0, eta_s1=7.0, nu_up=(0.5, 0.0),
+              nu_down=(0.0, 0.3), ho_m2s=0.2, ho_s2m=0.3)
+
+
+def _oracle_system():
+    o = ORACLE
+    prof = make_profile(lam_m=o["lam_m"], lam_s=(o["lam_s"],), eta_m0=o["eta_m0"],
+                        eta_m1=o["eta_m1"], eta_s0=(o["eta_s0"],), eta_s1=(o["eta_s1"],))
+    rates = TransitionRates(0.0, nu_up=np.array(o["nu_up"]), nu_down=np.array(o["nu_down"]),
+                            nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1),
+                            nu_handover_m2s=o["ho_m2s"], nu_handover_s2m=o["ho_s2m"])
+    return prof, rates, TrafficSpec(sum(o["lam_m"]) + o["lam_s"], o["sigma0"])
+
+
+def test_drawn_work_splits_into_served_and_backlog():
+    """On the migration/handover oracle's system, every drawn Mbit is served
+    or still in service at T, migrations and handovers included."""
+    prof, rates, traffic = _oracle_system()
+    tr = simulate(prof, rates, traffic, 5000.0, 3)
+    assert tr.n_migrations > 500 and tr.n_handovers > 500 and tr.backlog_mbits > 0.0
+    m = empirical_metrics(tr)
+    assert m.offered_mbits_drawn == pytest.approx(m.served_mbits + m.backlog_mbits,
+                                                  rel=1e-9)
+    assert m.drawn_z == pytest.approx(
+        (m.offered_mbits_drawn - m.offered_mbits)
+        / (traffic.sigma0 * math.sqrt(2.0 * traffic.lambda_tot * 5000.0)))
+
+
 def test_migrations_and_handovers_against_exact_chain():
     """Two macro classes with up/down migration and one small-cell class,
     handovers both ways, against the exact chain's stationary law (TV about
     0.004).  A chain whose s->m handovers enter macro class 2 lies at TV 0.03
     from the simulation, one with nu_up x 1.5 at 0.027, one with both at 0.055."""
-    lam_m, lam_s, sigma0 = (0.9, 0.6), 1.2, 2.0
-    eta_m0, eta_m1, eta_s0, eta_s1 = (6.0, 12.0), (4.0, 9.0), 10.0, 7.0
-    nu_up, nu_down, m2s, s2m = (0.5, 0.0), (0.0, 0.3), 0.2, 0.3
-    prof = make_profile(lam_m=lam_m, lam_s=(lam_s,), eta_m0=eta_m0, eta_m1=eta_m1,
-                        eta_s0=(eta_s0,), eta_s1=(eta_s1,))
-    rates = TransitionRates(0.0, nu_up=np.array(nu_up), nu_down=np.array(nu_down),
-                            nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1),
-                            nu_handover_m2s=m2s, nu_handover_s2m=s2m)
-    tr = simulate(prof, rates, TrafficSpec(sum(lam_m) + lam_s, sigma0), 60_000.0, 0,
-                  track_states=True, validate=True)
+    prof, rates, traffic = _oracle_system()
+    tr = simulate(prof, rates, traffic, 60_000.0, 0, track_states=True, validate=True)
     assert tr.n_migrations > 10_000 and tr.n_handovers > 10_000
     sim = tr.state_frequencies()
-    exact = migration_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
-                                       nu_up, nu_down, m2s, s2m)
+    exact = migration_chain_stationary(**ORACLE)
     keys = set(sim) | set(exact)
     tv = 0.5 * sum(abs(sim.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
     assert tv < 0.02
