@@ -1,12 +1,16 @@
 """Instantaneous throughput CCDFs for both cells, the macro-only closed form,
 and discretization of the curves into coupled flow classes.
 
+The macro-only curve is a noncentral chi-squared CDF with 2 degrees of
+freedom (1 - Marcum Q_1): the share of the offset-Gaussian hotspot in a disk.
+
 All Monte Carlo curves at different snapshot times reuse the same hotspot
 draws (common random numbers): the hotspot is stationary, so only the
 small-cell position changes between snapshots and curve differences in time
-are not drowned in sampling noise.  ``snapshot_curves`` evaluates the field
-once per snapshot and gathers each cell's users once, for both interference
-phases.
+are not drowned in sampling noise.  ``snapshot_curves`` is the one curve
+kernel: it evaluates the field once per snapshot and gathers each cell's
+users once, for both interference phases; ``macro_ccdf`` and ``small_ccdf``
+return one of its curves.
 
 A snapshot touches only the draws that can be in S*: every draw in the macro
 disk and, of the draws outside it, those within ``small_reach`` of the small
@@ -19,13 +23,12 @@ enter it, never on their order.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import chndtr
 
 from mobicell.geometry import CellLayout
 from mobicell.geometry import PolarPoint
@@ -33,7 +36,9 @@ from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
 from mobicell.radio import (RadioParams, _g_formula, inverse_interference_factor,
                             macro_association, macro_inverse_sinr, psi,
                             small_inverse_sinr)
-from mobicell.special import log_bessel_i0
+# not called here: perfbench/spans.py counts calls under this name, and a
+# missing target fails its traced run
+from mobicell.special import log_bessel_i0  # noqa: F401
 
 # fraction of the inter-site distance beyond which the macro interference
 # model is no longer evaluated; samples past it are treated as uncovered
@@ -107,7 +112,6 @@ class FieldSamples:
         with np.errstate(divide="ignore"):
             self.r_neg_pow = r ** (-b2)
         self.g = _g_formula(r, params, layout)
-        self._last = (None, None)   # (key, arrays) of the latest ``at`` call
 
     def at(self, Ls: PolarPoint, region: CoverageRegion):
         """Position-dependent arrays for one snapshot, read-only:
@@ -120,13 +124,10 @@ class FieldSamples:
         small-cell disk, and with ``small_reach`` 0 that disk holds only a
         draw on the small cell itself.
 
-        The latest result is kept: the one-curve calls ``macro_ccdf`` and
-        ``small_ccdf`` at one snapshot ask for the same position in turn.  The
-        key is exact, so a repeated call returns the very arrays a fresh
-        evaluation would compute."""
-        key = (Ls.x, Ls.y, region.macro_radius, region.small_reach)
-        if self._last[0] == key:
-            return self._last[1]
+        ``region`` must be centred on ``Ls`` and use the macro disk the draws
+        were split by (``layout.R``); ValueError otherwise."""
+        if region.macro_radius != self.layout.R or region.small_center != Ls:
+            raise ValueError("region must have macro_radius layout.R and small_center Ls")
         x, y = self.xy[self.n_core:, 0], self.xy[self.n_core:, 1]
         if region.small_reach > 0.0:
             near = np.hypot(x - Ls.x, y - Ls.y) <= region.small_reach
@@ -144,7 +145,6 @@ class FieldSamples:
         out = (rim, macro_association(small_rx, self.r_neg_pow[users]), small_rx)
         for a in out:
             a.flags.writeable = False
-        self._last = (key, out)
         return out
 
     def users(self, rim: np.ndarray) -> np.ndarray:
@@ -176,19 +176,22 @@ def _finish_curve(inv_gamma, levels, params, cell, t, mass) -> CcdfCurve:
 
 def _cell_users(samples: FieldSamples, arrays, small: bool):
     """One cell's users within S* at one snapshot: their coverage mass and
-    the gathered g, r_pow and small_rx, from the ``arrays`` of ``samples.at``."""
+    the gathered g, r_pow and small_rx, from the ``arrays`` of ``samples.at``.
+    Its own function so the indices die before the curves sort (fewer page
+    faults per snapshot than with this inlined)."""
     rim, macro_assoc, small_rx = arrays
     sel = np.flatnonzero(~macro_assoc if small else macro_assoc)
     draws = samples.users(rim)[sel] if len(rim) else sel
     return len(sel) / samples.n, samples.g[draws], samples.r_pow[draws], small_rx[sel]
 
 
-def snapshot_curves(t: float, Ls: PolarPoint, levels, params: RadioParams,
-                    region: CoverageRegion, samples: FieldSamples):
+def snapshot_curves(t: float, Ls: PolarPoint, levels, region: CoverageRegion,
+                    samples: FieldSamples):
     """The four curves of one snapshot, (m1, m0, s1, s0): macro and small
-    cell, each with its partner transmitting (1) and silent (0).  Both phases
-    of a cell come from one selection and one gather."""
+    cell, each with its partner transmitting (1) and silent (0), under
+    ``samples.params``.  Both phases of a cell come from one gather."""
     levels = _checked_levels(levels)
+    params = samples.params
     arrays = samples.at(Ls, region)
     mass, g, r_pow, small_rx = _cell_users(samples, arrays, small=False)
     m1 = _finish_curve(macro_inverse_sinr(g, r_pow, small_rx), levels, params,
@@ -200,37 +203,39 @@ def snapshot_curves(t: float, Ls: PolarPoint, levels, params: RadioParams,
     return m1, m0, s1, s0
 
 
+def _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed, samples):
+    if samples is None:
+        samples = FieldSamples(spec, params, layout, n, seed)
+    elif samples.params != params:
+        raise ValueError("samples were built with other radio parameters")
+    return snapshot_curves(t, Ls, levels, region, samples)
+
+
 def macro_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: RadioParams,
                region: CoverageRegion, layout: CellLayout, n: int = 200_000, seed=0,
                include_small_interference: bool = True,
                samples: FieldSamples | None = None) -> CcdfCurve:
-    """Throughput CCDF of macro-associated users within S*.
+    """Throughput CCDF of macro-associated users within S*: ``snapshot_curves``'
+    m1, or m0 with ``include_small_interference`` cleared.
 
     Clearing ``include_small_interference`` evaluates the same population with
     the small-cell term removed from the macro SINR (the partner-idle radio
     condition), which by construction dominates the interfered curve.
     """
-    levels = _checked_levels(levels)
-    if samples is None:
-        samples = FieldSamples(spec, params, layout, n, seed)
-    mass, inv_gamma, r_pow, small_rx = _cell_users(samples, samples.at(Ls, region),
-                                                   small=False)
-    if include_small_interference:
-        inv_gamma = macro_inverse_sinr(inv_gamma, r_pow, small_rx)
-    return _finish_curve(inv_gamma, levels, params, Cell.MACRO, t, mass)
+    m1, m0, _, _ = _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed,
+                                 samples)
+    return m1 if include_small_interference else m0
 
 
 def small_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: RadioParams,
                region: CoverageRegion, layout: CellLayout, n: int = 200_000, seed=0,
                include_central_macro: bool = True,
                samples: FieldSamples | None = None) -> CcdfCurve:
-    """Throughput CCDF of small-cell-associated users within S*."""
-    levels = _checked_levels(levels)
-    if samples is None:
-        samples = FieldSamples(spec, params, layout, n, seed)
-    mass, g, r_pow, small_rx = _cell_users(samples, samples.at(Ls, region), small=True)
-    inv_gamma = small_inverse_sinr(g, r_pow, small_rx, include_central_macro)
-    return _finish_curve(inv_gamma, levels, params, Cell.SMALL, t, mass)
+    """Throughput CCDF of small-cell-associated users within S*:
+    ``snapshot_curves``' s1, or s0 with ``include_central_macro`` cleared."""
+    _, _, s1, s0 = _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed,
+                                 samples)
+    return s1 if include_central_macro else s0
 
 
 def combined_ccdf(macro_curve: CcdfCurve, small_curve: CcdfCurve) -> CcdfCurve:
@@ -252,36 +257,25 @@ def macro_only_ccdf(levels, spec: HotspotSpec, params: RadioParams,
                     layout: CellLayout) -> CcdfCurve:
     """Closed-form CCDF when only macro cells operate.
 
-    P(rate >= l) is the Gaussian radial mass inside radius
-    Lambda(l) = min(g^-1(psi(l)), R), normalized by the mass inside R; the
-    radial density of an offset Gaussian brings in the modified Bessel I0.
-    Adaptive quadrature, absolute error well below 1e-8.
+    P(rate >= l) is the hotspot's mass inside radius
+    Lambda(l) = min(g^-1(psi(l)), R), normalized by its mass inside R.  For
+    the offset Gaussian (centre at R_h, spread A) the mass inside radius x is
+    the noncentral chi-squared CDF with 2 degrees of freedom at (x/A)^2 and
+    noncentrality (R_h/A)^2, i.e. 1 - Q_1(R_h/A, x/A) (Marcum Q): the
+    integral of the Bessel-I0 radial density in closed form.
     """
     levels = _checked_levels(levels)
     if spec.R_h >= layout.R:
         raise ValueError("hotspot center must lie inside the macro disk")
-    a2 = spec.A ** 2
-    rh = spec.R_h
-
-    def integrand(r: float) -> float:
-        return r / a2 * math.exp(-(r * r + rh * rh) / (2.0 * a2)
-                                 + log_bessel_i0(r * rh / a2))
-
-    def radial_mass(lam: float) -> float:
-        if lam <= 0.0:
-            return 0.0
-        val, _ = quad(integrand, 0.0, lam, epsabs=1e-12, epsrel=1e-11, limit=200)
-        return val
-
-    norm = radial_mass(layout.R)
+    nc = (spec.R_h / spec.A) ** 2
+    norm = chndtr((layout.R / spec.A) ** 2, 2, nc)
+    values = np.zeros(len(levels))
     below = levels <= params.eta0
-    lam = np.zeros(len(levels))
     if np.any(below):
-        lam[below] = inverse_interference_factor(psi(levels[below], params), params, layout)
-    values = np.array([radial_mass(x) / norm if b else 0.0
-                       for x, b in zip(lam, below)])
+        lam = inverse_interference_factor(psi(levels[below], params), params, layout)
+        values[below] = chndtr((lam / spec.A) ** 2, 2, nc) / norm
     stderr = np.zeros(len(levels))
-    return CcdfCurve(levels, values, stderr, Cell.MACRO_ONLY, 0.0, norm, 0)
+    return CcdfCurve(levels, values, stderr, Cell.MACRO_ONLY, 0.0, float(norm), 0)
 
 
 def curve_pmf(curve: CcdfCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -357,10 +351,11 @@ def extract_classes(macro_curve: CcdfCurve, small_curve: CcdfCurve,
     """Partition each cell's throughput distribution into equal-mass classes.
 
     Class identity is the throughput quantile rank, so the partner-idle rate
-    of class k is the same quantile bin of the interference-free curve; with
-    identical draws behind both curves this guarantees the phase ordering
-    eta[k, idle] >= eta[k, interfered].  Arrival intensities split the total
-    Poisson intensity by coverage mass and class density.
+    of class k is the same quantile bin of the interference-free curve.  With
+    identical draws behind both curves the bin means are ordered up to the
+    rounding of the class sums, so the idle rate is max(idle, interfered) and
+    eta[k, idle] >= eta[k, interfered] holds exactly.  Arrival intensities
+    split the total Poisson intensity by coverage mass and class density.
     """
     if K < 1 or L < 1:
         raise ValueError("class counts must be >= 1")
@@ -377,9 +372,9 @@ def extract_classes(macro_curve: CcdfCurve, small_curve: CcdfCurve,
 
     floor_rate = float(macro_curve.levels[0])
     eta_m1, edges_m = bins(macro_curve, K, floor_rate)
-    eta_m0, _ = bins(macro_curve_phase0, K, floor_rate)
+    eta_m0 = np.maximum(bins(macro_curve_phase0, K, floor_rate)[0], eta_m1)
     eta_s1, edges_s = bins(small_curve, L, floor_rate)
-    eta_s0, _ = bins(small_curve_phase0, L, floor_rate)
+    eta_s0 = np.maximum(bins(small_curve_phase0, L, floor_rate)[0], eta_s1)
 
     S, S_t = macro_curve.mass, small_curve.mass
     tot = S + S_t

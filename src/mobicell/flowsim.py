@@ -181,7 +181,7 @@ def _as_list(x):
 
 def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
              track_states: bool = False, sample_dt: float | None = None,
-             validate: bool = False, record_flows: bool = False) -> QueueTrace:
+             record_flows: bool = False) -> QueueTrace:
     """Run the coupled system for T seconds of model time.
 
     ``profiles`` is one ClassProfile or a time series; rates and class/arrival
@@ -193,7 +193,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     Sampling consumes no random draws, so a sampled run is the same
     realisation as an unsampled one with the same seed.  So does
     ``record_flows``, which keeps a FlowRecord per arrival in ``trace.flows``
-    (left empty otherwise).
+    (left empty otherwise).  Every run checks drawn work = served + backlog,
+    and with records each flow's bookkeeping (AssertionError otherwise).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -461,8 +462,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         states_time=states_time,
         sample_times=sample_times, sample_counts=sample_counts,
     )
-    if validate:
-        _validate_trace(trace)
+    _validate_trace(trace)
     return trace
 
 

@@ -101,8 +101,8 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False,
             hit = seen.get((Ls.x, Ls.y))
             if hit is None:
                 region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
-                m1, m0, s1, s0 = four = snapshot_curves(t, Ls, cfg.levels, cfg.params,
-                                                        region, samples)
+                m1, m0, s1, s0 = four = snapshot_curves(t, Ls, cfg.levels, region,
+                                                        samples)
                 prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L,
                                        cfg.traffic.lambda_tot)
                 ld = coupled_loads_fixed_point(prof, cfg.traffic)

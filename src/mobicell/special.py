@@ -1,6 +1,6 @@
-"""Special-function kernels: Riemann/Hurwitz zeta, modified Bessel I0 and
-log-gamma, the primitives behind the interference constant, the
-macro-only throughput CCDF and the coupled stationary distributions.
+"""Special-function kernels: Riemann/Hurwitz zeta and log-gamma behind the
+interference constant and the coupled stationary distributions, and modified
+Bessel I0 for criterion 9 and the tests' reference for the macro-only CCDF.
 
 Each is a thin wrapper over ``scipy.special`` (``zeta(s, a)``, ``i0``,
 ``i0e`` with ln I0(x) = ln(i0e(x)) + x, ``gammaln``) that raises ValueError

@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +12,9 @@ import pytest
 from conftest import in_region_xy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import mobicell
 import mobicell.ccdf as ccdf_module
 from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            curve_pmf, curves_to_csv, default_levels,
@@ -15,9 +22,11 @@ from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            small_ccdf, snapshot_curves)
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
-from mobicell.radio import (RadioParams, _g_formula, interference_factor, macro_association,
+from mobicell.radio import (RadioParams, _g_formula, interference_factor,
+                            inverse_interference_factor, macro_association,
                             macro_associated, macro_inverse_sinr, psi, shannon_rate,
                             sinr_macro, sinr_small, small_inverse_sinr)
+from mobicell.special import log_bessel_i0
 
 LAYOUT = CellLayout(delta=1.0, rings_for_oracle=30)
 PARAMS = RadioParams.from_link_budget()
@@ -78,7 +87,7 @@ def test_association_partition():
     assert mc.mass + sc.mass == pytest.approx(m_star, abs=1e-15)
 
 
-def test_field_at_memo_is_transparent():
+def test_field_at_matches_a_fresh_evaluation():
     """A repeated call, a call at a new position and a call with a new reach
     return the arrays a fresh FieldSamples with the same seed computes."""
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4)
@@ -90,8 +99,6 @@ def test_field_at_memo_is_transparent():
         want = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4).at(Ls, region_at(Ls, reach))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    first = samples.at(other, region_at(other))
-    assert samples.at(other, region_at(other))[2] is first[2]   # reused, not recomputed
 
 
 def test_simplified_and_direct_indicators_agree_bitwise():
@@ -113,8 +120,8 @@ def test_simplified_and_direct_indicators_agree_bitwise():
 
 
 def test_macro_kappa_zero_matches_closed_form():
-    """Silent small cell: the sampled macro curve must match the closed-form
-    quadrature within Monte Carlo error at every level."""
+    """Silent small cell: the sampled macro curve must match the closed
+    form within Monte Carlo error at every level."""
     p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
     Ls = PolarPoint.from_polar(2.0, 0.0)  # irrelevant when kappa = 0
     region = CoverageRegion(macro_radius=LAYOUT.R, small_center=Ls, small_reach=0.0)
@@ -139,6 +146,49 @@ def test_macro_only_against_sampling_oracle():
         hit = float(np.count_nonzero(g <= psi(float(l), PARAMS))) / n_in
         se = math.sqrt(max(hit * (1 - hit), 1e-8) / n_in)
         assert v == pytest.approx(hit, abs=max(3.0 * se, 2e-3))
+
+
+def bessel_quadrature_radial_mass(spec: HotspotSpec, lam: float) -> float:
+    """Hotspot mass inside radius lam by adaptive quadrature of the
+    offset-Gaussian radial density r/A^2 exp(-(r^2 + R_h^2)/2A^2) I0(r R_h/A^2)."""
+    if lam <= 0.0:
+        return 0.0
+    a2, rh = spec.A ** 2, spec.R_h
+
+    def integrand(r: float) -> float:
+        return r / a2 * math.exp(-(r * r + rh * rh) / (2.0 * a2)
+                                 + log_bessel_i0(r * rh / a2))
+
+    return quad(integrand, 0.0, lam, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+
+
+def test_macro_only_closed_form_matches_bessel_quadrature():
+    """The noncentral chi-squared form agrees with the quadrature of the
+    Bessel-I0 radial density on every level, for hotspots from the centre to
+    the disk edge and from tight to wider than the cell."""
+    below = LEVELS <= PARAMS.eta0
+    lam = inverse_interference_factor(psi(LEVELS[below], PARAMS), PARAMS, LAYOUT)
+    for r_h, a in itertools.product((0.0, 0.1, 0.3, 0.5, 0.52),
+                                    (0.01, 0.03, 0.08, 0.2, 0.5, 1.0)):
+        spec = HotspotSpec(R_h=r_h, theta_h=0.0, A=a)
+        norm = bessel_quadrature_radial_mass(spec, LAYOUT.R)
+        want = np.zeros(len(LEVELS))
+        want[below] = [bessel_quadrature_radial_mass(spec, x) / norm for x in lam]
+        curve = macro_only_ccdf(LEVELS, spec, PARAMS, LAYOUT)
+        np.testing.assert_allclose(curve.values, want, rtol=0.0, atol=1e-12,
+                                   err_msg=f"R_h={r_h} A={a}")
+        assert curve.mass == pytest.approx(norm, rel=0.0, abs=1e-12)
+
+
+def test_importing_mobicell_loads_no_quadrature():
+    """The package and its CLI import without ``scipy.integrate``."""
+    src = str(Path(mobicell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mobicell, mobicell.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_macro_only_centered_hotspot_rayleigh_reduction():
@@ -189,6 +239,26 @@ def test_phase0_dominates_phase1_pointwise():
     assert np.all(m0.values >= m1.values)
     assert np.all(s0.values >= s1.values)
     assert m0.mass == m1.mass and s0.mass == s1.mass  # same association
+
+
+def test_mismatched_samples_or_region_raise():
+    """Draws built with other radio parameters, a region with another macro
+    disk and a region centred off the small cell are refused, not mixed into
+    one curve."""
+    Ls = SPEC.center
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, 0)
+    p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
+    for curve_fn in (macro_ccdf, small_ccdf):
+        with pytest.raises(ValueError):
+            curve_fn(0.0, Ls, LEVELS, SPEC, p0, region_at(Ls), LAYOUT, samples=samples)
+    elsewhere = PolarPoint(Ls.x + 0.1, Ls.y)
+    for region in (CoverageRegion(macro_radius=0.9 * LAYOUT.R, small_center=Ls,
+                                  small_reach=0.2),
+                   region_at(elsewhere)):
+        with pytest.raises(ValueError):
+            samples.at(Ls, region)
+        with pytest.raises(ValueError):
+            snapshot_curves(0.0, Ls, LEVELS, region, samples)
 
 
 def test_empty_small_curve_marker():
@@ -259,6 +329,20 @@ def test_extract_classes_phase_ordering_random_scenarios():
         assert np.all(prof.eta_small[:, 0] >= prof.eta_small[:, 1] - 1e-12)
 
 
+def test_extract_classes_phase_order_is_exact():
+    """Where the idle and interfered curves agree over a class's span, their
+    class means can differ by rounding; the idle rate still is >= the
+    interfered rate, exactly."""
+    Ls = PolarPoint.from_polar(0.5, 3.0)
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, 0)
+    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, LEVELS, region_at(Ls, 0.0), samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # single-rate curves
+        prof = extract_classes(m1, s1, m0, s0, K=5, L=5, lambda_tot=1.0)
+    assert np.all(prof.eta_macro[:, 0] >= prof.eta_macro[:, 1])
+    assert np.all(prof.eta_small[:, 0] >= prof.eta_small[:, 1])
+
+
 def test_degenerate_curve_warns_single_rate():
     levels = default_levels(98.0)
     values = np.where(levels <= 50.0, 1.0, 0.0)  # all mass at one atom
@@ -288,17 +372,21 @@ def test_csv_export(tmp_path):
 
 
 def counted_inverse_sinrs(curve_fn, Ls, spec, region, samples, **flag):
-    """The per-user inverse SINRs one CCDF call counts, in sample order."""
+    """The per-user inverse SINRs one CCDF call counts, in sample order: those
+    of the finished curve the call returns, of the four a snapshot finishes."""
     seen = []
     finish = ccdf_module._finish_curve
 
     def spy(inv_gamma, *args):
-        seen.append(inv_gamma)
-        return finish(inv_gamma, *args)
+        curve = finish(inv_gamma, *args)
+        seen.append((curve, inv_gamma))
+        return curve
 
     with mock.patch.object(ccdf_module, "_finish_curve", spy):
-        curve_fn(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT, samples=samples, **flag)
-    return seen[0]
+        got = curve_fn(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT, samples=samples,
+                       **flag)
+    [inv_gamma] = [x for curve, x in seen if curve is got]
+    return inv_gamma
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,7 +430,7 @@ def test_snapshot_curves_match_one_curve_calls(ls_r, ls_theta, reach, seed):
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     region = region_at(Ls, reach)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
-    got = snapshot_curves(5.0, Ls, LEVELS, PARAMS, region, samples)
+    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
     args = (5.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT)
     want = (macro_ccdf(*args, samples=samples),
             macro_ccdf(*args, include_small_interference=False, samples=samples),
@@ -410,7 +498,7 @@ def test_snapshot_curves_match_brute_force_over_all_draws(ls_r, ls_theta, reach,
         Ls, reach = PolarPoint(*map(float, xy[rim[seed % len(rim)]])), 0.0
     region = region_at(Ls, reach)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
-    got = snapshot_curves(5.0, Ls, LEVELS, PARAMS, region, samples)
+    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
     want = brute_force_curves(Ls, region, n, seed)
     if on_rim_draw:
         assert want[2][3] >= 1                 # the draw on the small cell is its user
@@ -432,7 +520,7 @@ def test_extract_classes_conserves_mean_and_phase_order(ls_r, ls_theta, reach, k
     both curves agree over a class's span)."""
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
-    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, LEVELS, PARAMS, region_at(Ls, reach), samples)
+    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, LEVELS, region_at(Ls, reach), samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # single-rate curves
         prof = extract_classes(m1, s1, m0, s0, K=k, L=l, lambda_tot=1.0)

@@ -20,7 +20,7 @@ def run_mm1(rho, eta=10.0, sigma0=2.0, n_arrivals=30_000, seed=0, record_flows=F
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     T = n_arrivals / lam
-    return simulate(prof, None, TrafficSpec(lam, sigma0), T, seed, validate=True,
+    return simulate(prof, None, TrafficSpec(lam, sigma0), T, seed,
                     record_flows=record_flows)
 
 
@@ -77,7 +77,7 @@ def test_drained_trace_balances_arrivals():
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     # stop arrivals after t=500 by switching to a zero-rate piece
     prof2 = make_profile(t=500.0, lam_m=(0.0,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
-    tr = simulate([prof, prof2], None, TrafficSpec(lam, sigma0), 2000.0, 7, validate=True)
+    tr = simulate([prof, prof2], None, TrafficSpec(lam, sigma0), 2000.0, 7)
     assert tr.n_departures == tr.n_arrivals
 
 
@@ -89,7 +89,7 @@ def test_phase_switching_against_exact_chain():
     prof = make_profile(lam_m=(lam,), lam_s=(lam,), eta_m0=(eta0,), eta_m1=(eta1,),
                         eta_s0=(eta0,), eta_s1=(eta1,))
     tr = simulate(prof, None, TrafficSpec(2 * lam, sigma0), 150_000.0, 13,
-                  track_states=True, validate=True)
+                  track_states=True)
     freqs = tr.state_frequencies()
     exact = coupled_chain_stationary(lam, lam, sigma0, eta0, eta1, eta0, eta1)
     sim = {(n[0], m[0]): v for (n, m), v in freqs.items()}
@@ -117,7 +117,7 @@ def test_migrations_move_flows_between_classes():
                         eta_s0=(8.0,))
     rates = TransitionRates(0.0, nu_up=np.array([0.5, 0.0]), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1))
-    tr = simulate(prof, rates, TrafficSpec(lam, 2.0), 5000.0, 17, validate=True,
+    tr = simulate(prof, rates, TrafficSpec(lam, 2.0), 5000.0, 17,
                   record_flows=True)
     assert tr.n_migrations > 100
     # all arrivals enter class 1; anything served in class 2 got there by migration
@@ -143,7 +143,7 @@ def test_handover_delivers_into_first_class():
     rates = TransitionRates(0.0, nu_up=np.zeros(2), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(2), nu_tilde_down=np.zeros(2),
                             nu_handover_m2s=0.2)
-    tr = simulate(prof, rates, TrafficSpec(2 * lam, 2.0), 3000.0, 19, validate=True,
+    tr = simulate(prof, rates, TrafficSpec(2 * lam, 2.0), 3000.0, 19,
                   record_flows=True)
     assert tr.n_handovers > 50
     handed = [f for f in tr.flows if any(c == SMALL for c, _ in f.path)]
@@ -265,7 +265,7 @@ def test_sampling_consumes_no_draws():
     realisation alone: same integrals, event counts and flow paths."""
     profs, rates, traffic, T = _moving_system()
     piece_dt = 30.0
-    runs = {dt: simulate(profs, rates, traffic, T, 5, sample_dt=dt, validate=True,
+    runs = {dt: simulate(profs, rates, traffic, T, 5, sample_dt=dt,
                          record_flows=True)
             for dt in (None, piece_dt, 7.0)}
     base = runs[None]
@@ -295,7 +295,7 @@ def _realisation(tr):
 def test_flow_records_consume_no_draws():
     profs, rates, traffic, T = _moving_system()
     on, off = (simulate(profs, rates, traffic, T, 5, sample_dt=7.0, track_states=True,
-                        validate=True, record_flows=rec) for rec in (True, False))
+                        record_flows=rec) for rec in (True, False))
     assert off.flows == [] and len(on.flows) == on.n_arrivals
     assert _realisation(off) == _realisation(on)
 
@@ -332,7 +332,7 @@ def test_flow_records_never_change_the_realisation(K, L, seed, lam, nu, ho, etas
                             np.array(tdown), ho, 2 * ho)
     traffic = TrafficSpec(2 * lam, 2.0)
     on, off = (simulate(profs, rates, traffic, 80.0, seed, sample_dt=5.0,
-                        track_states=True, validate=True, record_flows=rec)
+                        track_states=True, record_flows=rec)
                for rec in (True, False))
     assert _realisation(off) == _realisation(on)
 
@@ -373,7 +373,7 @@ def test_migrations_and_handovers_against_exact_chain():
     0.004).  A chain whose s->m handovers enter macro class 2 lies at TV 0.03
     from the simulation, one with nu_up x 1.5 at 0.027, one with both at 0.055."""
     prof, rates, traffic = _oracle_system()
-    tr = simulate(prof, rates, traffic, 60_000.0, 0, track_states=True, validate=True)
+    tr = simulate(prof, rates, traffic, 60_000.0, 0, track_states=True)
     assert tr.n_migrations > 10_000 and tr.n_handovers > 10_000
     sim = tr.state_frequencies()
     exact = migration_chain_stationary(**ORACLE)

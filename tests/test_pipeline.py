@@ -59,7 +59,7 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
     assert (Ls.x, Ls.y) == (s.positions[j].x, s.positions[j].y)
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, (1, 0, 0))
     region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
-    fresh = snapshot_curves(t, Ls, cfg.levels, cfg.params, region, samples)
+    fresh = snapshot_curves(t, Ls, cfg.levels, region, samples)
     prof = extract_classes(fresh[0], fresh[2], fresh[1], fresh[3], cfg.K, cfg.L,
                            cfg.traffic.lambda_tot)
     for got, want, twin in zip(s.curves[i], fresh, s.curves[j]):
