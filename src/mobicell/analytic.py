@@ -1,4 +1,4 @@
-"""Closed-form flow-level evaluation of the coupled cells: fixed-point loads,
+"""Closed-form flow-level evaluation of the coupled cells: the coupled loads,
 stationary distributions of the static and mobility-averaged systems, class
 membership probabilities of the single-user class chain, the equivalent
 single-queue service rate, traffic conservation and mean flow throughput.
@@ -11,8 +11,8 @@ eta[k,0] otherwise.  The per-class effective load is therefore
 
     a_k = lambda_k * sigma0 * (rho_partner / eta[k,1] + (1 - rho_partner) / eta[k,0])
 
-and the pair (rho, rho_tilde) solves the two coupled sums; per-cell loads are
-clamped to 1 wherever the formulas use them as probabilities.
+and (rho, rho_tilde) is the exact least solution of the two coupled sums; the
+loads are clamped to 1 wherever the formulas use them as probabilities.
 
 The static-coupling stationary distribution is evaluated in two variants:
 
@@ -47,16 +47,15 @@ class InstabilityError(RuntimeError):
     pass
 
 
-class ConvergenceError(InstabilityError):
-    """A fixed-point iteration that did not converge within its budget."""
-
-
 class UndefinedChainError(ValueError):
     pass
 
 
 @dataclass
 class CoupledLoads:
+    """Per-cell loads, above 1 in overload.  ``converged`` (always True) and
+    ``iterations`` (0) remain only for perfbench; its next revision drops them."""
+
     rho: float
     rho_tilde: float
     converged: bool = True
@@ -84,26 +83,26 @@ def _phase_mixed_loads(profile: ClassProfile, traffic: TrafficSpec,
     return a, at
 
 
-def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec,
-                              damping: float = 0.5, tol: float = 1e-10,
-                              max_iter: int = 10_000) -> CoupledLoads:
-    """Damped fixed-point solution of the coupled load pair, started at
-    (0, 0).  Each cell's load enters the partner's phase mix clamped at 1, so
-    the map is monotone and bounded and the iteration converges to the least
-    fixed point; the returned loads themselves may exceed 1 (overload is
-    informative), with the clamped values exposed as properties.  Raises
-    ConvergenceError after ``max_iter`` iterations without convergence."""
-    rho = rho_tilde = 0.0
-    for it in range(1, max_iter + 1):
-        a, at = _phase_mixed_loads(profile, traffic, rho, rho_tilde)
-        new_rho = (1.0 - damping) * float(a.sum()) + damping * rho
-        new_rho_tilde = (1.0 - damping) * float(at.sum()) + damping * rho_tilde
-        if abs(new_rho - rho) < tol and abs(new_rho_tilde - rho_tilde) < tol:
-            return CoupledLoads(new_rho, new_rho_tilde, converged=True, iterations=it)
-        rho, rho_tilde = new_rho, new_rho_tilde
-    raise ConvergenceError(
-        f"coupled load fixed point did not converge in {max_iter} iterations "
-        f"(last step rho={rho:.6g}, rho_tilde={rho_tilde:.6g})")
+def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec) -> CoupledLoads:
+    """Least fixed point of rho = A0 + A1 min(rho_tilde, 1), rho_tilde = B0 + B1
+    min(rho, 1), with A0..B1 read off the phase mix at partner loads 0 and 1.
+    Idle rates >= interfered make them >= 0 and the map monotone; if A0 or B0 is
+    > 0 the fixed point is unique (rho minus the composed map is convex, < 0 at 0)."""
+    a0, at0 = _phase_mixed_loads(profile, traffic, 0.0, 0.0)
+    a1, at1 = _phase_mixed_loads(profile, traffic, 1.0, 1.0)
+    A0, B0 = float(a0.sum()), float(at0.sum())
+    A1, B1 = float(a1.sum()) - A0, float(at1.sum()) - B0
+    if not all(0.0 <= c < math.inf for c in (A0, A1, B0, B1)):
+        raise ValueError(f"load coefficients A0..B1 {A0, A1, B0, B1} must be finite and >= 0")
+    if A0 == 0.0 and B0 == 0.0:       # (0, 0) is a fixed point, so the least
+        return CoupledLoads(0.0, 0.0)
+    det = 1.0 - A1 * B1
+    if det > 0.0 and A0 + A1 * B0 <= det and B0 + B1 * A0 <= det:      # both free
+        return CoupledLoads((A0 + A1 * B0) / det, (B0 + B1 * A0) / det)
+    rho = A0 + A1 * min(B0 + B1, 1.0)     # macro load clamped, consistent iff rho >= 1
+    if rho >= 1.0:
+        return CoupledLoads(rho, B0 + B1)
+    return CoupledLoads(A0 + A1, B0 + B1 * min(A0 + A1, 1.0))     # small-cell load clamped
 
 
 @dataclass

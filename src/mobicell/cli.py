@@ -1,9 +1,9 @@
 """Command line entry point: scenario validation, CCDF snapshots, the full
 dynamics experiment and parameter sweeps.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error (instability
-or non-convergence).  Errors are also written to stderr as one JSON object.
-"""
+Exit codes: 0 success, 2 configuration error, 3 numerical error (an unstable
+stationary form or an undefined class chain).  Errors are also written to
+stderr as one JSON object."""
 
 from __future__ import annotations
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import coupled_chain_stationary, make_profile
-from mobicell.analytic import (ConvergenceError, CoupledLoads, InstabilityError,
+from mobicell.analytic import (CoupledLoads, InstabilityError,
                                UndefinedChainError,
                                class_membership, conservation_residual,
                                coupled_loads_fixed_point, effective_rate,
@@ -26,17 +28,9 @@ def test_fixed_point_decoupled_case():
                         eta_s0=(10.0,))
     traffic = TrafficSpec(1.75, 2.0)
     loads = coupled_loads_fixed_point(prof, traffic)
-    assert loads.converged
-    assert loads.rho == pytest.approx(2.0 * (1.0 / 10.0 + 0.5 / 20.0), abs=1e-9)
-    assert loads.rho_tilde == pytest.approx(2.0 * 0.25 / 10.0, abs=1e-9)
-
-
-def test_fixed_point_raises_when_not_converged():
-    prof = make_profile(lam_m=(1.0, 0.5), lam_s=(0.25,), eta_m0=(10.0, 20.0),
-                        eta_s0=(10.0,))
-    with pytest.raises(ConvergenceError, match="in 1 iterations"):
-        coupled_loads_fixed_point(prof, TrafficSpec(1.75, 2.0), max_iter=1)
-    assert issubclass(ConvergenceError, InstabilityError)
+    assert loads.converged and loads.iterations == 0
+    assert loads.rho == pytest.approx(2.0 * (1.0 / 10.0 + 0.5 / 20.0), rel=1e-15)
+    assert loads.rho_tilde == pytest.approx(2.0 * 0.25 / 10.0, rel=1e-15)
 
 
 def test_fixed_point_zero_traffic():
@@ -52,7 +46,7 @@ def test_fixed_point_symmetric_toy_matches_scalar_bisection():
     prof = make_profile(lam_m=(lam,), lam_s=(lam,), eta_m0=(eta0,), eta_m1=(eta1,),
                         eta_s0=(eta0,), eta_s1=(eta1,))
     loads = coupled_loads_fixed_point(prof, TrafficSpec(2 * lam, sigma0))
-    assert loads.rho == pytest.approx(loads.rho_tilde, abs=1e-9)
+    assert loads.rho == loads.rho_tilde   # the same expression for both cells
     f = lambda r: lam * sigma0 * (r / eta1 + (1 - r) / eta0) - r
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -61,7 +55,7 @@ def test_fixed_point_symmetric_toy_matches_scalar_bisection():
             lo = mid
         else:
             hi = mid
-    assert loads.rho == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+    assert loads.rho == pytest.approx(0.5 * (lo + hi), abs=1e-15)
 
 
 def test_fixed_point_overload_clamps_for_formulas():
@@ -69,6 +63,113 @@ def test_fixed_point_overload_clamps_for_formulas():
     loads = coupled_loads_fixed_point(prof, TrafficSpec(100.0, 2.0))
     assert loads.rho > 1.0            # overload is reported as-is
     assert loads.rho_clamped == 1.0   # formulas see the clamped value
+
+
+def phase_map(prof, sigma0, rho, rho_tilde):
+    """One undamped step of the coupled loads: each cell's phase-mixed load
+    sum at its partner's clamped load, written out from the module docs."""
+    rt, r = min(rho_tilde, 1.0), min(rho, 1.0)
+    em, es = prof.eta_macro, prof.eta_small
+    return (float(np.sum(prof.lambda_macro * sigma0 * (rt / em[:, 1] + (1 - rt) / em[:, 0]))),
+            float(np.sum(prof.lambda_small * sigma0 * (r / es[:, 1] + (1 - r) / es[:, 0]))))
+
+
+def iterate_loads(prof, sigma0, start, tol=1e-15, max_iter=100_000):
+    """The fixed point that undamped iteration reaches from ``start``, run
+    until both steps fall below ``tol`` (the default is a few ulps of a load
+    near 1, so the iteration settles to rounding)."""
+    r, rt = start
+    for _ in range(max_iter):
+        nr, nrt = phase_map(prof, sigma0, r, rt)
+        if abs(nr - r) < tol and abs(nrt - rt) < tol:
+            return nr, nrt
+        r, rt = nr, nrt
+    raise AssertionError(f"iteration from {start} did not settle")
+
+
+@st.composite
+def monotone_profiles(draw):
+    """Random profiles whose interfered rates do not exceed the idle ones."""
+    def cell(n):
+        lam = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+        eta0 = draw(st.lists(st.floats(0.5, 50.0), min_size=n, max_size=n))
+        ratio = draw(st.lists(st.floats(0.02, 1.0), min_size=n, max_size=n))
+        return lam, eta0, [e * q for e, q in zip(eta0, ratio)]
+
+    lam_m, eta_m0, eta_m1 = cell(draw(st.integers(1, 3)))
+    lam_s, eta_s0, eta_s1 = cell(draw(st.integers(1, 3)))
+    prof = make_profile(lam_m=lam_m, lam_s=lam_s, eta_m0=eta_m0, eta_m1=eta_m1,
+                        eta_s0=eta_s0, eta_s1=eta_s1)
+    return prof, TrafficSpec(sum(lam_m) + sum(lam_s), draw(st.floats(0.1, 4.0)))
+
+
+def single_class_case(lam_m, lam_s, eta0, eta1, sigma0=2.0):
+    prof = make_profile(lam_m=(lam_m,), lam_s=(lam_s,), eta_m0=(eta0,), eta_m1=(eta1,),
+                        eta_s0=(eta0,), eta_s1=(eta1,))
+    return prof, TrafficSpec(lam_m + lam_s, sigma0)
+
+
+MACRO_CLAMPED = single_class_case(5.0, 0.5, 10.0, 4.0)
+SMALL_CLAMPED = single_class_case(0.5, 5.0, 10.0, 4.0)
+STRONG_COUPLING = single_class_case(0.5, 0.5, 10.0, 0.5)   # A1 * B1 >= 1
+
+
+def test_fixed_point_regime_examples():
+    """The property test's explicit examples reach each regime beyond the
+    both-free case."""
+    lm = coupled_loads_fixed_point(*MACRO_CLAMPED)
+    assert lm.rho > 1.0 > lm.rho_tilde
+    ls = coupled_loads_fixed_point(*SMALL_CLAMPED)
+    assert ls.rho_tilde > 1.0 > ls.rho
+    prof, traffic = STRONG_COUPLING
+    low, top = phase_map(prof, traffic.sigma0, 0.0, 0.0), phase_map(prof, traffic.sigma0, 1.0, 1.0)
+    assert (top[0] - low[0]) * (top[1] - low[1]) >= 1.0
+    ld = coupled_loads_fixed_point(prof, traffic)
+    assert ld.rho > 1.0 and ld.rho_tilde > 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=monotone_profiles())
+@example(case=MACRO_CLAMPED)
+@example(case=SMALL_CLAMPED)
+@example(case=STRONG_COUPLING)
+def test_fixed_point_is_the_least_iterated_fixed_point(case):
+    """The closed form is the limit of the undamped iteration from (0, 0) and
+    lies below the fixed point reached from every other start."""
+    prof, traffic = case
+    s = traffic.sigma0
+    loads = coupled_loads_fixed_point(prof, traffic)
+    top = phase_map(prof, s, 1.0, 1.0)
+    low = phase_map(prof, s, 0.0, 0.0)
+    slope = math.sqrt((top[0] - low[0]) * (top[1] - low[1]))
+    # both loads free: the iteration contracts by the slope; keep it settling
+    assume(loads.rho > 1.0 or loads.rho_tilde > 1.0 or slope < 0.99)
+    least = iterate_loads(prof, s, (0.0, 0.0))
+    assert loads.rho == pytest.approx(least[0], rel=1e-12, abs=1e-12)
+    assert loads.rho_tilde == pytest.approx(least[1], rel=1e-12, abs=1e-12)
+    for start in ((1.0, 1.0), top, (top[0], 0.0), (0.0, top[1])):
+        r, rt = iterate_loads(prof, s, start)
+        assert loads.rho <= r * (1 + 1e-12) + 1e-12
+        assert loads.rho_tilde <= rt * (1 + 1e-12) + 1e-12
+
+
+def test_fixed_point_stays_at_zero_without_idle_load():
+    """Infinite idle rates give A0 = B0 = 0: (0, 0) is a fixed point and the
+    least one, although the interfered rates alone admit a larger one."""
+    prof, traffic = single_class_case(1.0, 1.0, math.inf, 1.0)
+    loads = coupled_loads_fixed_point(prof, traffic)
+    assert (loads.rho, loads.rho_tilde) == (0.0, 0.0)
+    assert iterate_loads(prof, traffic.sigma0, (1.0, 1.0)) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("eta_m1, eta_s1", [(12.0, 10.0), (10.0, math.nan)])
+def test_fixed_point_rejects_non_monotone_or_undefined_profiles(eta_m1, eta_s1):
+    """An interfered rate above the idle rate makes the map decreasing in the
+    partner load, and a NaN rate leaves it undefined: both raise."""
+    prof = make_profile(lam_m=(1.0,), lam_s=(1.0,), eta_m0=(10.0,), eta_m1=(eta_m1,),
+                        eta_s0=(10.0,), eta_s1=(eta_s1,))
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        coupled_loads_fixed_point(prof, TrafficSpec(2.0, 2.0))
 
 
 def make_coupled_toy(rho_target=0.4, ratio=0.8, eta0=10.0, sigma0=2.0):
@@ -83,10 +184,10 @@ def test_stationary_static_empty_state_and_reduction():
     prof, traffic, lam, eta0, eta1 = make_coupled_toy()
     loads = coupled_loads_fixed_point(prof, traffic)
     dist = stationary_static(prof, traffic, loads, n_max=40)
-    # empty-state probability is the product of the idle probabilities,
-    # up to the 1e-10 fixed-point residual
+    # empty-state probability is the product of the idle probabilities, up
+    # to rounding: the loads solve the fixed point exactly
     assert dist.raw[dist.states.index(((0,), (0,)))] == pytest.approx(
-        (1 - loads.rho) * (1 - loads.rho_tilde), rel=1e-8)
+        (1 - loads.rho) * (1 - loads.rho_tilde), rel=1e-14)
     assert dist.prob((0,), (0,)) == pytest.approx(
         (1 - loads.rho) * (1 - loads.rho_tilde), rel=1e-6)
 
@@ -144,7 +245,7 @@ def test_stationary_static_matches_simulation_tv():
     at rho = rho_tilde = 0.4: total-variation distance below 0.05."""
     prof, traffic, *_ = make_coupled_toy(rho_target=0.4, ratio=0.8)
     loads = coupled_loads_fixed_point(prof, traffic)
-    assert loads.rho == pytest.approx(0.4, abs=1e-9)
+    assert loads.rho == pytest.approx(0.4, rel=1e-14)
     dist = stationary_static(prof, traffic, loads, n_max=60)
     tr = simulate(prof, None, traffic, 120_000.0, 41, track_states=True)
     sim = tr.state_frequencies()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -60,17 +61,21 @@ def test_dynamics_command_and_reproducibility(tmp_path, capsys):
                       "eta_bar_mbps,R_mbps,conservation_residual")
 
 
-def test_dynamics_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
+def test_dynamics_undefined_class_chain_exits_3(tmp_path, monkeypatch, capsys):
+    """A zero macro-to-small handover rate leaves the ergodic class chain
+    undefined: the run stops with the numerical exit code and writes
+    nothing."""
     import mobicell.pipeline as pipeline
-    fixed_point = pipeline.coupled_loads_fixed_point
-    monkeypatch.setattr(pipeline, "coupled_loads_fixed_point",
-                        lambda *args, **kw: fixed_point(*args, **{**kw, "max_iter": 1}))
+    flux_rates = pipeline.mean_flux_rates
+    monkeypatch.setattr(pipeline, "mean_flux_rates", lambda *args, **kw: dataclasses.replace(
+        flux_rates(*args, **kw), nu_handover_m2s=0.0))
     rc = main(["dynamics", "--samples", "1000", "--replications", "1",
                "--duration", "120", "--out", str(tmp_path / "d")])
     assert rc == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "numerical"
-    assert "did not converge in 1 iterations" in payload["detail"]
+    assert "macro-to-small handover rate is zero" in payload["detail"]
+    assert not (tmp_path / "d" / "summary.csv").exists()
 
 
 def test_dynamics_different_seed_differs(tmp_path):

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobicell.config import (ConfigError, bundled_scenario_path, load_scenario,
-                             parse_angle)
+                             parse_angle, with_overrides)
 
 
 def test_bundled_scenario_loads():
@@ -21,6 +23,29 @@ def test_scenario_id_stable_under_reload():
     a = load_scenario(bundled_scenario_path())
     b = load_scenario(bundled_scenario_path())
     assert a.scenario_id == b.scenario_id
+
+
+RUN_VALUES = {
+    "seed": st.integers(0, 2**31 - 1),
+    "mc_samples": st.integers(100, 10**7),
+    "duration_s": st.floats(60.0, 1e5),      # at least two 30 s snapshots
+    "replications": st.integers(1, 1000),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), workers=st.integers(1, 8))
+def test_scenario_id_tracks_every_run_setting(data, workers):
+    """The id changes under any single override of seed, samples, duration or
+    replications and ignores the worker count (reloading the file is
+    test_scenario_id_stable_under_reload)."""
+    base = load_scenario(bundled_scenario_path())
+    key = data.draw(st.sampled_from(sorted(RUN_VALUES)))
+    value = data.draw(RUN_VALUES[key].filter(lambda v: v != getattr(base, key)))
+    changed = with_overrides(base, **{key: value}).scenario_id
+    assert changed != base.scenario_id
+    assert with_overrides(base, workers=workers).scenario_id == base.scenario_id
+    assert with_overrides(base, workers=workers, **{key: value}).scenario_id == changed
 
 
 def test_parse_angle_forms():
