@@ -8,9 +8,8 @@ All Monte Carlo curves at different snapshot times reuse the same hotspot
 draws (common random numbers): the hotspot is stationary, so only the
 small-cell position changes between snapshots and curve differences in time
 are not drowned in sampling noise.  ``snapshot_curves`` is the one curve
-kernel: it evaluates the field once per snapshot and gathers each cell's
-users once, for both interference phases; ``macro_ccdf`` and ``small_ccdf``
-return one of its curves.
+kernel: it evaluates the field once per snapshot (``FieldSamples.at``) and
+returns all four curves; ``macro_ccdf`` and ``small_ccdf`` return one of them.
 
 A snapshot touches only the draws that can be in S*: every draw in the macro
 disk and, of the draws outside it, those within ``small_reach`` of the small
@@ -18,6 +17,38 @@ cell (with a reach of 0, a draw on the small cell itself).  Draws outside the
 domain are dropped once, when ``FieldSamples`` is built.  A curve counts
 sorted values against fixed thresholds, so it depends only on which users
 enter it, never on their order.
+
+One power ratio, guarded
+------------------------
+Every curve reads one per-user quantity, the small-to-macro received-power
+ratio delta = small_rx * r^2b_macro.  A user is macro-associated iff
+delta <= 1, and its inverse SINRs are g + delta (macro cell, small cell on),
+g (macro cell, small cell silent), (g + 1) / delta and g / delta (small
+cell, central macro on and silent).  The kernel computes delta as
+(kappa r^2b_macro) (dx^2 + dy^2)^-b_small: one power and no hypot, with
+kappa r^2b_macro kept per draw.  The exact path takes the hypot, its power
+and the product, as the scalar API does.  Both are chains of a few correctly
+rounded operations and one power accurate to a few ulps, which multiplies
+the relative error of its argument by its exponent, so the two values of a
+user differ by a relative error of order 1e-15 (Goldberg 1991), and the
+inverse SINRs, sums and quotients of nonnegative terms, keep that bound.
+
+A curve is an integer count of values at or below thresholds psi(l), and
+the association a count of delta <= 1.  So wherever no value lies within
+relative ``_GUARD_EPS`` (1e-12, about a thousand times that error) of a
+threshold or of the tie, the counts are the exact path's and so is every
+bit of every curve.  The kernel checks exactly that, for every user and
+threshold.  It gives the snapshot to the exact path, and counts it in
+``FieldSamples.fallbacks``, when some |delta - 1| <= eps, when a sorted
+value lies within eps of a threshold, when a delta is zero, subnormal or
+not finite (a draw on the small cell), and for every snapshot when some
+kappa r^2b_macro is not a normal number (kappa = 0).  The exact path keeps
+the association ``small_rx <= r_neg_pow`` and ``radio``'s SINR kernels.
+
+The macro cell's partner-idle curve counts g alone, so it is taken by
+complement from the core g, sorted once: the core counts, minus those of
+the core's small-cell users, plus those of the rim's macro users, whenever
+that sorts fewer values than the macro users themselves.
 """
 
 from __future__ import annotations
@@ -43,6 +74,10 @@ from mobicell.special import log_bessel_i0  # noqa: F401
 # fraction of the inter-site distance beyond which the macro interference
 # model is no longer evaluated; samples past it are treated as uncovered
 _DOMAIN_FRAC = 0.995
+# relative half-width of the guard band around the association tie and every
+# counting threshold (see the module docstring)
+_GUARD_EPS = 1e-12
+_TINY = np.finfo(np.float64).tiny
 
 
 class Cell(Enum):
@@ -88,9 +123,11 @@ class FieldSamples:
     Only the draws inside the domain are kept, in two order-preserving sets:
     the first ``n_core`` lie in the macro disk and so are in S* at every
     snapshot; the rest (the rim) are in S* only within ``small_reach`` of the
-    small cell.  ``xy``, ``g``, ``r_pow`` and ``r_neg_pow`` hold the core
-    draws followed by the rim draws; ``n`` still counts every draw, so masses
-    stay shares of the whole population."""
+    small cell.  ``xy`` (column-major, so each coordinate is contiguous),
+    ``g``, ``r_pow`` and ``r_neg_pow`` hold the core draws followed by the rim
+    draws; ``n`` still counts every draw, so masses stay shares of the whole
+    population.  ``fallbacks`` counts the snapshots that ``snapshot_curves``
+    gave to the exact path (see the module docstring)."""
 
     def __init__(self, spec: HotspotSpec, params: RadioParams, layout: CellLayout,
                  n: int, seed):
@@ -104,7 +141,7 @@ class FieldSamples:
         core = r <= layout.R                  # the macro disk lies inside the domain
         rim = ~core & (r < _DOMAIN_FRAC * layout.delta)
         self.n_core = int(np.count_nonzero(core))
-        self.xy = np.concatenate([xy[core], xy[rim]])
+        self.xy = np.asfortranarray(np.concatenate([xy[core], xy[rim]]))
         r = np.concatenate([r[core], r[rim]])
         del xy                                # the draws are kept once, split
         b2 = 2.0 * params.b_macro
@@ -112,95 +149,196 @@ class FieldSamples:
         with np.errstate(divide="ignore"):
             self.r_neg_pow = r ** (-b2)
         self.g = _g_formula(r, params, layout)
+        # the guarded kernel's per-draw factor (where one is not a normal
+        # number, as with kappa = 0, every snapshot takes the exact path), the
+        # core g sorted, the counting grid of the last level grid, and work
+        # buffers reused by every snapshot
+        self._kr = params.kappa * self.r_pow
+        self._fast = params.kappa > 0.0 and bool(np.all(self._kr >= _TINY))
+        self._g_core = np.sort(self.g[:self.n_core])
+        self._grid_of = None
+        m = len(r)
+        self._delta, self._work = np.empty(m), np.empty(m)
+        self._macro, self._mask = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        self.fallbacks = 0
 
     def at(self, Ls: PolarPoint, region: CoverageRegion):
-        """Position-dependent arrays for one snapshot, read-only:
-        ``(rim, macro_assoc, small_rx)``.
+        """Position-dependent arrays for one snapshot, read-only and valid
+        until the next call: ``(rim, macro_assoc, delta)``.
 
         The snapshot's S* users are every core draw followed by the rim draws
-        ``rim`` (indices into the draw arrays, ascending; see ``users``);
-        ``macro_assoc`` and ``small_rx`` hold one entry per user.  Only those
-        users are evaluated: the rest of the rim is tested against the
-        small-cell disk, and with ``small_reach`` 0 that disk holds only a
-        draw on the small cell itself.
+        ``rim`` (indices into the draw arrays, ascending; see ``users``).
+        ``delta`` holds each user's power ratio small_rx * r^2b_macro, by the
+        fast formula of the module docstring, and ``macro_assoc`` is
+        delta <= 1.  Only those users are evaluated: the rest of the rim is
+        tested against the small-cell disk, and with ``small_reach`` 0 that
+        disk holds only a draw on the small cell itself.
 
         ``region`` must be centred on ``Ls`` and use the macro disk the draws
         were split by (``layout.R``); ValueError otherwise."""
         if region.macro_radius != self.layout.R or region.small_center != Ls:
             raise ValueError("region must have macro_radius layout.R and small_center Ls")
-        x, y = self.xy[self.n_core:, 0], self.xy[self.n_core:, 1]
+        c = self.n_core
+        x, y = self.xy[c:, 0], self.xy[c:, 1]
         if region.small_reach > 0.0:
             near = np.hypot(x - Ls.x, y - Ls.y) <= region.small_reach
         else:
             near = (x == Ls.x) & (y == Ls.y)
-        rim = self.n_core + np.flatnonzero(near)
-        users = self.users(rim) if len(rim) else slice(0, self.n_core)
-        xy = self.xy[users]
-        # small_rx = kappa * d^-2b_small, in place: fewer temporaries to fragment the heap
-        small_rx = xy[:, 0] - Ls.x
-        np.hypot(small_rx, xy[:, 1] - Ls.y, out=small_rx)
-        with np.errstate(divide="ignore"):
-            np.power(small_rx, -2.0 * self.params.b_small, out=small_rx)
-        np.multiply(self.params.kappa, small_rx, out=small_rx)
-        out = (rim, macro_association(small_rx, self.r_neg_pow[users]), small_rx)
+        rim = c + np.flatnonzero(near)
+        m = c + len(rim)
+        delta = self._delta[:m]
+        self._power_ratio(Ls, self.xy[:c], self._kr[:c], delta[:c], self._work[:c])
+        if len(rim):
+            self._power_ratio(Ls, self.xy[rim], self._kr[rim], delta[c:], self._work[c:m])
+        out = (rim, np.less_equal(delta, 1.0, out=self._macro[:m]), delta)
         for a in out:
             a.flags.writeable = False
         return out
+
+    def _power_ratio(self, Ls: PolarPoint, xy, kr, out, work):
+        """kr * (dx^2 + dy^2)^-b_small of the draws ``xy`` into ``out``."""
+        dx, dy = out, work
+        np.subtract(xy[:, 0], Ls.x, out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(xy[:, 1], Ls.y, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=out)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.power(out, -self.params.b_small, out=out)
+            np.multiply(out, kr, out=out)
 
     def users(self, rim: np.ndarray) -> np.ndarray:
         """Draw index of each S* user of a snapshot whose ``at`` gave ``rim``."""
         return np.concatenate([np.arange(self.n_core), rim])
 
+    def _grid(self, levels: np.ndarray):
+        """``(below, thresholds, band_lo, band_hi, core_counts)`` of a level
+        grid: the levels at or below the peak rate, where rate >= l iff
+        1/gamma <= psi(l); each threshold's guard band; and the count of core
+        g at or below it.  Kept for the last grid asked."""
+        if self._grid_of is None or not np.array_equal(self._grid_of[0], levels):
+            below = levels <= self.params.eta0
+            th = psi(levels[below], self.params)
+            self._grid_of = (levels.copy(), below, th, th * (1.0 - _GUARD_EPS),
+                             th * (1.0 + _GUARD_EPS),
+                             np.searchsorted(self._g_core, th, side="right"))
+        return self._grid_of[1:]
 
-def _counts_curve(inv_gamma: np.ndarray, levels: np.ndarray, params: RadioParams):
-    """CCDF values from per-sample inverse SINRs: rate >= l iff 1/gamma <= psi(l)."""
-    n = len(inv_gamma)
-    values = np.zeros(len(levels))
-    below = levels <= params.eta0
-    if n > 0 and np.any(below):
-        x = np.sort(inv_gamma)
-        thresholds = psi(levels[below], params)
-        values[below] = np.searchsorted(x, thresholds, side="right") / n
-    return values
 
-
-def _finish_curve(inv_gamma, levels, params, cell, t, mass) -> CcdfCurve:
-    n_sel = len(inv_gamma)
+def _finish_curve(counts, n_sel, levels, below, cell, t, n) -> CcdfCurve:
+    """The curve of ``n_sel`` users of ``n`` draws, ``counts`` of them at or
+    below each threshold of the levels ``below`` the peak rate."""
     if n_sel == 0:
         z = np.zeros(len(levels))
         return CcdfCurve(levels, z, z.copy(), cell, t, 0.0, 0, empty=True)
-    values = _counts_curve(inv_gamma, levels, params)
+    values = np.zeros(len(levels))
+    values[below] = counts / n_sel
     stderr = np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_sel)
-    return CcdfCurve(levels, values, stderr, cell, t, mass, n_sel)
+    return CcdfCurve(levels, values, stderr, cell, t, n_sel / n, n_sel)
 
 
-def _cell_users(samples: FieldSamples, arrays, small: bool):
-    """One cell's users within S* at one snapshot: their coverage mass and
-    the gathered g, r_pow and small_rx, from the ``arrays`` of ``samples.at``.
-    Its own function so the indices die before the curves sort (fewer page
-    faults per snapshot than with this inlined)."""
-    rim, macro_assoc, small_rx = arrays
-    sel = np.flatnonzero(~macro_assoc if small else macro_assoc)
-    draws = samples.users(rim)[sel] if len(rim) else sel
-    return len(sel) / samples.n, samples.g[draws], samples.r_pow[draws], small_rx[sel]
+def _guarded_counts(values, band_lo, band_hi):
+    """Count of the sorted ``values`` at or below each threshold, or None if
+    one lies in a threshold's guard band."""
+    counts = np.searchsorted(values, band_lo, side="left")
+    return counts if np.array_equal(counts, np.searchsorted(values, band_hi,
+                                                            side="right")) else None
+
+
+def _guarded_curves(t, levels, samples: FieldSamples, rim, macro, delta):
+    """(m1, m0, s1, s0) counted from the power ratio of ``samples.at``, or
+    None where the guard cannot prove them the exact path's."""
+    if not (delta.min(initial=np.inf) >= _TINY and delta.max(initial=0.0) < np.inf):
+        return None
+    mask = samples._mask[:len(delta)]
+    if np.count_nonzero(np.less_equal(delta, 1.0 + _GUARD_EPS, out=mask)) != \
+            np.count_nonzero(np.less(delta, 1.0 - _GUARD_EPS, out=mask)):
+        return None
+    below, th, band_lo, band_hi, core_counts = samples._grid(levels)
+    c, g = samples.n_core, samples.g
+    n_m = int(np.count_nonzero(macro))
+    n_s = len(delta) - n_m
+    # m1 = g + delta over the macro users, sorted in a buffer; the small-cell
+    # users' entries are set to +inf, so they sort last and count nowhere
+    m1 = samples._work[:len(delta)]
+    np.add(g[:c], delta[:c], out=m1[:c])
+    m1[c:] = g[rim] + delta[c:]
+    # the small-cell users, core ones first
+    small = np.flatnonzero(np.logical_not(macro, out=mask)) if n_s else np.arange(0)
+    m1[small] = np.inf
+    m1.sort()
+    counts_m1 = _guarded_counts(m1, band_lo, band_hi)
+    j = int(np.searchsorted(small, c))
+    g_small, d_small = g[np.concatenate([small[:j], rim[small[j:] - c]])], delta[small]
+    s1, s0 = (g_small + 1.0) / d_small, g_small / d_small
+    s1.sort()
+    s0.sort()
+    counts_s1 = _guarded_counts(s1, band_lo, band_hi)
+    counts_s0 = _guarded_counts(s0, band_lo, band_hi)
+    if counts_m1 is None or counts_s1 is None or counts_s0 is None:
+        return None
+    # m0 counts g alone: by complement from the sorted core g, unless the
+    # core has fewer macro users than small-cell users
+    g_rim_macro = g[rim[macro[c:]]]
+    if j <= c - j:
+        counts_m0 = (core_counts - np.searchsorted(np.sort(g_small[:j]), th, side="right")
+                     + np.searchsorted(np.sort(g_rim_macro), th, side="right"))
+    else:
+        m0 = np.sort(np.concatenate([g[:c][macro[:c]], g_rim_macro]))
+        counts_m0 = np.searchsorted(m0, th, side="right")
+    n = samples.n
+    return (_finish_curve(counts_m1, n_m, levels, below, Cell.MACRO, t, n),
+            _finish_curve(counts_m0, n_m, levels, below, Cell.MACRO, t, n),
+            _finish_curve(counts_s1, n_s, levels, below, Cell.SMALL, t, n),
+            _finish_curve(counts_s0, n_s, levels, below, Cell.SMALL, t, n))
+
+
+def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
+    """(m1, m0, s1, s0) on the exact path, the guarded kernel's reference:
+    small_rx from hypot and power, association ``small_rx <= r_neg_pow``
+    and ``radio``'s SINR kernels on the users of ``rim``."""
+    below, th = samples._grid(levels)[:2]
+    users = samples.users(rim) if len(rim) else slice(0, samples.n_core)
+    xy = samples.xy[users]
+    # small_rx = kappa * d^-2b_small, in place
+    small_rx = xy[:, 0] - Ls.x
+    np.hypot(small_rx, xy[:, 1] - Ls.y, out=small_rx)
+    with np.errstate(divide="ignore"):
+        np.power(small_rx, -2.0 * samples.params.b_small, out=small_rx)
+    np.multiply(samples.params.kappa, small_rx, out=small_rx)
+    macro = macro_association(small_rx, samples.r_neg_pow[users])
+
+    def cell_users(sel):
+        draws = samples.users(rim)[sel] if len(rim) else sel
+        return len(sel), samples.g[draws], samples.r_pow[draws], small_rx[sel]
+
+    def curve(n_sel, inv_gamma, cell):
+        counts = np.searchsorted(np.sort(inv_gamma), th, side="right")
+        return _finish_curve(counts, n_sel, levels, below, cell, t, samples.n)
+
+    n_sel, g, r_pow, rx = cell_users(np.flatnonzero(macro))
+    m1 = curve(n_sel, macro_inverse_sinr(g, r_pow, rx), Cell.MACRO)
+    m0 = curve(n_sel, g, Cell.MACRO)
+    n_sel, g, r_pow, rx = cell_users(np.flatnonzero(~macro))
+    s1, s0 = (curve(n_sel, small_inverse_sinr(g, r_pow, rx, central), Cell.SMALL)
+              for central in (True, False))
+    return m1, m0, s1, s0
 
 
 def snapshot_curves(t: float, Ls: PolarPoint, levels, region: CoverageRegion,
                     samples: FieldSamples):
     """The four curves of one snapshot, (m1, m0, s1, s0): macro and small
     cell, each with its partner transmitting (1) and silent (0), under
-    ``samples.params``.  Both phases of a cell come from one gather."""
+    ``samples.params``.  They are counted from the power ratio of
+    ``samples.at``, or on the exact path where the guard cannot prove those
+    counts exact; either way bit for bit the exact path's."""
     levels = _checked_levels(levels)
-    params = samples.params
     arrays = samples.at(Ls, region)
-    mass, g, r_pow, small_rx = _cell_users(samples, arrays, small=False)
-    m1 = _finish_curve(macro_inverse_sinr(g, r_pow, small_rx), levels, params,
-                       Cell.MACRO, t, mass)
-    m0 = _finish_curve(g, levels, params, Cell.MACRO, t, mass)
-    mass, g, r_pow, small_rx = _cell_users(samples, arrays, small=True)
-    s1, s0 = (_finish_curve(small_inverse_sinr(g, r_pow, small_rx, central), levels,
-                            params, Cell.SMALL, t, mass) for central in (True, False))
-    return m1, m0, s1, s0
+    curves = _guarded_curves(t, levels, samples, *arrays) if samples._fast else None
+    if curves is None:
+        samples.fallbacks += 1
+        curves = _exact_curves(t, Ls, levels, samples, arrays[0])
+    return curves
 
 
 def _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed, samples):

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mobicell.analytic import (CoupledLoads, class_membership,
-                               coupled_loads_fixed_point, effective_rate)
+from mobicell.analytic import (class_membership, coupled_loads_fixed_point,
+                               effective_rate)
 from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            combined_ccdf, curve_pmf, _equal_mass_bins,
                            curves_to_csv, extract_classes, macro_only_ccdf,
@@ -40,10 +40,8 @@ from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
 from mobicell.config import ScenarioConfig, derived_scenario_id
-from mobicell.flowsim import (MACRO, SMALL, QueueTrace, TrafficSpec,
-                              TransitionRates, empirical_metrics,
-                              estimate_transition_rates, simulate)
-from mobicell.geometry import PolarPoint
+from mobicell.flowsim import (QueueTrace, TrafficSpec, TransitionRates,
+                              empirical_metrics, estimate_transition_rates, simulate)
 from mobicell.hotspot import CoverageRegion, HotspotSpec
 from mobicell.mobility import (Trajectory, distance_to_hotspot, generate_trajectory,
                                route_cruise_policy)

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,9 +106,9 @@ def test_simplified_and_direct_indicators_agree_bitwise():
     Ls = SPEC.center
     region = region_at(Ls)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 30_000, 3)
-    rim, macro_assoc, small_rx = samples.at(Ls, region)
+    rim, macro_assoc, delta = samples.at(Ls, region)
     draws = samples.users(rim)[macro_assoc]
-    inv_gamma = samples.g[draws] + small_rx[macro_assoc] * samples.r_pow[draws]
+    inv_gamma = samples.g[draws] + delta[macro_assoc]
     with np.errstate(divide="ignore"):
         gamma = np.where(inv_gamma > 0, 1.0 / inv_gamma, np.inf)
     rates = shannon_rate(gamma, PARAMS)
@@ -371,24 +370,6 @@ def test_csv_export(tmp_path):
     assert lines[2].split(",")[1] == "macro"
 
 
-def counted_inverse_sinrs(curve_fn, Ls, spec, region, samples, **flag):
-    """The per-user inverse SINRs one CCDF call counts, in sample order: those
-    of the finished curve the call returns, of the four a snapshot finishes."""
-    seen = []
-    finish = ccdf_module._finish_curve
-
-    def spy(inv_gamma, *args):
-        curve = finish(inv_gamma, *args)
-        seen.append((curve, inv_gamma))
-        return curve
-
-    with mock.patch.object(ccdf_module, "_finish_curve", spy):
-        got = curve_fn(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT, samples=samples,
-                       **flag)
-    [inv_gamma] = [x for curve, x in seen if curve is got]
-    return inv_gamma
-
-
 @settings(max_examples=25, deadline=None)
 @given(r_h=st.floats(0.0, 0.5), theta_h=st.floats(0.0, 2.0 * math.pi),
        sigma=st.floats(0.02, 0.2), ls_r=st.floats(0.0, 0.6),
@@ -396,28 +377,40 @@ def counted_inverse_sinrs(curve_fn, Ls, spec, region, samples, **flag):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r,
                                                        ls_theta, reach, seed):
-    """The scalar association and SINRs agree, user by user, with what the
-    CCDF curves count for random hotspot geometry and small-cell position."""
+    """The scalar association and SINRs agree, user by user, with the power
+    ratio the CCDF curves are counted from, for random hotspot geometry and
+    small-cell position; and each curve counts exactly those inverse SINRs."""
     spec = HotspotSpec(R_h=r_h, theta_h=theta_h, A=sigma)
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     region = region_at(Ls, reach)
     samples = FieldSamples(spec, PARAMS, LAYOUT, 500, seed)
-    rim, _, _ = samples.at(Ls, region)
-    users = [PolarPoint(float(x), float(y)) for x, y in samples.xy[samples.users(rim)]]
-    assoc = [macro_associated(m, Ls, PARAMS) for m in users]
-    macro_users = [m for m, a in zip(users, assoc) if a]
-    small_users = [m for m, a in zip(users, assoc) if not a]
+    rim, macro_assoc, delta = (a.copy() for a in samples.at(Ls, region))
+    draws = samples.users(rim)
+    users = [PolarPoint(float(x), float(y)) for x, y in samples.xy[draws]]
+    assert macro_assoc.tolist() == [macro_associated(m, Ls, PARAMS) for m in users]
+    macro_users = [m for m, a in zip(users, macro_assoc) if a]
+    small_users = [m for m, a in zip(users, macro_assoc) if not a]
+    g, m, s = samples.g[draws], macro_assoc, ~macro_assoc
+    below = LEVELS <= PARAMS.eta0
     for flag in (True, False):
-        counted = counted_inverse_sinrs(macro_ccdf, Ls, spec, region, samples,
-                                        include_small_interference=flag)
-        scalar = [1.0 / sinr_macro(m, Ls, PARAMS, LAYOUT, include_small_interference=flag)
-                  for m in macro_users]
-        np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
-        counted = counted_inverse_sinrs(small_ccdf, Ls, spec, region, samples,
-                                        include_central_macro=flag)
-        scalar = [1.0 / sinr_small(m, Ls, PARAMS, LAYOUT, include_central_macro=flag)
-                  for m in small_users]
-        np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
+        cases = (
+            (macro_ccdf, {"include_small_interference": flag},
+             g[m] + delta[m] if flag else g[m],
+             [1.0 / sinr_macro(u, Ls, PARAMS, LAYOUT, include_small_interference=flag)
+              for u in macro_users]),
+            (small_ccdf, {"include_central_macro": flag},
+             (g[s] + 1.0) / delta[s] if flag else g[s] / delta[s],
+             [1.0 / sinr_small(u, Ls, PARAMS, LAYOUT, include_central_macro=flag)
+              for u in small_users]))
+        for curve_fn, kw, counted, scalar in cases:
+            np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
+            curve = curve_fn(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT,
+                             samples=samples, **kw)
+            if len(counted):
+                want = np.zeros(len(LEVELS))
+                want[below] = [np.count_nonzero(counted <= x) / len(counted)
+                               for x in psi(LEVELS[below], PARAMS)]
+                assert np.array_equal(curve.values, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -444,23 +437,29 @@ def test_snapshot_curves_match_one_curve_calls(ls_r, ls_theta, reach, seed):
         assert_curve_structure(g)
 
 
-def brute_force_curves(Ls, region, n, seed):
-    """The four curves of a snapshot, (m1, m0, s1, s0), as (values, stderr,
-    mass, n_samples), from every draw: S* is ``in_region_xy`` within the
-    domain, plus a draw on the small cell itself (the disk of reach 0)."""
+def brute_force_field(Ls, n, seed):
+    """Every draw's radio quantities on the exact path, in draw order:
+    (xy, r, d, small_rx, macro association, g, r_pow); g is inf outside the
+    domain."""
     xy = sample_xy(SPEC, n, seed)
     r = np.hypot(xy[:, 0], xy[:, 1])
     d = np.hypot(xy[:, 0] - Ls.x, xy[:, 1] - Ls.y)
     domain = r < ccdf_module._DOMAIN_FRAC * LAYOUT.delta
-    inside = (in_region_xy(xy, region) | (d == 0.0)) & domain
     b2 = 2.0 * PARAMS.b_macro
     with np.errstate(divide="ignore"):
         small_rx = PARAMS.kappa * d ** (-2.0 * PARAMS.b_small)
         r_neg_pow = r ** (-b2)
-    assoc = macro_association(small_rx, r_neg_pow)
     g = np.full(n, np.inf)
     g[domain] = _g_formula(r[domain], PARAMS, LAYOUT)
-    r_pow = r ** b2
+    return xy, r, d, small_rx, macro_association(small_rx, r_neg_pow), g, r ** b2
+
+
+def brute_force_curves(Ls, region, n, seed):
+    """The four curves of a snapshot, (m1, m0, s1, s0), as (values, stderr,
+    mass, n_samples), from every draw: S* is ``in_region_xy`` within the
+    domain, plus a draw on the small cell itself (the disk of reach 0)."""
+    xy, r, d, small_rx, assoc, g, r_pow = brute_force_field(Ls, n, seed)
+    inside = (in_region_xy(xy, region) | (d == 0.0)) & np.isfinite(g)
     below = LEVELS <= PARAMS.eta0
     thresholds = psi(LEVELS[below], PARAMS)
 
@@ -478,34 +477,139 @@ def brute_force_curves(Ls, region, n, seed):
             curve(s, small_inverse_sinr(g, r_pow, small_rx, False)))
 
 
-@settings(max_examples=24, deadline=None)
-@given(ls_r=st.floats(0.0, 0.9), ls_theta=st.floats(0.0, 2.0 * math.pi),
-       reach=st.sampled_from([0.0, 0.1, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
-       on_rim_draw=st.booleans())
-@example(ls_r=0.0, ls_theta=0.0, reach=0.0, seed=5, on_rim_draw=True)
-def test_snapshot_curves_match_brute_force_over_all_draws(ls_r, ls_theta, reach, seed,
-                                                          on_rim_draw):
-    """The compact kernel, which evaluates only the draws that can be in S*,
-    gives bit for bit the curves of an evaluation over every draw: for random
-    small-cell positions and reaches, and for a small cell of reach 0 placed
-    exactly on a draw outside the macro disk."""
-    n = 2_000
-    Ls = PolarPoint.from_polar(ls_r, ls_theta)
-    if on_rim_draw:
-        xy = sample_xy(SPEC, n, seed)
-        r = np.hypot(xy[:, 0], xy[:, 1])
-        rim = np.flatnonzero((r > LAYOUT.R) & (r < ccdf_module._DOMAIN_FRAC * LAYOUT.delta))
-        Ls, reach = PolarPoint(*map(float, xy[rim[seed % len(rim)]])), 0.0
-    region = region_at(Ls, reach)
-    samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
-    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
+def assert_brute_force_curves(got, Ls, region, n, seed):
     want = brute_force_curves(Ls, region, n, seed)
-    if on_rim_draw:
-        assert want[2][3] >= 1                 # the draw on the small cell is its user
     for g, (values, stderr, mass, n_samples) in zip(got, want):
         assert np.array_equal(g.values, values)
         assert np.array_equal(g.stderr, stderr)
         assert (g.mass, g.n_samples, g.empty) == (mass, n_samples, n_samples == 0)
+    return want
+
+
+@settings(max_examples=24, deadline=None)
+@given(ls_r=st.floats(0.0, 0.9), ls_theta=st.floats(0.0, 2.0 * math.pi),
+       reach=st.sampled_from([0.0, 0.1, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
+       on_draw=st.sampled_from([None, "core", "rim"]))
+@example(ls_r=0.0, ls_theta=0.0, reach=0.0, seed=5, on_draw="rim")
+@example(ls_r=0.0, ls_theta=0.0, reach=0.1, seed=5, on_draw="core")
+def test_snapshot_curves_match_brute_force_over_all_draws(ls_r, ls_theta, reach, seed,
+                                                          on_draw):
+    """The compact kernel, which evaluates only the draws that can be in S*,
+    gives bit for bit the curves of an evaluation over every draw: for random
+    small-cell positions and reaches, for a small cell of reach 0 placed
+    exactly on a draw outside the macro disk, and for one placed exactly on a
+    draw inside it.  A small cell on a draw (an infinite power ratio) sends
+    the snapshot to the exact path; no other snapshot goes there."""
+    n = 2_000
+    Ls = PolarPoint.from_polar(ls_r, ls_theta)
+    if on_draw is not None:
+        xy = sample_xy(SPEC, n, seed)
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        if on_draw == "rim":
+            pick = np.flatnonzero((r > LAYOUT.R)
+                                  & (r < ccdf_module._DOMAIN_FRAC * LAYOUT.delta))
+            reach = 0.0
+        else:
+            pick = np.flatnonzero(r <= LAYOUT.R)
+        Ls = PolarPoint(*map(float, xy[pick[seed % len(pick)]]))
+    region = region_at(Ls, reach)
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
+    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
+    want = assert_brute_force_curves(got, Ls, region, n, seed)
+    if on_draw is not None:
+        assert want[2][3] >= 1                 # the draw on the small cell is its user
+    assert samples.fallbacks == (on_draw is not None)
+
+
+def position_on_edge(n, seed, target, straddles):
+    """A small-cell position of reach 0 at which some core draw ``i`` has
+    power ratio ``target(i)`` to rounding and ``straddles(i, j, delta,
+    field)`` holds, with ``delta`` the ratio ``FieldSamples.at`` gives the
+    draw (user ``j``) and ``field`` the exact one of ``brute_force_field``;
+    searched over draws and directions."""
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
+    xy, r = brute_force_field(SPEC.center, n, seed)[:2]
+    for j, i in enumerate(np.flatnonzero(r <= LAYOUT.R)):
+        ratio = target(i)
+        if not 0.0 < ratio < math.inf:
+            continue
+        # the distance at which kappa d^-2b_small r^2b_macro is the ratio
+        d = (PARAMS.kappa * r[i] ** (2.0 * PARAMS.b_macro) / ratio) \
+            ** (0.5 / PARAMS.b_small)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
+            Ls = PolarPoint(float(xy[i, 0] + d * math.cos(phi)),
+                            float(xy[i, 1] + d * math.sin(phi)))
+            delta = samples.at(Ls, region_at(Ls, 0.0))[2][j]
+            if straddles(i, j, delta, brute_force_field(Ls, n, seed)):
+                return samples, Ls
+    raise AssertionError("no straddling position found")
+
+
+def test_a_draw_on_the_association_tie_takes_the_exact_path():
+    """A small cell placed so that one draw sits on the association tie, its
+    fast power ratio and the exact comparison small_rx <= r_neg_pow on
+    opposite sides of it: the snapshot goes to the exact path and its curves
+    are the brute-force ones bit for bit."""
+    n, seed = 2_000, 3
+    samples, Ls = position_on_edge(
+        n, seed, lambda i: 1.0,
+        lambda i, j, delta, field: bool(delta <= 1.0) != bool(field[4][i]))
+    got = snapshot_curves(5.0, Ls, LEVELS, region_at(Ls, 0.0), samples)
+    assert_brute_force_curves(got, Ls, region_at(Ls, 0.0), n, seed)
+    assert samples.fallbacks == 1
+
+
+def test_a_draw_on_a_threshold_takes_the_exact_path():
+    """A small cell placed so that one macro user's inverse SINR, small cell
+    on, equals a counting threshold, its fast value g + delta and its exact
+    value on opposite sides of it: the snapshot goes to the exact path and
+    its curves are the brute-force ones bit for bit."""
+    n, seed = 2_000, 4
+    g = brute_force_field(SPEC.center, n, seed)[5]
+    thresholds = psi(LEVELS[LEVELS <= PARAMS.eta0], PARAMS)
+
+    def threshold(i):
+        # the threshold that puts the draw's power ratio nearest 1/2
+        return thresholds[np.argmin(np.abs(thresholds - g[i] - 0.5))]
+
+    def straddles(i, j, delta, field):
+        *_, small_rx, assoc, g_exact, r_pow = field
+        exact = macro_inverse_sinr(g_exact[i], r_pow[i], small_rx[i])
+        th = threshold(i)
+        return bool(assoc[i]) and bool(g[i] + delta <= th) != bool(exact <= th)
+
+    samples, Ls = position_on_edge(n, seed, lambda i: threshold(i) - g[i], straddles)
+    got = snapshot_curves(5.0, Ls, LEVELS, region_at(Ls, 0.0), samples)
+    assert_brute_force_curves(got, Ls, region_at(Ls, 0.0), n, seed)
+    assert samples.fallbacks == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(r_h=st.floats(0.0, 0.5), theta_h=st.floats(0.0, 2.0 * math.pi),
+       sigma=st.floats(0.01, 0.2), off_r=st.floats(0.0, 0.6),
+       off_theta=st.floats(0.0, 2.0 * math.pi), reach=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(r_h=0.3, theta_h=1.0, sigma=0.01, off_r=0.0, off_theta=0.0, reach=0.0, seed=1)
+def test_guarded_kernel_equals_the_exact_path(r_h, theta_h, sigma, off_r, off_theta,
+                                              reach, seed):
+    """Counting from the fast power ratio gives bit for bit the curves of
+    the exact path, with no fallback, for random hotspots and small cells
+    from on the hotspot (most users small-cell users) to far off it."""
+    spec = HotspotSpec(R_h=r_h, theta_h=theta_h, A=sigma)
+    off = PolarPoint.from_polar(off_r, off_theta)
+    Ls = PolarPoint(spec.center.x + off.x, spec.center.y + off.y)
+    region = region_at(Ls, reach)
+    samples = FieldSamples(spec, PARAMS, LAYOUT, 2_000, seed)
+    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
+    assert samples.fallbacks == 0
+    rim = samples.at(Ls, region)[0]
+    want = ccdf_module._exact_curves(5.0, Ls, LEVELS, samples, rim)
+    for g, w in zip(got, want):
+        assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
+            (w.cell, w.t, w.mass, w.n_samples, w.empty)
+        assert (type(g.mass), type(g.n_samples)) == (float, int)   # as pickled
+        assert np.array_equal(g.values, w.values)
+        assert np.array_equal(g.stderr, w.stderr)
 
 
 @settings(max_examples=25, deadline=None)
