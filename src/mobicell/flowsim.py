@@ -3,20 +3,31 @@ sharing system: Poisson arrivals per class, exponential flow sizes, PS service
 whose per-class rate switches between the partner-idle and interfered values
 with the partner queue's occupancy, plus class migrations and handovers.
 
-Service bookkeeping uses one virtual service clock per (cell, class): the
-clock advances by the common per-flow rate, and a flow departs when the clock
-passes its personal threshold (clock at entry + remaining size).  Each flow
-in service has one entry, held both in its class's heap of thresholds and in
-its class's member list, which migrations and handovers draw from.  A flow
-that leaves its class is swap-removed from the list and only marked dead in
-the heap; a class's live top threshold is cached, and dead tops are popped
-only when the flow that left was the top.  The per-class loops visit each
-cell's occupied classes, in ascending order.  Draws come as Python floats
-from two pooled streams (exponential, uniform) of one numpy Generator, and
-per-flow records are kept only on request.  Per-event cost is O(K + L + log n)
-regardless of the number of active flows; every departed flow has received
-exactly its drawn size, and the drawn work is the served work plus the
-backlog at T.
+Service bookkeeping uses processor-sharing virtual time (Kleinrock 1967):
+each cell keeps one share clock S = integral of dt/|n|, and class k's virtual
+service clock advances at eta_k per unit of it.  A flow departs when its
+class clock passes its threshold (class clock at entry + remaining size).
+The rates are constant within an epoch (one piece, one partner phase), so
+there class k's clock is base_k + eta_k S, with S restarted at 0 when the
+epoch starts and each occupied class rebased so that its clock is
+continuous; an empty class's clock restarts at 0 when a flow enters it.
+Each class's top departs at share clock (top_k - base_k) / eta_k, and each
+cell keeps the least of these, refreshed only in the cell an event touches;
+the next departure is (least - S) |n| away.  Time integrals are flushed per
+class (n dt and n d clock) when its count changes, at piece boundaries and at
+T, and the busy time per busy period.
+
+Each flow in service has one entry, held both in its class's heap of
+thresholds and in its class's member list, which migrations and handovers
+draw from.  A flow that leaves its class is swap-removed from the list and
+only marked dead in the heap; dead tops are popped only when the flow that
+left was the top.  Draws come as Python floats from two pooled streams
+(exponential, uniform) of one numpy Generator, and per-flow records are kept
+only on request.  Per event the work is O(log n) plus loops over one cell's
+occupied classes when a departure or an epoch moves its least departure
+time, or a migration-prone count changes; nothing is done per class for the
+time that passes.  A departed flow has received its size to rounding, and
+the drawn work is the served work plus the backlog at T.
 """
 
 from __future__ import annotations
@@ -24,7 +35,9 @@ from __future__ import annotations
 import bisect
 import csv
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +192,43 @@ def _as_list(x):
     return [x] if isinstance(x, (ClassProfile, TransitionRates)) else list(x)
 
 
+class _Class:
+    """One class of one cell during a run: its flows, its clock and its
+    integrals since the last flush."""
+
+    __slots__ = ("k", "n", "hazard", "rate", "base", "due", "heap", "members",
+                 "since", "clock", "piece_n", "piece_served", "int_n", "int_served")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.n = 0
+        self.hazard = 0.0    # migration hazard per flow in the current piece
+        self.rate = 0.0      # eta_k of the epoch; each flow gets rate / |n|
+        self.base = 0.0      # class clock at the epoch start
+        self.due = math.inf  # share clock at which the heap top departs
+        # one entry [threshold, fid, live, index, record] per flow in service,
+        # in the heap and at ``index`` in ``members``; entries of two flows
+        # differ in fid, so heapq never orders two records
+        self.heap = []
+        self.members = []
+        self.since = self.clock = 0.0   # time and class clock at the last flush
+        self.piece_n = self.piece_served = 0.0
+        self.int_n = self.int_served = 0.0
+
+    def flush(self, share: float, t: float) -> float:
+        """Credit n dt and n dclock since the last flush; return the clock."""
+        v = self.base + self.rate * share
+        self.piece_n += self.n * (t - self.since)
+        self.piece_served += self.n * (v - self.clock)
+        self.since = t
+        self.clock = v
+        return v
+
+
+_INDEX = operator.attrgetter("k")
+_DUE = operator.attrgetter("due")
+
+
 def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
              track_states: bool = False, sample_dt: float | None = None,
              record_flows: bool = False) -> QueueTrace:
@@ -189,12 +239,22 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     may be None (no migrations or handovers), a single TransitionRates or a
     series aligned with the profile intervals.  Deterministic per seed.
 
+    Each cell runs on one share clock (see the module notes): an event
+    advances it by delta/|n| and reads the next departure off the cell's
+    least due share time; an epoch (one piece, one partner phase) rebases the
+    cell's occupied classes, and the integrals are flushed per class when its
+    count changes, at piece boundaries and at T.  Same draws in the same
+    order as a per-class-clock engine; times and integrals differ from its by
+    rounding.
+
     ``sample_dt`` records the class occupancy at t = 0, dt, 2 dt, ... < T.
     Sampling consumes no random draws, so a sampled run is the same
     realisation as an unsampled one with the same seed.  So does
     ``record_flows``, which keeps a FlowRecord per arrival in ``trace.flows``
-    (left empty otherwise).  Every run checks drawn work = served + backlog,
-    and with records each flow's bookkeeping (AssertionError otherwise).
+    (left empty otherwise); a departed flow's ``served`` is its size less the
+    work its threshold still shows.  Every run checks drawn work = served +
+    backlog, and with records each flow's bookkeeping (AssertionError
+    otherwise).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -216,21 +276,19 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     cells = (MACRO, SMALL)
     inf = math.inf
 
-    counts = [[0] * K, [0] * L]
-    total = [0, 0]
-    vclock = [[0.0] * K, [0.0] * L]
-    top = [[inf] * K, [inf] * L]   # threshold of each class's live heap top
+    cq = [[_Class(k) for k in range(n)] for n in (K, L)]
     occupied = [[], []]            # classes with a flow, ascending, per cell
-    # one entry [threshold, fid, live, index, record] per flow in service, in
-    # its class heap and at ``index`` in its class member list; entries of
-    # two flows differ in fid, so heapq never orders two records
-    heaps = [[[] for _ in range(n)] for n in (K, L)]
-    members = [[[] for _ in range(n)] for n in (K, L)]
+    total = [0, 0]
+    # share clock of each cell since its epoch began; within an epoch class
+    # k's clock is base + rate * share
+    share = [0.0, 0.0]
+    first = [inf, inf]             # least due of each cell's occupied classes
+    first_q = [None, None]         # its class, the lowest on a tie
+    hz = [0.0, 0.0]                # sum of n_k * hazard_k per cell
+    busy_from = [0.0, 0.0]
     records: list[FlowRecord] = []
     drawn = 0.0
 
-    int_n = [[0.0] * K, [0.0] * L]
-    int_served = [[0.0] * K, [0.0] * L]
     busy_time = [0.0, 0.0]
     piece_time = [0.0] * n_pieces
     piece_int_n = [[0.0, 0.0] for _ in range(n_pieces)]
@@ -243,6 +301,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
 
     t = 0.0
     piece = 0
+    piece_from = 0.0
     piece_edges = [p.t for p in profs[1:]] + [inf]
     next_sample = 0.0 if sample_dt else inf
 
@@ -250,82 +309,140 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         p = profs[i]
         r = rate_list[min(i, len(rate_list) - 1)]
         lam = (p.lambda_macro.tolist(), p.lambda_small.tolist())
-        arrivals = [(c, k, x) for c in cells for k, x in enumerate(lam[c]) if x > 0.0]
+        arrivals = [(c, cq[c][k]) for c in cells for k, x in enumerate(lam[c]) if x > 0.0]
+        cum = list(itertools.accumulate(lam[c][q.k] for c, q in arrivals))
         # eta[cell][phase][class] as plain lists for fast scalar access
         eta = ([p.eta_macro[:, 0].tolist(), p.eta_macro[:, 1].tolist()],
                [p.eta_small[:, 0].tolist(), p.eta_small[:, 1].tolist()])
         mig = ((r.nu_up.tolist(), r.nu_down.tolist()),
                (r.nu_tilde_up.tolist(), r.nu_tilde_down.tolist()))
-        hazard = [[u + d for u, d in zip(*pair)] for pair in mig]
-        return (arrivals, sum(lam[MACRO]) + sum(lam[SMALL]), eta, mig, hazard,
-                any(any(x) for pair in mig for x in pair), float(r.nu_handover_m2s),
-                float(r.nu_handover_s2m), min(piece_edges[i], T))
+        for c, (ups, downs) in enumerate(mig):
+            for q, u, d in zip(cq[c], ups, downs):
+                q.hazard = u + d
+        return (arrivals, cum, sum(lam[MACRO]) + sum(lam[SMALL]), eta, mig,
+                float(r.nu_handover_m2s), float(r.nu_handover_s2m), min(piece_edges[i], T))
 
-    (arrivals, lam_tot, eta, mig, hazard, any_migration, ho_m2s, ho_s2m,
-     piece_end) = piece_params(piece)
+    (arrivals, cum, lam_tot, eta, mig, ho_m2s, ho_s2m, piece_end) = piece_params(piece)
+    rate = [eta[MACRO][0], eta[SMALL][0]]   # class rates of each cell's epoch
 
-    def enter(fid: int, record, c: int, k: int, remaining: float):
-        m = members[c][k]
-        entry = [vclock[c][k] + remaining, fid, True, len(m), record]
-        heapq.heappush(heaps[c][k], entry)
+    def refresh(c: int):
+        occ = occupied[c]
+        if occ:
+            q = first_q[c] = min(occ, key=_DUE)
+            first[c] = q.due
+        else:
+            first[c] = inf
+
+    def new_epoch(c: int):
+        """Switch cell c to the rates of the piece and its partner's phase:
+        each occupied class clock becomes its base, and the share clock
+        restarts at 0."""
+        r = rate[c] = eta[c][1 if total[1 - c] else 0]
+        s = share[c]
+        for q in occupied[c]:
+            q.base += q.rate * s
+            q.rate = r[q.k]
+            q.due = (q.heap[0][0] - q.base) / q.rate
+        share[c] = 0.0
+        refresh(c)
+
+    def sum_hazard(c: int):
+        h = 0.0
+        for q in occupied[c]:
+            h += q.n * q.hazard
+        hz[c] = h
+
+    def close_piece(i: int, t: float):
+        """Flush every class at t and move its piece integrals to piece i."""
+        for c in cells:
+            for q in occupied[c]:
+                q.flush(share[c], t)
+            for q in cq[c]:
+                piece_int_n[i][c] += q.piece_n
+                piece_served[i][c] += q.piece_served
+                q.int_n += q.piece_n
+                q.int_served += q.piece_served
+                q.piece_n = q.piece_served = 0.0
+
+    def enter(fid: int, record, c: int, q: _Class, remaining: float, t: float):
+        if q.n:
+            v = q.flush(share[c], t)
+        else:
+            # an empty class's clock restarts at 0
+            q.rate = rate[c][q.k]
+            q.base = -(q.rate * share[c])
+            q.since = t
+            q.clock = v = 0.0
+            bisect.insort(occupied[c], q, key=_INDEX)
+        q.n += 1
+        m = q.members
+        entry = [v + remaining, fid, True, len(m), record]
+        heapq.heappush(q.heap, entry)
         m.append(entry)
-        if entry[0] < top[c][k]:
-            top[c][k] = entry[0]
-        if not counts[c][k]:
-            bisect.insort(occupied[c], k)
-        counts[c][k] += 1
-        total[c] += 1
+        if q.heap[0] is entry:
+            d = q.due = (entry[0] - q.base) / q.rate
+            if d < first[c] or (d == first[c] and q.k < first_q[c].k):
+                first[c] = d
+                first_q[c] = q
         if record is not None:
-            record.path.append((c, k))
+            record.path.append((c, q.k))
+        if q.hazard:
+            sum_hazard(c)
+        total[c] += 1
+        if total[c] == 1:
+            busy_from[c] = t
+            new_epoch(1 - c)
 
-    def leave(entry: list, c: int, k: int) -> float:
+    def leave(entry: list, c: int, q: _Class, t: float) -> float:
         """Swap-remove ``entry`` from its class and mark it dead in the heap,
         popping the dead tops if it was the top; return its remaining work."""
-        m = members[c][k]
+        v = q.flush(share[c], t)
+        m = q.members
         last = m.pop()
         if last is not entry:
             m[entry[3]] = last
             last[3] = entry[3]
         entry[2] = False
-        counts[c][k] -= 1
-        total[c] -= 1
-        if not counts[c][k]:
-            occupied[c].remove(k)
-        h = heaps[c][k]
+        q.n -= 1
+        h = q.heap
         if h[0] is entry:
             while h and not h[0][2]:
                 heapq.heappop(h)
-            top[c][k] = h[0][0] if h else inf
-        return entry[0] - vclock[c][k]
+            if h:
+                q.due = (h[0][0] - q.base) / q.rate
+            else:
+                occupied[c].remove(q)
+            if q is first_q[c]:
+                refresh(c)
+        if q.hazard:
+            sum_hazard(c)
+        total[c] -= 1
+        if not total[c]:
+            busy_time[c] += t - busy_from[c]
+            share[c] = 0.0
+            new_epoch(1 - c)
+        return entry[0] - v
 
     while t < T:
-        # per-class service rates of each cell, by its partner's phase
-        eta_now = (eta[MACRO][1 if total[SMALL] else 0], eta[SMALL][1 if total[MACRO] else 0])
-
-        # next departure across occupied classes
+        # next departure: each busy cell's least due, |n| seconds per unit
+        # of share clock; the macro cell first on a tie
         best_dep = inf
-        for c in cells:
-            tc = total[c]
-            if tc:
-                vc, ec, tops = vclock[c], eta_now[c], top[c]
-                for k in occupied[c]:
-                    dt_k = (tops[k] - vc[k]) * tc / ec[k]
-                    if dt_k < best_dep:
-                        best_dep = dt_k
-                        dep_c, dep_k = c, k
+        tc = total[MACRO]
+        if tc:
+            best_dep = (first[MACRO] - share[MACRO]) * tc
+            dep_c = MACRO
+        tc = total[SMALL]
+        if tc:
+            dt_small = (first[SMALL] - share[SMALL]) * tc
+            if dt_small < best_dep:
+                best_dep = dt_small
+                dep_c = SMALL
         if best_dep < 0.0:
             best_dep = 0.0
 
         dt_arr = nxt(exps) / lam_tot if lam_tot > 0.0 else inf
-
-        mig_rate = 0.0
-        if any_migration:
-            for c in cells:
-                cc, hc = counts[c], hazard[c]
-                for k in occupied[c]:
-                    mig_rate += cc[k] * hc[k]
+        mig_rate = hz[MACRO] + hz[SMALL]
         dt_mig = nxt(exps) / mig_rate if mig_rate > 0.0 else inf
-
         ho_rate = total[MACRO] * ho_m2s + total[SMALL] * ho_s2m
         dt_ho = nxt(exps) / ho_rate if ho_rate > 0.0 else inf
 
@@ -336,31 +453,18 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         # before its event (boundary first on a tie); they draw nothing
         while next_sample <= t + delta and next_sample < T:
             sample_times.append(next_sample)
-            sample_counts.append((list(counts[MACRO]), list(counts[SMALL])))
+            sample_counts.append(([q.n for q in cq[MACRO]], [q.n for q in cq[SMALL]]))
             next_sample = len(sample_times) * sample_dt
 
-        # integrate the constant-occupancy interval
         if delta > 0.0:
-            for c in cells:
-                tc = total[c]
-                if tc:
-                    served_cell = 0.0
-                    inv = delta / tc
-                    cc, vc, ec = counts[c], vclock[c], eta_now[c]
-                    i_n, i_s = int_n[c], int_served[c]
-                    for k in occupied[c]:
-                        nk = cc[k]
-                        i_n[k] += nk * delta
-                        vc[k] += ec[k] * inv
-                        sv = ec[k] * nk * inv
-                        i_s[k] += sv
-                        served_cell += sv
-                    busy_time[c] += delta
-                    piece_served[piece][c] += served_cell
-                    piece_int_n[piece][c] += tc * delta
-            piece_time[piece] += delta
+            tc = total[MACRO]
+            if tc:
+                share[MACRO] += delta / tc
+            tc = total[SMALL]
+            if tc:
+                share[SMALL] += delta / tc
             if track_states:
-                key = (tuple(counts[MACRO]), tuple(counts[SMALL]))
+                key = (tuple([q.n for q in cq[MACRO]]), tuple([q.n for q in cq[SMALL]]))
                 states_time[key] = states_time.get(key, 0.0) + delta
             t += delta
 
@@ -369,33 +473,37 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             if t >= T:
                 break
             if t >= piece_edges[piece]:
+                close_piece(piece, t)
+                piece_time[piece] = t - piece_from
+                piece_from = t
                 piece += 1
-                (arrivals, lam_tot, eta, mig, hazard, any_migration, ho_m2s, ho_s2m,
+                (arrivals, cum, lam_tot, eta, mig, ho_m2s, ho_s2m,
                  piece_end) = piece_params(piece)
+                for c in cells:
+                    new_epoch(c)
+                    sum_hazard(c)
             continue
 
         if delta == best_dep:
-            entry = heaps[dep_c][dep_k][0]   # live: tops are kept live
-            leave(entry, dep_c, dep_k)
+            q = first_q[dep_c]
+            entry = q.heap[0]   # live: tops are kept live
+            left = leave(entry, dep_c, q, t)
             if entry[4] is not None:
                 entry[4].departure = t
-                entry[4].served = entry[4].size
+                entry[4].served = entry[4].size - left
             n_dep += 1
             continue
 
         if delta == dt_arr:
-            u = nxt(unis) * lam_tot
-            acc = 0.0
-            for cell, cls, x in arrivals:
-                acc += x
-                if u < acc:
-                    break  # rounding at u ~ lam_tot falls to the last positive class
+            # rounding at u ~ lam_tot falls to the last positive class
+            i = bisect.bisect_right(cum, nxt(unis) * lam_tot)
+            c, q = arrivals[min(i, len(arrivals) - 1)]
             size = nxt(exps) * sigma0
             drawn += size
             record = FlowRecord(n_arr, t, math.nan, size, 0.0, []) if record_flows else None
             if record_flows:
                 records.append(record)
-            enter(n_arr, record, cell, cls, size)
+            enter(n_arr, record, c, q, size, t)
             n_arr += 1
             continue
 
@@ -405,23 +513,21 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             move = None
             for c in cells:
                 ups, downs = mig[c]
-                cc = counts[c]
-                for k in occupied[c]:
-                    nk = cc[k]
-                    acc += nk * ups[k]
+                for q in occupied[c]:
+                    acc += q.n * ups[q.k]
                     if u < acc:
-                        move = (c, k, k + 1)
+                        move = (c, q, q.k + 1)
                         break
-                    acc += nk * downs[k]
+                    acc += q.n * downs[q.k]
                     if u < acc:
-                        move = (c, k, k - 1)
+                        move = (c, q, q.k - 1)
                         break
                 if move:
                     break
             if move:
-                c, k, k2 = move
-                entry = members[c][k][int(nxt(unis) * counts[c][k])]
-                enter(entry[1], entry[4], c, k2, leave(entry, c, k))
+                c, q, k2 = move
+                entry = q.members[int(nxt(unis) * q.n)]
+                enter(entry[1], entry[4], c, cq[c][k2], leave(entry, c, q, t), t)
                 n_mig += 1
             continue
 
@@ -429,30 +535,37 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             u = nxt(unis) * ho_rate
             src = MACRO if u < total[MACRO] * ho_m2s else SMALL
             pick = int(nxt(unis) * total[src])
-            for k in occupied[src]:
-                if pick < counts[src][k]:
-                    entry = members[src][k][pick]
+            for q in occupied[src]:
+                if pick < q.n:
+                    entry = q.members[pick]
                     # into the first class
-                    enter(entry[1], entry[4], 1 - src, 0, leave(entry, src, k))
+                    enter(entry[1], entry[4], 1 - src, cq[1 - src][0],
+                          leave(entry, src, q, t), t)
                     n_ho += 1
                     break
-                pick -= counts[src][k]
+                pick -= q.n
             continue
 
-    # flows still in service keep a NaN departure; their remaining work is
-    # the backlog
+    # close the integrals at T; flows still in service keep a NaN departure
+    # and their remaining work is the backlog
+    close_piece(piece, t)
+    piece_time[piece] = t - piece_from
     backlog = 0.0
     for c in cells:
-        for k, entries in enumerate(members[c]):
-            for entry in entries:
-                left = entry[0] - vclock[c][k]
+        if total[c]:
+            busy_time[c] += t - busy_from[c]
+        for q in occupied[c]:
+            for entry in q.members:
+                left = entry[0] - q.clock
                 backlog += left
                 if entry[4] is not None:
                     entry[4].served = entry[4].size - left
 
     trace = QueueTrace(
         T=T, K=K, L=L, traffic=traffic,
-        int_n=int_n, int_served=int_served, busy_time=busy_time,
+        int_n=[[q.int_n for q in cell] for cell in cq],
+        int_served=[[q.int_served for q in cell] for cell in cq],
+        busy_time=busy_time,
         piece_t=np.array([p.t for p in profs]),
         piece_time=np.array(piece_time), piece_int_n=np.array(piece_int_n),
         piece_served=np.array(piece_served),

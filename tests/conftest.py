@@ -76,54 +76,107 @@ def coupled_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s
             if pi[idx(n, m)] > 0}
 
 
-def migration_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
-                               nu_up, nu_down, ho_m2s, ho_s2m, n_max=20):
-    """Exact stationary law of K macro classes and one small-cell class with
-    class migrations and handovers, truncated at ``n_max`` flows per class:
-    a CTMC on (n_1..n_K, m).  Macro class k drains at n_k/|n| * eta_k / sigma0
-    in the partner's phase; a macro flow in class k moves up at nu_up[k], down
+def migration_chain(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
+                    nu_up, nu_down, ho_m2s, ho_s2m, n_max=20):
+    """Generator of K macro classes and one small-cell class with class
+    migrations and handovers, truncated at ``n_max`` flows per class: a CTMC
+    on (n_1..n_K, m).  Macro class k drains at n_k/|n| * eta_k / sigma0 in
+    the partner's phase; a macro flow in class k moves up at nu_up[k], down
     at nu_down[k] and to the small cell at ho_m2s; a small-cell flow moves to
-    macro class 1 at ho_s2m.  Moves into a full class are blocked."""
+    macro class 1 at ho_s2m.  Moves into a full class are blocked.  Returns
+    the states, the generator Q (CSR) and, per state, the total rate of its
+    blocked moves."""
     K = len(lam_m)
     states = list(itertools.product(range(n_max + 1), repeat=K + 1))
-    index = {s: i for i, s in enumerate(states)}
+    # states are in row-major order: coordinate j moves the index by stride[j]
+    stride = [(n_max + 1) ** (K - j) for j in range(K + 1)]
     rows, cols, vals = [], [], []
+    blocked = np.zeros(len(states))
 
-    def add(i, s, d, rate):
-        j = index.get(tuple(a + b for a, b in zip(s, d)))
-        if rate > 0 and j is not None:
-            rows.append(i)
-            cols.append(j)
-            vals.append(rate)
+    def move(i, s, rate, up=None, down=None):
+        """One flow into coordinate ``up`` and/or out of ``down``."""
+        if rate > 0:
+            if up is not None and s[up] == n_max:
+                blocked[i] += rate
+            else:
+                rows.append(i)
+                cols.append(i + (0 if up is None else stride[up])
+                            - (0 if down is None else stride[down]))
+                vals.append(rate)
 
-    unit = np.eye(K + 1, dtype=int)
     for i, s in enumerate(states):
         n, m = s[:K], s[K]
         tot = sum(n)
         for k in range(K):
-            add(i, s, unit[k], lam_m[k])
+            move(i, s, lam_m[k], up=k)
             if n[k]:
                 eta = eta_m1[k] if m else eta_m0[k]
-                add(i, s, -unit[k], n[k] / tot * eta / sigma0)
+                move(i, s, n[k] / tot * eta / sigma0, down=k)
                 if k + 1 < K:
-                    add(i, s, unit[k + 1] - unit[k], n[k] * nu_up[k])
+                    move(i, s, n[k] * nu_up[k], k + 1, k)
                 if k > 0:
-                    add(i, s, unit[k - 1] - unit[k], n[k] * nu_down[k])
-                add(i, s, unit[K] - unit[k], n[k] * ho_m2s)
-        add(i, s, unit[K], lam_s)
+                    move(i, s, n[k] * nu_down[k], k - 1, k)
+                move(i, s, n[k] * ho_m2s, K, k)
+        move(i, s, lam_s, up=K)
         if m:
-            add(i, s, -unit[K], (eta_s1 if tot else eta_s0) / sigma0)
-            add(i, s, unit[0] - unit[K], m * ho_s2m)
+            move(i, s, (eta_s1 if tot else eta_s0) / sigma0, down=K)
+            move(i, s, m * ho_s2m, 0, K)
     size = len(states)
     Q = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     Q = Q - sp.diags(np.asarray(Q.sum(axis=1)).ravel())
+    return states, Q, blocked
+
+
+def migration_chain_stationary(n_max=20, **chain):
+    """Exact stationary law of :func:`migration_chain`, keyed (macro
+    counts, small counts)."""
+    states, Q, _ = migration_chain(n_max=n_max, **chain)
+    K = len(states[0]) - 1
     A = Q.T.tolil()
     A[0, :] = 1.0
-    b = np.zeros(size)
+    b = np.zeros(len(states))
     b[0] = 1.0
     pi = np.maximum(spla.spsolve(A.tocsr(), b), 0.0)
     pi /= pi.sum()
     return {(s[:K], s[K:]): p for s, p in zip(states, pi) if p > 0}
+
+
+def migration_chain_piece_integrals(pieces, n_max):
+    """Exact expected per-piece integrals of :func:`migration_chain` from
+    the empty state, with parameters piecewise constant: ``pieces`` lists
+    (duration, chain parameters).  Each piece integrates the generator
+    augmented with a reward block (Van Loan 1978): for p(0) the
+    distribution at the piece's start and R the rewards per state,
+    exp([[Q, R], [0, 0]] tau) carries (p(0), 0) to (p(tau),
+    p(0) int_0^tau exp(Q s) ds R).  Returns the per-piece expected integral
+    of |n| dt per cell, of served Mbits per cell, both (n_pieces, 2), and the
+    expected number of blocked moves over the run, which bounds the
+    probability that the untruncated chain leaves the box."""
+    int_n, served = [], []
+    p = None
+    dropped = 0.0
+    for tau, chain in pieces:
+        states, Q, blocked = migration_chain(n_max=n_max, **chain)
+        K = len(states[0]) - 1
+        S = np.asarray(states)
+        n_tot, m = S[:, :K].sum(axis=1), S[:, K]
+        em = np.where(m[:, None] > 0, chain["eta_m1"], chain["eta_m0"])
+        macro_rate = np.divide((S[:, :K] * em).sum(axis=1), n_tot,
+                               out=np.zeros(len(S)), where=n_tot > 0)
+        small_rate = np.where(m > 0, np.where(n_tot > 0, chain["eta_s1"], chain["eta_s0"]),
+                              0.0)
+        R = np.column_stack([n_tot, m, macro_rate, small_rate, blocked])
+        size, r = len(states), R.shape[1]
+        MT = sp.bmat([[Q.T, None], [sp.csr_matrix(R.T), sp.csr_matrix((r, r))]]).tocsc()
+        if p is None:
+            p = np.zeros(size)
+            p[0] = 1.0   # the empty state comes first
+        out = spla.expm_multiply(MT * tau, np.concatenate([p, np.zeros(r)]))
+        p, acc = out[:size], out[size:]
+        int_n.append(acc[0:2])
+        served.append(acc[2:4])
+        dropped += acc[4]
+    return np.array(int_n), np.array(served), dropped
 
 
 class DegenerateRegionError(RuntimeError):

@@ -77,13 +77,14 @@ def phase_map(prof, sigma0, rho, rho_tilde):
 def iterate_loads(prof, sigma0, start, tol=1e-15, max_iter=100_000):
     """The fixed point that undamped iteration reaches from ``start``, run
     until both steps fall below ``tol`` (the default is a few ulps of a load
-    near 1, so the iteration settles to rounding)."""
-    r, rt = start
+    near 1, so the iteration settles to rounding) or an iterate repeats the
+    one two steps back (a rounding 2-cycle around the fixed point)."""
+    prev, cur = None, tuple(start)
     for _ in range(max_iter):
-        nr, nrt = phase_map(prof, sigma0, r, rt)
-        if abs(nr - r) < tol and abs(nrt - rt) < tol:
-            return nr, nrt
-        r, rt = nr, nrt
+        nxt = phase_map(prof, sigma0, *cur)
+        if (abs(nxt[0] - cur[0]) < tol and abs(nxt[1] - cur[1]) < tol) or nxt == prev:
+            return nxt
+        prev, cur = cur, nxt
     raise AssertionError(f"iteration from {start} did not settle")
 
 
@@ -112,6 +113,10 @@ def single_class_case(lam_m, lam_s, eta0, eta1, sigma0=2.0):
 MACRO_CLAMPED = single_class_case(5.0, 0.5, 10.0, 4.0)
 SMALL_CLAMPED = single_class_case(0.5, 5.0, 10.0, 4.0)
 STRONG_COUPLING = single_class_case(0.5, 0.5, 10.0, 0.5)   # A1 * B1 >= 1
+# undamped iteration from (0, 0) alternates between two loads 2.5e-15 apart
+ROUNDING_2_CYCLE = (make_profile(lam_m=(4.5,), lam_s=(0.02,), eta_m0=(5.0,), eta_m1=(0.1,),
+                                 eta_s0=(0.5,), eta_s1=(0.01,)),
+                    TrafficSpec(4.52, 0.1))
 
 
 def test_fixed_point_regime_examples():
@@ -133,6 +138,7 @@ def test_fixed_point_regime_examples():
 @example(case=MACRO_CLAMPED)
 @example(case=SMALL_CLAMPED)
 @example(case=STRONG_COUPLING)
+@example(case=ROUNDING_2_CYCLE)
 def test_fixed_point_is_the_least_iterated_fixed_point(case):
     """The closed form is the limit of the undamped iteration from (0, 0) and
     lies below the fixed point reached from every other start."""

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupled_chain_stationary, make_profile, migration_chain_stationary
+from conftest import (coupled_chain_stationary, make_profile, migration_chain_piece_integrals,
+                      migration_chain_stationary)
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
                            macro_ccdf, small_ccdf)
 from mobicell.flowsim import (MACRO, SMALL, InsufficientDataError, TrafficSpec,
@@ -302,17 +303,81 @@ def test_flow_records_consume_no_draws():
 
 def test_moving_system_realisation_is_pinned():
     """Event counts and integrals of one seed, pinned to the bit: a refactor
-    that moves, adds or drops a draw, or reorders a sum, fails here."""
+    that moves, adds or drops a draw, or reorders a sum, fails here.  The
+    event counts and the integrals of the per-class-clock engine, to
+    rounding, show that the share-clock engine draws the same realisation."""
     profs, rates, traffic, T = _moving_system()
     tr = simulate(profs, rates, traffic, T, 5)
     assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
         (2759, 2759, 58, 20)
     assert [[repr(float(x)) for x in c] for c in tr.int_n] == \
-        [["776.0494948710838", "204.5878739739635"],
-         ["138.41486080126927", "207.42978047682644"]]
+        [["776.0494948710857", "204.58787397396108"],
+         ["138.41486080126867", "207.42978047682666"]]
     assert [[repr(float(x)) for x in c] for c in tr.int_served] == \
-        [["1814.9527549099187", "1057.6524566007215"],
-         ["629.4957955884588", "1954.969470718614"]]
+        [["1814.9527549099175", "1057.6524566007197"],
+         ["629.4957955884586", "1954.9694707186165"]]
+    per_class_clock = ([[776.0494948710838, 204.5878739739635],
+                        [138.41486080126927, 207.42978047682644]],
+                       [[1814.9527549099187, 1057.6524566007215],
+                        [629.4957955884588, 1954.969470718614]])
+    for got, pinned in zip((tr.int_n, tr.int_served), per_class_clock):
+        for c in (MACRO, SMALL):
+            assert got[c] == pytest.approx(pinned[c], rel=1e-12)
+
+
+@st.composite
+def piecewise_systems(draw):
+    """Small systems with a random piece grid on [0, T) and random arrivals,
+    service rates, migrations and handovers per piece."""
+    K, L = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    T = draw(st.floats(20.0, 80.0))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=5, unique=True))
+    starts = [0.0] + sorted(T * x for x in cuts)
+    rate = st.floats(0.0, 1.5)
+    eta = st.floats(1.0, 20.0)
+    profs, rates = [], []
+    for t in starts:
+        lam_m = draw(st.lists(rate, min_size=K, max_size=K))
+        lam_s = draw(st.lists(rate, min_size=L, max_size=L))
+        eta_m0 = draw(st.lists(eta, min_size=K, max_size=K))
+        eta_s0 = draw(st.lists(eta, min_size=L, max_size=L))
+        ratio = draw(st.floats(0.2, 1.0))
+        profs.append(make_profile(t=t, lam_m=lam_m, lam_s=lam_s, eta_m0=eta_m0,
+                                  eta_m1=[ratio * x for x in eta_m0], eta_s0=eta_s0,
+                                  eta_s1=[ratio * x for x in eta_s0]))
+        nu = st.floats(0.0, 0.8)
+        up = draw(st.lists(nu, min_size=K, max_size=K))[:-1] + [0.0]
+        down = [0.0] + draw(st.lists(nu, min_size=K, max_size=K))[1:]
+        tup = draw(st.lists(nu, min_size=L, max_size=L))[:-1] + [0.0]
+        tdown = [0.0] + draw(st.lists(nu, min_size=L, max_size=L))[1:]
+        rates.append(TransitionRates(t, np.array(up), np.array(down), np.array(tup),
+                                     np.array(tdown), draw(st.floats(0.0, 0.4)),
+                                     draw(st.floats(0.0, 0.4))))
+    lam_tot = max(float(p.lambda_macro.sum() + p.lambda_small.sum()) for p in profs)
+    return profs, rates, TrafficSpec(max(lam_tot, 0.1), 2.0), T
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=piecewise_systems(), seed=st.integers(0, 2**32 - 1))
+def test_lazy_integrals_match_per_event_accounting(system, seed):
+    """The integrals flushed per class at count changes, boundaries and T
+    agree with the per-event state record: occupancy, busy time and horizon
+    from states_time, per-piece sums against the class totals, and piece
+    durations against the grid."""
+    profs, rates, traffic, T = system
+    tr = simulate(profs, rates, traffic, T, seed, track_states=True)
+    close = dict(rel=1e-9, abs=1e-12 * T)
+    assert sum(tr.states_time.values()) == pytest.approx(T, **close)
+    for c, n_classes in ((MACRO, tr.K), (SMALL, tr.L)):
+        for k in range(n_classes):
+            occupancy = sum(dt * key[c][k] for key, dt in tr.states_time.items())
+            assert tr.int_n[c][k] == pytest.approx(occupancy, **close)
+        busy = sum(dt for key, dt in tr.states_time.items() if any(key[c]))
+        assert tr.busy_time[c] == pytest.approx(busy, **close)
+        assert tr.piece_int_n[:, c].sum() == pytest.approx(sum(tr.int_n[c]), **close)
+        assert tr.piece_served[:, c].sum() == pytest.approx(sum(tr.int_served[c]), **close)
+    ends = np.minimum(np.append(tr.piece_t[1:], T), T)
+    assert tr.piece_time.tolist() == pytest.approx((ends - tr.piece_t).tolist(), **close)
 
 
 @settings(max_examples=25, deadline=None)
@@ -380,3 +445,51 @@ def test_migrations_and_handovers_against_exact_chain():
     keys = set(sim) | set(exact)
     tv = 0.5 * sum(abs(sim.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
     assert tv < 0.02
+
+
+def _transient_piece(i):
+    """Piece i of the transient oracle, in migration_chain's terms: loads,
+    service rates, migrations and handovers alternate between a busy and a
+    quiet piece and drift slowly."""
+    busy = i % 2 == 0
+    drift = 1.0 + 0.4 * math.sin(i / 3.0)
+    lam = (1.4 if busy else 0.25) * drift
+    return dict(lam_m=(lam, 0.5 * lam), lam_s=(0.9 if busy else 0.2) * drift, sigma0=2.0,
+                eta_m0=(8.0, 16.0) if busy else (16.0, 30.0),
+                eta_m1=(5.0, 10.0) if busy else (10.0, 20.0),
+                eta_s0=12.0 if busy else 24.0, eta_s1=8.0 if busy else 16.0,
+                nu_up=(0.6 * drift, 0.0), nu_down=(0.0, 0.4 if busy else 1.2),
+                ho_m2s=0.3 if busy else 0.05, ho_s2m=0.1 if busy else 0.5)
+
+
+def test_piece_integrals_against_exact_transient():
+    """Time-varying parameters from an empty start, against the exact
+    transient of the chain: the mean per-piece occupancy integral and served
+    work of 1000 runs lie within 4.4 standard errors of the expectations, a
+    Bonferroni bound over the 80 comparisons at a family-wise level of 1e-3.
+    Each of these engine faults gives |z| > 4.4 on some piece: the old
+    piece's rates kept for the first event after a boundary (|z| up to 30),
+    the interval that ends on a boundary credited to the next piece (6.6),
+    and busy cells not rebased onto the new rates at a boundary (7.2)."""
+    n_pieces, tau, runs = 20, 1.0, 1000
+    chains = [_transient_piece(i) for i in range(n_pieces)]
+    exact_n, exact_served, dropped = migration_chain_piece_integrals(
+        [(tau, ch) for ch in chains], n_max=14)
+    assert dropped < 1e-9   # the truncation moves no measurable mass
+    profs = [make_profile(t=i * tau, lam_m=ch["lam_m"], lam_s=(ch["lam_s"],),
+                          eta_m0=ch["eta_m0"], eta_m1=ch["eta_m1"],
+                          eta_s0=(ch["eta_s0"],), eta_s1=(ch["eta_s1"],))
+             for i, ch in enumerate(chains)]
+    rates = [TransitionRates(i * tau, np.array(ch["nu_up"]), np.array(ch["nu_down"]),
+                             np.zeros(1), np.zeros(1), ch["ho_m2s"], ch["ho_s2m"])
+             for i, ch in enumerate(chains)]
+    traffic = TrafficSpec(max(sum(ch["lam_m"]) + ch["lam_s"] for ch in chains), 2.0)
+    runs_n, runs_served = [], []
+    for seed in range(runs):
+        tr = simulate(profs, rates, traffic, n_pieces * tau, (7, seed))
+        runs_n.append(tr.piece_int_n)
+        runs_served.append(tr.piece_served)
+    for sims, exact in ((np.array(runs_n), exact_n), (np.array(runs_served), exact_served)):
+        se = sims.std(axis=0, ddof=1) / math.sqrt(runs)
+        z = (sims.mean(axis=0) - exact) / se
+        assert np.abs(z).max() < 4.4, np.round(z, 1)
