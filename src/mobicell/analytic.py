@@ -1,7 +1,7 @@
 """Closed-form flow-level evaluation of the coupled cells: the coupled loads,
 stationary distributions of the static and mobility-averaged systems, class
 membership probabilities of the single-user class chain, the equivalent
-single-queue service rate, traffic conservation and mean flow throughput.
+single-queue service rate and the mean flow throughput of a stationary law.
 
 Phase mixing
 ------------
@@ -14,17 +14,16 @@ eta[k,0] otherwise.  The per-class effective load is therefore
 and (rho, rho_tilde) is the exact least solution of the two coupled sums; the
 loads are clamped to 1 wherever the formulas use them as probabilities.
 
-The static-coupling stationary distribution is evaluated in two variants:
-
-* ``subclass_marginal`` (default): multiclass PS product form with the
-  phase-mixed per-class loads a_k.  This is the unique normalizable
-  completion of the phase-split construction (thinning each class into a
-  partner-idle and a partner-busy subclass and marginalizing); its truncated
-  mass converges to 1 and it is the form validated against simulation.
-* ``as_printed``: the phase-split bookkeeping kept unmarginalized, with the
-  fractional-order factorials read as Gamma(x+1).  Its raw sum exceeds 1 for
-  fractional loads, so it is normalized over the truncation and reported with
-  its raw total; selectable for sensitivity only.
+The static-coupling stationary distribution is the multiclass PS product
+form with the phase-mixed per-class loads a_k: the unique normalizable
+completion of the phase-split construction (thinning each class into a
+partner-idle and a partner-busy subclass and marginalizing).  Its truncated
+mass converges to 1 and it is the form validated against simulation.  The
+printed forms are not implemented because the explicit chains refute them: the
+printed static form (the phase split kept unmarginalized, fractional
+factorials read as Gamma(x+1)) sums to 2.30 instead of 1 on the coupled toy at
+rho = 0.4, and the printed class membership gives the small cell a share of
+0.029 on a three-state class chain whose stationary vector gives 0.048.
 """
 
 from __future__ import annotations
@@ -35,11 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from mobicell.ccdf import ClassProfile
-from mobicell.flowsim import QueueTrace, TrafficSpec, TransitionRates, empirical_metrics
+from mobicell.flowsim import TrafficSpec, TransitionRates
 from mobicell.special import log_factorial
 
-STATIC_VARIANTS = ("subclass_marginal", "as_printed")
-MEMBERSHIP_VARIANTS = ("detailed_balance", "as_printed")
 _MAX_STATES = 2_000_000
 
 
@@ -107,9 +104,11 @@ def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec) -> Co
 
 @dataclass
 class StationaryDistribution:
-    """Truncated stationary distribution over states (n_1..n_K, m_1..m_L)."""
+    """Truncated stationary distribution over states (n_1..n_K, m_1..m_L).
+    Row i of ``counts`` is state i, in the C order of the grid of counts
+    0..n_max per class."""
 
-    states: list
+    counts: np.ndarray         # (N, K+L)
     probs: np.ndarray          # normalized over the truncated space
     raw: np.ndarray            # formula values before truncation normalization
     raw_total: float
@@ -117,29 +116,25 @@ class StationaryDistribution:
     K: int
     L: int
     n_max: int
-    variant: str
+
+    @property
+    def states(self) -> list:
+        """The states as (macro counts, small counts) tuple pairs, in row order."""
+        return [(tuple(row[:self.K]), tuple(row[self.K:])) for row in self.counts.tolist()]
 
     def prob(self, n, m) -> float:
-        try:
-            i = self._index[(tuple(n), tuple(m))]
-        except AttributeError:
-            self._index = {s: i for i, s in enumerate(self.states)}
-            i = self._index[(tuple(n), tuple(m))]
-        except KeyError:
+        """Probability of state (n, m); 0 for a state outside the truncation."""
+        c = (*n, *m)
+        if len(n) != self.K or len(m) != self.L or not all(0 <= x <= self.n_max for x in c):
             return 0.0
-        return float(self.probs[i])
+        return float(self.probs[np.ravel_multi_index(c, (self.n_max + 1,) * len(c))])
 
     def mean_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        em = np.zeros(self.K)
-        es = np.zeros(self.L)
-        for (n, m), p in zip(self.states, self.probs):
-            em += p * np.asarray(n)
-            es += p * np.asarray(m)
-        return em, es
+        mean = self.probs @ self.counts
+        return mean[:self.K], mean[self.K:]
 
     def total_mean(self) -> float:
-        em, es = self.mean_counts()
-        return float(em.sum() + es.sum())
+        return float(self.probs @ self.counts.sum(axis=1))
 
 
 def _enumerate_states(K: int, L: int, n_max: int) -> np.ndarray:
@@ -169,7 +164,7 @@ def _class_log_weight(counts: np.ndarray, log_coef: np.ndarray, split=None) -> n
 
 
 def _distribution(states: np.ndarray, lw: np.ndarray, K: int, n_max: int,
-                  variant: str, total_is_one: bool = False) -> StationaryDistribution:
+                  total_is_one: bool = False) -> StationaryDistribution:
     """Weights exp(lw) normalized over the truncated space.  The mass missing
     from the truncation is 1 minus the raw total when the full-space total is
     exactly 1, otherwise a geometric extrapolation beyond the outer shell."""
@@ -184,20 +179,17 @@ def _distribution(states: np.ndarray, lw: np.ndarray, K: int, n_max: int,
         ratio = s_last / s_prev if s_prev > 0 and s_last > 0 else 0.0
         deficit = float(s_last * ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
     probs = raw / raw_total if raw_total > 0 else raw
-    pairs = [(tuple(row[:K]), tuple(row[K:])) for row in states.tolist()]
-    return StationaryDistribution(pairs, probs, raw, raw_total, deficit, K,
-                                  states.shape[1] - K, n_max, variant)
+    return StationaryDistribution(states, probs, raw, raw_total, deficit, K,
+                                  states.shape[1] - K, n_max)
 
 
 def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: CoupledLoads,
-                      n_max: int = 40, variant: str = "subclass_marginal") -> StationaryDistribution:
+                      n_max: int = 40) -> StationaryDistribution:
     """Stationary distribution of the static coupled pair (no mobility terms).
 
     Requires both per-cell loads < 1. The empty state carries probability
-    (1 - rho)(1 - rho_tilde) before truncation normalization in both variants.
+    (1 - rho)(1 - rho_tilde) before truncation normalization.
     """
-    if variant not in STATIC_VARIANTS:
-        raise ValueError(f"variant must be one of {STATIC_VARIANTS}")
     if loads.rho >= 1.0 or loads.rho_tilde >= 1.0:
         raise InstabilityError(
             f"static stationary form needs rho, rho_tilde < 1, got "
@@ -206,41 +198,24 @@ def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: Couple
     states = _enumerate_states(K, profile.L, n_max)
     n, m = states[:, :K], states[:, K:]
     lw = log_factorial(n.sum(axis=1)) + log_factorial(m.sum(axis=1))
-    if variant == "subclass_marginal":
-        a, at = _phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde)
-        with np.errstate(divide="ignore"):
-            lw += (math.log((1.0 - float(a.sum())) * (1.0 - float(at.sum())))
-                   + _class_log_weight(n, np.log(a)) + _class_log_weight(m, np.log(at)))
-        return _distribution(states, lw, K, n_max, variant, total_is_one=True)
-    rt, r = loads.rho_tilde_clamped, loads.rho_clamped
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_m = profile.lambda_macro * traffic.sigma0
-        lam_s = profile.lambda_small * traffic.sigma0
-        coef_m = ((1.0 - rt) * np.log(lam_m / profile.eta_macro[:, 0])
-                  + rt * np.log(lam_m / profile.eta_macro[:, 1]))
-        coef_s = ((1.0 - r) * np.log(lam_s / profile.eta_small[:, 0])
-                  + r * np.log(lam_s / profile.eta_small[:, 1]))
-    lw += (math.log((1.0 - loads.rho) * (1.0 - loads.rho_tilde))
-           + _class_log_weight(n, coef_m, rt) + _class_log_weight(m, coef_s, r))
-    return _distribution(states, lw, K, n_max, variant)
+    a, at = _phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde)
+    with np.errstate(divide="ignore"):
+        lw += (math.log((1.0 - float(a.sum())) * (1.0 - float(at.sum())))
+               + _class_log_weight(n, np.log(a)) + _class_log_weight(m, np.log(at)))
+    return _distribution(states, lw, K, n_max, total_is_one=True)
 
 
-def class_membership(rates_series, variant: str = "detailed_balance"):
+def class_membership(rates_series):
     """Long-run probability that a user sits in each flow class, from the
     single-user class chain (two migration ladders joined by the handover
     edge between the first classes).
 
-    ``detailed_balance`` takes the stationary vector of that chain: relative
-    to the small cell's first class, macro weights carry the handover ratio
-    and the running product of macro up/down ratios, small weights the small
-    ladder products. ``as_printed`` keeps the cross-cell ladder products
-    inside both expressions; the two differ unless the handover rates are
-    symmetric, and the explicit chain solution arbitrates in favour of
-    ``detailed_balance`` (see the package tests). Ratios are averaged over
-    the snapshot series before normalizing to a distribution.
+    This is the stationary vector of that chain, by detailed balance:
+    relative to the small cell's first class, macro weights carry the
+    handover ratio and the running product of macro up/down ratios, small
+    weights the small ladder products. Ratios are averaged over the snapshot
+    series before normalizing to a distribution.
     """
-    if variant not in MEMBERSHIP_VARIANTS:
-        raise ValueError(f"variant must be one of {MEMBERSHIP_VARIANTS}")
     series = [rates_series] if isinstance(rates_series, TransitionRates) else list(rates_series)
     if not series:
         raise ValueError("need at least one TransitionRates snapshot")
@@ -265,17 +240,8 @@ def class_membership(rates_series, variant: str = "detailed_balance"):
         if r.nu_handover_s2m == 0.0:
             raise UndefinedChainError(f"small-to-macro handover rate is zero at t={r.t}")
         hm = r.nu_handover_s2m / r.nu_handover_m2s
-        lad_m = ladder(r.nu_up, r.nu_down, K, r.t)
-        lad_s = ladder(r.nu_tilde_up, r.nu_tilde_down, L, r.t)
-        if variant == "detailed_balance":
-            w_macro[i] = hm * lad_m
-            w_small[i] = lad_s
-        else:
-            # full cross-cell ladder products kept inside both expressions
-            w_macro[i] = hm * lad_m * np.prod(
-                [r.nu_tilde_up[j] / r.nu_tilde_down[j + 1] for j in range(L - 1)] or [1.0])
-            w_small[i] = (1.0 / hm) * lad_s * np.prod(
-                [r.nu_up[j] / r.nu_down[j + 1] for j in range(K - 1)] or [1.0])
+        w_macro[i] = hm * ladder(r.nu_up, r.nu_down, K, r.t)
+        w_small[i] = ladder(r.nu_tilde_up, r.nu_tilde_down, L, r.t)
 
     if len(series) == 1:
         qm, qs = w_macro[0], w_small[0]
@@ -339,34 +305,16 @@ def stationary_mobile(q: np.ndarray, q_tilde: np.ndarray, loads: CoupledLoads,
               + log_factorial(tot)
               + _class_log_weight(states[:, :K], np.log(q), loads.rho_tilde_clamped)
               + _class_log_weight(states[:, K:], np.log(q_tilde), loads.rho_clamped))
-    return _distribution(states, lw, K, n_max, "mobile")
+    return _distribution(states, lw, K, n_max)
 
 
-def mean_flow_throughput(source, traffic: TrafficSpec | None = None) -> float:
-    """Mean flow throughput R in Mbps.
-
-    For a trace this is served bits over flow-time (identical to the
-    class-membership-weighted per-class form: weighting each class's served
-    rate by its occupancy share telescopes to this ratio).  For a stationary
-    distribution it is the offered rate over the mean number of flows in
-    system, which for a single PS queue equals eta_bar * (1 - rho_bar).
+def mean_flow_throughput(dist: StationaryDistribution, traffic: TrafficSpec) -> float:
+    """Mean flow throughput R in Mbps of a stationary distribution: the
+    offered rate over the mean number of flows in system, which for a single
+    PS queue equals eta_bar * (1 - rho_bar).  A simulated trace's R is
+    ``flowsim.empirical_metrics(trace).mean_flow_throughput``.
     """
-    if isinstance(source, QueueTrace):
-        m = empirical_metrics(source)
-        if m.mean_n.sum() + m.mean_n_tilde.sum() <= 0.0:
-            raise ValueError("no flow was ever active; mean throughput undefined")
-        return m.mean_flow_throughput
-    if isinstance(source, StationaryDistribution):
-        if traffic is None:
-            raise ValueError("traffic spec required with a stationary distribution")
-        mean_n = source.total_mean()
-        if mean_n <= 0.0:
-            raise ValueError("empty system; mean throughput undefined")
-        return traffic.lambda_tot * traffic.sigma0 / mean_n
-    raise TypeError(f"unsupported source {type(source)!r}")
-
-
-def conservation_residual(trace: QueueTrace) -> float:
-    """Offered minus served traffic rate, Mbps; near 0 on stable runs and
-    strictly positive when the system cannot drain what arrives."""
-    return empirical_metrics(trace).conservation_residual
+    mean_n = dist.total_mean()
+    if mean_n <= 0.0:
+        raise ValueError("empty system; mean throughput undefined")
+    return traffic.lambda_tot * traffic.sigma0 / mean_n

@@ -1,8 +1,7 @@
 """Command line entry point: scenario validation, CCDF snapshots, the full
 dynamics experiment and parameter sweeps.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error (an unstable
-stationary form or an undefined class chain).  Errors are also written to
+Exit codes: 0 success, 2 configuration error.  Errors are also written to
 stderr as one JSON object."""
 
 from __future__ import annotations
@@ -11,13 +10,11 @@ import argparse
 import json
 import sys
 
-from mobicell.analytic import InstabilityError, UndefinedChainError
 from mobicell.config import (ConfigError, bundled_scenario_path, load_scenario,
                              with_overrides)
 from mobicell.pipeline import SWEEP_PARAMS, run_ccdf, run_dynamics, run_sweep
 
 EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
 
 
 def _fail(code: int, kind: str, detail) -> int:
@@ -132,8 +129,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, "config", exc.errors)
     except FileNotFoundError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    except (InstabilityError, UndefinedChainError) as exc:
-        return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "invalid-argument", str(exc))
 

@@ -158,24 +158,24 @@ def _little(rho_bar: np.ndarray, offered: float) -> np.ndarray:
                         offered * (1.0 - rho_bar) / np.maximum(rho_bar, 1e-12), 0.0)
 
 
-def analytic_windows(series: SnapshotSeries, traffic: TrafficSpec) -> WindowSeries:
-    rho = np.array([ld.rho for ld in series.loads])
-    rho_t = np.array([ld.rho_tilde for ld in series.loads])
-    rho_bar = rho + rho_t
+def _windows(t: np.ndarray, rho: np.ndarray, rho_tilde: np.ndarray,
+             traffic: TrafficSpec) -> WindowSeries:
+    rho_bar = rho + rho_tilde
     offered = traffic.lambda_tot * traffic.sigma0
-    eta_bar = offered / np.maximum(rho_bar, 1e-12)
-    return WindowSeries(series.times, rho, rho_t, rho_bar, eta_bar,
+    return WindowSeries(t, rho, rho_tilde, rho_bar, offered / np.maximum(rho_bar, 1e-12),
                         _little(rho_bar, offered))
+
+
+def analytic_windows(series: SnapshotSeries, traffic: TrafficSpec) -> WindowSeries:
+    return _windows(series.times, np.array([ld.rho for ld in series.loads]),
+                    np.array([ld.rho_tilde for ld in series.loads]), traffic)
 
 
 def baseline_windows(prof_mo: ClassProfile, traffic: TrafficSpec,
                      times: np.ndarray) -> WindowSeries:
-    loads = coupled_loads_fixed_point(prof_mo, traffic)
-    rho_bar = np.full(len(times), loads.rho)
-    offered = traffic.lambda_tot * traffic.sigma0
-    return WindowSeries(times, rho_bar.copy(), np.zeros(len(times)), rho_bar,
-                        offered / np.maximum(rho_bar, 1e-12),
-                        _little(rho_bar, offered))
+    """The windows of the macro-only baseline: its constant load, no partner."""
+    rho = coupled_loads_fixed_point(prof_mo, traffic).rho
+    return _windows(times, np.full(len(times), rho), np.zeros(len(times)), traffic)
 
 
 def mean_flux_rates(series: SnapshotSeries, nu_floor: float) -> TransitionRates:
@@ -210,16 +210,15 @@ def mean_flux_rates(series: SnapshotSeries, nu_floor: float) -> TransitionRates:
                            m2s, s2m)
 
 
-def ergodic_summary(series: SnapshotSeries, cfg: ScenarioConfig) -> dict:
+def ergodic_summary(series: SnapshotSeries, win: WindowSeries, cfg: ScenarioConfig) -> dict:
     """Whole-horizon mobility-averaged quantities: class membership from the
     mean-flux chain, the equivalent single-queue service rate and load, and
-    the matching mean flow throughput forms."""
+    the matching mean flow throughput forms; ``win`` is the series' windows."""
     rates = mean_flux_rates(series, cfg.nu_floor)
     q, q_tilde = class_membership(rates)
     eta_bar, rho_bar = effective_rate(series.profiles, series.loads, q, q_tilde,
                                       cfg.traffic)
     offered = cfg.traffic.lambda_tot * cfg.traffic.sigma0
-    win = analytic_windows(series, cfg.traffic)
     # windowed quasi-stationary occupancy from the per-window coupled
     # stationary marginals, one PS queue per cell; unstable windows are
     # capped at the arrivals a window can accumulate
@@ -287,7 +286,7 @@ def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None 
     sim_seed = (cfg.seed, rep, 1)
     series = snapshot_series(cfg, mc_seed, traj=traj)
     windows_sc = analytic_windows(series, cfg.traffic)
-    summary = ergodic_summary(series, cfg)
+    summary = ergodic_summary(series, windows_sc, cfg)
 
     trace_sc = simulate(series.profiles, series.rates, cfg.traffic, cfg.duration_s,
                         sim_seed, sample_dt=cfg.snapshot_s if rep == 0 else None,

@@ -36,46 +36,6 @@ def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
     )
 
 
-def coupled_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
-                             n_max=80):
-    """Exact stationary distribution of the single-class coupled pair: a CTMC
-    on (n, m) where each cell drains at its partner-phase rate / sigma0."""
-    size = (n_max + 1) ** 2
-    idx = lambda n, m: n * (n_max + 1) + m
-    rows, cols, vals = [], [], []
-    diag = np.zeros(size)
-
-    def add(i, j, rate):
-        rows.append(i)
-        cols.append(j)
-        vals.append(rate)
-        diag[i] -= rate
-
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            i = idx(n, m)
-            if n < n_max:
-                add(i, idx(n + 1, m), lam_m)
-            if m < n_max:
-                add(i, idx(n, m + 1), lam_s)
-            if n > 0:
-                add(i, idx(n - 1, m), (eta_m1 if m > 0 else eta_m0) / sigma0)
-            if m > 0:
-                add(i, idx(n, m - 1), (eta_s1 if n > 0 else eta_s0) / sigma0)
-    Q = sp.coo_matrix((vals + list(diag), (rows + list(range(size)),
-                                           cols + list(range(size)))),
-                      shape=(size, size)).tocsr()
-    A = Q.T.tolil()
-    A[0, :] = 1.0
-    b = np.zeros(size)
-    b[0] = 1.0
-    pi = spla.spsolve(A.tocsr(), b)
-    pi = np.maximum(pi, 0.0)
-    pi /= pi.sum()
-    return {(n, m): pi[idx(n, m)] for n in range(n_max + 1) for m in range(n_max + 1)
-            if pi[idx(n, m)] > 0}
-
-
 def migration_chain(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
                     nu_up, nu_down, ho_m2s, ho_s2m, n_max=20):
     """Generator of K macro classes and one small-cell class with class
@@ -139,6 +99,18 @@ def migration_chain_stationary(n_max=20, **chain):
     pi = np.maximum(spla.spsolve(A.tocsr(), b), 0.0)
     pi /= pi.sum()
     return {(s[:K], s[K:]): p for s, p in zip(states, pi) if p > 0}
+
+
+def coupled_chain_stationary(lam_m, lam_s, sigma0, eta_m0, eta_m1, eta_s0, eta_s1,
+                             n_max=80):
+    """Exact stationary law of the single-class coupled pair, keyed (n, m):
+    :func:`migration_chain` with one macro class and no migrations or
+    handovers, where each cell drains at its partner-phase rate / sigma0."""
+    law = migration_chain_stationary(
+        n_max=n_max, lam_m=(lam_m,), lam_s=lam_s, sigma0=sigma0, eta_m0=(eta_m0,),
+        eta_m1=(eta_m1,), eta_s0=eta_s0, eta_s1=eta_s1, nu_up=(0.0,), nu_down=(0.0,),
+        ho_m2s=0.0, ho_s2m=0.0)
+    return {(n[0], m[0]): p for (n, m), p in law.items()}
 
 
 def migration_chain_piece_integrals(pieces, n_max):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from conftest import coupled_chain_stationary, make_profile
 from mobicell.analytic import (CoupledLoads, InstabilityError,
                                UndefinedChainError,
-                               class_membership, conservation_residual,
+                               class_membership,
                                coupled_loads_fixed_point, effective_rate,
                                mean_flow_throughput, stationary_mobile,
                                stationary_static)
-from mobicell.flowsim import TrafficSpec, TransitionRates, simulate
+from mobicell.flowsim import TrafficSpec, TransitionRates, empirical_metrics, simulate
 
 
 def rates_snapshot(t=0.0, nu_up=(0.0,), nu_down=(0.0,), tup=(0.0,), tdown=(0.0,),
@@ -233,17 +234,27 @@ def test_stationary_static_requires_stability():
         stationary_static(prof, traffic, CoupledLoads(1.0, 0.4), n_max=10)
 
 
-def test_stationary_static_printed_variant_overweights():
-    """The unmarginalized phase-split spelling with Gamma factorials is kept
-    selectable; its raw sum exceeds 1 for fractional loads, which is why it
-    is not the default."""
-    prof, traffic, *_ = make_coupled_toy()
-    loads = coupled_loads_fixed_point(prof, traffic)
-    printed = stationary_static(prof, traffic, loads, n_max=40, variant="as_printed")
-    assert printed.raw_total > 1.1
-    assert printed.raw[printed.states.index(((0,), (0,)))] == pytest.approx(
-        (1 - loads.rho) * (1 - loads.rho_tilde), rel=1e-12)
-    assert printed.probs.sum() == pytest.approx(1.0, rel=1e-12)
+def test_stationary_law_lookup_and_means_on_the_count_grid():
+    """K = 2, L = 1: ``prob`` reads raw / raw_total at every state of the
+    box and 0 outside it, and ``mean_counts`` is the weighted sum of the
+    states."""
+    prof = make_profile(lam_m=(0.8, 0.4), lam_s=(0.6,), eta_m0=(8.0, 16.0),
+                        eta_m1=(4.0, 8.0), eta_s0=(10.0,), eta_s1=(6.0,))
+    traffic = TrafficSpec(1.8, 2.0)
+    n_max = 12
+    dist = stationary_static(prof, traffic, coupled_loads_fixed_point(prof, traffic),
+                             n_max=n_max)
+    law = {s: r / dist.raw_total for s, r in zip(dist.states, dist.raw)}
+    box = range(n_max + 1)
+    assert set(law) == {((a, b), (c,)) for a, b, c in itertools.product(box, box, box)}
+    for (n, m), p in law.items():
+        assert dist.prob(n, m) == p
+    for n, m in (((n_max + 1, 0), (0,)), ((0, 0), (n_max + 1,)), ((-1, 0), (0,)),
+                 ((0,), (0,)), ((0, 0), (0, 0)), ((0, 0, 0), ())):
+        assert dist.prob(n, m) == 0.0
+    em, es = dist.mean_counts()
+    assert em == pytest.approx(sum(p * np.array(n) for (n, _), p in law.items()), rel=1e-12)
+    assert es == pytest.approx(sum(p * np.array(m) for (_, m), p in law.items()), rel=1e-12)
 
 
 def test_stationary_static_matches_simulation_tv():
@@ -268,8 +279,8 @@ def test_class_membership_symmetric_two_state():
 
 def test_class_membership_three_state_chain_oracle():
     """K=2, L=1 with constant rates: the stationary vector of the explicit
-    3-state chain (small_1 <-> macro_1 <-> macro_2) arbitrates between the
-    two printed spellings; the detailed-balance form matches it."""
+    3-state chain (small_1 <-> macro_1 <-> macro_2) matches the
+    detailed-balance form."""
     nu12, nu21 = 0.6, 0.2
     m2s, s2m = 0.3, 1.5  # handover ratio differs from the migration ratio
     r = rates_snapshot(nu_up=(nu12, 0.0), nu_down=(0.0, nu21), m2s=m2s, s2m=s2m)
@@ -282,13 +293,10 @@ def test_class_membership_three_state_chain_oracle():
     A = np.vstack([Q.T, np.ones(3)])
     b = np.array([0.0, 0.0, 0.0, 1.0])
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    q, qt = class_membership(r, variant="detailed_balance")
+    q, qt = class_membership(r)
     assert qt[0] == pytest.approx(pi[0], rel=1e-9)
     assert q[0] == pytest.approx(pi[1], rel=1e-9)
     assert q[1] == pytest.approx(pi[2], rel=1e-9)
-    # the as-printed spelling disagrees whenever the handover rates differ
-    q2, qt2 = class_membership(r, variant="as_printed")
-    assert abs(q2[1] / qt2[0] - pi[2] / pi[0]) > 0.1 * pi[2] / pi[0]
 
 
 def test_class_membership_normalization_and_errors():
@@ -368,7 +376,7 @@ def test_mean_flow_throughput_single_always_on_flow():
     tr = simulate(prof, None, TrafficSpec(0.05, 1e9), 2000.0, 3)
     # the single giant flow never finishes; occupancy is eventually 1+
     if sum(tr.mean_counts()[0]) > 0:
-        R = mean_flow_throughput(tr)
+        R = empirical_metrics(tr).mean_flow_throughput
         assert R <= 10.0 + 1e-9
 
 
@@ -380,7 +388,7 @@ def test_mean_flow_throughput_mm1_oracle():
     vals = []
     for seed in range(6):
         tr = simulate(prof, None, TrafficSpec(lam, sigma0), 30_000.0, seed)
-        vals.append(mean_flow_throughput(tr))
+        vals.append(empirical_metrics(tr).mean_flow_throughput)
     assert float(np.mean(vals)) == pytest.approx(eta * (1 - rho), rel=0.05)
 
 
@@ -399,24 +407,24 @@ def test_mean_flow_throughput_from_distribution():
 def test_mean_flow_throughput_never_exceeds_max_class_rate():
     prof, traffic, lam, eta0, eta1 = make_coupled_toy(rho_target=0.5)
     tr = simulate(prof, None, traffic, 20_000.0, 11)
-    assert mean_flow_throughput(tr) <= eta0 + 1e-9
+    assert empirical_metrics(tr).mean_flow_throughput <= eta0 + 1e-9
 
 
 def test_conservation_residual():
     prof = make_profile(lam_m=(0.0,), lam_s=(0.0,))
     tr = simulate(prof, None, TrafficSpec(0.0, 2.0), 100.0, 1)
-    assert conservation_residual(tr) == 0.0
+    assert empirical_metrics(tr).conservation_residual == 0.0
     # stable run: residual within 2% of the offered rate
     eta, sigma0, rho = 10.0, 2.0, 0.5
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     tr = simulate(prof, None, TrafficSpec(lam, sigma0), 50_000.0, 2)
-    assert abs(conservation_residual(tr)) / (lam * sigma0) < 0.02
+    assert abs(empirical_metrics(tr).conservation_residual) / (lam * sigma0) < 0.02
     # overload: strictly positive residual
     tr_hot = simulate(make_profile(lam_m=(10.0,), lam_s=(0.0,), eta_m0=(10.0,),
                                    eta_s0=(10.0,)), None,
                       TrafficSpec(10.0, 2.0), 5000.0, 3)
-    assert conservation_residual(tr_hot) > 0.0
+    assert empirical_metrics(tr_hot).conservation_residual > 0.0
 
 
 def test_static_stationary_tv_against_exact_chain():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -59,23 +58,6 @@ def test_dynamics_command_and_reproducibility(tmp_path, capsys):
     header = (tmp_path / "a" / "metrics_sc.csv").read_text().splitlines()[1]
     assert header == ("scenario_id,t_window,rho,rho_tilde,rho_bar,"
                       "eta_bar_mbps,R_mbps,conservation_residual")
-
-
-def test_dynamics_undefined_class_chain_exits_3(tmp_path, monkeypatch, capsys):
-    """A zero macro-to-small handover rate leaves the ergodic class chain
-    undefined: the run stops with the numerical exit code and writes
-    nothing."""
-    import mobicell.pipeline as pipeline
-    flux_rates = pipeline.mean_flux_rates
-    monkeypatch.setattr(pipeline, "mean_flux_rates", lambda *args, **kw: dataclasses.replace(
-        flux_rates(*args, **kw), nu_handover_m2s=0.0))
-    rc = main(["dynamics", "--samples", "1000", "--replications", "1",
-               "--duration", "120", "--out", str(tmp_path / "d")])
-    assert rc == 3
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "numerical"
-    assert "macro-to-small handover rate is zero" in payload["detail"]
-    assert not (tmp_path / "d" / "summary.csv").exists()
 
 
 def test_dynamics_different_seed_differs(tmp_path):
