@@ -22,12 +22,18 @@ thresholds and in its class's member list, which migrations and handovers
 draw from.  A flow that leaves its class is swap-removed from the list and
 only marked dead in the heap; dead tops are popped only when the flow that
 left was the top.  Draws come as Python floats from two pooled streams
-(exponential, uniform) of one numpy Generator, and per-flow records are kept
-only on request.  Per event the work is O(log n) plus loops over one cell's
-occupied classes when a departure or an epoch moves its least departure
-time, or a migration-prone count changes; nothing is done per class for the
-time that passes.  A departed flow has received its size to rounding, and
-the drawn work is the served work plus the backlog at T.
+(exponential, uniform) of one numpy Generator, and model time is a Python
+float too: piece times, T, the sampling step and the mean flow size are
+coerced at entry, since numpy scalars give the same values at several times
+the cost per operation.
+Per-flow records are kept only on request, as columns (FlowColumns: a few
+list appends per arrival, no object per flow); ``QueueTrace.flows`` builds
+FlowRecord objects from them on first access.  Per event the work is
+O(log n) plus loops over one cell's occupied classes when a departure or an
+epoch moves its least departure time, or a migration-prone count changes;
+nothing is done per class for the time that passes.  A departed flow has
+received its size to rounding, and the drawn work is the served work plus
+the backlog at T.
 """
 
 from __future__ import annotations
@@ -109,6 +115,28 @@ class FlowRecord:
 
 
 @dataclass
+class FlowColumns:
+    """Per-flow records as columns: the first five hold one value per
+    arrival, by fid; the last two one value per migration or handover, in
+    event order."""
+
+    arrival: list
+    size: list
+    departure: list     # NaN if in service at T
+    served: list
+    first: list         # (cell, class) the flow arrived in
+    moved_fid: list     # the flow of each later visit
+    moved_to: list      # (cell, class) of that visit
+
+    def paths(self) -> list:
+        """[(cell, class), ...] in visit order, per flow."""
+        paths = [[tag] for tag in self.first]
+        for fid, tag in zip(self.moved_fid, self.moved_to):
+            paths[fid].append(tag)
+        return paths
+
+
+@dataclass
 class QueueTrace:
     """Exact time integrals of the queue process; per-flow records on request."""
 
@@ -123,7 +151,7 @@ class QueueTrace:
     piece_time: np.ndarray     # observed duration per piece
     piece_int_n: np.ndarray    # (n_pieces, 2) integral of |n| dt per piece/cell
     piece_served: np.ndarray   # (n_pieces, 2) Mbits served per piece/cell
-    flows: list                # record_flows: FlowRecord per arrival, by fid; NaN departure if in service at T
+    flow_columns: FlowColumns | None   # record_flows only
     n_arrivals: int
     n_departures: int
     n_migrations: int
@@ -133,6 +161,18 @@ class QueueTrace:
     states_time: dict | None = None    # (macro counts, small counts) -> time; track_states only
     sample_times: list = field(default_factory=list)   # k * sample_dt < T
     sample_counts: list = field(default_factory=list)  # (macro, small) class counts per sample
+    _flows: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def flows(self) -> list:
+        """FlowRecord per arrival, by fid, built from ``flow_columns`` on
+        first access; [] without records."""
+        if self._flows is None:
+            cols = self.flow_columns
+            self._flows = [] if cols is None else [
+                FlowRecord(fid, *row) for fid, row in enumerate(
+                    zip(cols.arrival, cols.departure, cols.size, cols.served, cols.paths()))]
+        return self._flows
 
     def mean_counts(self) -> tuple[np.ndarray, np.ndarray]:
         m = np.asarray(self.int_n[MACRO]) / self.T
@@ -164,13 +204,15 @@ class QueueTrace:
         \\r\\n, as csv.writer ends them (no field needs quoting)."""
         labels = {}
         rows = []
-        for f in self.flows:
-            key = tuple(f.path)
+        cols = self.flow_columns
+        for a, d, s, p in (() if cols is None else
+                           zip(cols.arrival, cols.departure, cols.size, cols.paths())):
+            key = tuple(p)
             pth = labels.get(key)
             if pth is None:
                 pth = labels[key] = ">".join(f"{'MS'[c]}{k + 1}" for c, k in key)
-            dep = "" if math.isnan(f.departure) else f"{f.departure:.6f}"
-            rows.append(f"{f.arrival:.6f},{dep},{pth},{f.size:.6f}\r\n")
+            dep = "" if math.isnan(d) else f"{d:.6f}"
+            rows.append(f"{a:.6f},{dep},{pth},{s:.6f}\r\n")
         with open(path, "w", newline="") as fh:
             for line in extra_header_lines:
                 fh.write(line.rstrip("\n") + "\n")
@@ -182,10 +224,10 @@ _BLOCK = 8192
 
 def _pool(draw, first):
     """Endless draws as Python floats (a memoryview yields them one by one):
-    the block ``first``, then ``_BLOCK`` at a time from ``draw``."""
-    yield from memoryview(first)
-    while True:
-        yield from memoryview(draw(_BLOCK))
+    the block ``first``, then ``_BLOCK`` at a time from ``draw`` when the
+    last runs out.  Chained iterators are cheaper per draw than a generator."""
+    blocks = itertools.chain([first], map(draw, itertools.repeat(_BLOCK)))
+    return itertools.chain.from_iterable(map(memoryview, blocks))
 
 
 def _as_list(x):
@@ -196,19 +238,19 @@ class _Class:
     """One class of one cell during a run: its flows, its clock and its
     integrals since the last flush."""
 
-    __slots__ = ("k", "n", "hazard", "rate", "base", "due", "heap", "members",
+    __slots__ = ("k", "tag", "n", "hazard", "rate", "base", "due", "heap", "members",
                  "since", "clock", "piece_n", "piece_served", "int_n", "int_served")
 
-    def __init__(self, k: int):
+    def __init__(self, c: int, k: int):
         self.k = k
+        self.tag = (c, k)    # a flow record's visit
         self.n = 0
         self.hazard = 0.0    # migration hazard per flow in the current piece
         self.rate = 0.0      # eta_k of the epoch; each flow gets rate / |n|
         self.base = 0.0      # class clock at the epoch start
         self.due = math.inf  # share clock at which the heap top departs
-        # one entry [threshold, fid, live, index, record] per flow in service,
-        # in the heap and at ``index`` in ``members``; entries of two flows
-        # differ in fid, so heapq never orders two records
+        # one entry [threshold, fid, live, index] per flow in service, in the
+        # heap and at ``index`` in ``members``
         self.heap = []
         self.members = []
         self.since = self.clock = 0.0   # time and class clock at the last flush
@@ -247,17 +289,27 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     order as a per-class-clock engine; times and integrals differ from its by
     rounding.
 
-    ``sample_dt`` records the class occupancy at t = 0, dt, 2 dt, ... < T.
-    Sampling consumes no random draws, so a sampled run is the same
-    realisation as an unsampled one with the same seed.  So does
-    ``record_flows``, which keeps a FlowRecord per arrival in ``trace.flows``
-    (left empty otherwise); a departed flow's ``served`` is its size less the
+    Model time runs on Python floats: profile times, ``T`` and ``sample_dt``
+    may be numpy scalars and give the same values.
+
+    ``sample_dt``, a positive finite number (ValueError otherwise), records
+    the class occupancy at t = 0, dt, 2 dt, ... < T.  Sampling consumes no
+    random draws, so a sampled run is the same realisation as an unsampled
+    one with the same seed.  So does ``record_flows``, which keeps one record
+    per arrival as columns in ``trace.flow_columns`` (None otherwise);
+    ``trace.flows`` is the list of FlowRecord built from them on first access
+    ([] without records).  A departed flow's ``served`` is its size less the
     work its threshold still shows.  Every run checks drawn work = served +
-    backlog, and with records each flow's bookkeeping (AssertionError
-    otherwise).
+    backlog, and with records each departed flow's bookkeeping
+    (AssertionError otherwise).
     """
     if T <= 0:
         raise ValueError("T must be positive")
+    T = float(T)    # model time runs on Python floats (see the module notes)
+    if sample_dt is not None:
+        sample_dt = float(sample_dt)
+        if not 0.0 < sample_dt < math.inf:
+            raise ValueError("sample_dt must be a positive finite number")
     profs = _as_list(profiles)
     profs.sort(key=lambda p: p.t)
     K, L = profs[0].K, profs[0].L
@@ -272,11 +324,11 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     exps = _pool(g.standard_exponential, g.standard_exponential(_BLOCK))
     unis = _pool(g.random, g.random(_BLOCK))
     nxt = next
-    sigma0 = traffic.sigma0
+    sigma0 = float(traffic.sigma0)
     cells = (MACRO, SMALL)
     inf = math.inf
 
-    cq = [[_Class(k) for k in range(n)] for n in (K, L)]
+    cq = [[_Class(c, k) for k in range(n)] for c, n in enumerate((K, L))]
     occupied = [[], []]            # classes with a flow, ascending, per cell
     total = [0, 0]
     # share clock of each cell since its epoch began; within an epoch class
@@ -286,8 +338,15 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     first_q = [None, None]         # its class, the lowest on a tie
     hz = [0.0, 0.0]                # sum of n_k * hazard_k per cell
     busy_from = [0.0, 0.0]
-    records: list[FlowRecord] = []
     drawn = 0.0
+    # flow records as columns (see FlowColumns), written by fid
+    cols = None
+    if record_flows:
+        cols = FlowColumns([], [], [], [], [], [], [])
+        sizes, departures, served = cols.size, cols.departure, cols.served
+        add_arrival, add_size, add_departure, add_served, add_first = (
+            cols.arrival.append, sizes.append, departures.append, served.append,
+            cols.first.append)
 
     busy_time = [0.0, 0.0]
     piece_time = [0.0] * n_pieces
@@ -302,8 +361,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     t = 0.0
     piece = 0
     piece_from = 0.0
-    piece_edges = [p.t for p in profs[1:]] + [inf]
-    next_sample = 0.0 if sample_dt else inf
+    piece_edges = [float(p.t) for p in profs[1:]] + [inf]
+    next_sample = inf if sample_dt is None else 0.0
 
     def piece_params(i: int):
         p = profs[i]
@@ -311,6 +370,9 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         lam = (p.lambda_macro.tolist(), p.lambda_small.tolist())
         arrivals = [(c, cq[c][k]) for c in cells for k, x in enumerate(lam[c]) if x > 0.0]
         cum = list(itertools.accumulate(lam[c][q.k] for c, q in arrivals))
+        if cum:
+            # a draw that rounds up to lam_tot falls to the last positive class
+            cum[-1] = inf
         # eta[cell][phase][class] as plain lists for fast scalar access
         eta = ([p.eta_macro[:, 0].tolist(), p.eta_macro[:, 1].tolist()],
                [p.eta_small[:, 0].tolist(), p.eta_small[:, 1].tolist()])
@@ -364,7 +426,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 q.int_served += q.piece_served
                 q.piece_n = q.piece_served = 0.0
 
-    def enter(fid: int, record, c: int, q: _Class, remaining: float, t: float):
+    def enter(fid: int, c: int, q: _Class, remaining: float, t: float):
         if q.n:
             v = q.flush(share[c], t)
         else:
@@ -376,7 +438,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             bisect.insort(occupied[c], q, key=_INDEX)
         q.n += 1
         m = q.members
-        entry = [v + remaining, fid, True, len(m), record]
+        entry = [v + remaining, fid, True, len(m)]
         heapq.heappush(q.heap, entry)
         m.append(entry)
         if q.heap[0] is entry:
@@ -384,8 +446,6 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             if d < first[c] or (d == first[c] and q.k < first_q[c].k):
                 first[c] = d
                 first_q[c] = q
-        if record is not None:
-            record.path.append((c, q.k))
         if q.hazard:
             sum_hazard(c)
         total[c] += 1
@@ -423,6 +483,14 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             new_epoch(1 - c)
         return entry[0] - v
 
+    def transfer(entry: list, c: int, q: _Class, c2: int, q2: _Class, t: float):
+        """A migration or handover: the flow of ``entry`` leaves class q of
+        cell c for class q2 of cell c2 with the work it has left."""
+        enter(entry[1], c2, q2, leave(entry, c, q, t), t)
+        if record_flows:
+            cols.moved_fid.append(entry[1])
+            cols.moved_to.append(q2.tag)
+
     while t < T:
         # next departure: each busy cell's least due, |n| seconds per unit
         # of share clock; the macro cell first on a tie
@@ -446,8 +514,16 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         ho_rate = total[MACRO] * ho_m2s + total[SMALL] * ho_s2m
         dt_ho = nxt(exps) / ho_rate if ho_rate > 0.0 else inf
 
-        dt_bound = piece_end - t
-        delta = min(best_dep, dt_arr, dt_mig, dt_ho, dt_bound)
+        # the least of the five, compared inline (cheaper than builtin min)
+        delta = dt_bound = piece_end - t
+        if best_dep < delta:
+            delta = best_dep
+        if dt_arr < delta:
+            delta = dt_arr
+        if dt_mig < delta:
+            delta = dt_mig
+        if dt_ho < delta:
+            delta = dt_ho
 
         # occupancy samples due by the end of the interval see the state
         # before its event (boundary first on a tie); they draw nothing
@@ -488,22 +564,24 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             q = first_q[dep_c]
             entry = q.heap[0]   # live: tops are kept live
             left = leave(entry, dep_c, q, t)
-            if entry[4] is not None:
-                entry[4].departure = t
-                entry[4].served = entry[4].size - left
+            if record_flows:
+                fid = entry[1]
+                departures[fid] = t
+                served[fid] = sizes[fid] - left
             n_dep += 1
             continue
 
         if delta == dt_arr:
-            # rounding at u ~ lam_tot falls to the last positive class
-            i = bisect.bisect_right(cum, nxt(unis) * lam_tot)
-            c, q = arrivals[min(i, len(arrivals) - 1)]
+            c, q = arrivals[bisect.bisect_right(cum, nxt(unis) * lam_tot)]
             size = nxt(exps) * sigma0
             drawn += size
-            record = FlowRecord(n_arr, t, math.nan, size, 0.0, []) if record_flows else None
             if record_flows:
-                records.append(record)
-            enter(n_arr, record, c, q, size, t)
+                add_arrival(t)
+                add_size(size)
+                add_departure(math.nan)
+                add_served(0.0)
+                add_first(q.tag)
+            enter(n_arr, c, q, size, t)
             n_arr += 1
             continue
 
@@ -526,8 +604,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                     break
             if move:
                 c, q, k2 = move
-                entry = q.members[int(nxt(unis) * q.n)]
-                enter(entry[1], entry[4], c, cq[c][k2], leave(entry, c, q, t), t)
+                transfer(q.members[int(nxt(unis) * q.n)], c, q, c, cq[c][k2], t)
                 n_mig += 1
             continue
 
@@ -537,10 +614,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             pick = int(nxt(unis) * total[src])
             for q in occupied[src]:
                 if pick < q.n:
-                    entry = q.members[pick]
                     # into the first class
-                    enter(entry[1], entry[4], 1 - src, cq[1 - src][0],
-                          leave(entry, src, q, t), t)
+                    transfer(q.members[pick], src, q, 1 - src, cq[1 - src][0], t)
                     n_ho += 1
                     break
                 pick -= q.n
@@ -558,8 +633,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             for entry in q.members:
                 left = entry[0] - q.clock
                 backlog += left
-                if entry[4] is not None:
-                    entry[4].served = entry[4].size - left
+                if record_flows:
+                    served[entry[1]] = sizes[entry[1]] - left
 
     trace = QueueTrace(
         T=T, K=K, L=L, traffic=traffic,
@@ -569,7 +644,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         piece_t=np.array([p.t for p in profs]),
         piece_time=np.array(piece_time), piece_int_n=np.array(piece_int_n),
         piece_served=np.array(piece_served),
-        flows=records,
+        flow_columns=cols,
         n_arrivals=n_arr, n_departures=n_dep, n_migrations=n_mig, n_handovers=n_ho,
         offered_mbits_drawn=drawn, backlog_mbits=backlog,
         states_time=states_time,
@@ -585,15 +660,18 @@ def _validate_trace(trace: QueueTrace):
     if abs(drawn - served_int - backlog) > 1e-9 * drawn:
         raise AssertionError(f"work not conserved: drawn {drawn} vs served {served_int} "
                              f"+ backlog {backlog}")
-    if not trace.flows:
+    cols = trace.flow_columns
+    if cols is None:
         return
-    served_flows = sum(f.served for f in trace.flows)
+    served_flows = sum(cols.served)
     if served_int > 0 and abs(served_flows - served_int) > 1e-6 * max(served_int, 1.0):
         raise AssertionError(
             f"service bookkeeping mismatch: flows {served_flows} vs integral {served_int}")
-    for f in trace.flows:
-        if not math.isnan(f.departure) and abs(f.served - f.size) > 1e-9 * f.size:
-            raise AssertionError(f"flow {f.fid} departed with served != size")
+    dep, size, served = (np.array(x, dtype=float)
+                         for x in (cols.departure, cols.size, cols.served))
+    bad = ~np.isnan(dep) & (np.abs(served - size) > 1e-9 * size)
+    if bad.any():
+        raise AssertionError(f"flow {int(np.argmax(bad))} departed with served != size")
 
 
 @dataclass

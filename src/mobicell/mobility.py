@@ -9,6 +9,7 @@ at zero: beta < 0 means braking, vehicles do not reverse.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -271,13 +272,14 @@ def _segment_heading(a, b) -> Heading:
 
 
 def _route_geometry(pts, stops):
-    """Cumulative arc lengths of the cyclic route and stop arc positions."""
+    """Cumulative arc lengths of the cyclic route (a list of Python floats)
+    and stop arc positions."""
     n = len(pts)
     seg_len = []
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
         seg_len.append(abs(b[0] - a[0]) + abs(b[1] - a[1]))
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)]).tolist()
     stop_pos = []
     for (sx, sy), dwell in stops:
         placed = False
@@ -301,8 +303,7 @@ def _route_point(pts, cum, s: float):
     """Point and heading at arc length s (mod total) along the cyclic route."""
     total = cum[-1]
     s = s % total
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(i, len(pts) - 1)
+    i = min(bisect.bisect_right(cum, s) - 1, len(pts) - 1)
     a = pts[i]
     b = pts[(i + 1) % len(pts)]
     h = _segment_heading(a, b)
@@ -345,7 +346,7 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
 def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, rng):
     pts = _validate_route(policy.route, grid)
     cum, stop_pos = _route_geometry(pts, policy.stops)
-    total = float(cum[-1])
+    total = cum[-1]
 
     s = 0.0                 # arc position along the cyclic route
     v0 = policy.initial_speed if policy.initial_speed is not None else 0.0

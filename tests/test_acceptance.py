@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import coupled_chain_stationary, make_profile
+from conftest import make_profile
 from mobicell.analytic import coupled_loads_fixed_point, stationary_static
 from mobicell.ccdf import (FieldSamples, combined_ccdf, default_levels,
                            extract_classes, macro_ccdf, macro_only_ccdf,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from conftest import (coupled_chain_stationary, make_profile, migration_chain_pi
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
                            macro_ccdf, small_ccdf)
 from mobicell.flowsim import (MACRO, SMALL, InsufficientDataError, TrafficSpec,
-                              TransitionRates, empirical_metrics,
+                              TransitionRates, _validate_trace, empirical_metrics,
                               estimate_transition_rates, simulate)
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec
@@ -323,6 +325,90 @@ def test_moving_system_realisation_is_pinned():
     for got, pinned in zip((tr.int_n, tr.int_served), per_class_clock):
         for c in (MACRO, SMALL):
             assert got[c] == pytest.approx(pinned[c], rel=1e-12)
+
+
+def _flow_values(tr):
+    """Every flow record as exact values, a NaN departure as None."""
+    return [(f.fid, f.arrival, None if math.isnan(f.departure) else f.departure, f.size,
+             f.served, f.path) for f in tr.flows]
+
+
+def test_numpy_profile_times_run_on_python_floats():
+    """Profile times, T and sample_dt given as numpy scalars give the
+    realisation and flow values of Python floats, and the records hold
+    Python floats."""
+    profs, rates, traffic, T = _moving_system()
+    np_profs = [dataclasses.replace(p, t=np.float64(p.t)) for p in profs]
+    runs = [simulate(ps, rates, traffic, horizon, 5, sample_dt=dt, track_states=True,
+                     record_flows=True)
+            for ps, horizon, dt in ((profs, T, 7.0), (np_profs, np.float64(T), np.float64(7.0)))]
+    assert _realisation(runs[0]) == _realisation(runs[1])
+    assert _flow_values(runs[0]) == _flow_values(runs[1])
+    for tr in runs:
+        assert all(type(f.arrival) is float and type(f.departure) is float
+                   and type(f.served) is float for f in tr.flows)
+        assert all(type(t) is float for t in tr.sample_times)
+
+
+def _reference_flows_csv(tr, path, extra_header_lines=()):
+    """flows_rep0.csv written one FlowRecord at a time."""
+    labels = {}
+    rows = []
+    for f in tr.flows:
+        key = tuple(f.path)
+        pth = labels.get(key)
+        if pth is None:
+            pth = labels[key] = ">".join(f"{'MS'[c]}{k + 1}" for c, k in key)
+        dep = "" if math.isnan(f.departure) else f"{f.departure:.6f}"
+        rows.append(f"{f.arrival:.6f},{dep},{pth},{f.size:.6f}\r\n")
+    with open(path, "w", newline="") as fh:
+        for line in extra_header_lines:
+            fh.write(line.rstrip("\n") + "\n")
+        fh.write("arrival_s,departure_s,cell_path,size_mbits\r\n" + "".join(rows))
+
+
+def test_flows_csv_from_columns_matches_record_writer(tmp_path):
+    """The column writer gives the bytes of a per-record writer, on a run
+    with multi-visit paths and flows still in service at T."""
+    profs, rates, traffic, T = _moving_system()
+    tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
+    assert sum(len(f.path) > 2 for f in tr.flows) > 0
+    assert sum(math.isnan(f.departure) for f in tr.flows) > 0
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    tr.flows_to_csv(got, ("# provenance",))
+    _reference_flows_csv(tr, want, ("# provenance",))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_validation_checks_every_departed_flow():
+    """Work off by 1e-6 relative on any one departed flow fails the check,
+    though the sum over all flows stays within its own tolerance."""
+    profs, rates, traffic, T = _moving_system()
+    tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
+    served = tr.flow_columns.served
+    done = [fid for fid, d in enumerate(tr.flow_columns.departure) if not math.isnan(d)]
+    for fid in (done[0], done[len(done) // 2], done[-1]):
+        kept = served[fid]
+        served[fid] = kept * (1.0 + 1e-6)
+        with pytest.raises(AssertionError, match=f"flow {fid} departed"):
+            _validate_trace(tr)
+        served[fid] = kept
+    _validate_trace(tr)
+
+
+def test_recorded_trace_survives_pickling():
+    profs, rates, traffic, T = _moving_system()
+    tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
+    back = pickle.loads(pickle.dumps(tr))
+    assert _flow_values(back) == _flow_values(tr)
+    assert _realisation(back) == _realisation(tr)
+
+
+@pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_sample_interval_is_rejected(dt):
+    prof = make_profile(lam_m=(1.0,), lam_s=(0.0,))
+    with pytest.raises(ValueError, match="sample_dt"):
+        simulate(prof, None, TrafficSpec(1.0, 2.0), 100.0, 1, sample_dt=dt)
 
 
 @st.composite
