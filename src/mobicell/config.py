@@ -1,10 +1,10 @@
 """Scenario files: sectioned key-value text (INI) describing one experiment.
 
 Unknown sections or keys are rejected, every module-level invariant is
-revalidated on load, and all errors are collected and reported together.  A
-scenario is identified by the hash of its canonicalized content, which is
-stamped into every output file together with the seed; run settings
-overridden after loading (``with_overrides``) enter that hash too.
+revalidated on load, and so are the settings of a derived scenario (CLI
+overrides, sweep values); all errors are reported together.  A scenario is
+identified by the hash of its canonicalized content, stamped into every
+output with the seed; overridden run settings enter that hash too.
 """
 
 from __future__ import annotations
@@ -61,12 +61,17 @@ _SCHEMA = {
     },
 }
 
-# run settings that CLI options may override: (field, parser, rule, message)
-_RUN_RULES = (
-    ("duration_s", float, lambda v: v > 0, "must be positive"),
-    ("replications", int, lambda v: v >= 1, "must be >= 1"),
-    ("mc_samples", int, lambda v: v >= 100, "must be >= 100"),
-    ("workers", int, lambda v: v >= 1, "must be >= 1"),
+# settings that a derived scenario may change, checked on load and by
+# check_settings: (ScenarioConfig field, scenario key, parser, rule, message)
+_RULES = (
+    ("K", "classes.k_macro", int, lambda v: v >= 1, "must be >= 1"),
+    ("L", "classes.l_small", int, lambda v: v >= 1, "must be >= 1"),
+    ("period_s", "mobility.period_s", float, lambda v: v > 0, "must be positive"),
+    ("small_reach_km", "sim.small_reach_km", float, lambda v: v >= 0, "must be >= 0"),
+    ("duration_s", "sim.duration_s", float, lambda v: 0 < v < math.inf, "must be finite > 0"),
+    ("replications", "sim.replications", int, lambda v: v >= 1, "must be >= 1"),
+    ("mc_samples", "sim.mc_samples", int, lambda v: v >= 100, "must be >= 100"),
+    ("workers", "sim.workers", int, lambda v: v >= 1, "must be >= 1"),
 )
 
 _PI_RE = re.compile(r"^\s*(-?[\d.]*)\s*\*?\s*pi\s*(?:/\s*([\d.]+))?\s*$")
@@ -125,15 +130,30 @@ class ScenarioConfig:
     scenario_id: str = ""
 
 
-def _run_setting_errors(run: dict, snapshot_s) -> list:
-    """Errors of the ``_RUN_RULES`` settings in ``run`` (field -> value, None
-    where it did not parse), including a horizon shorter than two snapshots."""
-    errors = [f"sim.{key}={run[key]}: {what}" for key, _, ok, what in _RUN_RULES
-              if run[key] is not None and not ok(run[key])]
-    duration = run["duration_s"]
-    if snapshot_s is not None and duration is not None and 0 < duration < 2 * snapshot_s:
+def _setting_errors(v: dict) -> list:
+    """Errors of the settings ``v`` (field -> built value, None or absent is
+    skipped): the ``_RULES``, a horizon of two snapshots, and a route plus
+    small-cell reach inside the interference model's domain."""
+    errors = [f"{key}={v[name]}: {what}" for name, key, _, ok, what in _RULES
+              if v.get(name) is not None and not ok(v[name])]
+    duration, snapshot = v.get("duration_s"), v.get("snapshot_s")
+    if snapshot is not None and duration is not None and 0 < duration < 2 * snapshot:
         errors.append("sim.duration_s must cover at least two snapshots")
+    layout, policy, reach = v.get("layout"), v.get("policy"), v.get("small_reach_km")
+    if layout is not None and policy is not None and policy.route is not None \
+            and reach is not None:
+        far = max(math.hypot(x, y) for x, y in policy.route)
+        if far + reach >= 0.995 * layout.delta:
+            errors.append("mobility.route + sim.small_reach_km extends beyond the "
+                          "interference model's domain (first interferer ring)")
     return errors
+
+
+def check_settings(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` if its settings pass the loader's checks, else ConfigError."""
+    if errors := _setting_errors(vars(cfg)):
+        raise ConfigError(errors)
+    return cfg
 
 
 def _canonical(items: dict) -> str:
@@ -227,8 +247,9 @@ def _build(items: dict) -> ScenarioConfig:
     except ValueError as exc:
         errors.append(f"hotspot: {exc}")
 
+    ruled = {name: get(*key.split("."), *rule) for name, key, *rule in _RULES}
+    period = ruled["period_s"]
     grid = policy = None
-    period = get("mobility", "period_s", float, lambda v: v > 0, "must be positive")
     try:
         grid = ManhattanGrid(block=float(items[("mobility", "block_km")]),
                              extent=float(items[("mobility", "extent_km")]))
@@ -243,14 +264,14 @@ def _build(items: dict) -> ScenarioConfig:
         v_max = float(items[("mobility", "v_max_kmh")])
         dv = float(items[("mobility", "dv_kmh")])
         speed_raw = items[("mobility", "speed_kmh")].strip()
-        if route is not None:
-            policy = route_cruise_policy(route, period, v_max=v_max, dv=dv,
-                                         turn_probs=turn_probs, stops=stops,
-                                         speed_kmh=float(speed_raw) if speed_raw else None)
-        else:
+        if route is None:
             speed = float(speed_raw) if speed_raw else 0.0
             policy = MobilityPolicy(v_max=v_max, dv=dv, turn_probs=turn_probs,
                                     initial_speed=speed)
+        elif period is not None:    # a bad period is reported already
+            policy = route_cruise_policy(route, period, v_max=v_max, dv=dv,
+                                         turn_probs=turn_probs, stops=stops,
+                                         speed_kmh=float(speed_raw) if speed_raw else None)
     except (ValueError, IndexError) as exc:
         errors.append(f"mobility: {exc}")
 
@@ -261,26 +282,16 @@ def _build(items: dict) -> ScenarioConfig:
     except ValueError as exc:
         errors.append(f"traffic: {exc}")
 
-    K = get("classes", "k_macro", int, lambda v: v >= 1, "must be >= 1")
-    L = get("classes", "l_small", int, lambda v: v >= 1, "must be >= 1")
-
     snapshot = get("sim", "snapshot_s", float, lambda v: v > 0, "must be positive")
     dt = get("sim", "trajectory_dt_s", float, lambda v: v > 0, "must be positive")
     seed = get("sim", "seed", int)
     n_max = get("sim", "n_max", int, lambda v: v >= 1, "must be >= 1")
-    reach = get("sim", "small_reach_km", float, lambda v: v >= 0, "must be >= 0")
     n_levels = get("sim", "levels", int, lambda v: v >= 10, "must be >= 10")
     l_min = get("sim", "level_min_mbps", float, lambda v: v > 0, "must be positive")
     nu_floor = get("sim", "nu_floor", float, lambda v: v > 0, "must be positive")
     extra_mig = get("sim", "extra_migration_rate", float, lambda v: v >= 0, "must be >= 0")
-    run = {key: get("sim", key, conv) for key, conv, _, _ in _RUN_RULES}
-    errors.extend(_run_setting_errors(run, snapshot))
-    if layout is not None and reach is not None and policy is not None \
-            and policy.route is not None:
-        far = max(math.hypot(x, y) for x, y in policy.route)
-        if far + reach >= 0.995 * layout.delta:
-            errors.append("mobility.route + sim.small_reach_km extends beyond the "
-                          "interference model's domain (first interferer ring)")
+    errors.extend(_setting_errors({**ruled, "snapshot_s": snapshot, "layout": layout,
+                                   "policy": policy}))
 
     if errors:
         raise ConfigError(errors)
@@ -290,10 +301,9 @@ def _build(items: dict) -> ScenarioConfig:
     scenario_id = hashlib.sha256(canon.encode()).hexdigest()[:12]
     return ScenarioConfig(
         layout=layout, params=params, spec=spec, grid=grid, policy=policy,
-        traffic=traffic, K=K, L=L, period_s=period, snapshot_s=snapshot,
-        trajectory_dt_s=dt, seed=seed, n_max=n_max, small_reach_km=reach,
-        levels=levels, nu_floor=nu_floor, extra_migration_rate=extra_mig,
-        scenario_id=scenario_id, **run,
+        traffic=traffic, snapshot_s=snapshot, trajectory_dt_s=dt, seed=seed,
+        n_max=n_max, levels=levels, nu_floor=nu_floor, extra_migration_rate=extra_mig,
+        scenario_id=scenario_id, **ruled,
     )
 
 
@@ -301,15 +311,11 @@ def with_overrides(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     """``cfg`` with run settings replaced, identified by the file hash plus
     the sorted ``field=value`` pairs that changed a setting.  ``workers``
     changes no output and stays out of the hash, so without another change
-    the id remains the file's.  Settings that break the scenario file's run
-    rules raise ConfigError."""
+    the id remains the file's.  Settings that fail the loader's checks raise
+    ConfigError."""
     changed = [f"{k}={v!r}" for k, v in values.items()
                if k != "workers" and getattr(cfg, k) != v]
-    out = replace(cfg, **values)
-    errors = _run_setting_errors({key: getattr(out, key) for key, *_ in _RUN_RULES},
-                                 out.snapshot_s)
-    if errors:
-        raise ConfigError(errors)
+    out = check_settings(replace(cfg, **values))
     if changed:
         out = replace(out, scenario_id=derived_scenario_id(cfg.scenario_id, changed))
     return out

@@ -23,9 +23,9 @@ draw from.  A flow that leaves its class is swap-removed from the list and
 only marked dead in the heap; dead tops are popped only when the flow that
 left was the top.  Draws come as Python floats from two pooled streams
 (exponential, uniform) of one numpy Generator, and model time is a Python
-float too: piece times, T, the sampling step and the mean flow size are
-coerced at entry, since numpy scalars give the same values at several times
-the cost per operation.
+float too: piece times, T and the mean flow size are coerced at entry,
+since numpy scalars give the same values at several times the cost per
+operation.
 Per-flow records are kept only on request, as columns (FlowColumns: a few
 list appends per arrival, no object per flow); ``QueueTrace.flows`` builds
 FlowRecord objects from them on first access.  Per event the work is
@@ -66,10 +66,10 @@ class TrafficSpec:
     sigma0: float
 
     def __post_init__(self):
-        if self.lambda_tot < 0:
-            raise ValueError("lambda_tot must be >= 0")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
+        if not 0 <= self.lambda_tot < math.inf:
+            raise ValueError("lambda_tot must be finite and >= 0")
+        if not 0 < self.sigma0 < math.inf:
+            raise ValueError("sigma0 must be finite and positive")
 
 
 @dataclass
@@ -159,7 +159,7 @@ class QueueTrace:
     offered_mbits_drawn: float  # sum of the drawn flow sizes
     backlog_mbits: float        # work left at T in the flows still in service
     states_time: dict | None = None    # (macro counts, small counts) -> time; track_states only
-    sample_times: list = field(default_factory=list)   # k * sample_dt < T
+    sample_times: list = field(default_factory=list)   # 0 and each piece start < T
     sample_counts: list = field(default_factory=list)  # (macro, small) class counts per sample
     _flows: list | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -272,8 +272,7 @@ _DUE = operator.attrgetter("due")
 
 
 def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
-             track_states: bool = False, sample_dt: float | None = None,
-             record_flows: bool = False) -> QueueTrace:
+             track_states: bool = False, record_flows: bool = False) -> QueueTrace:
     """Run the coupled system for T seconds of model time.
 
     ``profiles`` is one ClassProfile or a time series; rates and class/arrival
@@ -289,13 +288,13 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     order as a per-class-clock engine; times and integrals differ from its by
     rounding.
 
-    Model time runs on Python floats: profile times, ``T`` and ``sample_dt``
-    may be numpy scalars and give the same values.
+    ``T`` must be positive and finite (ValueError otherwise).  Model time
+    runs on Python floats: profile times and ``T`` may be numpy scalars and
+    give the same values.
 
-    ``sample_dt``, a positive finite number (ValueError otherwise), records
-    the class occupancy at t = 0, dt, 2 dt, ... < T.  Sampling consumes no
-    random draws, so a sampled run is the same realisation as an unsampled
-    one with the same seed.  So does ``record_flows``, which keeps one record
+    The trace samples the class counts at t = 0 and at each piece start
+    before T, as the boundary leaves them; sampling draws nothing.  Nor does
+    ``record_flows``, so it gives the same realisation; it keeps one record
     per arrival as columns in ``trace.flow_columns`` (None otherwise);
     ``trace.flows`` is the list of FlowRecord built from them on first access
     ([] without records).  A departed flow's ``served`` is its size less the
@@ -303,13 +302,9 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     backlog, and with records each departed flow's bookkeeping
     (AssertionError otherwise).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     T = float(T)    # model time runs on Python floats (see the module notes)
-    if sample_dt is not None:
-        sample_dt = float(sample_dt)
-        if not 0.0 < sample_dt < math.inf:
-            raise ValueError("sample_dt must be a positive finite number")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     profs = _as_list(profiles)
     profs.sort(key=lambda p: p.t)
     K, L = profs[0].K, profs[0].L
@@ -353,8 +348,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     piece_int_n = [[0.0, 0.0] for _ in range(n_pieces)]
     piece_served = [[0.0, 0.0] for _ in range(n_pieces)]
     states_time = {} if track_states else None
-    sample_times: list = []
-    sample_counts: list = []
+    sample_times = [0.0]
+    sample_counts = [([0] * K, [0] * L)]
 
     n_arr = n_dep = n_mig = n_ho = 0
 
@@ -362,7 +357,6 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     piece = 0
     piece_from = 0.0
     piece_edges = [float(p.t) for p in profs[1:]] + [inf]
-    next_sample = inf if sample_dt is None else 0.0
 
     def piece_params(i: int):
         p = profs[i]
@@ -525,13 +519,6 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         if dt_ho < delta:
             delta = dt_ho
 
-        # occupancy samples due by the end of the interval see the state
-        # before its event (boundary first on a tie); they draw nothing
-        while next_sample <= t + delta and next_sample < T:
-            sample_times.append(next_sample)
-            sample_counts.append(([q.n for q in cq[MACRO]], [q.n for q in cq[SMALL]]))
-            next_sample = len(sample_times) * sample_dt
-
         if delta > 0.0:
             tc = total[MACRO]
             if tc:
@@ -550,6 +537,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 break
             if t >= piece_edges[piece]:
                 close_piece(piece, t)
+                sample_times.append(piece_edges[piece])
+                sample_counts.append(([q.n for q in cq[MACRO]], [q.n for q in cq[SMALL]]))
                 piece_time[piece] = t - piece_from
                 piece_from = t
                 piece += 1

@@ -26,10 +26,9 @@ class HotspotSpec:
     A: float
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError(f"hotspot standard deviation must be positive, got {self.A}")
-        if self.R_h < 0:
-            raise ValueError(f"hotspot center radius must be >= 0, got {self.R_h}")
+        if not (0 < self.A < np.inf and 0 <= self.R_h < np.inf and np.isfinite(self.theta_h)):
+            raise ValueError("hotspot needs a finite center with radius >= 0 and a finite "
+                             f"positive standard deviation, got {self}")
 
     @property
     def center(self) -> PolarPoint:

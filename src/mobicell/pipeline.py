@@ -39,7 +39,7 @@ from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            snapshot_curves)
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
-from mobicell.config import ScenarioConfig, derived_scenario_id
+from mobicell.config import ScenarioConfig, check_settings, derived_scenario_id
 from mobicell.flowsim import (QueueTrace, TrafficSpec, TransitionRates,
                               empirical_metrics, estimate_transition_rates, simulate)
 from mobicell.hotspot import CoverageRegion, HotspotSpec
@@ -248,7 +248,7 @@ class ReplicationResult:
     emp_sc: dict
     emp_mo: dict
     distance_km: np.ndarray        # per snapshot, small cell to hotspot centre
-    trace_sc: QueueTrace | None = None   # replication 0 only, occupancy sampled
+    trace_sc: QueueTrace | None = None   # replication 0 only, flows recorded
 
 
 def _empirical_windows(trace) -> dict:
@@ -278,10 +278,10 @@ def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None 
     It builds one snapshot series and runs two simulations, the
     with-small-cell scenario and the macro-only baseline (``prof_mo``, built
     here when not given), along ``traj`` (generated when not given).
-    Replication 0 samples its with-small-cell occupancy every snapshot,
-    records its flows and keeps that trace for ``trace_rep0.csv`` and
-    ``flows_rep0.csv``; neither draws anything, so the trace is the very run
-    whose metrics the replication reports."""
+    Replication 0 records its with-small-cell flows and keeps that trace,
+    with the occupancy every trace samples at each snapshot, for
+    ``trace_rep0.csv`` and ``flows_rep0.csv``; neither draws anything, so
+    the trace is the very run whose metrics the replication reports."""
     mc_seed = (cfg.seed, rep, 0)
     sim_seed = (cfg.seed, rep, 1)
     series = snapshot_series(cfg, mc_seed, traj=traj)
@@ -289,8 +289,7 @@ def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None 
     summary = ergodic_summary(series, windows_sc, cfg)
 
     trace_sc = simulate(series.profiles, series.rates, cfg.traffic, cfg.duration_s,
-                        sim_seed, sample_dt=cfg.snapshot_s if rep == 0 else None,
-                        record_flows=rep == 0)
+                        sim_seed, record_flows=rep == 0)
     if prof_mo is None:
         prof_mo, _ = macro_only_profile(cfg)
     # carve the baseline pieces on the same snapshot grid so windowed series align
@@ -491,35 +490,38 @@ SWEEP_PARAMS = ("kappa", "sigma_km", "lambda_tot", "k_classes", "small_reach_km"
 
 
 def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
+    """``cfg`` with ``param`` swept to ``value``.  The value's type checks it
+    (ValueError), or the loader's setting checks do (ConfigError)."""
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+    if param == "period_s" and cfg.policy.route is None:
+        raise ValueError("period sweep needs a route scenario")
+    value = float(value)
     if param == "kappa":
-        params = RadioParams(**{**cfg.params.__dict__, "kappa": float(value)})
-        return replace(cfg, params=params)
-    if param == "sigma_km":
-        return replace(cfg, spec=HotspotSpec(cfg.spec.R_h, cfg.spec.theta_h, float(value)))
-    if param == "lambda_tot":
-        return replace(cfg, traffic=TrafficSpec(float(value), cfg.traffic.sigma0))
-    if param == "k_classes":
-        return replace(cfg, K=int(value), L=int(value))
-    if param == "small_reach_km":
-        return replace(cfg, small_reach_km=float(value))
-    if param == "period_s":
-        if cfg.policy.route is None:
-            raise ValueError("period sweep needs a route scenario")
+        changes = {"params": RadioParams(**{**cfg.params.__dict__, "kappa": value})}
+    elif param == "sigma_km":
+        changes = {"spec": HotspotSpec(cfg.spec.R_h, cfg.spec.theta_h, value)}
+    elif param == "lambda_tot":
+        changes = {"traffic": TrafficSpec(value, cfg.traffic.sigma0)}
+    elif param == "k_classes":
+        changes = {"K": int(value), "L": int(value)}
+    else:
+        changes = {param: value}      # small_reach_km, period_s
+    sub = check_settings(replace(cfg, **changes))
+    if param == "period_s":               # derived only from a period that passed
         p = cfg.policy
-        policy = route_cruise_policy(p.route, float(value), v_max=p.v_max, dv=p.dv,
-                                     turn_probs=p.turn_probs, stops=p.stops)
-        return replace(cfg, policy=policy, period_s=float(value))
-    raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+        sub = replace(sub, policy=route_cruise_policy(
+            p.route, value, v_max=p.v_max, dv=p.dv, turn_probs=p.turn_probs, stops=p.stops))
+    return sub
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values, out_dir=None):
     """Dynamics summary metrics per parameter value, one row per value per
-    replication; each row carries the scenario id of its value's run."""
-    if param not in SWEEP_PARAMS:
-        raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+    replication; each row carries the scenario id of its value's run.  Every
+    value is checked (ConfigError) before any is run."""
+    subs = [_with_param(cfg, param, value) for value in values]
     rows = []
-    for value in values:
-        sub = _with_param(cfg, param, float(value))
+    for value, sub in zip(values, subs):
         if any(v is not vars(cfg)[k] and v != vars(cfg)[k] for k, v in vars(sub).items()):
             # a changed setting adds param=value to the id, as with_overrides
             # does (identity first: the shared level array is not compared)

@@ -108,10 +108,19 @@ def test_overrides_enter_the_scenario_stamp():
     ["dynamics", "--replications", "0", "--samples", "2000"],
     ["dynamics", "--duration", "45", "--samples", "2000", "--replications", "1"],
     ["validate", "--samples", "5", "--workers", "0"],
+    ["dynamics", "--duration", "inf", "--samples", "2000", "--replications", "1"],
+    ["sweep", "small_reach_km", "0.5", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
+    ["sweep", "period_s", "0", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
+    ["sweep", "k_classes", "4,0", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
 ])
 def test_invalid_overrides_exit_2(argv, tmp_path, capsys):
-    """Overrides obey the scenario file's run rules: replications >= 1,
-    mc_samples >= 100, workers >= 1 and a horizon of two snapshots."""
+    """Overrides and sweep values obey the scenario file's rules:
+    replications >= 1, mc_samples >= 100, workers >= 1, a finite horizon of
+    two snapshots, K >= 1, a positive period and a reach inside the
+    interference model's domain."""
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "config"

@@ -101,6 +101,25 @@ def test_route_reach_domain_guard(tmp_path):
     assert any("interference model" in e for e in err.value.errors)
 
 
+ROUTE = "route = 0.25,0.25; 0.25,0.75; 0.0,0.75; 0.0,0.25\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[mobility]\n" + ROUTE + "period_s = 0\n", "mobility.period_s=0: must be positive"),
+    ("[sim]\nduration_s = inf\n", "sim.duration_s=inf: must be finite > 0"),
+    ("[traffic]\nlambda_tot = nan\n", "lambda_tot must be finite"),
+    ("[traffic]\nsigma0_mbits = inf\n", "sigma0 must be finite"),
+    ("[hotspot]\nsigma_km = nan\n", "finite positive standard deviation"),
+], ids=["period-0", "duration-inf", "lambda-nan", "sigma0-inf", "sigma_km-nan"])
+def test_zero_period_and_non_finite_values_rejected(tmp_path, text, error):
+    """Each is a ConfigError, with a route scenario's zero period too."""
+    p = tmp_path / "s.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(p)
+    assert any(error in e for e in err.value.errors)
+
+
 def test_stops_parsing(tmp_path):
     p = write_scenario(tmp_path, "[mobility]\nroute = 0.25,0.25; 0.25,0.75; 0.0,0.75; 0.0,0.25\n"
                                  "stops = 0.25,0.5,60\n")

@@ -233,7 +233,7 @@ def test_transition_rates_need_two_profiles():
 def test_trace_csv_exports(tmp_path):
     tr = run_mm1(0.4, n_arrivals=500, seed=1, record_flows=True)
     tr2 = simulate(make_profile(lam_m=(1.0,), lam_s=(0.0,)), None, TrafficSpec(1.0, 2.0),
-                   100.0, 1, sample_dt=10.0)
+                   100.0, 1)
     p1 = tmp_path / "trace.csv"
     p2 = tmp_path / "flows.csv"
     tr2.to_csv(p1)
@@ -263,27 +263,26 @@ def _moving_system():
     return profs, rates, TrafficSpec(2.5, 2.0), T
 
 
-def test_sampling_consumes_no_draws():
-    """Occupancy sampling, on the piece grid or off it, leaves the
-    realisation alone: same integrals, event counts and flow paths."""
+# occupancy of _moving_system at seed 5 every 30 s, as a sampler on a
+# free-standing 30 s grid recorded it: (macro counts, small counts)
+PIECE_START_COUNTS = [
+    ([0, 0], [0, 0]), ([0, 0], [0, 0]), ([0, 0], [0, 0]), ([0, 0], [0, 0]),
+    ([2, 1], [1, 0]), ([0, 0], [0, 0]), ([0, 0], [0, 0]), ([0, 0], [0, 0]),
+    ([0, 0], [0, 0]), ([2, 1], [0, 0]), ([0, 0], [0, 0]), ([0, 0], [0, 0]),
+    ([2, 0], [0, 2]), ([3, 2], [0, 0]), ([0, 0], [0, 0]), ([2, 0], [0, 0]),
+    ([1, 0], [1, 0]), ([0, 0], [2, 0]), ([0, 1], [0, 0]), ([2, 0], [1, 3]),
+    ([0, 0], [0, 1]), ([1, 0], [0, 0]), ([0, 0], [0, 0]), ([4, 0], [0, 0]),
+    ([1, 0], [0, 0]), ([0, 0], [0, 0]), ([2, 0], [1, 1]), ([0, 0], [0, 0]),
+    ([0, 0], [0, 1]), ([0, 0], [0, 0])]
+
+
+def test_piece_start_samples_are_pinned():
+    """Every run samples the class counts at t = 0 and at each piece start
+    before T, stamped with the piece time, as the boundary leaves them."""
     profs, rates, traffic, T = _moving_system()
-    piece_dt = 30.0
-    runs = {dt: simulate(profs, rates, traffic, T, 5, sample_dt=dt,
-                         record_flows=True)
-            for dt in (None, piece_dt, 7.0)}
-    base = runs[None]
-    assert base.n_migrations > 0 and base.n_handovers > 0
-    assert base.sample_times == []
-    for dt in (piece_dt, 7.0):
-        tr = runs[dt]
-        assert tr.int_n == base.int_n
-        assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
-            (base.n_arrivals, base.n_departures, base.n_migrations, base.n_handovers)
-        assert [(f.arrival, f.departure, f.path) for f in tr.flows] == \
-            [(f.arrival, f.departure, f.path) for f in base.flows]
-        assert len(tr.sample_times) == math.ceil(T / dt)
-        assert tr.sample_times[0] == 0.0
-        assert tr.sample_counts[0] == ([0, 0], [0, 0])
+    tr = simulate(profs, rates, traffic, T, 5)
+    assert tr.sample_times == [30.0 * i for i in range(30)]
+    assert tr.sample_counts == PIECE_START_COUNTS
 
 
 def _realisation(tr):
@@ -297,7 +296,7 @@ def _realisation(tr):
 
 def test_flow_records_consume_no_draws():
     profs, rates, traffic, T = _moving_system()
-    on, off = (simulate(profs, rates, traffic, T, 5, sample_dt=7.0, track_states=True,
+    on, off = (simulate(profs, rates, traffic, T, 5, track_states=True,
                         record_flows=rec) for rec in (True, False))
     assert off.flows == [] and len(on.flows) == on.n_arrivals
     assert _realisation(off) == _realisation(on)
@@ -334,14 +333,13 @@ def _flow_values(tr):
 
 
 def test_numpy_profile_times_run_on_python_floats():
-    """Profile times, T and sample_dt given as numpy scalars give the
+    """Profile times and T given as numpy scalars give the
     realisation and flow values of Python floats, and the records hold
     Python floats."""
     profs, rates, traffic, T = _moving_system()
     np_profs = [dataclasses.replace(p, t=np.float64(p.t)) for p in profs]
-    runs = [simulate(ps, rates, traffic, horizon, 5, sample_dt=dt, track_states=True,
-                     record_flows=True)
-            for ps, horizon, dt in ((profs, T, 7.0), (np_profs, np.float64(T), np.float64(7.0)))]
+    runs = [simulate(ps, rates, traffic, horizon, 5, track_states=True, record_flows=True)
+            for ps, horizon in ((profs, T), (np_profs, np.float64(T)))]
     assert _realisation(runs[0]) == _realisation(runs[1])
     assert _flow_values(runs[0]) == _flow_values(runs[1])
     for tr in runs:
@@ -404,11 +402,20 @@ def test_recorded_trace_survives_pickling():
     assert _realisation(back) == _realisation(tr)
 
 
-@pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
-def test_bad_sample_interval_is_rejected(dt):
+@pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf, np.float64(math.nan)],
+                         ids=["negative", "zero", "nan", "inf", "numpy-nan"])
+def test_bad_horizon_is_rejected(T):
     prof = make_profile(lam_m=(1.0,), lam_s=(0.0,))
-    with pytest.raises(ValueError, match="sample_dt"):
-        simulate(prof, None, TrafficSpec(1.0, 2.0), 100.0, 1, sample_dt=dt)
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        simulate(prof, None, TrafficSpec(1.0, 2.0), T, 1)
+
+
+@pytest.mark.parametrize("lam, sigma0", [
+    (math.nan, 2.0), (math.inf, 2.0), (-1.0, 2.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -2.0)])
+def test_bad_traffic_is_rejected(lam, sigma0):
+    with pytest.raises(ValueError, match="must be finite"):
+        TrafficSpec(lam, sigma0)
 
 
 @st.composite
@@ -482,7 +489,7 @@ def test_flow_records_never_change_the_realisation(K, L, seed, lam, nu, ho, etas
     rates = TransitionRates(0.0, np.array(up), np.array(down), np.array(tup),
                             np.array(tdown), ho, 2 * ho)
     traffic = TrafficSpec(2 * lam, 2.0)
-    on, off = (simulate(profs, rates, traffic, 80.0, seed, sample_dt=5.0,
+    on, off = (simulate(profs, rates, traffic, 80.0, seed,
                         track_states=True, record_flows=rec)
                for rec in (True, False))
     assert _realisation(off) == _realisation(on)

@@ -150,6 +150,13 @@ def test_degenerate_region(spec):
                             vectorized=True)
 
 
+@pytest.mark.parametrize("bad", [dict(A=math.nan), dict(A=math.inf), dict(R_h=math.nan),
+                                 dict(R_h=math.inf), dict(theta_h=math.nan)])
+def test_spec_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HotspotSpec(**{**dict(R_h=0.5, theta_h=0.0, A=0.1), **bad})
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         HotspotSpec(R_h=0.5, theta_h=0.0, A=0.0)

@@ -8,7 +8,8 @@ import pytest
 
 from mobicell.analytic import coupled_loads_fixed_point
 from mobicell.ccdf import FieldSamples, extract_classes, snapshot_curves
-from mobicell.config import bundled_scenario_path, derived_scenario_id, load_scenario
+from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenario_id,
+                             load_scenario)
 from mobicell.hotspot import CoverageRegion
 from mobicell.pipeline import (_with_param, analytic_windows, baseline_windows,
                                macro_only_profile, mean_flux_rates, run_ccdf,
@@ -227,3 +228,27 @@ def test_period_sweep_at_loaded_period_gives_loaded_policy():
     assert swept.policy == cfg.policy and swept.period_s == cfg.period_s
     slower = _with_param(cfg, "period_s", 2.0 * cfg.period_s).policy
     assert slower.initial_speed == pytest.approx(cfg.policy.initial_speed / 2.0)
+
+
+@pytest.mark.parametrize("param, value, kind, error", [
+    ("small_reach_km", 0.5, ConfigError, "interference model's domain"),
+    ("small_reach_km", -1.0, ConfigError, "sim.small_reach_km=-1.0: must be >= 0"),
+    ("period_s", 0.0, ConfigError, "mobility.period_s=0.0: must be positive"),
+    ("period_s", -5.0, ConfigError, "mobility.period_s=-5.0: must be positive"),
+    ("k_classes", 0, ConfigError, "classes.k_macro=0: must be >= 1"),
+    ("lambda_tot", math.nan, ValueError, "lambda_tot must be finite"),
+    ("sigma_km", math.inf, ValueError, "finite positive standard deviation"),
+])
+def test_sweep_values_get_the_loaders_checks(param, value, kind, error):
+    """A swept value that a scenario file could not hold raises: ConfigError
+    from the loader's setting checks, ValueError from the value's own type."""
+    cfg = load_scenario(bundled_scenario_path())
+    with pytest.raises(kind, match=error):
+        _with_param(cfg, param, value)
+
+
+def test_sweep_checks_every_value_before_running_any(cfg_small):
+    with mock.patch("mobicell.pipeline.run_dynamics") as run:
+        with pytest.raises(ConfigError):
+            run_sweep(cfg_small, "period_s", [cfg_small.period_s, 0.0])
+    run.assert_not_called()
