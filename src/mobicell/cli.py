@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from mobicell.config import (ConfigError, bundled_scenario_path, load_scenario,
-                             with_overrides)
-from mobicell.pipeline import SWEEP_PARAMS, run_ccdf, run_dynamics, run_sweep
+from mobicell.config import (SWEEP_PARAMS, ConfigError, bundled_scenario_path,
+                             load_scenario, with_overrides)
+from mobicell.pipeline import run_ccdf, run_dynamics, run_sweep
 
 EXIT_CONFIG = 2
 

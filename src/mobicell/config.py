@@ -1,10 +1,11 @@
 """Scenario files: sectioned key-value text (INI) describing one experiment.
 
-Unknown sections or keys are rejected, every module-level invariant is
-revalidated on load, and so are the settings of a derived scenario (CLI
-overrides, sweep values); all errors are reported together.  A scenario is
-identified by the hash of its canonicalized content, stamped into every
-output with the seed; overridden run settings enter that hash too.
+Every key has one row in ``_KEYS``: default, parser and rule.  Unknown keys
+are rejected, and a file, or a derived scenario (CLI overrides, sweep values,
+``with_overrides``), passes the rows and the checks across keys with all
+errors reported together.  A scenario is identified by the hash of its
+canonicalized content, stamped into every output with the seed; overridden
+settings enter that hash too.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from importlib import resources
 
 import numpy as np
 
-from mobicell.ccdf import default_levels
+from mobicell.ccdf import _DOMAIN_FRAC, default_levels
+from mobicell.flowsim import TrafficSpec
 from mobicell.geometry import CellLayout
 from mobicell.hotspot import HotspotSpec
-from mobicell.mobility import ManhattanGrid, MobilityPolicy, route_cruise_policy
+from mobicell.mobility import (InvalidRouteError, ManhattanGrid, MobilityPolicy,
+                               _route_geometry, _validate_route, route_cruise_policy)
 from mobicell.radio import OMEGA_VARIANTS, RadioParams
-from mobicell.flowsim import TrafficSpec
 
 
 class ConfigError(ValueError):
@@ -32,55 +34,12 @@ class ConfigError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-_SCHEMA = {
-    "layout": {"delta_km": "1.0", "oracle_rings": "30"},
-    "radio": {
-        "tx_macro_dbm": "46", "tx_small_dbm": "30",
-        "antenna_gain_macro_db": "18", "antenna_gain_small_db": "6",
-        "ue_antenna_gain_db": "0", "body_loss_db": "2",
-        "pathloss_const_macro_db": "151", "pathloss_exp_macro": "3.76",
-        "pathloss_const_small_db": "148", "pathloss_exp_small": "3.67",
-        "noise_figure_db": "9", "bandwidth_mhz": "20",
-        "k1": "0.85", "k2": "1.9", "eta0_mbps": "98",
-        "alpha_load": "1.0", "omega_variant": "product",
-    },
-    "hotspot": {"center_r_km": "0.5", "center_theta_rad": "pi/3", "sigma_km": "0.08"},
-    "mobility": {
-        "block_km": "0.25", "extent_km": "2.0", "route": "",
-        "period_s": "1800", "speed_kmh": "", "v_max_kmh": "50", "dv_kmh": "3.6",
-        "stops": "", "turn_probs": "0.25,0.5,0.25",
-    },
-    "traffic": {"lambda_tot": "6.0", "sigma0_mbits": "2.0"},
-    "classes": {"k_macro": "4", "l_small": "4"},
-    "sim": {
-        "duration_s": "3600", "snapshot_s": "30", "trajectory_dt_s": "1.0",
-        "seed": "1", "replications": "10", "mc_samples": "200000",
-        "n_max": "40", "small_reach_km": "0.0",
-        "levels": "200", "level_min_mbps": "0.05",
-        "nu_floor": "1e-4", "extra_migration_rate": "0.0", "workers": "1",
-    },
-}
-
-# settings that a derived scenario may change, checked on load and by
-# check_settings: (ScenarioConfig field, scenario key, parser, rule, message)
-_RULES = (
-    ("K", "classes.k_macro", int, lambda v: v >= 1, "must be >= 1"),
-    ("L", "classes.l_small", int, lambda v: v >= 1, "must be >= 1"),
-    ("period_s", "mobility.period_s", float, lambda v: v > 0, "must be positive"),
-    ("small_reach_km", "sim.small_reach_km", float, lambda v: v >= 0, "must be >= 0"),
-    ("duration_s", "sim.duration_s", float, lambda v: 0 < v < math.inf, "must be finite > 0"),
-    ("replications", "sim.replications", int, lambda v: v >= 1, "must be >= 1"),
-    ("mc_samples", "sim.mc_samples", int, lambda v: v >= 100, "must be >= 100"),
-    ("workers", "sim.workers", int, lambda v: v >= 1, "must be >= 1"),
-)
-
 _PI_RE = re.compile(r"^\s*(-?[\d.]*)\s*\*?\s*pi\s*(?:/\s*([\d.]+))?\s*$")
 
 
 def parse_angle(text: str) -> float:
     """Angle in radians; accepts plain floats and pi expressions such as
     'pi/3', '2*pi/5' or '-pi'."""
-    text = text.strip()
     m = _PI_RE.match(text)
     if m:
         num = m.group(1)
@@ -90,16 +49,128 @@ def parse_angle(text: str) -> float:
     return float(text)
 
 
-def _parse_pairs(text: str):
-    """'x,y; x,y; ...' -> tuple of (x, y)."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, y = chunk.split(",")
-        out.append((float(x), float(y)))
-    return tuple(out)
+# parsers: a key's text, or a value built from it, to the value
+def _real(value) -> float:
+    if math.isfinite(number := float(value)):
+        return number
+    raise ValueError("must be finite")
+
+
+def _integer(value) -> int:
+    if isinstance(value, int) or isinstance(value, str) and re.fullmatch(r"[-+]?\d+", value) \
+            or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError("must be an integer")
+
+
+def _items(text: str, width: int) -> tuple:
+    """'a,b; a,b; ...' -> ((a, b), ...), each item ``width`` reals."""
+    items = tuple(tuple(map(_real, chunk.split(","))) for chunk in text.split(";")
+                  if chunk.strip())
+    if any(len(item) != width for item in items):
+        raise ValueError(f"needs {width} comma-separated numbers per ';'-separated item")
+    return items
+
+
+def _at_least(n):
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+# one row per key: (default text, parser[, (predicate, message) rule]); what a
+# domain object checks (v_max > 0, turn_probs summing to 1, ...) it checks itself
+_KEYS = {
+    "layout.delta_km": ("1.0", _real, _POSITIVE),
+    "layout.oracle_rings": ("30", _integer, _at_least(1)),
+    **{f"radio.{key}": (default, _real) for key, default in (
+        ("tx_macro_dbm", "46"), ("tx_small_dbm", "30"),
+        ("antenna_gain_macro_db", "18"), ("antenna_gain_small_db", "6"),
+        ("ue_antenna_gain_db", "0"), ("body_loss_db", "2"),
+        ("pathloss_const_macro_db", "151"), ("pathloss_exp_macro", "3.76"),
+        ("pathloss_const_small_db", "148"), ("pathloss_exp_small", "3.67"),
+        ("noise_figure_db", "9"), ("bandwidth_mhz", "20"),
+        ("k1", "0.85"), ("k2", "1.9"), ("eta0_mbps", "98"), ("alpha_load", "1.0"))},
+    "radio.omega_variant": ("product", str, (lambda v: v in OMEGA_VARIANTS,
+                                             f"must be one of {OMEGA_VARIANTS}")),
+    "hotspot.center_r_km": ("0.5", _real),
+    "hotspot.center_theta_rad": ("pi/3", lambda text: _real(parse_angle(text))),
+    "hotspot.sigma_km": ("0.08", _real),
+    "mobility.block_km": ("0.25", _real),
+    "mobility.extent_km": ("2.0", _real),
+    "mobility.route": ("", lambda text: _items(text, 2) or None),
+    "mobility.period_s": ("1800", _real, _POSITIVE),
+    "mobility.speed_kmh": ("", lambda text: _real(text) if text else None, _at_least(0)),
+    "mobility.v_max_kmh": ("50", _real),
+    "mobility.dv_kmh": ("3.6", _real),
+    "mobility.stops": ("", lambda text: tuple(((x, y), t) for x, y, t in _items(text, 3))),
+    "mobility.turn_probs": ("0.25,0.5,0.25", lambda text: tuple(map(_real, text.split(",")))),
+    "traffic.lambda_tot": ("6.0", _real),
+    "traffic.sigma0_mbits": ("2.0", _real),
+    "classes.k_macro": ("4", _integer, _at_least(1)),
+    "classes.l_small": ("4", _integer, _at_least(1)),
+    "sim.duration_s": ("3600", _real, _POSITIVE),
+    "sim.snapshot_s": ("30", _real, _POSITIVE),
+    "sim.trajectory_dt_s": ("1.0", _real, _POSITIVE),
+    "sim.seed": ("1", _integer, _at_least(0)),
+    "sim.replications": ("10", _integer, _at_least(1)),
+    "sim.mc_samples": ("200000", _integer, _at_least(100)),
+    "sim.n_max": ("40", _integer, _at_least(1)),
+    "sim.small_reach_km": ("0.0", _real, _at_least(0)),
+    "sim.levels": ("200", _integer, _at_least(10)),
+    "sim.level_min_mbps": ("0.05", _real, _POSITIVE),
+    "sim.nu_floor": ("1e-4", _real, _POSITIVE),
+    "sim.extra_migration_rate": ("0.0", _real, _at_least(0)),
+    "sim.workers": ("1", _integer, _at_least(1)),
+}
+# ScenarioConfig fields holding one key's value as parsed
+_FIELDS = {"K": "classes.k_macro", "L": "classes.l_small", "period_s": "mobility.period_s",
+           **{name: f"sim.{name}" for name in (
+               "duration_s", "snapshot_s", "trajectory_dt_s", "seed", "replications",
+               "mc_samples", "n_max", "small_reach_km", "nu_floor",
+               "extra_migration_rate", "workers")}}
+
+
+def _checked(key: str, value):
+    """``value`` (text or a built value) of ``key`` parsed and held to its
+    row's rule, which an empty optional key (None) need not meet."""
+    _, parse, *rule = _KEYS[key]
+    value = parse(value)
+    for ok, message in rule:
+        if value is not None and not ok(value):
+            raise ValueError(message)
+    return value
+
+
+def _section(v: dict, name: str) -> dict:
+    """Section ``name``'s values by key name; KeyError if one did not parse."""
+    return {key.partition(".")[2]: v[key] for key in _KEYS if key.startswith(name + ".")}
+
+
+def _policy(v: dict) -> MobilityPolicy:
+    m = _section(v, "mobility")
+    kw = dict(v_max=m["v_max_kmh"], dv=m["dv_kmh"], turn_probs=m["turn_probs"])
+    if m["route"] is None:
+        return MobilityPolicy(initial_speed=m["speed_kmh"] or 0.0, **kw)
+    return route_cruise_policy(m["route"], m["period_s"], stops=m["stops"],
+                               speed_kmh=m["speed_kmh"], **kw)
+
+
+# domain objects in build order: (field, section its errors name, builder on
+# the values so far); one reading a key that failed (KeyError) is skipped
+_OBJECTS = (
+    ("layout", "layout", lambda v: CellLayout(v["layout.delta_km"], v["layout.oracle_rings"])),
+    ("params", "radio", lambda v: RadioParams.from_link_budget(**_section(v, "radio"))),
+    ("spec", "hotspot", lambda v: HotspotSpec(
+        v["hotspot.center_r_km"], v["hotspot.center_theta_rad"], v["hotspot.sigma_km"])),
+    ("grid", "mobility",
+     lambda v: ManhattanGrid(v["mobility.block_km"], v["mobility.extent_km"])),
+    ("policy", "mobility", _policy),
+    ("traffic", "traffic",
+     lambda v: TrafficSpec(v["traffic.lambda_tot"], v["traffic.sigma0_mbits"])),
+    ("levels", "sim", lambda v: default_levels(v["params"].eta0, n=v["sim.levels"],
+                                               l_min=v["sim.level_min_mbps"])),
+)
 
 
 @dataclass
@@ -131,19 +202,34 @@ class ScenarioConfig:
 
 
 def _setting_errors(v: dict) -> list:
-    """Errors of the settings ``v`` (field -> built value, None or absent is
-    skipped): the ``_RULES``, a horizon of two snapshots, and a route plus
-    small-cell reach inside the interference model's domain."""
-    errors = [f"{key}={v[name]}: {what}" for name, key, _, ok, what in _RULES
-              if v.get(name) is not None and not ok(v[name])]
-    duration, snapshot = v.get("duration_s"), v.get("snapshot_s")
-    if snapshot is not None and duration is not None and 0 < duration < 2 * snapshot:
+    """Errors of the built settings ``v`` (field -> value, absent ones
+    skipped): the ``_FIELDS`` rows, a horizon of two snapshots, the hotspot
+    centre inside the macro disk, the route and stops on the street grid, and
+    route plus reach inside the interference model's domain."""
+    errors = []
+    for field, key in _FIELDS.items():
+        try:
+            if field in v:
+                _checked(key, v[field])
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"{key}={v[field]}: {exc}")
+    if {"duration_s", "snapshot_s"} <= v.keys() and 0 < v["duration_s"] < 2 * v["snapshot_s"]:
         errors.append("sim.duration_s must cover at least two snapshots")
-    layout, policy, reach = v.get("layout"), v.get("policy"), v.get("small_reach_km")
-    if layout is not None and policy is not None and policy.route is not None \
-            and reach is not None:
-        far = max(math.hypot(x, y) for x, y in policy.route)
-        if far + reach >= 0.995 * layout.delta:
+    if {"layout", "spec"} <= v.keys() and v["spec"].R_h >= v["layout"].R:
+        errors.append(f"hotspot.center_r_km={v['spec'].R_h}: hotspot center must lie "
+                      f"inside the macro disk (R={v['layout'].R:.4f} Km)")
+    route = v["policy"].route if "policy" in v else None
+    if route and "grid" in v:
+        key = "mobility.route"
+        try:
+            pts = _validate_route(route, v["grid"])
+            key = "mobility.stops"
+            _route_geometry(pts, v["policy"].stops)
+        except InvalidRouteError as exc:
+            errors.append(f"{key}: {exc}")
+    if route and {"layout", "small_reach_km"} <= v.keys():
+        far = max(math.hypot(x, y) for x, y in route)
+        if far + v["small_reach_km"] >= _DOMAIN_FRAC * v["layout"].delta:
             errors.append("mobility.route + sim.small_reach_km extends beyond the "
                           "interference model's domain (first interferer ring)")
     return errors
@@ -156,187 +242,107 @@ def check_settings(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def _canonical(items: dict) -> str:
-    return "\n".join(f"{sec}.{key}={val}" for (sec, key), val in sorted(items.items()))
-
-
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file, raising ConfigError with the full
-    list of problems if any check fails."""
+    """Parse and validate a scenario file; ConfigError lists every problem."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
         cp.read_file(fh)
-    errors = []
-    items = {}
+    sections = dict.fromkeys(key.partition(".")[0] for key in _KEYS)
+    errors, items = [], {key: row[0] for key, row in _KEYS.items()}
     for sec in cp.sections():
-        if sec not in _SCHEMA:
-            errors.append(f"unknown section [{sec}] (valid: {', '.join(_SCHEMA)})")
-            continue
-        for key, val in cp.items(sec):
-            if key not in _SCHEMA[sec]:
-                errors.append(f"unknown key {sec}.{key} (valid: {', '.join(_SCHEMA[sec])})")
-            else:
-                items[(sec, key)] = val.strip()
-    # fill defaults
-    for sec, keys in _SCHEMA.items():
-        for key, default in keys.items():
-            items.setdefault((sec, key), default)
+        if sec not in sections:
+            errors.append(f"unknown section [{sec}] (valid: {', '.join(sections)})")
+        for key, val in cp.items(sec) if sec in sections else ():
+            if f"{sec}.{key}" not in _KEYS:
+                valid = ", ".join(_section(_KEYS, sec))
+                errors.append(f"unknown key {sec}.{key} (valid: {valid})")
+            items[f"{sec}.{key}"] = val.strip()
     if errors:
         raise ConfigError(errors)
     return _build(items)
 
 
 def _build(items: dict) -> ScenarioConfig:
-    errors = []
-
-    def get(sec, key, conv=float, check=None, what=""):
-        raw = items[(sec, key)]
+    """The scenario of the key texts ``items`` ("section.key" -> text)."""
+    values, errors = {}, []
+    for key, text in items.items():
         try:
-            val = conv(raw)
-        except Exception:
-            errors.append(f"{sec}.{key}: cannot parse {raw!r}")
-            return None
-        if check is not None and not check(val):
-            errors.append(f"{sec}.{key}={raw}: {what}")
-            return None
-        return val
-
-    delta = get("layout", "delta_km", float, lambda v: v > 0, "must be positive")
-    rings = get("layout", "oracle_rings", int, lambda v: v >= 1, "must be >= 1")
-    layout = None
-    if delta is not None and rings is not None:
-        layout = CellLayout(delta=delta, rings_for_oracle=rings)
-
-    params = None
-    try:
-        variant = items[("radio", "omega_variant")]
-        if variant not in OMEGA_VARIANTS:
-            errors.append(f"radio.omega_variant={variant}: must be one of {OMEGA_VARIANTS}")
-        params = RadioParams.from_link_budget(
-            tx_macro_dbm=float(items[("radio", "tx_macro_dbm")]),
-            tx_small_dbm=float(items[("radio", "tx_small_dbm")]),
-            ant_gain_macro_db=float(items[("radio", "antenna_gain_macro_db")]),
-            ant_gain_small_db=float(items[("radio", "antenna_gain_small_db")]),
-            ue_gain_db=float(items[("radio", "ue_antenna_gain_db")]),
-            body_loss_db=float(items[("radio", "body_loss_db")]),
-            pl_const_macro_db=float(items[("radio", "pathloss_const_macro_db")]),
-            pl_exp_macro=float(items[("radio", "pathloss_exp_macro")]),
-            pl_const_small_db=float(items[("radio", "pathloss_const_small_db")]),
-            pl_exp_small=float(items[("radio", "pathloss_exp_small")]),
-            noise_figure_db=float(items[("radio", "noise_figure_db")]),
-            bandwidth_mhz=float(items[("radio", "bandwidth_mhz")]),
-            k1=float(items[("radio", "k1")]),
-            k2=float(items[("radio", "k2")]),
-            eta0_mbps=float(items[("radio", "eta0_mbps")]),
-            alpha=float(items[("radio", "alpha_load")]),
-            omega_variant=variant if variant in OMEGA_VARIANTS else "product",
-        )
-    except (ValueError, KeyError) as exc:
-        errors.append(f"radio: {exc}")
-
-    spec = None
-    try:
-        spec = HotspotSpec(
-            R_h=float(items[("hotspot", "center_r_km")]),
-            theta_h=parse_angle(items[("hotspot", "center_theta_rad")]),
-            A=float(items[("hotspot", "sigma_km")]),
-        )
-        if layout is not None and spec.R_h >= layout.R:
-            errors.append(f"hotspot.center_r_km={spec.R_h}: hotspot center must lie "
-                          f"inside the macro disk (R={layout.R:.4f} Km)")
-    except ValueError as exc:
-        errors.append(f"hotspot: {exc}")
-
-    ruled = {name: get(*key.split("."), *rule) for name, key, *rule in _RULES}
-    period = ruled["period_s"]
-    grid = policy = None
-    try:
-        grid = ManhattanGrid(block=float(items[("mobility", "block_km")]),
-                             extent=float(items[("mobility", "extent_km")]))
-    except ValueError as exc:
-        errors.append(f"mobility: {exc}")
-    try:
-        route = _parse_pairs(items[("mobility", "route")]) or None
-        stops_raw = items[("mobility", "stops")]
-        stops = tuple((pair, dwell) for pair, dwell in _parse_stops(stops_raw)) \
-            if stops_raw.strip() else ()
-        turn_probs = tuple(float(x) for x in items[("mobility", "turn_probs")].split(","))
-        v_max = float(items[("mobility", "v_max_kmh")])
-        dv = float(items[("mobility", "dv_kmh")])
-        speed_raw = items[("mobility", "speed_kmh")].strip()
-        if route is None:
-            speed = float(speed_raw) if speed_raw else 0.0
-            policy = MobilityPolicy(v_max=v_max, dv=dv, turn_probs=turn_probs,
-                                    initial_speed=speed)
-        elif period is not None:    # a bad period is reported already
-            policy = route_cruise_policy(route, period, v_max=v_max, dv=dv,
-                                         turn_probs=turn_probs, stops=stops,
-                                         speed_kmh=float(speed_raw) if speed_raw else None)
-    except (ValueError, IndexError) as exc:
-        errors.append(f"mobility: {exc}")
-
-    traffic = None
-    try:
-        traffic = TrafficSpec(lambda_tot=float(items[("traffic", "lambda_tot")]),
-                              sigma0=float(items[("traffic", "sigma0_mbits")]))
-    except ValueError as exc:
-        errors.append(f"traffic: {exc}")
-
-    snapshot = get("sim", "snapshot_s", float, lambda v: v > 0, "must be positive")
-    dt = get("sim", "trajectory_dt_s", float, lambda v: v > 0, "must be positive")
-    seed = get("sim", "seed", int)
-    n_max = get("sim", "n_max", int, lambda v: v >= 1, "must be >= 1")
-    n_levels = get("sim", "levels", int, lambda v: v >= 10, "must be >= 10")
-    l_min = get("sim", "level_min_mbps", float, lambda v: v > 0, "must be positive")
-    nu_floor = get("sim", "nu_floor", float, lambda v: v > 0, "must be positive")
-    extra_mig = get("sim", "extra_migration_rate", float, lambda v: v >= 0, "must be >= 0")
-    errors.extend(_setting_errors({**ruled, "snapshot_s": snapshot, "layout": layout,
-                                   "policy": policy}))
-
+            values[key] = _checked(key, text)
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"{key}={text}: {exc}")
+    for field, section, make in _OBJECTS:
+        try:
+            values[field] = make(values)
+        except KeyError:
+            pass
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"{section}: {exc}")
+    values.update({field: values[key] for field, key in _FIELDS.items() if key in values})
+    errors += _setting_errors(values)
     if errors:
         raise ConfigError(errors)
+    canon = "\n".join(f"{key}={text}" for key, text in sorted(items.items()))
+    return ScenarioConfig(**{field: values[field] for field in _FIELDS},
+                          **{field: values[field] for field, _, _ in _OBJECTS},
+                          scenario_id=derived_scenario_id(canon, ()))
 
-    levels = default_levels(params.eta0, n=n_levels, l_min=l_min)
-    canon = _canonical(items)
-    scenario_id = hashlib.sha256(canon.encode()).hexdigest()[:12]
-    return ScenarioConfig(
-        layout=layout, params=params, spec=spec, grid=grid, policy=policy,
-        traffic=traffic, snapshot_s=snapshot, trajectory_dt_s=dt, seed=seed,
-        n_max=n_max, levels=levels, nu_floor=nu_floor, extra_migration_rate=extra_mig,
-        scenario_id=scenario_id, **ruled,
-    )
+
+# names a sweep may vary; with_overrides also takes every _FIELDS name
+SWEEP_PARAMS = ("kappa", "sigma_km", "lambda_tot", "k_classes", "small_reach_km", "period_s")
+_KEY_OF = {**_FIELDS, "k_classes": "classes.k_macro", "sigma_km": "hotspot.sigma_km",
+           "lambda_tot": "traffic.lambda_tot"}   # the key an override's errors name
+# sweep parameters a domain object holds, which checks them: (field, attribute)
+_HELD = {"kappa": ("params", "kappa"), "sigma_km": ("spec", "A"),
+         "lambda_tot": ("traffic", "lambda_tot")}
+
+
+def _changes(cfg: ScenarioConfig, name: str, value) -> dict:
+    """The fields that setting ``name`` to ``value`` replaces in ``cfg``.  An
+    object holding the value checks it, else its key's row does."""
+    if name in _HELD:
+        field, attr = _HELD[name]
+        return {field: replace(getattr(cfg, field), **{attr: value})}
+    if name == "k_classes":
+        k = _checked("classes.k_macro", value)
+        return {"K": k, "L": k}
+    value = _checked(_FIELDS[name], value)
+    if name != "period_s":
+        return {name: value}
+    p = cfg.policy
+    if p.route is None:
+        raise ValueError("a period needs a route scenario")
+    return {"period_s": value, "policy": route_cruise_policy(
+        p.route, value, v_max=p.v_max, dv=p.dv, turn_probs=p.turn_probs, stops=p.stops)}
 
 
 def with_overrides(cfg: ScenarioConfig, **values) -> ScenarioConfig:
-    """``cfg`` with run settings replaced, identified by the file hash plus
-    the sorted ``field=value`` pairs that changed a setting.  ``workers``
-    changes no output and stays out of the hash, so without another change
-    the id remains the file's.  Settings that fail the loader's checks raise
-    ConfigError."""
-    changed = [f"{k}={v!r}" for k, v in values.items()
-               if k != "workers" and getattr(cfg, k) != v]
-    out = check_settings(replace(cfg, **values))
-    if changed:
-        out = replace(out, scenario_id=derived_scenario_id(cfg.scenario_id, changed))
-    return out
-
-
-def derived_scenario_id(scenario_id: str, changed) -> str:
-    """Id of a scenario with the ``field=value`` pairs ``changed`` applied."""
-    text = "\n".join([scenario_id, *sorted(changed)])
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def _parse_stops(text: str):
-    """'x,y,dwell; x,y,dwell' -> ((x, y), dwell) pairs."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+    """``cfg`` with settings replaced, by ``_FIELDS`` or ``SWEEP_PARAMS``
+    name; values that fail the loader's checks raise ConfigError.  The id is
+    the file's hash plus the sorted ``name=value`` pairs that changed a
+    setting; ``workers`` changes no output and stays out of it."""
+    errors, changes, changed = [], {}, []
+    for name, value in values.items():
+        try:
+            fields = _changes(cfg, name, value)
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"{_KEY_OF.get(name, name)}={value}: {exc}")
             continue
-        x, y, dwell = chunk.split(",")
-        out.append(((float(x), float(y)), float(dwell)))
-    return out
+        if any(new != getattr(cfg, field) for field, new in fields.items()):
+            changes.update(fields)
+            if name != "workers":
+                changed.append(f"{name}={value!r}")
+    out = replace(cfg, **changes)
+    if errors := errors + _setting_errors(vars(out)):
+        raise ConfigError(errors)
+    return replace(out, scenario_id=derived_scenario_id(cfg.scenario_id, changed)) \
+        if changed else out
+
+
+def derived_scenario_id(base: str, changed) -> str:
+    """Id of the scenario ``base`` (a scenario id, or a file's canonical
+    text) with the ``name=value`` pairs ``changed`` applied."""
+    text = "\n".join([base, *sorted(changed)])
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def bundled_scenario_path(name: str = "reference"):

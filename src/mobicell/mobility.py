@@ -104,8 +104,6 @@ class MobilityPolicy:
     turn_probs: tuple[float, float, float] = (0.25, 0.5, 0.25)
     route: tuple | None = None
     stops: tuple = ()
-    start: tuple[float, float] = (0.0, 0.0)
-    start_heading: Heading = Heading.PX
     initial_speed: float | None = None
 
     def __post_init__(self):
@@ -332,8 +330,7 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
         return _generate_on_route(policy, grid, times, dt, rng)
 
     v0 = policy.initial_speed if policy.initial_speed is not None else 0.0
-    state = TrajectoryState(PolarPoint(*policy.start), min(v0, policy.v_max),
-                            policy.start_heading)
+    state = TrajectoryState(PolarPoint(0.0, 0.0), min(v0, policy.v_max), Heading.PX)
     states = [state]
     for _ in range(n_steps):
         beta = policy.beta_law(rng, state) if policy.beta_law is not None \

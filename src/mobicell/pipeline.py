@@ -39,13 +39,11 @@ from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            snapshot_curves)
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
-from mobicell.config import ScenarioConfig, check_settings, derived_scenario_id
+from mobicell.config import SWEEP_PARAMS, ScenarioConfig, with_overrides
 from mobicell.flowsim import (QueueTrace, TrafficSpec, TransitionRates,
                               empirical_metrics, estimate_transition_rates, simulate)
-from mobicell.hotspot import CoverageRegion, HotspotSpec
-from mobicell.mobility import (Trajectory, distance_to_hotspot, generate_trajectory,
-                               route_cruise_policy)
-from mobicell.radio import RadioParams
+from mobicell.hotspot import CoverageRegion
+from mobicell.mobility import Trajectory, distance_to_hotspot, generate_trajectory
 
 SMALL_SHARE_EPS = 1e-3
 NEAR_WINDOW_KM = 0.06          # small cell essentially on the hotspot
@@ -485,48 +483,16 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
             "avg_small": avg_small, "times": times, "series": series}
 
 
-SWEEP_PARAMS = ("kappa", "sigma_km", "lambda_tot", "k_classes", "small_reach_km",
-                "period_s")
-
-
-def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """``cfg`` with ``param`` swept to ``value``.  The value's type checks it
-    (ValueError), or the loader's setting checks do (ConfigError)."""
-    if param not in SWEEP_PARAMS:
-        raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
-    if param == "period_s" and cfg.policy.route is None:
-        raise ValueError("period sweep needs a route scenario")
-    value = float(value)
-    if param == "kappa":
-        changes = {"params": RadioParams(**{**cfg.params.__dict__, "kappa": value})}
-    elif param == "sigma_km":
-        changes = {"spec": HotspotSpec(cfg.spec.R_h, cfg.spec.theta_h, value)}
-    elif param == "lambda_tot":
-        changes = {"traffic": TrafficSpec(value, cfg.traffic.sigma0)}
-    elif param == "k_classes":
-        changes = {"K": int(value), "L": int(value)}
-    else:
-        changes = {param: value}      # small_reach_km, period_s
-    sub = check_settings(replace(cfg, **changes))
-    if param == "period_s":               # derived only from a period that passed
-        p = cfg.policy
-        sub = replace(sub, policy=route_cruise_policy(
-            p.route, value, v_max=p.v_max, dv=p.dv, turn_probs=p.turn_probs, stops=p.stops))
-    return sub
-
-
 def run_sweep(cfg: ScenarioConfig, param: str, values, out_dir=None):
     """Dynamics summary metrics per parameter value, one row per value per
-    replication; each row carries the scenario id of its value's run.  Every
-    value is checked (ConfigError) before any is run."""
-    subs = [_with_param(cfg, param, value) for value in values]
+    replication; each row carries the scenario id of its value's run, made
+    by ``config.with_overrides``.  Every value is checked (ConfigError)
+    before any is run."""
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+    subs = [with_overrides(cfg, **{param: float(value)}) for value in values]
     rows = []
     for value, sub in zip(values, subs):
-        if any(v is not vars(cfg)[k] and v != vars(cfg)[k] for k, v in vars(sub).items()):
-            # a changed setting adds param=value to the id, as with_overrides
-            # does (identity first: the shared level array is not compared)
-            sub = replace(sub, scenario_id=derived_scenario_id(
-                cfg.scenario_id, [f"{param}={float(value)!r}"]))
         res = run_dynamics(sub)
         near, far = res.window_masks()
         for rr in res.replications:

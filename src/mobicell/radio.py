@@ -69,36 +69,37 @@ class RadioParams:
         *,
         tx_macro_dbm: float = 46.0,
         tx_small_dbm: float = 30.0,
-        ant_gain_macro_db: float = 18.0,
-        ant_gain_small_db: float = 6.0,
-        ue_gain_db: float = 0.0,
+        antenna_gain_macro_db: float = 18.0,
+        antenna_gain_small_db: float = 6.0,
+        ue_antenna_gain_db: float = 0.0,
         body_loss_db: float = 2.0,
-        pl_const_macro_db: float = 151.0,
-        pl_exp_macro: float = 3.76,
-        pl_const_small_db: float = 148.0,
-        pl_exp_small: float = 3.67,
+        pathloss_const_macro_db: float = 151.0,
+        pathloss_exp_macro: float = 3.76,
+        pathloss_const_small_db: float = 148.0,
+        pathloss_exp_small: float = 3.67,
         noise_figure_db: float = 9.0,
         bandwidth_mhz: float = 20.0,
         k1: float = 0.85,
         k2: float = 1.9,
         eta0_mbps: float = 98.0,
-        alpha: float = 1.0,
+        alpha_load: float = 1.0,
         omega_variant: str = "product",
     ) -> "RadioParams":
-        """Fold a dB-domain link budget into effective linear powers."""
-        p_macro = 10.0 ** ((tx_macro_dbm + ant_gain_macro_db + ue_gain_db
-                            - body_loss_db - pl_const_macro_db) / 10.0)
-        p_small = 10.0 ** ((tx_small_dbm + ant_gain_small_db + ue_gain_db
-                            - body_loss_db - pl_const_small_db) / 10.0)
+        """Fold a dB-domain link budget into effective linear powers; the
+        keywords are the scenario file's ``[radio]`` keys."""
+        p_macro = 10.0 ** ((tx_macro_dbm + antenna_gain_macro_db + ue_antenna_gain_db
+                            - body_loss_db - pathloss_const_macro_db) / 10.0)
+        p_small = 10.0 ** ((tx_small_dbm + antenna_gain_small_db + ue_antenna_gain_db
+                            - body_loss_db - pathloss_const_small_db) / 10.0)
         # thermal noise -174 dBm/Hz plus receiver noise figure over the band
         p_noise = 10.0 ** ((-174.0 + noise_figure_db + 10.0 * math.log10(bandwidth_mhz * 1e6)) / 10.0)
         return cls(
             P=p_macro,
             kappa=p_small / p_macro,
-            b_macro=pl_exp_macro / 2.0,
-            b_small=pl_exp_small / 2.0,
+            b_macro=pathloss_exp_macro / 2.0,
+            b_small=pathloss_exp_small / 2.0,
             P_N=p_noise,
-            alpha=alpha,
+            alpha=alpha_load,
             W=bandwidth_mhz,
             K1=k1,
             K2=k2,

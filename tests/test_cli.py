@@ -115,13 +115,37 @@ def test_overrides_enter_the_scenario_stamp():
      "--duration", "300"],
     ["sweep", "k_classes", "4,0", "--samples", "2000", "--replications", "1",
      "--duration", "300"],
+    ["sweep", "k_classes", "2.5", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
+    ["sweep", "k_classes", "inf", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
+    ["dynamics", "--seed", "-1", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
 ])
 def test_invalid_overrides_exit_2(argv, tmp_path, capsys):
     """Overrides and sweep values obey the scenario file's rules:
     replications >= 1, mc_samples >= 100, workers >= 1, a finite horizon of
-    two snapshots, K >= 1, a positive period and a reach inside the
-    interference model's domain."""
+    two snapshots, an integer K >= 1, a positive period, a reach inside the
+    interference model's domain and a seed >= 0."""
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "config"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mobility, key", [
+    ("route = 0.3,0.75; 0.25,0.75; 0.25,0.25", "mobility.route"),
+    ("route = 0.25,0.25; 0.25,0.75; 0.0,0.75; 0.0,0.25\nstops = 1.5,1.5,10", "mobility.stops"),
+], ids=["off-grid-waypoint", "stop-off-route"])
+@pytest.mark.parametrize("cmd", ["validate", "dynamics"])
+def test_a_route_the_bus_cannot_drive_exits_2(tmp_path, capsys, mobility, key, cmd):
+    """``validate`` rejects what ``dynamics`` would: the same config error,
+    naming the key, and no output."""
+    p = tmp_path / "s.ini"
+    p.write_text(f"[mobility]\n{mobility}\n")
+    argv = [cmd, "--config", str(p), "--samples", "2000", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config"
+    assert any(e.startswith(f"{key}: ") for e in payload["detail"])
     assert not (tmp_path / "o").exists()

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobicell.config import (ConfigError, bundled_scenario_path, load_scenario,
-                             parse_angle, with_overrides)
+from mobicell.config import (_KEYS, ConfigError, _integer, _real, bundled_scenario_path,
+                             load_scenario, parse_angle, with_overrides)
 
 
 def test_bundled_scenario_loads():
@@ -106,10 +106,10 @@ ROUTE = "route = 0.25,0.25; 0.25,0.75; 0.0,0.75; 0.0,0.25\n"
 
 @pytest.mark.parametrize("text, error", [
     ("[mobility]\n" + ROUTE + "period_s = 0\n", "mobility.period_s=0: must be positive"),
-    ("[sim]\nduration_s = inf\n", "sim.duration_s=inf: must be finite > 0"),
-    ("[traffic]\nlambda_tot = nan\n", "lambda_tot must be finite"),
-    ("[traffic]\nsigma0_mbits = inf\n", "sigma0 must be finite"),
-    ("[hotspot]\nsigma_km = nan\n", "finite positive standard deviation"),
+    ("[sim]\nduration_s = inf\n", "sim.duration_s=inf: must be finite"),
+    ("[traffic]\nlambda_tot = nan\n", "traffic.lambda_tot=nan: must be finite"),
+    ("[traffic]\nsigma0_mbits = inf\n", "traffic.sigma0_mbits=inf: must be finite"),
+    ("[hotspot]\nsigma_km = nan\n", "hotspot.sigma_km=nan: must be finite"),
 ], ids=["period-0", "duration-inf", "lambda-nan", "sigma0-inf", "sigma_km-nan"])
 def test_zero_period_and_non_finite_values_rejected(tmp_path, text, error):
     """Each is a ConfigError, with a route scenario's zero period too."""
@@ -118,6 +118,70 @@ def test_zero_period_and_non_finite_values_rejected(tmp_path, text, error):
     with pytest.raises(ConfigError) as err:
         load_scenario(p)
     assert any(error in e for e in err.value.errors)
+
+
+def errors_of(tmp_path, text):
+    """The errors of a scenario file holding ``text``."""
+    p = tmp_path / "s.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(p)
+    return err.value.errors
+
+
+def key_text(key, value):
+    section, name = key.split(".")
+    return f"[{section}]\n{name} = {value}\n"
+
+
+REAL_KEYS = [key for key, row in _KEYS.items() if row[1] is _real]
+INTEGER_KEYS = [key for key, row in _KEYS.items() if row[1] is _integer]
+# keys whose value holds reals: a non-finite one among them
+HOLDS_REALS = [("hotspot.center_theta_rad", "inf"), ("mobility.speed_kmh", "nan"),
+               ("mobility.route", "0.25,inf; 0.25,0.75"),
+               ("mobility.stops", "0.25,nan,60"), ("mobility.turn_probs", "0.25,inf,0.25")]
+
+
+@pytest.mark.parametrize("key, value", [(key, v) for key in REAL_KEYS for v in ("inf", "nan")]
+                         + HOLDS_REALS)
+def test_every_real_must_be_finite(tmp_path, key, value):
+    errors = errors_of(tmp_path, key_text(key, value))
+    assert f"{key}={value}: must be finite" in errors
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_every_integer_key_rejects_a_fraction(tmp_path, key):
+    assert f"{key}=2.5: must be an integer" in errors_of(tmp_path, key_text(key, "2.5"))
+
+
+def test_every_bad_key_is_reported(tmp_path):
+    errors = errors_of(tmp_path, "[radio]\nk1 = abc\nk2 = xyz\n[sim]\nnu_floor = inf\n")
+    assert errors == ["radio.k1=abc: could not convert string to float: 'abc'",
+                      "radio.k2=xyz: could not convert string to float: 'xyz'",
+                      "sim.nu_floor=inf: must be finite"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[mobility]\nroute = 0.3,0.75; 0.25,0.75; 0.25,0.25\n",
+     "mobility.route: waypoint (0.3, 0.75) is not at an intersection"),
+    ("[mobility]\n" + ROUTE + "stops = 1.5,1.5,10\n",
+     "mobility.stops: stop (1.5, 1.5) does not lie on the route"),
+    ("[sim]\nseed = -1\n", "sim.seed=-1: must be >= 0"),
+], ids=["off-grid-waypoint", "stop-off-route", "negative-seed"])
+def test_what_a_run_would_reject_is_rejected_at_load(tmp_path, text, error):
+    assert error in errors_of(tmp_path, text)
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("seed", -1, "sim.seed=-1: must be >= 0"),
+    ("k_classes", 2.5, "classes.k_macro=2.5: must be an integer"),
+    ("duration_s", math.nan, "sim.duration_s=nan: must be finite"),
+])
+def test_overrides_get_the_key_rows(name, value, error):
+    base = load_scenario(bundled_scenario_path())
+    with pytest.raises(ConfigError) as err:
+        with_overrides(base, **{name: value})
+    assert err.value.errors == [error]
 
 
 def test_stops_parsing(tmp_path):

@@ -9,9 +9,9 @@ import pytest
 from mobicell.analytic import coupled_loads_fixed_point
 from mobicell.ccdf import FieldSamples, extract_classes, snapshot_curves
 from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenario_id,
-                             load_scenario)
+                             load_scenario, with_overrides)
 from mobicell.hotspot import CoverageRegion
-from mobicell.pipeline import (_with_param, analytic_windows, baseline_windows,
+from mobicell.pipeline import (analytic_windows, baseline_windows,
                                macro_only_profile, mean_flux_rates, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
                                snapshot_series)
@@ -224,9 +224,9 @@ def test_rep0_files_describe_rep0(cfg_small, tmp_path):
 
 def test_period_sweep_at_loaded_period_gives_loaded_policy():
     cfg = load_scenario(bundled_scenario_path())
-    swept = _with_param(cfg, "period_s", cfg.period_s)
+    swept = with_overrides(cfg, period_s=cfg.period_s)
     assert swept.policy == cfg.policy and swept.period_s == cfg.period_s
-    slower = _with_param(cfg, "period_s", 2.0 * cfg.period_s).policy
+    slower = with_overrides(cfg, period_s=2.0 * cfg.period_s).policy
     assert slower.initial_speed == pytest.approx(cfg.policy.initial_speed / 2.0)
 
 
@@ -236,6 +236,9 @@ def test_period_sweep_at_loaded_period_gives_loaded_policy():
     ("period_s", 0.0, ConfigError, "mobility.period_s=0.0: must be positive"),
     ("period_s", -5.0, ConfigError, "mobility.period_s=-5.0: must be positive"),
     ("k_classes", 0, ConfigError, "classes.k_macro=0: must be >= 1"),
+    ("k_classes", 2.5, ConfigError, "classes.k_macro=2.5: must be an integer"),
+    ("k_classes", math.inf, ConfigError, "classes.k_macro=inf: must be an integer"),
+    ("period_s", math.inf, ConfigError, "mobility.period_s=inf: must be finite"),
     ("lambda_tot", math.nan, ValueError, "lambda_tot must be finite"),
     ("sigma_km", math.inf, ValueError, "finite positive standard deviation"),
 ])
@@ -244,7 +247,7 @@ def test_sweep_values_get_the_loaders_checks(param, value, kind, error):
     from the loader's setting checks, ValueError from the value's own type."""
     cfg = load_scenario(bundled_scenario_path())
     with pytest.raises(kind, match=error):
-        _with_param(cfg, param, value)
+        with_overrides(cfg, **{param: value})
 
 
 def test_sweep_checks_every_value_before_running_any(cfg_small):

@@ -9,7 +9,7 @@ from mobicell.radio import (RadioParams, _interference_oracle_grid,
                             inverse_interference_factor, macro_associated, omega,
                             psi, shannon_rate, sinr_macro, sinr_small)
 
-TABLE = dict(pl_exp_macro=3.76, pl_exp_small=3.67, bandwidth_mhz=20.0,
+TABLE = dict(pathloss_exp_macro=3.76, pathloss_exp_small=3.67, bandwidth_mhz=20.0,
              k1=0.85, k2=1.9, eta0_mbps=98.0)
 
 
@@ -77,7 +77,7 @@ def test_g_strictly_increasing(params, layout):
 
 
 def test_g_zero_when_no_interference_and_no_noise(layout):
-    p = RadioParams.from_link_budget(**TABLE, alpha=0.0)
+    p = RadioParams.from_link_budget(**TABLE, alpha_load=0.0)
     p = RadioParams(**{**p.__dict__, "P_N": 0.0})
     r = np.linspace(0.0, layout.R, 50)
     assert np.allclose(interference_factor(r, p, layout), 0.0)
@@ -152,7 +152,7 @@ def test_sinr_macro_limits(params, layout):
 
 
 def test_sinr_macro_equidistant_equal_power(layout):
-    p = RadioParams.from_link_budget(**{**TABLE, "pl_exp_small": 3.76})
+    p = RadioParams.from_link_budget(**{**TABLE, "pathloss_exp_small": 3.76})
     p = RadioParams(**{**p.__dict__, "kappa": 1.0})
     r = 0.35
     m = PolarPoint.from_polar(r, 0.0)
@@ -212,7 +212,7 @@ def test_psi_inverts_shannon(params):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RadioParams.from_link_budget(**{**TABLE, "pl_exp_macro": 1.5})  # b <= 1
+        RadioParams.from_link_budget(**{**TABLE, "pathloss_exp_macro": 1.5})  # b <= 1
     good = RadioParams.from_link_budget(**TABLE)
     with pytest.raises(ValueError):
         RadioParams(**{**good.__dict__, "kappa": 1.5})
