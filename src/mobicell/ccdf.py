@@ -10,6 +10,7 @@ small-cell position changes between snapshots and curve differences in time
 are not drowned in sampling noise.  ``snapshot_curves`` is the one curve
 kernel: it evaluates the field once per snapshot (``FieldSamples.at``) and
 returns all four curves; ``macro_ccdf`` and ``small_ccdf`` return one of them.
+The module opens no file: ``pipeline`` writes the curves to ``ccdf.csv``.
 
 A snapshot touches only the draws that can be in S*: every draw in the macro
 disk and, of the draws outside it, those within ``small_reach`` of the small
@@ -53,7 +54,6 @@ that sorts fewer values than the macro users themselves.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -531,16 +531,3 @@ def extract_classes(macro_curve: CcdfCurve, small_curve: CcdfCurve,
         macro_edges=edges_m, small_edges=edges_s,
         macro_curve=macro_curve, small_curve=small_curve,
     )
-
-
-def curves_to_csv(path, curves, extra_header_lines=()) -> None:
-    """CSV schema: t_s, cell, level_mbps, ccdf, stderr."""
-    with open(path, "w", newline="") as fh:
-        for line in extra_header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        w = csv.writer(fh)
-        w.writerow(["t_s", "cell", "level_mbps", "ccdf", "stderr"])
-        for curve in curves:
-            for l, v, se in zip(curve.levels, curve.values, curve.stderr):
-                w.writerow([f"{curve.t:.3f}", curve.cell.value,
-                            f"{l:.6f}", f"{v:.8f}", f"{se:.8f}"])

@@ -76,20 +76,28 @@ def _at_least(n):
     return (lambda v: v >= n, f"must be >= {n}")
 
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
+def _at_most(n):
+    return (lambda v: v <= n, f"must be <= {n}")
 
-# one row per key: (default text, parser[, (predicate, message) rule]); what a
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+# dB terms in [-300, 300] and a bandwidth up to 1e6 MHz keep every linear
+# power of the link budget a finite float
+_DB = (_at_least(-300), _at_most(300))
+
+# one row per key: (default text, parser, (predicate, message) rules...); what a
 # domain object checks (v_max > 0, turn_probs summing to 1, ...) it checks itself
 _KEYS = {
     "layout.delta_km": ("1.0", _real, _POSITIVE),
     "layout.oracle_rings": ("30", _integer, _at_least(1)),
-    **{f"radio.{key}": (default, _real) for key, default in (
-        ("tx_macro_dbm", "46"), ("tx_small_dbm", "30"),
-        ("antenna_gain_macro_db", "18"), ("antenna_gain_small_db", "6"),
-        ("ue_antenna_gain_db", "0"), ("body_loss_db", "2"),
-        ("pathloss_const_macro_db", "151"), ("pathloss_exp_macro", "3.76"),
-        ("pathloss_const_small_db", "148"), ("pathloss_exp_small", "3.67"),
-        ("noise_figure_db", "9"), ("bandwidth_mhz", "20"),
+    **{f"radio.{key}": (default, _real, *rules) for key, default, *rules in (
+        ("tx_macro_dbm", "46", *_DB), ("tx_small_dbm", "30", *_DB),
+        ("antenna_gain_macro_db", "18", *_DB), ("antenna_gain_small_db", "6", *_DB),
+        ("ue_antenna_gain_db", "0", *_DB), ("body_loss_db", "2", *_DB),
+        ("pathloss_const_macro_db", "151", *_DB), ("pathloss_exp_macro", "3.76"),
+        ("pathloss_const_small_db", "148", *_DB), ("pathloss_exp_small", "3.67"),
+        ("noise_figure_db", "9", *_DB),
+        ("bandwidth_mhz", "20", _POSITIVE, _at_most(10 ** 6)),
         ("k1", "0.85"), ("k2", "1.9"), ("eta0_mbps", "98"), ("alpha_load", "1.0"))},
     "radio.omega_variant": ("product", str, (lambda v: v in OMEGA_VARIANTS,
                                              f"must be one of {OMEGA_VARIANTS}")),
@@ -133,10 +141,10 @@ _FIELDS = {"K": "classes.k_macro", "L": "classes.l_small", "period_s": "mobility
 
 def _checked(key: str, value):
     """``value`` (text or a built value) of ``key`` parsed and held to its
-    row's rule, which an empty optional key (None) need not meet."""
-    _, parse, *rule = _KEYS[key]
+    row's rules, which an empty optional key (None) need not meet."""
+    _, parse, *rules = _KEYS[key]
     value = parse(value)
-    for ok, message in rule:
+    for ok, message in rules:
         if value is not None and not ok(value):
             raise ValueError(message)
     return value
@@ -185,7 +193,7 @@ class ScenarioConfig:
     traffic: TrafficSpec
     K: int
     L: int
-    period_s: float
+    period_s: float | None     # None where it sets no speed: no route, or a pinned one
     duration_s: float
     snapshot_s: float
     trajectory_dt_s: float
@@ -209,7 +217,7 @@ def _setting_errors(v: dict) -> list:
     errors = []
     for field, key in _FIELDS.items():
         try:
-            if field in v:
+            if v.get(field) is not None:
                 _checked(key, v[field])
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"{key}={v[field]}: {exc}")
@@ -278,6 +286,8 @@ def _build(items: dict) -> ScenarioConfig:
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"{section}: {exc}")
     values.update({field: values[key] for field, key in _FIELDS.items() if key in values})
+    if values.get("mobility.route") is None or values.get("mobility.speed_kmh") is not None:
+        values["period_s"] = None
     errors += _setting_errors(values)
     if errors:
         raise ConfigError(errors)
@@ -308,9 +318,9 @@ def _changes(cfg: ScenarioConfig, name: str, value) -> dict:
     value = _checked(_FIELDS[name], value)
     if name != "period_s":
         return {name: value}
+    if cfg.period_s is None:
+        raise ValueError("a period needs a route scenario without mobility.speed_kmh")
     p = cfg.policy
-    if p.route is None:
-        raise ValueError("a period needs a route scenario")
     return {"period_s": value, "policy": route_cruise_policy(
         p.route, value, v_max=p.v_max, dv=p.dv, turn_probs=p.turn_probs, stops=p.stops)}
 

@@ -33,13 +33,13 @@ O(log n) plus loops over one cell's occupied classes when a departure or an
 epoch moves its least departure time, or a migration-prone count changes;
 nothing is done per class for the time that passes.  A departed flow has
 received its size to rounding, and the drawn work is the served work plus
-the backlog at T.
+the backlog at T.  The module opens no file: ``pipeline`` writes a trace's
+samples and flow records to ``trace_rep0.csv`` and ``flows_rep0.csv``.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import heapq
 import itertools
 import math
@@ -51,7 +51,6 @@ import numpy as np
 from mobicell.ccdf import ClassProfile
 
 MACRO, SMALL = 0, 1
-_CELL_NAME = ("macro", "small")
 
 
 class InsufficientDataError(ValueError):
@@ -186,37 +185,6 @@ class QueueTrace:
         if self.states_time is None:
             raise ValueError("run simulate(..., track_states=True) to collect state frequencies")
         return {k: v / self.T for k, v in self.states_time.items()}
-
-    def to_csv(self, path, extra_header_lines=()) -> None:
-        """Sampled occupancy series; schema t_s, cell, class, count."""
-        with open(path, "w", newline="") as fh:
-            for line in extra_header_lines:
-                fh.write(line.rstrip("\n") + "\n")
-            w = csv.writer(fh)
-            w.writerow(["t_s", "cell", "class", "count"])
-            for t, counts in zip(self.sample_times, self.sample_counts):
-                for c in (MACRO, SMALL):
-                    for k, n in enumerate(counts[c]):
-                        w.writerow([f"{t:.6f}", _CELL_NAME[c], k + 1, n])
-
-    def flows_to_csv(self, path, extra_header_lines=()) -> None:
-        """Schema arrival_s, departure_s, cell_path, size_mbits; rows end in
-        \\r\\n, as csv.writer ends them (no field needs quoting)."""
-        labels = {}
-        rows = []
-        cols = self.flow_columns
-        for a, d, s, p in (() if cols is None else
-                           zip(cols.arrival, cols.departure, cols.size, cols.paths())):
-            key = tuple(p)
-            pth = labels.get(key)
-            if pth is None:
-                pth = labels[key] = ">".join(f"{'MS'[c]}{k + 1}" for c, k in key)
-            dep = "" if math.isnan(d) else f"{d:.6f}"
-            rows.append(f"{a:.6f},{dep},{pth},{s:.6f}\r\n")
-        with open(path, "w", newline="") as fh:
-            for line in extra_header_lines:
-                fh.write(line.rstrip("\n") + "\n")
-            fh.write("arrival_s,departure_s,cell_path,size_mbits\r\n" + "".join(rows))
 
 
 _BLOCK = 8192

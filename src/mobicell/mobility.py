@@ -10,9 +10,8 @@ at zero: beta < 0 means braking, vehicles do not reverse.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -234,16 +233,6 @@ class Trajectory:
     def position_at(self, t: float) -> PolarPoint:
         i = min(int(round(t / self.dt)), len(self.states) - 1)
         return self.states[i].position
-
-    def to_csv(self, path, extra_header_lines=()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in extra_header_lines:
-                fh.write(line.rstrip("\n") + "\n")
-            w = csv.writer(fh)
-            w.writerow(["t_s", "x_km", "y_km", "speed_kmh", "heading"])
-            for t, s in zip(self.t, self.states):
-                w.writerow([f"{t:.6f}", f"{s.position.x:.9f}", f"{s.position.y:.9f}",
-                            f"{s.velocity:.6f}", s.heading.name])
 
 
 def _validate_route(route, grid: ManhattanGrid):

@@ -1,6 +1,7 @@
 """Experiment orchestration: trajectory -> per-snapshot CCDFs -> flow classes
 and transition rates -> coupled flow simulation plus the analytic evaluation,
-for both the with-small-cell scenario and the macro-only baseline.
+for both the with-small-cell scenario and the macro-only baseline.  Every
+output file is written here, by ``_write``.
 
 A snapshot series evaluates each distinct small-cell position once.  A route
 bus that returns to its starting state repeats its first lap exactly (see
@@ -23,8 +24,8 @@ the stationary distribution marginals) are reported in the run summary.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -35,8 +36,7 @@ from mobicell.analytic import (class_membership, coupled_loads_fixed_point,
                                effective_rate)
 from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            combined_ccdf, curve_pmf, _equal_mass_bins,
-                           curves_to_csv, extract_classes, macro_only_ccdf,
-                           snapshot_curves)
+                           extract_classes, macro_only_ccdf, snapshot_curves)
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
 from mobicell.config import SWEEP_PARAMS, ScenarioConfig, with_overrides
@@ -120,13 +120,14 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False,
                           traj, curves if keep_curves else None)
 
 
-def macro_only_profile(cfg: ScenarioConfig) -> tuple[ClassProfile, CcdfCurve]:
-    """Baseline classes from the closed-form macro-only CCDF; all traffic in
-    the macro cell, both phases equal (nothing interferes)."""
+def macro_only_profile(cfg: ScenarioConfig) -> ClassProfile:
+    """Baseline classes from the closed-form macro-only CCDF (its
+    ``macro_curve``); all traffic in the macro cell, both phases equal
+    (nothing interferes)."""
     curve = macro_only_ccdf(cfg.levels, cfg.spec, cfg.params, cfg.layout)
     rates, masses = curve_pmf(curve)
     eta, edges = _equal_mass_bins(rates, masses, cfg.K)
-    prof = ClassProfile(
+    return ClassProfile(
         t=0.0, K=cfg.K, L=1,
         eta_macro=np.column_stack([eta, eta]),
         eta_small=np.array([[1.0, 1.0]]),
@@ -137,7 +138,6 @@ def macro_only_profile(cfg: ScenarioConfig) -> tuple[ClassProfile, CcdfCurve]:
         macro_edges=edges, small_edges=np.array([1.0, 1.0]),
         macro_curve=curve,
     )
-    return prof, curve
 
 
 @dataclass
@@ -289,7 +289,7 @@ def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None 
     trace_sc = simulate(series.profiles, series.rates, cfg.traffic, cfg.duration_s,
                         sim_seed, record_flows=rep == 0)
     if prof_mo is None:
-        prof_mo, _ = macro_only_profile(cfg)
+        prof_mo = macro_only_profile(cfg)
     # carve the baseline pieces on the same snapshot grid so windowed series align
     profs_mo = []
     for t in series.times:
@@ -323,7 +323,7 @@ def run_dynamics(cfg: ScenarioConfig, out_dir=None) -> DynamicsResult:
     The macro-only profile and the trajectory are built once and shared by
     every replication.  Each replication costs one snapshot series and two
     simulations; the snapshot times and distances come from replication 0."""
-    prof_mo, _ = macro_only_profile(cfg)
+    prof_mo = macro_only_profile(cfg)
     traj = scenario_trajectory(cfg)
     reps = list(range(cfg.replications))
     if cfg.workers > 1:
@@ -339,82 +339,103 @@ def run_dynamics(cfg: ScenarioConfig, out_dir=None) -> DynamicsResult:
     out = DynamicsResult(cfg, rep0.windows_sc.t, rep0.distance_km, results, windows_mo,
                          baseline_stable)
     if out_dir is not None:
-        _write_dynamics(out, out_dir)
+        _write(out_dir, provenance(cfg, "dynamics", cfg.seed), _dynamics_files(out))
     return out
 
 
-def _metrics_rows(scenario_id, win: WindowSeries, residual=0.0):
-    rows = []
-    for i, t in enumerate(win.t):
-        rows.append([scenario_id, f"{t:.1f}", f"{win.rho[i]:.8f}",
-                     f"{win.rho_tilde[i]:.8f}", f"{win.rho_bar[i]:.8f}",
-                     f"{win.eta_bar[i]:.6f}", f"{win.R[i]:.6f}", f"{residual:.6f}"])
-    return rows
-
-
-_METRIC_HEADER = ["scenario_id", "t_window", "rho", "rho_tilde", "rho_bar",
-                  "eta_bar_mbps", "R_mbps", "conservation_residual"]
-
-
-def _write_csv(path, header, rows, lines):
-    with open(path, "w", newline="") as fh:
-        for line in lines:
-            fh.write(line.rstrip("\n") + "\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_dynamics(res: DynamicsResult, out_dir):
-    """The six dynamics CSVs.  ``trace_rep0.csv`` and ``flows_rep0.csv`` are
-    written from replication 0's own with-small-cell simulation, the run
-    behind its reported metrics; nothing is simulated here."""
-    import os
+def _write(out_dir, prov: str, files: dict) -> None:
+    """Every output file.  ``files`` maps each name under ``out_dir`` (made
+    if absent) to its header and rows, lines of comma-separated fields that
+    need no quoting.  A file is the provenance line ``prov``, then the header
+    and the rows, each ending in \\r\\n as csv.writer ends them."""
     os.makedirs(out_dir, exist_ok=True)
-    cfg = res.cfg
-    prov = provenance(cfg, "dynamics", cfg.seed)
+    for name, (header, rows) in files.items():
+        with open(f"{out_dir}/{name}", "w", newline="") as fh:
+            fh.write(f"{prov}\n" + "\r\n".join([header, *rows, ""]))
 
+
+_METRIC_HEADER = ("scenario_id,t_window,rho,rho_tilde,rho_bar,eta_bar_mbps,R_mbps,"
+                  "conservation_residual")
+
+
+def _metrics_rows(scenario_id, win: WindowSeries, residual=0.0) -> list:
+    return [f"{scenario_id},{t:.1f},{rho:.8f},{rho_tilde:.8f},{rho_bar:.8f},"
+            f"{eta_bar:.6f},{r:.6f},{residual:.6f}"
+            for t, rho, rho_tilde, rho_bar, eta_bar, r in zip(
+                win.t, win.rho, win.rho_tilde, win.rho_bar, win.eta_bar, win.R)]
+
+
+def _trace_file(trace: QueueTrace) -> tuple:
+    """Header and rows of the class counts at each sample, macro classes first."""
+    return "t_s,cell,class,count", [
+        f"{t:.6f},{cell},{k},{n}"
+        for t, counts in zip(trace.sample_times, trace.sample_counts)
+        for cell, cell_counts in zip(("macro", "small"), counts)
+        for k, n in enumerate(cell_counts, 1)]
+
+
+def _flows_file(trace: QueueTrace) -> tuple:
+    """Header and rows of the recorded flows, one line per flow; each
+    distinct path's label is formatted once."""
+    labels = {}
+    rows = []
+    cols = trace.flow_columns
+    for a, d, s, p in zip(cols.arrival, cols.departure, cols.size, cols.paths()):
+        key = tuple(p)
+        pth = labels.get(key)
+        if pth is None:
+            pth = labels[key] = ">".join(f"{'MS'[c]}{k + 1}" for c, k in key)
+        dep = "" if math.isnan(d) else f"{d:.6f}"
+        rows.append(f"{a:.6f},{dep},{pth},{s:.6f}")
+    return "arrival_s,departure_s,cell_path,size_mbits", rows
+
+
+def _dynamics_files(res: DynamicsResult) -> dict:
+    """The six dynamics CSVs.  ``trace_rep0.csv`` and ``flows_rep0.csv`` come
+    from replication 0's own with-small-cell simulation, the run behind its
+    reported metrics; nothing is simulated here."""
+    sid = res.cfg.scenario_id
     trace0 = res.replications[0].trace_sc
-    trace0.to_csv(f"{out_dir}/trace_rep0.csv", (prov,))
-    trace0.flows_to_csv(f"{out_dir}/flows_rep0.csv", (prov,))
-
-    rows = []
+    metrics_sc = [row for rr in res.replications
+                  for row in _metrics_rows(f"{sid}:sc:rep{rr.rep}", rr.windows_sc,
+                                           rr.emp_sc["metrics"].conservation_residual)]
+    empirical = [f"{sid}:{tag},{rr.rep},{t:.1f},{n:.6f},{served:.6f},{r:.6f}"
+                 for rr in res.replications
+                 for tag, emp in (("sc", rr.emp_sc), ("macro_only", rr.emp_mo))
+                 for t, n, served, r in zip(emp["t"], emp["mean_n"], emp["served_rate"],
+                                            emp["R_w"])]
+    summary = []
     for rr in res.replications:
-        m = rr.emp_sc["metrics"]
-        for row in _metrics_rows(f"{cfg.scenario_id}:sc:rep{rr.rep}", rr.windows_sc,
-                                 residual=m.conservation_residual):
-            rows.append(row)
-    _write_csv(f"{out_dir}/metrics_sc.csv", _METRIC_HEADER, rows, (prov,))
+        s, m_sc, m_mo = rr.summary, rr.emp_sc["metrics"], rr.emp_mo["metrics"]
+        summary.append(
+            f"{sid},{rr.rep},{s['eta_bar_ergodic']:.6f},{s['rho_bar_ergodic']:.6f},"
+            f"{s['R_ergodic']:.6f},{s['R_windowed']:.6f},{m_sc.mean_flow_throughput:.6f},"
+            f"{m_mo.mean_flow_throughput:.6f},{m_sc.conservation_residual:.6f},"
+            f"{m_mo.conservation_residual:.6f},{s['mean_small_share']:.6f}")
+    return {
+        "trace_rep0.csv": _trace_file(trace0),
+        "flows_rep0.csv": _flows_file(trace0),
+        "metrics_sc.csv": (_METRIC_HEADER, metrics_sc),
+        "metrics_macro_only.csv": (_METRIC_HEADER,
+                                   _metrics_rows(f"{sid}:macro_only", res.windows_mo)),
+        "metrics_empirical.csv": (
+            "scenario_id,rep,t_window,mean_flows,served_mbps,R_window_mbps", empirical),
+        "summary.csv": ("scenario_id,rep,eta_bar_ergodic,rho_bar_ergodic,R_ergodic,"
+                        "R_windowed,R_empirical_sc,R_empirical_mo,residual_sc_mbps,"
+                        "residual_mo_mbps,mean_small_share", summary),
+    }
 
-    rows = _metrics_rows(f"{cfg.scenario_id}:macro_only", res.windows_mo)
-    _write_csv(f"{out_dir}/metrics_macro_only.csv", _METRIC_HEADER, rows, (prov,))
 
-    emp_header = ["scenario_id", "rep", "t_window", "mean_flows", "served_mbps",
-                  "R_window_mbps"]
-    rows = []
-    for rr in res.replications:
-        for tag, emp in (("sc", rr.emp_sc), ("macro_only", rr.emp_mo)):
-            for i, t in enumerate(emp["t"]):
-                rows.append([f"{cfg.scenario_id}:{tag}", rr.rep, f"{t:.1f}",
-                             f"{emp['mean_n'][i]:.6f}", f"{emp['served_rate'][i]:.6f}",
-                             f"{emp['R_w'][i]:.6f}"])
-    _write_csv(f"{out_dir}/metrics_empirical.csv", emp_header, rows, (prov,))
+def _curves_file(curves) -> tuple:
+    return "t_s,cell,level_mbps,ccdf,stderr", [
+        f"{c.t:.3f},{c.cell.value},{level:.6f},{v:.8f},{se:.8f}"
+        for c in curves for level, v, se in zip(c.levels, c.values, c.stderr)]
 
-    sum_header = ["scenario_id", "rep", "eta_bar_ergodic", "rho_bar_ergodic",
-                  "R_ergodic", "R_windowed", "R_empirical_sc", "R_empirical_mo",
-                  "residual_sc_mbps", "residual_mo_mbps", "mean_small_share"]
-    rows = []
-    for rr in res.replications:
-        s = rr.summary
-        rows.append([cfg.scenario_id, rr.rep, f"{s['eta_bar_ergodic']:.6f}",
-                     f"{s['rho_bar_ergodic']:.6f}", f"{s['R_ergodic']:.6f}",
-                     f"{s['R_windowed']:.6f}",
-                     f"{rr.emp_sc['metrics'].mean_flow_throughput:.6f}",
-                     f"{rr.emp_mo['metrics'].mean_flow_throughput:.6f}",
-                     f"{rr.emp_sc['metrics'].conservation_residual:.6f}",
-                     f"{rr.emp_mo['metrics'].conservation_residual:.6f}",
-                     f"{s['mean_small_share']:.6f}"])
-    _write_csv(f"{out_dir}/summary.csv", sum_header, rows, (prov,))
+
+def _trajectory_file(traj: Trajectory) -> tuple:
+    return "t_s,x_km,y_km,speed_kmh,heading", [
+        f"{t:.6f},{s.position.x:.9f},{s.position.y:.9f},{s.velocity:.6f},{s.heading.name}"
+        for t, s in zip(traj.t, traj.states)]
 
 
 def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
@@ -473,12 +494,9 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
                           mass_s / n_t, 0)
     curves += [avg_combined, avg_small]
     if out_dir is not None:
-        import os
-        os.makedirs(out_dir, exist_ok=True)
-        curves_to_csv(f"{out_dir}/ccdf.csv", curves,
-                      (provenance(cfg, "ccdf", cfg.seed),))
-        series.trajectory.to_csv(f"{out_dir}/trajectory.csv",
-                                 (provenance(cfg, "ccdf", cfg.seed),))
+        _write(out_dir, provenance(cfg, "ccdf", cfg.seed), {
+            "ccdf.csv": _curves_file(curves),
+            "trajectory.csv": _trajectory_file(series.trajectory)})
     return {"baseline": baseline, "at_times": picked, "avg_combined": avg_combined,
             "avg_small": avg_small, "times": times, "series": series}
 
@@ -509,10 +527,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values, out_dir=None):
                 "mean_small_share": rr.summary["mean_small_share"],
             })
     if out_dir is not None:
-        import os
-        os.makedirs(out_dir, exist_ok=True)
-        header = list(rows[0].keys())
-        _write_csv(f"{out_dir}/sweep_{param}.csv", header,
-                   [[r[h] for h in header] for r in rows],
-                   (provenance(cfg, f"sweep {param}", cfg.seed),))
+        lines = [",".join(map(str, r.values())) for r in rows]
+        _write(out_dir, provenance(cfg, f"sweep {param}", cfg.seed),
+               {f"sweep_{param}.csv": (",".join(rows[0]), lines)})
     return rows

@@ -16,11 +16,12 @@ from scipy.integrate import quad
 import mobicell
 import mobicell.ccdf as ccdf_module
 from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
-                           curve_pmf, curves_to_csv, default_levels,
+                           curve_pmf, default_levels,
                            extract_classes, macro_ccdf, macro_only_ccdf,
                            small_ccdf, snapshot_curves)
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+from mobicell.pipeline import _curves_file, _write
 from mobicell.radio import (RadioParams, _g_formula, interference_factor,
                             inverse_interference_factor, macro_association,
                             macro_associated, macro_inverse_sinr, psi, shannon_rate,
@@ -362,9 +363,9 @@ def test_combined_curve_is_mass_weighted_mixture():
 
 def test_csv_export(tmp_path):
     mc, sc, _ = curves_at(SPEC.center, n=5000)
-    path = tmp_path / "ccdf.csv"
-    curves_to_csv(path, [mc, sc], extra_header_lines=("# config=x seed=1",))
-    lines = path.read_text().strip().splitlines()
+    _write(tmp_path, "# config=x seed=1", {"ccdf.csv": _curves_file([mc, sc])})
+    lines = (tmp_path / "ccdf.csv").read_text().strip().splitlines()
+    assert lines[0] == "# config=x seed=1"
     assert lines[1] == "t_s,cell,level_mbps,ccdf,stderr"
     assert len(lines) == 2 + 2 * len(LEVELS)
     assert lines[2].split(",")[1] == "macro"

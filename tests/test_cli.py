@@ -11,6 +11,39 @@ def args_small(tmp_path, cmd, *extra):
             *extra]
 
 
+# the header of every file the commands write, as the README gives it
+METRICS_HEADER = ("scenario_id,t_window,rho,rho_tilde,rho_bar,eta_bar_mbps,R_mbps,"
+                  "conservation_residual")
+HEADERS = {
+    "ccdf.csv": "t_s,cell,level_mbps,ccdf,stderr",
+    "trajectory.csv": "t_s,x_km,y_km,speed_kmh,heading",
+    "metrics_sc.csv": METRICS_HEADER,
+    "metrics_macro_only.csv": METRICS_HEADER,
+    "metrics_empirical.csv": "scenario_id,rep,t_window,mean_flows,served_mbps,R_window_mbps",
+    "summary.csv": "scenario_id,rep,eta_bar_ergodic,rho_bar_ergodic,R_ergodic,R_windowed,"
+                   "R_empirical_sc,R_empirical_mo,residual_sc_mbps,residual_mo_mbps,"
+                   "mean_small_share",
+    "trace_rep0.csv": "t_s,cell,class,count",
+    "flows_rep0.csv": "arrival_s,departure_s,cell_path,size_mbits",
+    "sweep_lambda_tot.csv": "param,value,rep,scenario_id,rho_bar_mean,rho_bar_near,"
+                            "rho_bar_far,R_windowed,R_empirical,rho_bar_macro_only,"
+                            "R_macro_only_emp,mean_small_share",
+}
+DYNAMICS_FILES = ("metrics_sc.csv", "metrics_macro_only.csv", "metrics_empirical.csv",
+                  "summary.csv", "trace_rep0.csv", "flows_rep0.csv")
+
+
+def assert_layout(path, argv, command):
+    """``path`` is the provenance line of the run of ``argv``, then its
+    README header and at least one row, each ending in \\r\\n."""
+    cfg = _load(build_parser().parse_args(argv))
+    prov, rest = path.read_bytes().split(b"\n", 1)
+    assert prov.decode() == f"# scenario={cfg.scenario_id} seed={cfg.seed} command={command}"
+    lines = rest.split(b"\r\n")
+    assert lines[0].decode() == HEADERS[path.name]
+    assert len(lines) > 2 and lines[-1] == b"" and not any(b"\n" in line for line in lines)
+
+
 def test_validate_bundled(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
@@ -33,8 +66,11 @@ def test_missing_config_file(capsys):
 
 
 def test_ccdf_command(tmp_path, capsys):
-    rc = main(args_small(tmp_path, "ccdf") + ["--distances-m", "0,60"])
+    argv = args_small(tmp_path, "ccdf") + ["--distances-m", "0,60"]
+    rc = main(argv)
     assert rc == 0
+    for name in ("ccdf.csv", "trajectory.csv"):
+        assert_layout(tmp_path / "ccdf" / name, argv, "ccdf")
     ccdf = (tmp_path / "ccdf" / "ccdf.csv").read_text().splitlines()
     assert ccdf[0].startswith("# scenario=")
     assert ccdf[1] == "t_s,cell,level_mbps,ccdf,stderr"
@@ -50,11 +86,11 @@ def test_dynamics_command_and_reproducibility(tmp_path, capsys):
     assert rc == 0
     rc = main(common + ["--out", str(tmp_path / "b")])
     assert rc == 0
-    for name in ("metrics_sc.csv", "metrics_macro_only.csv",
-                 "metrics_empirical.csv", "summary.csv"):
+    for name in DYNAMICS_FILES:
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+        assert_layout(tmp_path / "a" / name, common, "dynamics")
     header = (tmp_path / "a" / "metrics_sc.csv").read_text().splitlines()[1]
     assert header == ("scenario_id,t_window,rho,rho_tilde,rho_bar,"
                       "eta_bar_mbps,R_mbps,conservation_residual")
@@ -78,9 +114,11 @@ def test_sweep_unknown_parameter(tmp_path, capsys):
 
 
 def test_sweep_command(tmp_path):
-    rc = main(["sweep", "lambda_tot", "4,8", "--out", str(tmp_path / "sw"),
-               "--samples", "20000", "--replications", "1", "--duration", "600"])
+    argv = ["sweep", "lambda_tot", "4,8", "--out", str(tmp_path / "sw"),
+            "--samples", "20000", "--replications", "1", "--duration", "600"]
+    rc = main(argv)
     assert rc == 0
+    assert_layout(tmp_path / "sw" / "sweep_lambda_tot.csv", argv, "sweep lambda_tot")
     lines = (tmp_path / "sw" / "sweep_lambda_tot.csv").read_text().splitlines()
     assert lines[1].startswith("param,value,rep")
     assert len(lines) == 2 + 2  # one row per value per replication
@@ -149,3 +187,4 @@ def test_a_route_the_bus_cannot_drive_exits_2(tmp_path, capsys, mobility, key, c
     assert payload["error"] == "config"
     assert any(e.startswith(f"{key}: ") for e in payload["detail"])
     assert not (tmp_path / "o").exists()
+

@@ -167,7 +167,10 @@ def test_every_bad_key_is_reported(tmp_path):
     ("[mobility]\n" + ROUTE + "stops = 1.5,1.5,10\n",
      "mobility.stops: stop (1.5, 1.5) does not lie on the route"),
     ("[sim]\nseed = -1\n", "sim.seed=-1: must be >= 0"),
-], ids=["off-grid-waypoint", "stop-off-route", "negative-seed"])
+    ("[radio]\ntx_macro_dbm = 1e308\n", "radio.tx_macro_dbm=1e308: must be <= 300"),
+    ("[radio]\nbandwidth_mhz = 0\n", "radio.bandwidth_mhz=0: must be positive"),
+], ids=["off-grid-waypoint", "stop-off-route", "negative-seed", "power-overflow",
+        "zero-bandwidth"])
 def test_what_a_run_would_reject_is_rejected_at_load(tmp_path, text, error):
     assert error in errors_of(tmp_path, text)
 
@@ -182,6 +185,20 @@ def test_overrides_get_the_key_rows(name, value, error):
     with pytest.raises(ConfigError) as err:
         with_overrides(base, **{name: value})
     assert err.value.errors == [error]
+
+
+@pytest.mark.parametrize("mobility", [ROUTE + "speed_kmh = 6\n", ""],
+                         ids=["pinned-speed", "no-route"])
+def test_a_period_that_sets_no_speed_cannot_be_overridden(tmp_path, mobility):
+    """A period sets a route's cruise speed: a scenario without a route, or
+    with a pinned speed, holds no period to override or sweep."""
+    p = write_scenario(tmp_path, "[mobility]\n" + mobility)
+    base = load_scenario(p)
+    assert base.period_s is None
+    with pytest.raises(ConfigError) as err:
+        with_overrides(base, period_s=3600.0)
+    assert err.value.errors == [
+        "mobility.period_s=3600.0: a period needs a route scenario without mobility.speed_kmh"]
 
 
 def test_stops_parsing(tmp_path):

@@ -14,6 +14,7 @@ from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
 from mobicell.flowsim import (MACRO, SMALL, InsufficientDataError, TrafficSpec,
                               TransitionRates, _validate_trace, empirical_metrics,
                               estimate_transition_rates, simulate)
+from mobicell.pipeline import _flows_file, _trace_file, _write
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import CoverageRegion, HotspotSpec
 from mobicell.radio import RadioParams
@@ -234,14 +235,12 @@ def test_trace_csv_exports(tmp_path):
     tr = run_mm1(0.4, n_arrivals=500, seed=1, record_flows=True)
     tr2 = simulate(make_profile(lam_m=(1.0,), lam_s=(0.0,)), None, TrafficSpec(1.0, 2.0),
                    100.0, 1)
-    p1 = tmp_path / "trace.csv"
-    p2 = tmp_path / "flows.csv"
-    tr2.to_csv(p1)
-    tr.flows_to_csv(p2)
-    assert p1.read_text().splitlines()[0] == "t_s,cell,class,count"
-    lines = p2.read_text().splitlines()
-    assert lines[0] == "arrival_s,departure_s,cell_path,size_mbits"
-    assert lines[1].split(",")[2].startswith("M1")
+    _write(tmp_path, "# provenance", {"trace.csv": _trace_file(tr2),
+                                      "flows.csv": _flows_file(tr)})
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1] == "t_s,cell,class,count"
+    lines = (tmp_path / "flows.csv").read_text().splitlines()
+    assert lines[1] == "arrival_s,departure_s,cell_path,size_mbits"
+    assert lines[2].split(",")[2].startswith("M1")
 
 
 def _moving_system():
@@ -348,7 +347,7 @@ def test_numpy_profile_times_run_on_python_floats():
         assert all(type(t) is float for t in tr.sample_times)
 
 
-def _reference_flows_csv(tr, path, extra_header_lines=()):
+def _reference_flows_csv(tr, path, provenance):
     """flows_rep0.csv written one FlowRecord at a time."""
     labels = {}
     rows = []
@@ -360,21 +359,21 @@ def _reference_flows_csv(tr, path, extra_header_lines=()):
         dep = "" if math.isnan(f.departure) else f"{f.departure:.6f}"
         rows.append(f"{f.arrival:.6f},{dep},{pth},{f.size:.6f}\r\n")
     with open(path, "w", newline="") as fh:
-        for line in extra_header_lines:
-            fh.write(line.rstrip("\n") + "\n")
+        fh.write(provenance + "\n")
         fh.write("arrival_s,departure_s,cell_path,size_mbits\r\n" + "".join(rows))
 
 
 def test_flows_csv_from_columns_matches_record_writer(tmp_path):
-    """The column writer gives the bytes of a per-record writer, on a run
-    with multi-visit paths and flows still in service at T."""
+    """The rows built from the flow columns, through the output writer, give
+    the bytes of a per-record writer, on a run with multi-visit paths and
+    flows still in service at T."""
     profs, rates, traffic, T = _moving_system()
     tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
     assert sum(len(f.path) > 2 for f in tr.flows) > 0
     assert sum(math.isnan(f.departure) for f in tr.flows) > 0
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    tr.flows_to_csv(got, ("# provenance",))
-    _reference_flows_csv(tr, want, ("# provenance",))
+    _write(tmp_path, "# provenance", {"got.csv": _flows_file(tr)})
+    _reference_flows_csv(tr, want, "# provenance")
     assert got.read_bytes() == want.read_bytes()
 
 

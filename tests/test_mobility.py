@@ -10,6 +10,7 @@ from mobicell.hotspot import HotspotSpec
 from mobicell.mobility import (Heading, InvalidRouteError, ManhattanGrid,
                                MobilityPolicy, TrajectoryState, cruise_beta,
                                distance_to_hotspot, generate_trajectory, step)
+from mobicell.pipeline import _trajectory_file, _write
 
 GRID = ManhattanGrid(block=0.25, extent=2.0)
 RECT = ((0.25, 0.25), (0.25, 0.75), (0.0, 0.75), (0.0, 0.25))
@@ -195,9 +196,8 @@ def test_csv_export(tmp_path):
     pol = MobilityPolicy(v_max=3.0, dv=0.0, route=RECT, initial_speed=3.0,
                          beta_law=cruise_beta(3.0))
     traj = generate_trajectory(pol, GRID, T=60.0, dt=10.0, seed=0)
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out, extra_header_lines=("# config=abc seed=0",))
-    lines = out.read_text().strip().splitlines()
+    _write(tmp_path, "# config=abc seed=0", {"traj.csv": _trajectory_file(traj)})
+    lines = (tmp_path / "traj.csv").read_text().strip().splitlines()
     assert lines[0] == "# config=abc seed=0"
     assert lines[1] == "t_s,x_km,y_km,speed_kmh,heading"
     assert len(lines) == 2 + len(traj)

@@ -81,7 +81,8 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
 
 
 def test_macro_only_profile(cfg_small):
-    prof, curve = macro_only_profile(cfg_small)
+    prof = macro_only_profile(cfg_small)
+    curve = prof.macro_curve
     assert np.all(np.diff(prof.eta_macro[:, 0]) >= 0)
     assert prof.lambda_small.sum() == 0.0
     assert prof.lambda_macro.sum() == pytest.approx(cfg_small.traffic.lambda_tot)
@@ -91,7 +92,7 @@ def test_macro_only_profile(cfg_small):
 
 def test_analytic_windows_tracks_coverage(cfg_small, series_small):
     win = analytic_windows(series_small, cfg_small.traffic)
-    base = baseline_windows(macro_only_profile(cfg_small)[0], cfg_small.traffic,
+    base = baseline_windows(macro_only_profile(cfg_small), cfg_small.traffic,
                             series_small.times)
     near = series_small.distance_km < 0.06
     far = (series_small.distance_km >= 0.12) & (series_small.distance_km < 0.30)
