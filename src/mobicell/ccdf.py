@@ -7,10 +7,11 @@ freedom (1 - Marcum Q_1): the share of the offset-Gaussian hotspot in a disk.
 All Monte Carlo curves at different snapshot times reuse the same hotspot
 draws (common random numbers): the hotspot is stationary, so only the
 small-cell position changes between snapshots and curve differences in time
-are not drowned in sampling noise.  ``snapshot_curves`` is the one curve
-kernel: it evaluates the field once per snapshot (``FieldSamples.at``) and
-returns all four curves; ``macro_ccdf`` and ``small_ccdf`` return one of them.
-The module opens no file: ``pipeline`` writes the curves to ``ccdf.csv``.
+are not drowned in sampling noise.  ``snapshot_sweep`` is the one curve
+kernel: it counts the four curves of every snapshot of a series in one pass
+over the draws.  ``snapshot_curves`` is its call at one position, and
+``macro_ccdf`` and ``small_ccdf`` return one of those four curves.  The
+module opens no file: ``pipeline`` writes the curves to ``ccdf.csv``.
 
 A snapshot touches only the draws that can be in S*: every draw in the macro
 disk and, of the draws outside it, those within ``small_reach`` of the small
@@ -46,10 +47,35 @@ not finite (a draw on the small cell), and for every snapshot when some
 kappa r^2b_macro is not a normal number (kappa = 0).  The exact path keeps
 the association ``small_rx <= r_neg_pow`` and ``radio``'s SINR kernels.
 
-The macro cell's partner-idle curve counts g alone, so it is taken by
-complement from the core g, sorted once: the core counts, minus those of
-the core's small-cell users, plus those of the rim's macro users, whenever
-that sorts fewer values than the macro users themselves.
+The macro cell's partner-idle curve counts g alone, which no guard needs.
+It is counted from whichever user set is smaller, block by block (below):
+the macro users' g directly, or the count of every user's g less the
+small-cell users'.
+
+One sweep, block by block
+-------------------------
+Per snapshot the kernel streams a few per-draw arrays (coordinates, kappa
+r^2b_macro, g, delta and a work array) through about fifteen numpy passes
+and a sort; over the 145k core draws of the reference scenario that is
+far more than the cache holds, so one snapshot after another would fetch
+every array from memory each time.  ``snapshot_sweep`` turns the loops
+round.  Its outer loop walks the core draws in blocks of ``_BLOCK``, small
+enough for a block's arrays to stay in L2, and its inner loop visits every
+snapshot's position on that block; each snapshot's rim users are then one
+more block of their own.
+
+The blocks partition the snapshot's users, and every count the curves need
+is a count of users (of macro users, of values below a guard key, of g at
+or below a threshold), so a snapshot's counts are the sums of its blocks'
+counts, whatever the block size.  Each guard test asks about one value: a
+delta that is not a normal finite number, a delta within eps of the tie,
+a value within eps of a threshold.  Whether one holds does not depend on
+which block holds the value, and the band tests add too: no value lies in
+a band iff the count below it equals the count at or below its top, block
+by block and so in the sum.  So a snapshot is flagged in some block exactly
+when one check over all its users at once would flag it, and every other
+snapshot's curves come from its summed counts, bit for bit the exact
+path's.
 """
 
 from __future__ import annotations
@@ -78,6 +104,11 @@ _DOMAIN_FRAC = 0.995
 # counting threshold (see the module docstring)
 _GUARD_EPS = 1e-12
 _TINY = np.finfo(np.float64).tiny
+# core draws per block of the sweep: the block's per-draw arrays (coordinates,
+# kappa r^2b_macro, g and the work buffers, 256 KiB each) stay in L2 while
+# every position of a series visits it; the fastest of 8,192 to 65,536 on a
+# Xeon with 2 MiB of L2 per core
+_BLOCK = 32_768
 
 
 class Cell(Enum):
@@ -126,7 +157,7 @@ class FieldSamples:
     small cell.  ``xy`` (column-major, so each coordinate is contiguous),
     ``g``, ``r_pow`` and ``r_neg_pow`` hold the core draws followed by the rim
     draws; ``n`` still counts every draw, so masses stay shares of the whole
-    population.  ``fallbacks`` counts the snapshots that ``snapshot_curves``
+    population.  ``fallbacks`` counts the snapshots that ``snapshot_sweep``
     gave to the exact path (see the module docstring)."""
 
     def __init__(self, spec: HotspotSpec, params: RadioParams, layout: CellLayout,
@@ -149,17 +180,14 @@ class FieldSamples:
         with np.errstate(divide="ignore"):
             self.r_neg_pow = r ** (-b2)
         self.g = _g_formula(r, params, layout)
-        # the guarded kernel's per-draw factor (where one is not a normal
-        # number, as with kappa = 0, every snapshot takes the exact path), the
-        # core g sorted, the counting grid of the last level grid, and work
-        # buffers reused by every snapshot
+        # the kernel's per-draw factor (where one is not a normal number, as
+        # with kappa = 0, every snapshot takes the exact path), the counting
+        # grid of the last level grid, and the output buffers of ``at``, made
+        # on its first call
         self._kr = params.kappa * self.r_pow
         self._fast = params.kappa > 0.0 and bool(np.all(self._kr >= _TINY))
-        self._g_core = np.sort(self.g[:self.n_core])
         self._grid_of = None
-        m = len(r)
-        self._delta, self._work = np.empty(m), np.empty(m)
-        self._macro, self._mask = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        self._at_buffers = None
         self.fallbacks = 0
 
     def at(self, Ls: PolarPoint, region: CoverageRegion):
@@ -167,33 +195,42 @@ class FieldSamples:
         until the next call: ``(rim, macro_assoc, delta)``.
 
         The snapshot's S* users are every core draw followed by the rim draws
-        ``rim`` (indices into the draw arrays, ascending; see ``users``).
-        ``delta`` holds each user's power ratio small_rx * r^2b_macro, by the
-        fast formula of the module docstring, and ``macro_assoc`` is
-        delta <= 1.  Only those users are evaluated: the rest of the rim is
-        tested against the small-cell disk, and with ``small_reach`` 0 that
-        disk holds only a draw on the small cell itself.
+        ``rim`` (see ``rim`` and ``users``).  ``delta`` holds each user's
+        power ratio small_rx * r^2b_macro, by the fast formula of the module
+        docstring, and ``macro_assoc`` is delta <= 1.
 
         ``region`` must be centred on ``Ls`` and use the macro disk the draws
         were split by (``layout.R``); ValueError otherwise."""
         if region.macro_radius != self.layout.R or region.small_center != Ls:
             raise ValueError("region must have macro_radius layout.R and small_center Ls")
+        if self._at_buffers is None:
+            m = len(self.g)
+            self._at_buffers = (np.empty(m), np.empty(m), np.empty(m, dtype=bool))
+        delta, work, macro = self._at_buffers
         c = self.n_core
-        x, y = self.xy[c:, 0], self.xy[c:, 1]
-        if region.small_reach > 0.0:
-            near = np.hypot(x - Ls.x, y - Ls.y) <= region.small_reach
-        else:
-            near = (x == Ls.x) & (y == Ls.y)
-        rim = c + np.flatnonzero(near)
+        rim = self.rim(Ls, region.small_reach)
         m = c + len(rim)
-        delta = self._delta[:m]
-        self._power_ratio(Ls, self.xy[:c], self._kr[:c], delta[:c], self._work[:c])
+        delta = delta[:m]
+        self._power_ratio(Ls, self.xy[:c], self._kr[:c], delta[:c], work[:c])
         if len(rim):
-            self._power_ratio(Ls, self.xy[rim], self._kr[rim], delta[c:], self._work[c:m])
-        out = (rim, np.less_equal(delta, 1.0, out=self._macro[:m]), delta)
+            self._power_ratio(Ls, self.xy[rim], self._kr[rim], delta[c:], work[c:m])
+        out = (rim, np.less_equal(delta, 1.0, out=macro[:m]), delta)
         for a in out:
             a.flags.writeable = False
         return out
+
+    def rim(self, Ls: PolarPoint, small_reach: float) -> np.ndarray:
+        """The rim draws in S* with the small cell at ``Ls`` (indices into the
+        draw arrays, ascending): those within ``small_reach`` of it, and with
+        a reach of 0 a draw on the small cell itself.  Only these rim draws
+        are evaluated at a snapshot."""
+        c = self.n_core
+        x, y = self.xy[c:, 0], self.xy[c:, 1]
+        if small_reach > 0.0:
+            near = np.hypot(x - Ls.x, y - Ls.y) <= small_reach
+        else:
+            near = (x == Ls.x) & (y == Ls.y)
+        return c + np.flatnonzero(near)
 
     def _power_ratio(self, Ls: PolarPoint, xy, kr, out, work):
         """kr * (dx^2 + dy^2)^-b_small of the draws ``xy`` into ``out``."""
@@ -208,20 +245,22 @@ class FieldSamples:
             np.multiply(out, kr, out=out)
 
     def users(self, rim: np.ndarray) -> np.ndarray:
-        """Draw index of each S* user of a snapshot whose ``at`` gave ``rim``."""
+        """Draw index of each S* user of a snapshot whose rim draws are ``rim``."""
         return np.concatenate([np.arange(self.n_core), rim])
 
     def _grid(self, levels: np.ndarray):
-        """``(below, thresholds, band_lo, band_hi, core_counts)`` of a level
-        grid: the levels at or below the peak rate, where rate >= l iff
-        1/gamma <= psi(l); each threshold's guard band; and the count of core
-        g at or below it.  Kept for the last grid asked."""
+        """``(below, thresholds, keys)`` of a level grid: the levels at or
+        below the peak rate, where rate >= l iff 1/gamma <= psi(l); and the
+        guard keys, the bottom of each threshold's guard band and then the
+        float above its top, so that the count of sorted values below a key
+        is the count below a band and then the count at or below its top.
+        Kept for the last grid asked."""
         if self._grid_of is None or not np.array_equal(self._grid_of[0], levels):
             below = levels <= self.params.eta0
             th = psi(levels[below], self.params)
-            self._grid_of = (levels.copy(), below, th, th * (1.0 - _GUARD_EPS),
-                             th * (1.0 + _GUARD_EPS),
-                             np.searchsorted(self._g_core, th, side="right"))
+            keys = np.concatenate([th * (1.0 - _GUARD_EPS),
+                                   np.nextafter(th * (1.0 + _GUARD_EPS), np.inf)])
+            self._grid_of = (levels.copy(), below, th, keys)
         return self._grid_of[1:]
 
 
@@ -237,60 +276,49 @@ def _finish_curve(counts, n_sel, levels, below, cell, t, n) -> CcdfCurve:
     return CcdfCurve(levels, values, stderr, cell, t, n_sel / n, n_sel)
 
 
-def _guarded_counts(values, band_lo, band_hi):
-    """Count of the sorted ``values`` at or below each threshold, or None if
-    one lies in a threshold's guard band."""
-    counts = np.searchsorted(values, band_lo, side="left")
-    return counts if np.array_equal(counts, np.searchsorted(values, band_hi,
-                                                            side="right")) else None
+def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, keys, th,
+                 row, buffers):
+    """Add the counts of one block of draws, the users ``xy``, ``kr`` and
+    ``g`` with the small cell at ``Ls``, to ``row``, and return its number of
+    macro users; or None where the guard cannot prove them the exact path's.
 
-
-def _guarded_curves(t, levels, samples: FieldSamples, rim, macro, delta):
-    """(m1, m0, s1, s0) counted from the power ratio of ``samples.at``, or
-    None where the guard cannot prove them the exact path's."""
-    if not (delta.min(initial=np.inf) >= _TINY and delta.max(initial=0.0) < np.inf):
+    ``row`` holds, for m1, s1 and s0 in turn, the count of values below each
+    guard key (see ``FieldSamples._grid``), and then the count of the macro
+    users' g at or below each threshold; ``g_counts`` is that count over
+    every user of the block.  ``buffers`` are two float work arrays and a
+    bool one, at least as long as the block."""
+    n, k = len(g), len(keys)
+    delta, work, macro = (b[:n] for b in buffers)
+    samples._power_ratio(Ls, xy, kr, delta, work)
+    if not (delta.min() >= _TINY and delta.max() < np.inf):
         return None
-    mask = samples._mask[:len(delta)]
-    if np.count_nonzero(np.less_equal(delta, 1.0 + _GUARD_EPS, out=mask)) != \
-            np.count_nonzero(np.less(delta, 1.0 - _GUARD_EPS, out=mask)):
+    n_tie = np.count_nonzero(np.less_equal(delta, 1.0 + _GUARD_EPS, out=macro))
+    n_m = int(np.count_nonzero(np.less(delta, 1.0 - _GUARD_EPS, out=macro)))
+    if n_m != n_tie:
         return None
-    below, th, band_lo, band_hi, core_counts = samples._grid(levels)
-    c, g = samples.n_core, samples.g
-    n_m = int(np.count_nonzero(macro))
-    n_s = len(delta) - n_m
-    # m1 = g + delta over the macro users, sorted in a buffer; the small-cell
-    # users' entries are set to +inf, so they sort last and count nowhere
-    m1 = samples._work[:len(delta)]
-    np.add(g[:c], delta[:c], out=m1[:c])
-    m1[c:] = g[rim] + delta[c:]
-    # the small-cell users, core ones first
-    small = np.flatnonzero(np.logical_not(macro, out=mask)) if n_s else np.arange(0)
-    m1[small] = np.inf
-    m1.sort()
-    counts_m1 = _guarded_counts(m1, band_lo, band_hi)
-    j = int(np.searchsorted(small, c))
-    g_small, d_small = g[np.concatenate([small[:j], rim[small[j:] - c]])], delta[small]
-    s1, s0 = (g_small + 1.0) / d_small, g_small / d_small
-    s1.sort()
-    s0.sort()
-    counts_s1 = _guarded_counts(s1, band_lo, band_hi)
-    counts_s0 = _guarded_counts(s0, band_lo, band_hi)
-    if counts_m1 is None or counts_s1 is None or counts_s0 is None:
-        return None
-    # m0 counts g alone: by complement from the sorted core g, unless the
-    # core has fewer macro users than small-cell users
-    g_rim_macro = g[rim[macro[c:]]]
-    if j <= c - j:
-        counts_m0 = (core_counts - np.searchsorted(np.sort(g_small[:j]), th, side="right")
-                     + np.searchsorted(np.sort(g_rim_macro), th, side="right"))
+    # no delta lies in the tie band, so ``macro`` is the association delta <= 1
+    m1 = np.add(g, delta, out=work)
+    if n_m == n:
+        row[3 * k:] += g_counts
     else:
-        m0 = np.sort(np.concatenate([g[:c][macro[:c]], g_rim_macro]))
-        counts_m0 = np.searchsorted(m0, th, side="right")
-    n = samples.n
-    return (_finish_curve(counts_m1, n_m, levels, below, Cell.MACRO, t, n),
-            _finish_curve(counts_m0, n_m, levels, below, Cell.MACRO, t, n),
-            _finish_curve(counts_s1, n_s, levels, below, Cell.SMALL, t, n),
-            _finish_curve(counts_s0, n_s, levels, below, Cell.SMALL, t, n))
+        small = np.logical_not(macro)
+        g_s, d_s = g[small], delta[small]
+        s1 = (g_s + 1.0) / d_s
+        s0 = np.divide(g_s, d_s, out=d_s)
+        for i, v in ((1, s1), (2, s0)):
+            v.sort()
+            row[i * k:(i + 1) * k] += np.searchsorted(v, keys)
+        # m0 counts g alone: sort the macro users' g, or, where they are
+        # more, the small-cell users' for the complement
+        if n_m < n - n_m:
+            row[3 * k:] += np.searchsorted(np.sort(g[macro]), th, side="right")
+        else:
+            g_s.sort()
+            row[3 * k:] += g_counts - np.searchsorted(g_s, th, side="right")
+        m1 = m1[macro]
+    m1.sort()
+    row[:k] += np.searchsorted(m1, keys)
+    return n_m
 
 
 def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
@@ -325,20 +353,75 @@ def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
     return m1, m0, s1, s0
 
 
+def _buffers(n):
+    return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+
+def snapshot_sweep(times, regions, levels, samples: FieldSamples) -> list:
+    """The four curves of each snapshot, (m1, m0, s1, s0), with the small
+    cell at the centre of ``regions[i]`` and the curves stamped ``times[i]``:
+    macro and small cell, each with its partner transmitting (1) and silent
+    (0), under ``samples.params``.  They are counted from the power ratio
+    block by block (see the module docstring), or on the exact path where
+    the guard cannot prove those counts exact; either way bit for bit the
+    exact path's.  Every region must use the macro disk the draws were split
+    by (``layout.R``); ValueError otherwise."""
+    levels = _checked_levels(levels)
+    if any(region.macro_radius != samples.layout.R for region in regions):
+        raise ValueError("regions must have macro_radius layout.R")
+    below, th, keys = samples._grid(levels)
+    k, n_th = len(keys), len(th)
+    rows = np.zeros((len(regions), 3 * k + n_th), dtype=np.int64)
+    n_macro = [0] * len(regions)
+    exact = [not samples._fast] * len(regions)
+
+    def count(p, Ls, xy, kr, g, g_counts, buffers):
+        n_m = _count_block(samples, Ls, xy, kr, g, g_counts, keys, th, rows[p], buffers)
+        if n_m is None:
+            exact[p] = True
+        else:
+            n_macro[p] += n_m
+
+    c = samples.n_core
+    buffers = _buffers(min(c, _BLOCK))
+    for lo in range(0, c, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, c))
+        xy, kr, g = samples.xy[block], samples._kr[block], samples.g[block]
+        g_counts = np.searchsorted(np.sort(g), th, side="right")
+        for p, region in enumerate(regions):
+            if not exact[p]:
+                count(p, region.small_center, xy, kr, g, g_counts, buffers)
+    out = []
+    for p, (t, region) in enumerate(zip(times, regions)):
+        Ls = region.small_center
+        rim = samples.rim(Ls, region.small_reach)
+        if len(rim) and not exact[p]:
+            g = samples.g[rim]                # the rim users are one more block
+            count(p, Ls, samples.xy[rim], samples._kr[rim], g,
+                  np.searchsorted(np.sort(g), th, side="right"), _buffers(len(rim)))
+        # m1, s1 and s0: the count below each guard band, then at or below its top
+        counts = rows[p, :3 * k].reshape(3, 2, n_th)
+        if exact[p] or not np.array_equal(counts[:, 0], counts[:, 1]):
+            samples.fallbacks += 1
+            out.append(_exact_curves(t, Ls, levels, samples, rim))
+            continue
+        (m1, s1, s0), m0, n_m = counts[:, 0], rows[p, 3 * k:], n_macro[p]
+        n_s = c + len(rim) - n_m
+        out.append(tuple(_finish_curve(counted, n_sel, levels, below, cell, t, samples.n)
+                         for counted, n_sel, cell in ((m1, n_m, Cell.MACRO),
+                                                     (m0, n_m, Cell.MACRO),
+                                                     (s1, n_s, Cell.SMALL),
+                                                     (s0, n_s, Cell.SMALL))))
+    return out
+
+
 def snapshot_curves(t: float, Ls: PolarPoint, levels, region: CoverageRegion,
                     samples: FieldSamples):
-    """The four curves of one snapshot, (m1, m0, s1, s0): macro and small
-    cell, each with its partner transmitting (1) and silent (0), under
-    ``samples.params``.  They are counted from the power ratio of
-    ``samples.at``, or on the exact path where the guard cannot prove those
-    counts exact; either way bit for bit the exact path's."""
-    levels = _checked_levels(levels)
-    arrays = samples.at(Ls, region)
-    curves = _guarded_curves(t, levels, samples, *arrays) if samples._fast else None
-    if curves is None:
-        samples.fallbacks += 1
-        curves = _exact_curves(t, Ls, levels, samples, arrays[0])
-    return curves
+    """The four curves of one snapshot, (m1, m0, s1, s0): ``snapshot_sweep``
+    at the one position ``Ls``, on which ``region`` must be centred."""
+    if region.small_center != Ls:
+        raise ValueError("region must have small_center Ls")
+    return snapshot_sweep([t], [region], levels, samples)[0]
 
 
 def _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed, samples):

@@ -80,6 +80,10 @@ def _at_most(n):
     return (lambda v: v <= n, f"must be <= {n}")
 
 
+def _above(n):
+    return (lambda v: v > n, f"must be > {n}")
+
+
 _POSITIVE = (lambda v: v > 0, "must be positive")
 # dB terms in [-300, 300] and a bandwidth up to 1e6 MHz keep every linear
 # power of the link budget a finite float
@@ -94,11 +98,13 @@ _KEYS = {
         ("tx_macro_dbm", "46", *_DB), ("tx_small_dbm", "30", *_DB),
         ("antenna_gain_macro_db", "18", *_DB), ("antenna_gain_small_db", "6", *_DB),
         ("ue_antenna_gain_db", "0", *_DB), ("body_loss_db", "2", *_DB),
-        ("pathloss_const_macro_db", "151", *_DB), ("pathloss_exp_macro", "3.76"),
-        ("pathloss_const_small_db", "148", *_DB), ("pathloss_exp_small", "3.67"),
+        # a path-loss exponent of 2 or less makes the lattice sum diverge
+        ("pathloss_const_macro_db", "151", *_DB), ("pathloss_exp_macro", "3.76", _above(2)),
+        ("pathloss_const_small_db", "148", *_DB), ("pathloss_exp_small", "3.67", _above(2)),
         ("noise_figure_db", "9", *_DB),
         ("bandwidth_mhz", "20", _POSITIVE, _at_most(10 ** 6)),
-        ("k1", "0.85"), ("k2", "1.9"), ("eta0_mbps", "98"), ("alpha_load", "1.0"))},
+        ("k1", "0.85", _POSITIVE), ("k2", "1.9", _POSITIVE), ("eta0_mbps", "98", _POSITIVE),
+        ("alpha_load", "1.0", _at_least(0), _at_most(1)))},
     "radio.omega_variant": ("product", str, (lambda v: v in OMEGA_VARIANTS,
                                              f"must be one of {OMEGA_VARIANTS}")),
     "hotspot.center_r_km": ("0.5", _real),

@@ -36,7 +36,7 @@ from mobicell.analytic import (class_membership, coupled_loads_fixed_point,
                                effective_rate)
 from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            combined_ccdf, curve_pmf, _equal_mass_bins,
-                           extract_classes, macro_only_ccdf, snapshot_curves)
+                           extract_classes, macro_only_ccdf, snapshot_sweep)
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
 from mobicell.config import SWEEP_PARAMS, ScenarioConfig, with_overrides
@@ -79,26 +79,32 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False,
     """Trajectory (``traj``, generated when not given) plus the full
     CCDF/class pipeline on common random numbers.
 
-    Each distinct small-cell position is evaluated once: a later snapshot at
-    the exact same position (a later lap, a dwelling bus) reuses its curves,
-    class profile and loads, restamped with its own time."""
+    Each distinct small-cell position is evaluated once, every one of them
+    in one ``snapshot_sweep``: a later snapshot at the exact same position (a
+    later lap, a dwelling bus) reuses its curves, class profile and loads,
+    restamped with its own time."""
     if traj is None:
         traj = scenario_trajectory(cfg)
     dist = distance_to_hotspot(traj, cfg.spec)
     times = np.arange(0.0, cfg.duration_s + 0.5 * cfg.snapshot_s, cfg.snapshot_s)
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
-    positions, profiles, loads, curves = [], [], [], []
+    positions = [traj.position_at(float(t)) for t in times]
+    first = {}         # (x, y) -> index of its first snapshot
+    for i, Ls in enumerate(positions):
+        first.setdefault((Ls.x, Ls.y), i)
+    swept = dict(zip(first, snapshot_sweep(
+        [times[i] for i in first.values()],
+        [CoverageRegion(cfg.layout.R, positions[i], cfg.small_reach_km)
+         for i in first.values()], cfg.levels, samples)))
+    profiles, loads, curves = [], [], []
     d_at = []
     seen = {}          # (x, y) -> (curves, profile, loads) of its first snapshot
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # degenerate far-off small curves
-        for t in times:
-            Ls = traj.position_at(float(t))
+        for t, Ls in zip(times, positions):
             hit = seen.get((Ls.x, Ls.y))
             if hit is None:
-                region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
-                m1, m0, s1, s0 = four = snapshot_curves(t, Ls, cfg.levels, region,
-                                                        samples)
+                m1, m0, s1, s0 = four = swept[(Ls.x, Ls.y)]
                 prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L,
                                        cfg.traffic.lambda_tot)
                 ld = coupled_loads_fixed_point(prof, cfg.traffic)
@@ -107,7 +113,6 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False,
                 four = tuple(replace(c, t=t) for c in hit[0])
                 prof = replace(hit[1], t=t, macro_curve=four[0], small_curve=four[2])
                 ld = hit[2]
-            positions.append(Ls)
             profiles.append(prof)
             loads.append(ld)
             if keep_curves:

@@ -49,7 +49,8 @@ class RadioParams:
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
+            raise ValueError("kappa must be in [0, 1]: the small-cell link budget must not "
+                             f"exceed the macro one, got {self.kappa}")
         if self.b_macro <= 1.0:
             raise ValueError(f"b_macro must exceed 1 (lattice sum diverges), got {self.b_macro}")
         if self.b_small <= 1.0:

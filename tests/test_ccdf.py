@@ -5,11 +5,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import in_region_xy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -611,6 +612,68 @@ def test_guarded_kernel_equals_the_exact_path(r_h, theta_h, sigma, off_r, off_th
         assert (type(g.mass), type(g.n_samples)) == (float, int)   # as pickled
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.stderr, w.stderr)
+
+
+def assert_same_curves(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
+            (w.cell, w.t, w.mass, w.n_samples, w.empty)
+        assert np.array_equal(g.values, w.values)
+        assert np.array_equal(g.stderr, w.stderr)
+
+
+SWEEP_PLACES = ("hotspot", "far", "core draw", "rim draw", "random")
+
+
+@settings(max_examples=30, deadline=None)
+@given(places=st.lists(st.tuples(st.sampled_from(SWEEP_PLACES),
+                                 st.sampled_from([0.0, 0.1, 0.3]),
+                                 st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi),
+                                 st.integers(0, 2 ** 16)), min_size=1, max_size=5),
+       block=st.sampled_from([1, 7, 64, 5_000]), seed=st.integers(0, 2 ** 32 - 1))
+@example(places=[("rim draw", 0.0, 0.0, 0.0, 3), ("rim draw", 0.1, 0.0, 0.0, 8),
+                 ("core draw", 0.0, 0.0, 0.0, 5), ("far", 0.3, 0.0, 0.0, 0)],
+         block=7, seed=2)
+def test_sweep_counts_every_position_as_its_one_position_call(places, block, seed):
+    """One sweep over several snapshots gives each, bit for bit, the curves
+    of its one-position call and of the exact path, whatever the block size
+    (1 draw, 7, 64, or one block of every core draw), for repeated
+    positions, a small cell on the hotspot, far off it, at random, and
+    exactly on a core draw or a rim draw, with and without a small-cell
+    reach; and the snapshots it gives to the exact path are exactly those
+    its one-position calls give there, every small cell on a draw among
+    them."""
+    n = 1_000
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
+    c, m = samples.n_core, len(samples.g)
+    assume(m > c)
+    far = PolarPoint.from_polar(0.5, SPEC.theta_h + math.pi)
+    regions, on_draw = [], []
+    for place, reach, ls_r, ls_theta, pick in places:
+        Ls = {"hotspot": SPEC.center, "far": far,
+              "core draw": PolarPoint(*map(float, samples.xy[pick % c])),
+              "rim draw": PolarPoint(*map(float, samples.xy[c + pick % (m - c)])),
+              "random": PolarPoint.from_polar(ls_r, ls_theta)}[place]
+        regions.append(region_at(Ls, reach))
+        on_draw.append(place.endswith("draw"))
+    regions.append(regions[0])                        # a repeated position
+    on_draw.append(on_draw[0])
+    times = [10.0 * i for i in range(len(regions))]
+    one, flagged = [], []
+    for t, region in zip(times, regions):
+        before = samples.fallbacks
+        one.append(snapshot_curves(t, region.small_center, LEVELS, region, samples))
+        flagged.append(samples.fallbacks - before)
+    assert all(flagged[i] == 1 for i, drawn in enumerate(on_draw) if drawn)
+    before = samples.fallbacks
+    with mock.patch.object(ccdf_module, "_BLOCK", block):
+        swept = ccdf_module.snapshot_sweep(times, regions, LEVELS, samples)
+    assert samples.fallbacks - before == sum(flagged)
+    for t, region, got, want in zip(times, regions, swept, one, strict=True):
+        Ls = region.small_center
+        assert_same_curves(got, want)
+        rim = samples.rim(Ls, region.small_reach)
+        assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
 
 
 @settings(max_examples=25, deadline=None)

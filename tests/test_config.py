@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mobicell.config import (_KEYS, ConfigError, _integer, _real, bundled_scenario_path,
                              load_scenario, parse_angle, with_overrides)
+from mobicell.cli import main
 
 
 def test_bundled_scenario_loads():
@@ -173,6 +174,26 @@ def test_every_bad_key_is_reported(tmp_path):
         "zero-bandwidth"])
 def test_what_a_run_would_reject_is_rejected_at_load(tmp_path, text, error):
     assert error in errors_of(tmp_path, text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("k1 = 0", "radio.k1=0: must be positive"),
+    ("k2 = -1", "radio.k2=-1: must be positive"),
+    ("eta0_mbps = 0", "radio.eta0_mbps=0: must be positive"),
+    ("pathloss_exp_macro = 1.5", "radio.pathloss_exp_macro=1.5: must be > 2"),
+    ("pathloss_exp_small = 2", "radio.pathloss_exp_small=2: must be > 2"),
+    ("alpha_load = 2", "radio.alpha_load=2: must be <= 1"),
+    ("alpha_load = -0.5", "radio.alpha_load=-0.5: must be >= 0"),
+    ("tx_small_dbm = 60", "the small-cell link budget must not exceed the macro one"),
+])
+def test_radio_errors_name_the_key(tmp_path, capsys, text, error):
+    """A one-key ``[radio]`` file that ``RadioParams`` would refuse exits 2
+    from ``validate``, naming the key and value; the small-to-macro power
+    ratio, which several keys set, is named by the budgets it compares."""
+    p = tmp_path / "radio.ini"
+    p.write_text(f"[radio]\n{text}\n")
+    assert main(["validate", "--config", str(p)]) == 2
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, value, error", [

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mobicell.analytic import coupled_loads_fixed_point
-from mobicell.ccdf import FieldSamples, extract_classes, snapshot_curves
+from mobicell.ccdf import (FieldSamples, extract_classes, snapshot_curves,
+                           snapshot_sweep)
 from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenario_id,
                              load_scenario, with_overrides)
 from mobicell.hotspot import CoverageRegion
@@ -48,11 +49,12 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
     only the time differing from its lap-1 twin."""
     cfg = replace(cfg_small, mc_samples=20_000, duration_s=2 * cfg_small.period_s,
                   snapshot_s=300.0)
-    with mock.patch.object(FieldSamples, "at", autospec=True,
-                           side_effect=FieldSamples.at) as at:
+    with mock.patch("mobicell.pipeline.snapshot_sweep",
+                    side_effect=snapshot_sweep) as sweep:
         s = snapshot_series(cfg, mc_seed=(1, 0, 0), keep_curves=True)
     distinct = {(p.x, p.y) for p in s.positions}
-    assert at.call_count == len(distinct) < len(s.times)
+    evaluated = sum(len(call.args[1]) for call in sweep.call_args_list)
+    assert evaluated == len(distinct) < len(s.times)
 
     t = cfg.period_s + 300.0
     i, j = list(s.times).index(t), list(s.times).index(300.0)
