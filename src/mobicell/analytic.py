@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mobicell.ccdf import ClassProfile
-from mobicell.flowsim import TrafficSpec, TransitionRates
+from mobicell.flowsim import CheckError, TrafficSpec, TransitionRates
 from mobicell.special import log_factorial
 
 _MAX_STATES = 2_000_000
@@ -278,7 +278,7 @@ def effective_rate(profiles, loads_series, q: np.ndarray, q_tilde: np.ndarray,
         times = np.array([p.t for p in profs])
         eta_bar = float(np.trapezoid(vals, times) / (times[-1] - times[0]))
     if eta_bar <= 0.0:
-        raise AssertionError("effective service rate must be positive")
+        raise CheckError("effective-rate", "effective service rate must be positive")
     return eta_bar, traffic.lambda_tot * traffic.sigma0 / eta_bar
 
 

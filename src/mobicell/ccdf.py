@@ -16,9 +16,9 @@ module opens no file: ``pipeline`` writes the curves to ``ccdf.csv``.
 A snapshot touches only the draws that can be in S*: every draw in the macro
 disk and, of the draws outside it, those within ``small_reach`` of the small
 cell (with a reach of 0, a draw on the small cell itself).  Draws outside the
-domain are dropped once, when ``FieldSamples`` is built.  A curve counts
-sorted values against fixed thresholds, so it depends only on which users
-enter it, never on their order.
+domain are dropped once, when ``FieldSamples`` is built, and each set is
+kept in ascending g.  A curve counts values against fixed thresholds, so it
+depends only on which users enter it, never on their order.
 
 One power ratio, guarded
 ------------------------
@@ -27,30 +27,37 @@ ratio delta = small_rx * r^2b_macro.  A user is macro-associated iff
 delta <= 1, and its inverse SINRs are g + delta (macro cell, small cell on),
 g (macro cell, small cell silent), (g + 1) / delta and g / delta (small
 cell, central macro on and silent).  The kernel computes delta as
-(kappa r^2b_macro) (dx^2 + dy^2)^-b_small: one power and no hypot, with
-kappa r^2b_macro kept per draw.  The exact path takes the hypot, its power
-and the product, as the scalar API does.  Both are chains of a few correctly
-rounded operations and one power accurate to a few ulps, which multiplies
-the relative error of its argument by its exponent, so the two values of a
-user differ by a relative error of order 1e-15 (Goldberg 1991), and the
-inverse SINRs, sums and quotients of nonnegative terms, keep that bound.
+(kappa r^2b_macro) exp(-b_small ln(dx^2 + dy^2)), with kappa r^2b_macro
+kept per draw: no hypot, and no power, which took numpy about 1.25 times
+as long as the log, the product and the exp on 32,768 values.  The exact
+path takes the hypot, its power and the product, as the scalar API does: a
+chain of a few correctly rounded operations and one power accurate to a
+few ulps, which multiplies the relative error of its argument by its
+exponent, so it is within a relative 1e-15 or so of the true delta
+(Goldberg 1991).  In the kernel the exponent y = -b_small ln(dx^2 + dy^2)
+carries an absolute error of about 2 u |y| (u = 2^-53, a log good to an
+ulp), which exp turns into a relative error of delta: 7e-15 for a draw a
+metre from the small cell, where |y| < 26.  The guard below accepts only a
+normal delta, and kappa r^2b_macro is normal too, so |y| < 1420 and the
+error stays below 3.2e-13 at any distance.  The inverse SINRs, sums and
+quotients of nonnegative terms, keep these bounds.
 
 A curve is an integer count of values at or below thresholds psi(l), and
 the association a count of delta <= 1.  So wherever no value lies within
-relative ``_GUARD_EPS`` (1e-12, about a thousand times that error) of a
-threshold or of the tie, the counts are the exact path's and so is every
-bit of every curve.  The kernel checks exactly that, for every user and
-threshold.  It gives the snapshot to the exact path, and counts it in
-``FieldSamples.fallbacks``, when some |delta - 1| <= eps, when a sorted
-value lies within eps of a threshold, when a delta is zero, subnormal or
+relative ``_GUARD_EPS`` (1e-12, above any of those errors and a hundred
+times the usual one) of a threshold or of the tie, the counts are the exact
+path's and so is every bit of every curve.  The kernel checks exactly that,
+for every user and threshold.  It gives the snapshot to the exact path, and
+counts it in ``FieldSamples.fallbacks``, when some |delta - 1| <= eps, when
+a value lies within eps of a threshold, when a delta is zero, subnormal or
 not finite (a draw on the small cell), and for every snapshot when some
 kappa r^2b_macro is not a normal number (kappa = 0).  The exact path keeps
 the association ``small_rx <= r_neg_pow`` and ``radio``'s SINR kernels.
 
 The macro cell's partner-idle curve counts g alone, which no guard needs.
-It is counted from whichever user set is smaller, block by block (below):
-the macro users' g directly, or the count of every user's g less the
-small-cell users'.
+Block by block (below) it is the count of every user's g less the
+small-cell users': g is ascending, and so is any subset of it taken in
+order, so neither count sorts.
 
 One sweep, block by block
 -------------------------
@@ -76,6 +83,23 @@ by block and so in the sum.  So a snapshot is flagged in some block exactly
 when one check over all its users at once would flag it, and every other
 snapshot's curves come from its summed counts, bit for bit the exact
 path's.
+
+Windowed m1 counts
+------------------
+Where a block's users are all macro users, far from the small cell, its m1
+values are g + delta with every delta in (0, dmax], dmax the block's
+largest.  Rounding is monotone (Goldberg 1991): x <= y gives fl(x) <= fl(y).
+So g <= m1 = fl(g + delta) <= fl(g + dmax) for each user, and for a key K
+a user with fl(g + dmax) < K is certainly below it, and one with g >= K
+certainly not.  As g ascends, so does fl(g + dmax), so the certain users
+form a prefix of the block and the certain non-users a suffix; only the
+users between the two, a window of consecutive draws, are compared with K.
+The count is the prefix's length plus the window's count, exact with no
+sort, and no value changes, so the guard bands read the same counts.  Few
+keys fall inside the range of a far block's m1 values, so there are few
+windows to count.  A fixed rule weighs a sort of the block against the live keys
+and the values in their windows (``_KEY_COST`` and ``_WINDOW_COST``) and
+counts the cheaper way.  Blocks with small-cell users sort their m1 values.
 """
 
 from __future__ import annotations
@@ -109,6 +133,12 @@ _TINY = np.finfo(np.float64).tiny
 # every position of a series visits it; the fastest of 8,192 to 65,536 on a
 # Xeon with 2 MiB of L2 per core
 _BLOCK = 32_768
+# the cost of a windowed m1 count against sorting the block's m1 values (see
+# ``_windowed_m1_counts``), in values sorted: on 32,768-draw blocks a sort
+# took about 8 ns a value, a live key about 3-4 us and a value compared in a
+# window about 0.3 ns
+_KEY_COST = 512
+_WINDOW_COST = 1 / 32
 
 
 class Cell(Enum):
@@ -151,12 +181,13 @@ class FieldSamples:
     """Hotspot draws with the position-independent radio quantities
     precomputed once; shared by every snapshot of one experiment.
 
-    Only the draws inside the domain are kept, in two order-preserving sets:
-    the first ``n_core`` lie in the macro disk and so are in S* at every
-    snapshot; the rest (the rim) are in S* only within ``small_reach`` of the
-    small cell.  ``xy`` (column-major, so each coordinate is contiguous),
-    ``g``, ``r_pow`` and ``r_neg_pow`` hold the core draws followed by the rim
-    draws; ``n`` still counts every draw, so masses stay shares of the whole
+    Only the draws inside the domain are kept, in two sets, each in
+    ascending g: the first ``n_core`` lie in the macro disk and so are in S*
+    at every snapshot; the rest (the rim) are in S* only within
+    ``small_reach`` of the small cell.  ``xy`` (column-major, so each
+    coordinate is contiguous), ``g``, ``r_pow`` and ``r_neg_pow`` hold the
+    core draws followed by the rim draws, one draw per index; ``n`` still
+    counts every draw, so masses stay shares of the whole
     population.  ``fallbacks`` counts the snapshots that ``snapshot_sweep``
     gave to the exact path (see the module docstring)."""
 
@@ -170,16 +201,26 @@ class FieldSamples:
         xy = sample_xy(spec, n, seed)
         r = np.hypot(xy[:, 0], xy[:, 1])
         core = r <= layout.R                  # the macro disk lies inside the domain
-        rim = ~core & (r < _DOMAIN_FRAC * layout.delta)
-        self.n_core = int(np.count_nonzero(core))
-        self.xy = np.asfortranarray(np.concatenate([xy[core], xy[rim]]))
-        r = np.concatenate([r[core], r[rim]])
-        del xy                                # the draws are kept once, split
+        kept = np.concatenate([np.flatnonzero(core),
+                               np.flatnonzero(~core & (r < _DOMAIN_FRAC * layout.delta))])
+        c = self.n_core = int(np.count_nonzero(core))
+        del core
+        r = r[kept]
+        g = _g_formula(r, params, layout)
+        # each set in ascending g; any order among equal g gives the same counts
+        order = np.argsort(g[:c])
+        order = np.concatenate([order, c + np.argsort(g[c:])])
+        self.g = g[order]
+        del g
+        r = r[order]
+        kept = kept[order]
+        del order
+        self.xy = np.asfortranarray(xy.take(kept, axis=0))
+        del xy, kept                          # the draws are kept once, reordered
         b2 = 2.0 * params.b_macro
         self.r_pow = r ** b2
         with np.errstate(divide="ignore"):
             self.r_neg_pow = r ** (-b2)
-        self.g = _g_formula(r, params, layout)
         # the kernel's per-draw factor (where one is not a normal number, as
         # with kappa = 0, every snapshot takes the exact path), the counting
         # grid of the last level grid, and the output buffers of ``at``, made
@@ -233,7 +274,8 @@ class FieldSamples:
         return c + np.flatnonzero(near)
 
     def _power_ratio(self, Ls: PolarPoint, xy, kr, out, work):
-        """kr * (dx^2 + dy^2)^-b_small of the draws ``xy`` into ``out``."""
+        """kr * (dx^2 + dy^2)^-b_small of the draws ``xy`` into ``out``, as
+        kr * exp(-b_small ln(dx^2 + dy^2)) (see the module docstring)."""
         dx, dy = out, work
         np.subtract(xy[:, 0], Ls.x, out=dx)
         np.multiply(dx, dx, out=dx)
@@ -241,7 +283,9 @@ class FieldSamples:
         np.multiply(dy, dy, out=dy)
         np.add(dx, dy, out=out)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.power(out, -self.params.b_small, out=out)
+            np.log(out, out=out)
+            np.multiply(out, -self.params.b_small, out=out)
+            np.exp(out, out=out)
             np.multiply(out, kr, out=out)
 
     def users(self, rim: np.ndarray) -> np.ndarray:
@@ -276,31 +320,60 @@ def _finish_curve(counts, n_sel, levels, below, cell, t, n) -> CcdfCurve:
     return CcdfCurve(levels, values, stderr, cell, t, n_sel / n, n_sel)
 
 
-def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, keys, th,
-                 row, buffers):
+def _windowed_m1_counts(g, m1, dmax, keys, below_g, work):
+    """The count of ``m1`` values below each of ``keys``, where ``g`` is
+    ascending, each m1 is fl(g + delta) for a delta in (0, ``dmax``] and
+    ``below_g`` is the count of g below each key; or None where sorting m1
+    is estimated cheaper.  ``work`` is a float array as long as ``g``.
+
+    fl(g + dmax) < K proves m1 < K, and g >= K proves m1 >= K (see the
+    module docstring), so only the m1 values between the two, a window for
+    each key, are compared with it."""
+    certain = np.searchsorted(np.add(g, dmax, out=work), keys)
+    live = np.flatnonzero(certain < below_g)
+    lo, hi = certain[live].tolist(), below_g[live].tolist()
+    if _KEY_COST * len(live) + _WINDOW_COST * (sum(hi) - sum(lo)) >= len(g):
+        return None
+    for j, a, b in zip(live.tolist(), lo, hi):
+        certain[j] = a + np.count_nonzero(m1[a:b] < keys[j])
+    return certain
+
+
+def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, below_g,
+                 keys, th, row, buffers):
     """Add the counts of one block of draws, the users ``xy``, ``kr`` and
-    ``g`` with the small cell at ``Ls``, to ``row``, and return its number of
-    macro users; or None where the guard cannot prove them the exact path's.
+    ``g`` (ascending) with the small cell at ``Ls``, to ``row``, and return
+    its number of macro users; or None where the guard cannot prove them the
+    exact path's.
 
     ``row`` holds, for m1, s1 and s0 in turn, the count of values below each
     guard key (see ``FieldSamples._grid``), and then the count of the macro
     users' g at or below each threshold; ``g_counts`` is that count over
-    every user of the block.  ``buffers`` are two float work arrays and a
-    bool one, at least as long as the block."""
+    every user of the block, and ``below_g`` the count of g below each key,
+    with which an all-macro block may count m1 in windows (see the module
+    docstring).  ``buffers`` are two float work arrays and a bool one, at
+    least as long as the block."""
     n, k = len(g), len(keys)
     delta, work, macro = (b[:n] for b in buffers)
     samples._power_ratio(Ls, xy, kr, delta, work)
-    if not (delta.min() >= _TINY and delta.max() < np.inf):
+    dmax = delta.max()
+    if not (delta.min() >= _TINY and dmax < np.inf):
         return None
-    n_tie = np.count_nonzero(np.less_equal(delta, 1.0 + _GUARD_EPS, out=macro))
-    n_m = int(np.count_nonzero(np.less(delta, 1.0 - _GUARD_EPS, out=macro)))
-    if n_m != n_tie:
-        return None
-    # no delta lies in the tie band, so ``macro`` is the association delta <= 1
     m1 = np.add(g, delta, out=work)
-    if n_m == n:
+    if dmax < 1.0 - _GUARD_EPS:
+        # every user is macro-associated, and none lies in the tie band
         row[3 * k:] += g_counts
+        counts = _windowed_m1_counts(g, m1, dmax, keys, below_g, delta)
+        if counts is not None:
+            row[:k] += counts
+            return n
+        n_m = n
     else:
+        n_tie = np.count_nonzero(np.less_equal(delta, 1.0 + _GUARD_EPS, out=macro))
+        n_m = int(np.count_nonzero(np.less(delta, 1.0 - _GUARD_EPS, out=macro)))
+        if n_m != n_tie:
+            return None
+        # no delta lies in the tie band, so ``macro`` is the association delta <= 1
         small = np.logical_not(macro)
         g_s, d_s = g[small], delta[small]
         s1 = (g_s + 1.0) / d_s
@@ -308,13 +381,8 @@ def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, key
         for i, v in ((1, s1), (2, s0)):
             v.sort()
             row[i * k:(i + 1) * k] += np.searchsorted(v, keys)
-        # m0 counts g alone: sort the macro users' g, or, where they are
-        # more, the small-cell users' for the complement
-        if n_m < n - n_m:
-            row[3 * k:] += np.searchsorted(np.sort(g[macro]), th, side="right")
-        else:
-            g_s.sort()
-            row[3 * k:] += g_counts - np.searchsorted(g_s, th, side="right")
+        # m0 counts g alone, by complement; the gather keeps g ascending
+        row[3 * k:] += g_counts - np.searchsorted(g_s, th, side="right")
         m1 = m1[macro]
     m1.sort()
     row[:k] += np.searchsorted(m1, keys)
@@ -375,8 +443,13 @@ def snapshot_sweep(times, regions, levels, samples: FieldSamples) -> list:
     n_macro = [0] * len(regions)
     exact = [not samples._fast] * len(regions)
 
-    def count(p, Ls, xy, kr, g, g_counts, buffers):
-        n_m = _count_block(samples, Ls, xy, kr, g, g_counts, keys, th, rows[p], buffers)
+    def ranks(g):
+        """A block's counts of g at or below each threshold and below each
+        key, read off its ascending g."""
+        return np.searchsorted(g, th, side="right"), np.searchsorted(g, keys)
+
+    def count(p, Ls, xy, kr, g, g_ranks, buffers):
+        n_m = _count_block(samples, Ls, xy, kr, g, *g_ranks, keys, th, rows[p], buffers)
         if n_m is None:
             exact[p] = True
         else:
@@ -387,18 +460,19 @@ def snapshot_sweep(times, regions, levels, samples: FieldSamples) -> list:
     for lo in range(0, c, _BLOCK):
         block = slice(lo, min(lo + _BLOCK, c))
         xy, kr, g = samples.xy[block], samples._kr[block], samples.g[block]
-        g_counts = np.searchsorted(np.sort(g), th, side="right")
+        g_ranks = ranks(g)
         for p, region in enumerate(regions):
             if not exact[p]:
-                count(p, region.small_center, xy, kr, g, g_counts, buffers)
+                count(p, region.small_center, xy, kr, g, g_ranks, buffers)
     out = []
     for p, (t, region) in enumerate(zip(times, regions)):
         Ls = region.small_center
         rim = samples.rim(Ls, region.small_reach)
         if len(rim) and not exact[p]:
-            g = samples.g[rim]                # the rim users are one more block
-            count(p, Ls, samples.xy[rim], samples._kr[rim], g,
-                  np.searchsorted(np.sort(g), th, side="right"), _buffers(len(rim)))
+            # the rim users are one more block, in ascending g as the draws are
+            g = samples.g[rim]
+            count(p, Ls, samples.xy[rim], samples._kr[rim], g, ranks(g),
+                  _buffers(len(rim)))
         # m1, s1 and s0: the count below each guard band, then at or below its top
         counts = rows[p, :3 * k].reshape(3, 2, n_th)
         if exact[p] or not np.array_equal(counts[:, 0], counts[:, 1]):

@@ -1,8 +1,11 @@
 """Command line entry point: scenario validation, CCDF snapshots, the full
 dynamics experiment and parameter sweeps.
 
-Exit codes: 0 success, 2 configuration error.  Errors are also written to
-stderr as one JSON object."""
+Exit codes: 0 success, 2 configuration error (the inputs are at fault), 3
+a failed internal check (a valid run broke its own bookkeeping, or raised
+ValueError inside the run).  Errors are also written to stderr as one JSON
+object; for a failed internal check it names the check, the scenario id and
+the seed."""
 
 from __future__ import annotations
 
@@ -12,9 +15,16 @@ import sys
 
 from mobicell.config import (SWEEP_PARAMS, ConfigError, bundled_scenario_path,
                              load_scenario, with_overrides)
+from mobicell.flowsim import CheckError
 from mobicell.pipeline import run_ccdf, run_dynamics, run_sweep
 
 EXIT_CONFIG = 2
+EXIT_CHECK = 3
+
+
+class _RunFailed(Exception):
+    """A run failed a check of its own (see ``_run``); its one argument
+    names the check, the scenario id and the seed."""
 
 
 def _fail(code: int, kind: str, detail) -> int:
@@ -31,6 +41,21 @@ def _load(args):
                           **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _run(cfg, fn, *args, **kwargs):
+    """``fn(cfg, ...)``, with a failed internal check or a ValueError raised
+    inside the run as ``_RunFailed``: the inputs passed their checks, so the
+    fault is the run's.  A ConfigError is still the inputs' fault."""
+    try:
+        return fn(cfg, *args, **kwargs)
+    except ConfigError:
+        raise
+    except (CheckError, ValueError) as exc:
+        check, message = (exc.check, exc.detail) if isinstance(exc, CheckError) \
+            else (type(exc).__name__, str(exc))
+        raise _RunFailed({"check": check, "scenario": cfg.scenario_id, "seed": cfg.seed,
+                          "message": message}) from exc
+
+
 def cmd_validate(args) -> int:
     cfg = _load(args)
     print(f"OK scenario={cfg.scenario_id} "
@@ -45,7 +70,7 @@ def cmd_ccdf(args) -> int:
     distances = [float(x) for x in args.distances_m.split(",")] \
         if args.distances_m else (0.0, 60.0, 120.0)
     out = args.out or f"out/{cfg.scenario_id}-ccdf"
-    res = run_ccdf(cfg, times=times, distances_m=distances, out_dir=out)
+    res = _run(cfg, run_ccdf, times=times, distances_m=distances, out_dir=out)
     print(f"wrote {out}/ccdf.csv and {out}/trajectory.csv "
           f"(snapshots at t={['%.0f' % t for t in res['times']]} s)")
     return 0
@@ -54,7 +79,7 @@ def cmd_ccdf(args) -> int:
 def cmd_dynamics(args) -> int:
     cfg = _load(args)
     out = args.out or f"out/{cfg.scenario_id}-dynamics"
-    res = run_dynamics(cfg, out_dir=out)
+    res = _run(cfg, run_dynamics, out_dir=out)
     if not res.baseline_stable:
         print("warning: macro-only baseline is unstable (rho_bar >= 1); "
               "analytic baseline throughput is 0, empirical metrics remain valid",
@@ -73,7 +98,7 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     values = [float(x) for x in args.values.split(",")]
     out = args.out or f"out/{cfg.scenario_id}-sweep"
-    run_sweep(cfg, args.parameter, values, out_dir=out)
+    _run(cfg, run_sweep, args.parameter, values, out_dir=out)
     print(f"wrote {out}/sweep_{args.parameter}.csv ({len(values)} values x "
           f"{cfg.replications} replications)")
     return 0
@@ -131,6 +156,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "invalid-argument", str(exc))
+    except _RunFailed as exc:
+        return _fail(EXIT_CHECK, "internal-check", exc.args[0])
 
 
 if __name__ == "__main__":

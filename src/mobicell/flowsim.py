@@ -57,6 +57,30 @@ class InsufficientDataError(ValueError):
     pass
 
 
+class CheckError(AssertionError):
+    """An internal check failed: the run's own bookkeeping, not its inputs,
+    is at fault.  ``check`` names the check."""
+
+    def __init__(self, check: str, detail: str):
+        super().__init__(check, detail)
+        self.check = check
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{self.check}: {self.detail}"
+
+
+# A departed flow's served work is its size less fl(T - v), its threshold T
+# less its class clock v = fl(base + fl(rate * share)) at departure, and the
+# share reaches the due fl(fl(T - base) / rate) by one step fl(s + fl(fl(fl(
+# due - s) * n) / n)).  Ten rounded operations lie on that path; nine err by
+# at most u = 2^-53 of a value bounded by |T| + |base| in clock terms, and
+# size - left by u of the size, inside the 1e-9 of the size allowed.  So the
+# flow is served its size to 1e-9 of it plus gamma_10 (|T| + |base|), with
+# gamma_10 = 10u / (1 - 10u) (Higham 2002, Lemma 3.1).
+_GAMMA = 10 * 2.0 ** -53 / (1 - 10 * 2.0 ** -53)
+
+
 @dataclass(frozen=True)
 class TrafficSpec:
     """Total flow arrival intensity (flows/s) and mean flow size (Mbits)."""
@@ -115,7 +139,7 @@ class FlowRecord:
 
 @dataclass
 class FlowColumns:
-    """Per-flow records as columns: the first five hold one value per
+    """Per-flow records as columns: the first six hold one value per
     arrival, by fid; the last two one value per migration or handover, in
     event order."""
 
@@ -123,6 +147,7 @@ class FlowColumns:
     size: list
     departure: list     # NaN if in service at T
     served: list
+    scale: list         # |threshold| + |class base| at departure, NaN if in service at T
     first: list         # (cell, class) the flow arrived in
     moved_fid: list     # the flow of each later visit
     moved_to: list      # (cell, class) of that visit
@@ -267,8 +292,9 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     ``trace.flows`` is the list of FlowRecord built from them on first access
     ([] without records).  A departed flow's ``served`` is its size less the
     work its threshold still shows.  Every run checks drawn work = served +
-    backlog, and with records each departed flow's bookkeeping
-    (AssertionError otherwise).
+    backlog, and with records each departed flow's bookkeeping, to the
+    rounding of the class clocks it was read from (CheckError, an
+    AssertionError, otherwise).
     """
     T = float(T)    # model time runs on Python floats (see the module notes)
     if not 0.0 < T < math.inf:
@@ -305,11 +331,11 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     # flow records as columns (see FlowColumns), written by fid
     cols = None
     if record_flows:
-        cols = FlowColumns([], [], [], [], [], [], [])
-        sizes, departures, served = cols.size, cols.departure, cols.served
-        add_arrival, add_size, add_departure, add_served, add_first = (
+        cols = FlowColumns([], [], [], [], [], [], [], [])
+        sizes, departures, served, scales = cols.size, cols.departure, cols.served, cols.scale
+        add_arrival, add_size, add_departure, add_served, add_scale, add_first = (
             cols.arrival.append, sizes.append, departures.append, served.append,
-            cols.first.append)
+            scales.append, cols.first.append)
 
     busy_time = [0.0, 0.0]
     piece_time = [0.0] * n_pieces
@@ -525,6 +551,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 fid = entry[1]
                 departures[fid] = t
                 served[fid] = sizes[fid] - left
+                scales[fid] = abs(entry[0]) + abs(q.base)
             n_dep += 1
             continue
 
@@ -537,6 +564,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 add_size(size)
                 add_departure(math.nan)
                 add_served(0.0)
+                add_scale(math.nan)
                 add_first(q.tag)
             enter(n_arr, c, q, size, t)
             n_arr += 1
@@ -615,20 +643,22 @@ def _validate_trace(trace: QueueTrace):
     served_int = trace.served_mbits()
     drawn, backlog = trace.offered_mbits_drawn, trace.backlog_mbits
     if abs(drawn - served_int - backlog) > 1e-9 * drawn:
-        raise AssertionError(f"work not conserved: drawn {drawn} vs served {served_int} "
-                             f"+ backlog {backlog}")
+        raise CheckError("work-conservation", f"drawn {drawn} vs served {served_int} "
+                                              f"+ backlog {backlog}")
     cols = trace.flow_columns
     if cols is None:
         return
     served_flows = sum(cols.served)
     if served_int > 0 and abs(served_flows - served_int) > 1e-6 * max(served_int, 1.0):
-        raise AssertionError(
-            f"service bookkeeping mismatch: flows {served_flows} vs integral {served_int}")
-    dep, size, served = (np.array(x, dtype=float)
-                         for x in (cols.departure, cols.size, cols.served))
-    bad = ~np.isnan(dep) & (np.abs(served - size) > 1e-9 * size)
+        raise CheckError("flow-bookkeeping",
+                         f"flows {served_flows} vs integral {served_int}")
+    dep, size, served, scale = (np.array(x, dtype=float) for x in
+                                (cols.departure, cols.size, cols.served, cols.scale))
+    # 1e-9 of the size, and the rounding of the clocks it was read from
+    bad = ~np.isnan(dep) & (np.abs(served - size) > 1e-9 * size + _GAMMA * scale)
     if bad.any():
-        raise AssertionError(f"flow {int(np.argmax(bad))} departed with served != size")
+        raise CheckError("served-work",
+                         f"flow {int(np.argmax(bad))} departed with served != size")
 
 
 @dataclass

@@ -39,7 +39,7 @@ from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            extract_classes, macro_only_ccdf, snapshot_sweep)
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
-from mobicell.config import SWEEP_PARAMS, ScenarioConfig, with_overrides
+from mobicell.config import SWEEP_PARAMS, ConfigError, ScenarioConfig, with_overrides
 from mobicell.flowsim import (QueueTrace, TrafficSpec, TransitionRates,
                               empirical_metrics, estimate_transition_rates, simulate)
 from mobicell.hotspot import CoverageRegion
@@ -509,10 +509,11 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
 def run_sweep(cfg: ScenarioConfig, param: str, values, out_dir=None):
     """Dynamics summary metrics per parameter value, one row per value per
     replication; each row carries the scenario id of its value's run, made
-    by ``config.with_overrides``.  Every value is checked (ConfigError)
-    before any is run."""
+    by ``config.with_overrides``.  The parameter and every value are checked
+    (ConfigError) before any value is run."""
     if param not in SWEEP_PARAMS:
-        raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+        raise ConfigError([f"unknown sweep parameter {param!r}; "
+                           f"valid: {', '.join(SWEEP_PARAMS)}"])
     subs = [with_overrides(cfg, **{param: float(value)}) for value in values]
     rows = []
     for value, sub in zip(values, subs):

@@ -102,6 +102,102 @@ def test_field_at_matches_a_fresh_evaluation():
             assert np.array_equal(g, w)
 
 
+def test_field_samples_keep_each_set_in_ascending_g():
+    """The core draws and then the rim draws, each set in ascending g, are
+    the draws inside the domain, each once; every per-draw array and what
+    ``users``, ``rim`` and ``at`` index belong to the same draw."""
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4)
+    c, g, xy = samples.n_core, samples.g, samples.xy
+    assert len(g) > c > 0
+    assert np.all(np.diff(g[:c]) >= 0.0) and np.all(np.diff(g[c:]) >= 0.0)
+    drawn = sample_xy(SPEC, 20_000, 4)
+    r = np.hypot(drawn[:, 0], drawn[:, 1])
+    for kept, rows in ((r <= LAYOUT.R, xy[:c]),
+                       ((r > LAYOUT.R) & (r < ccdf_module._DOMAIN_FRAC * LAYOUT.delta),
+                        xy[c:])):
+        assert sorted(map(tuple, drawn[kept])) == sorted(map(tuple, rows))
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    b2 = 2.0 * PARAMS.b_macro
+    assert np.array_equal(g, _g_formula(r, PARAMS, LAYOUT))
+    assert np.array_equal(samples.r_pow, r ** b2)
+    assert np.array_equal(samples.r_neg_pow, r ** -b2)
+    assert np.array_equal(samples._kr, PARAMS.kappa * r ** b2)
+    Ls = PolarPoint(*map(float, xy[c + 3]))           # on a rim draw
+    for reach in (0.0, 0.2):
+        rim, macro_assoc, delta = samples.at(Ls, region_at(Ls, reach))
+        assert np.array_equal(rim, samples.rim(Ls, reach))
+        assert reach > 0.0 or list(rim) == [c + 3]
+        users = samples.users(rim)
+        with np.errstate(divide="ignore"):
+            small_rx = PARAMS.kappa * np.hypot(xy[users, 0] - Ls.x,
+                                               xy[users, 1] - Ls.y) ** (-2.0 * PARAMS.b_small)
+        # the exact path's power ratio, within the kernel's documented error
+        assert np.allclose(delta, small_rx * samples.r_pow[users], rtol=3.2e-13, atol=0.0)
+        assert np.array_equal(macro_assoc, delta <= 1.0)
+
+
+_G_POOL = (0.0, 0.1, 0.25, 1.0, 3.0)
+
+
+@st.composite
+def windowed_blocks(draw):
+    """An ascending g with ties, a dmax near 0, near 1 or anywhere in
+    between, each delta in (0, dmax] (some exactly dmax), and keys that hit
+    m1 values, fl(g + dmax), g and their neighbours."""
+    g = np.sort(np.array(draw(st.lists(st.sampled_from(_G_POOL) | st.floats(0.0, 4.0),
+                                       min_size=1, max_size=30))))
+    dmax = draw(st.floats(1e-300, 1e-12) | st.floats(1.0 - 1e-12, 1.0)
+                | st.floats(1e-12, 1.0) | st.sampled_from([0.3, 2.0 ** -53, 1e-16]))
+    frac = draw(st.lists(st.sampled_from([1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+                         min_size=len(g), max_size=len(g)))
+    delta = np.maximum(dmax * np.array(frac), ccdf_module._TINY)
+    m1 = g + delta
+    pools = (m1, g + dmax, g, np.nextafter(m1, np.inf), np.nextafter(g + dmax, -np.inf))
+    keys = [draw(st.sampled_from(list(draw(st.sampled_from(pools)))) | st.floats(0.0, 6.0))
+            for _ in range(draw(st.integers(1, 12)))]
+    return g, dmax, m1, np.array(keys)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(block=windowed_blocks())
+@example(block=(np.array([0.1]), 0.3, np.array([0.1 + 0.3]), np.array([0.4])))
+@example(block=(np.array([1.0, 1.0]), 0.5, np.array([1.25, 1.5]), np.array([1.5, 1.25])))
+def test_windowed_m1_counts_equal_the_sorted_counts(block):
+    """On ascending g, counting m1 below each key in its window gives
+    exactly the count of sorted m1 below it: with ties in g, m1 values on a
+    key, fl(g + dmax) on a key, dmax near 0 and near 1, and one-user blocks.
+    (fl(0.1 + 0.3) is 0.4 although fl(0.4 - 0.3) exceeds 0.1: the certain
+    users are those with fl(g + dmax) below the key, not g below
+    fl(key - dmax).)"""
+    g, dmax, m1, keys = block
+    want = np.searchsorted(np.sort(m1), keys)
+    below_g = np.searchsorted(g, keys)
+    with mock.patch.object(ccdf_module, "_KEY_COST", 0), \
+            mock.patch.object(ccdf_module, "_WINDOW_COST", 0):
+        got = ccdf_module._windowed_m1_counts(g, m1, dmax, keys, below_g,
+                                              np.empty(len(g)))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 64, 5_000])
+def test_windowed_sweep_gives_the_exact_curves(block):
+    """With every all-macro block counted in windows, a sweep of positions
+    from the hotspot to far off it still gives the exact path's curves."""
+    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 4_000, 6)
+    places = [PolarPoint.from_polar(r, SPEC.theta_h + math.pi) for r in (0.1, 0.3, 0.5)]
+    regions = [region_at(Ls, reach) for Ls in [SPEC.center, *places] for reach in (0.0, 0.3)]
+    times = [10.0 * i for i in range(len(regions))]
+    with mock.patch.object(ccdf_module, "_BLOCK", block), \
+            mock.patch.object(ccdf_module, "_KEY_COST", 0), \
+            mock.patch.object(ccdf_module, "_WINDOW_COST", 0):
+        swept = ccdf_module.snapshot_sweep(times, regions, LEVELS, samples)
+    assert samples.fallbacks == 0
+    for t, region, got in zip(times, regions, swept):
+        Ls = region.small_center
+        rim = samples.rim(Ls, region.small_reach)
+        assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
+
+
 def test_simplified_and_direct_indicators_agree_bitwise():
     """Counting rate >= l directly and counting 1/gamma <= psi(l) give the
     same curve on the same draws."""

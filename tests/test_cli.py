@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mobicell.flowsim
 from mobicell.cli import _load, build_parser, main
 from mobicell.config import bundled_scenario_path, load_scenario
 
@@ -188,3 +189,38 @@ def test_a_route_the_bus_cannot_drive_exits_2(tmp_path, capsys, mobility, key, c
     assert any(e.startswith(f"{key}: ") for e in payload["detail"])
     assert not (tmp_path / "o").exists()
 
+
+
+def test_a_failed_internal_check_exits_3_naming_check_scenario_and_seed(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A run whose own bookkeeping fails a check (here every departed flow,
+    with the per-flow tolerance made negative) exits 3, not 2, with a JSON
+    error naming the check, the scenario and the seed."""
+    monkeypatch.setattr(mobicell.flowsim, "_GAMMA", -1.0)
+    argv = ["dynamics", "--samples", "2000", "--replications", "1", "--duration", "300",
+            "--workers", "1", "--seed", "4", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    cfg = _load(build_parser().parse_args(argv))
+    assert payload == {"error": "internal-check", "detail": {
+        "check": "served-work", "scenario": cfg.scenario_id, "seed": 4,
+        "message": payload["detail"]["message"]}}
+    assert "departed with served != size" in payload["detail"]["message"]
+
+
+def test_a_value_error_inside_a_run_is_not_a_configuration_error(tmp_path, capsys,
+                                                                monkeypatch):
+    """A ValueError raised by the run, after the inputs passed their checks,
+    exits 3 naming it; a bad --times value is still the input's fault."""
+    def broken(cfg, **kwargs):
+        raise ValueError("levels must be ascending and positive")
+
+    monkeypatch.setattr("mobicell.cli.run_ccdf", broken)
+    assert main(["ccdf", "--samples", "2000", "--out", str(tmp_path / "o")]) == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "internal-check"
+    assert payload["detail"]["check"] == "ValueError"
+    assert payload["detail"]["message"] == "levels must be ascending and positive"
+    assert main(["ccdf", "--samples", "2000", "--times", "soon",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid-argument"

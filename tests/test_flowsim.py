@@ -11,7 +11,7 @@ from conftest import (coupled_chain_stationary, make_profile, migration_chain_pi
                       migration_chain_stationary)
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
                            macro_ccdf, small_ccdf)
-from mobicell.flowsim import (MACRO, SMALL, InsufficientDataError, TrafficSpec,
+from mobicell.flowsim import (_GAMMA, MACRO, SMALL, InsufficientDataError, TrafficSpec,
                               TransitionRates, _validate_trace, empirical_metrics,
                               estimate_transition_rates, simulate)
 from mobicell.pipeline import _flows_file, _trace_file, _write
@@ -391,6 +391,22 @@ def test_validation_checks_every_departed_flow():
             _validate_trace(tr)
         served[fid] = kept
     _validate_trace(tr)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_flow_small_against_its_class_clock_departs_within_the_check(seed):
+    """A flow that enters the empty fast class while the slow class keeps
+    its cell busy starts from a class base of -rate * share, about 1e8
+    times its size, and its departure is read to a few ulps of that base:
+    more than 1e-9 of its size, as in the smallest flows of a long busy
+    period, yet within the rounding the check allows."""
+    prof = make_profile(lam_m=(0.005, 0.005), eta_m0=(0.01, 1e6))
+    tr = simulate(prof, None, TrafficSpec(0.01, 1.0), 2e4, seed, record_flows=True)
+    cols = tr.flow_columns
+    done = [fid for fid, d in enumerate(cols.departure) if not math.isnan(d)]
+    err = {fid: abs(cols.served[fid] - cols.size[fid]) for fid in done}
+    assert any(err[fid] > 1e-9 * cols.size[fid] for fid in done)
+    assert all(err[fid] <= 1e-9 * cols.size[fid] + _GAMMA * cols.scale[fid] for fid in done)
 
 
 def test_recorded_trace_survives_pickling():
