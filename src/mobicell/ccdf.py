@@ -51,8 +51,10 @@ for every user and threshold.  It gives the snapshot to the exact path, and
 counts it in ``FieldSamples.fallbacks``, when some |delta - 1| <= eps, when
 a value lies within eps of a threshold, when a delta is zero, subnormal or
 not finite (a draw on the small cell), and for every snapshot when some
-kappa r^2b_macro is not a normal number (kappa = 0).  The exact path keeps
-the association ``small_rx <= r_neg_pow`` and ``radio``'s SINR kernels.
+kappa r^2b_macro is not a normal number (kappa = 0).  The exact path
+takes its users' r^2b_macro and r^-2b_macro from their coordinates, by the
+hypot and the power ``FieldSamples`` uses for kappa r^2b_macro, and keeps
+the association ``small_rx <= r^-2b_macro`` and ``radio``'s SINR kernels.
 
 The macro cell's partner-idle curve counts g alone, which no guard needs.
 Block by block (below) it is the count of every user's g less the
@@ -185,19 +187,17 @@ class FieldSamples:
     ascending g: the first ``n_core`` lie in the macro disk and so are in S*
     at every snapshot; the rest (the rim) are in S* only within
     ``small_reach`` of the small cell.  ``xy`` (column-major, so each
-    coordinate is contiguous), ``g``, ``r_pow`` and ``r_neg_pow`` hold the
-    core draws followed by the rim draws, one draw per index; ``n`` still
-    counts every draw, so masses stay shares of the whole
-    population.  ``fallbacks`` counts the snapshots that ``snapshot_sweep``
-    gave to the exact path (see the module docstring)."""
+    coordinate is contiguous), ``g`` and the kernel's factor kappa r^2b_macro
+    hold the core draws followed by the rim draws, one draw per index; ``n``
+    still counts every draw, so masses stay shares of the whole population.
+    ``fallbacks`` counts the snapshots that ``snapshot_sweep`` gave to the
+    exact path (see the module docstring)."""
 
     def __init__(self, spec: HotspotSpec, params: RadioParams, layout: CellLayout,
                  n: int, seed):
-        self.spec = spec
         self.params = params
         self.layout = layout
         self.n = n
-        self.seed = seed
         xy = sample_xy(spec, n, seed)
         r = np.hypot(xy[:, 0], xy[:, 1])
         core = r <= layout.R                  # the macro disk lies inside the domain
@@ -217,23 +217,17 @@ class FieldSamples:
         del order
         self.xy = np.asfortranarray(xy.take(kept, axis=0))
         del xy, kept                          # the draws are kept once, reordered
-        b2 = 2.0 * params.b_macro
-        self.r_pow = r ** b2
-        with np.errstate(divide="ignore"):
-            self.r_neg_pow = r ** (-b2)
         # the kernel's per-draw factor (where one is not a normal number, as
-        # with kappa = 0, every snapshot takes the exact path), the counting
-        # grid of the last level grid, and the output buffers of ``at``, made
-        # on its first call
-        self._kr = params.kappa * self.r_pow
+        # with kappa = 0, every snapshot takes the exact path) and the
+        # counting grid of the last level grid
+        self._kr = params.kappa * r ** (2.0 * params.b_macro)
         self._fast = params.kappa > 0.0 and bool(np.all(self._kr >= _TINY))
         self._grid_of = None
-        self._at_buffers = None
         self.fallbacks = 0
 
     def at(self, Ls: PolarPoint, region: CoverageRegion):
-        """Position-dependent arrays for one snapshot, read-only and valid
-        until the next call: ``(rim, macro_assoc, delta)``.
+        """Position-dependent arrays for one snapshot, freshly made:
+        ``(rim, macro_assoc, delta)``.
 
         The snapshot's S* users are every core draw followed by the rim draws
         ``rim`` (see ``rim`` and ``users``).  ``delta`` holds each user's
@@ -244,21 +238,11 @@ class FieldSamples:
         were split by (``layout.R``); ValueError otherwise."""
         if region.macro_radius != self.layout.R or region.small_center != Ls:
             raise ValueError("region must have macro_radius layout.R and small_center Ls")
-        if self._at_buffers is None:
-            m = len(self.g)
-            self._at_buffers = (np.empty(m), np.empty(m), np.empty(m, dtype=bool))
-        delta, work, macro = self._at_buffers
-        c = self.n_core
         rim = self.rim(Ls, region.small_reach)
-        m = c + len(rim)
-        delta = delta[:m]
-        self._power_ratio(Ls, self.xy[:c], self._kr[:c], delta[:c], work[:c])
-        if len(rim):
-            self._power_ratio(Ls, self.xy[rim], self._kr[rim], delta[c:], work[c:m])
-        out = (rim, np.less_equal(delta, 1.0, out=macro[:m]), delta)
-        for a in out:
-            a.flags.writeable = False
-        return out
+        users = self.users(rim)
+        delta = np.empty(len(users))
+        self._power_ratio(Ls, self.xy[users], self._kr[users], delta, np.empty(len(users)))
+        return rim, delta <= 1.0, delta
 
     def rim(self, Ls: PolarPoint, small_reach: float) -> np.ndarray:
         """The rim draws in S* with the small cell at ``Ls`` (indices into the
@@ -391,33 +375,33 @@ def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, bel
 
 def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
     """(m1, m0, s1, s0) on the exact path, the guarded kernel's reference:
-    small_rx from hypot and power, association ``small_rx <= r_neg_pow``
-    and ``radio``'s SINR kernels on the users of ``rim``."""
+    small_rx from hypot and power, r^2b_macro and r^-2b_macro from hypot and
+    power as ``FieldSamples`` takes them, association ``small_rx <=
+    r^-2b_macro`` and ``radio``'s SINR kernels on the users of ``rim``."""
     below, th = samples._grid(levels)[:2]
     users = samples.users(rim) if len(rim) else slice(0, samples.n_core)
-    xy = samples.xy[users]
+    xy, g = samples.xy[users], samples.g[users]
     # small_rx = kappa * d^-2b_small, in place
     small_rx = xy[:, 0] - Ls.x
     np.hypot(small_rx, xy[:, 1] - Ls.y, out=small_rx)
     with np.errstate(divide="ignore"):
         np.power(small_rx, -2.0 * samples.params.b_small, out=small_rx)
     np.multiply(samples.params.kappa, small_rx, out=small_rx)
-    macro = macro_association(small_rx, samples.r_neg_pow[users])
-
-    def cell_users(sel):
-        draws = samples.users(rim)[sel] if len(rim) else sel
-        return len(sel), samples.g[draws], samples.r_pow[draws], small_rx[sel]
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    b2 = 2.0 * samples.params.b_macro
+    with np.errstate(divide="ignore"):
+        macro = macro_association(small_rx, r ** (-b2))
+    r_pow = r ** b2
 
     def curve(n_sel, inv_gamma, cell):
         counts = np.searchsorted(np.sort(inv_gamma), th, side="right")
         return _finish_curve(counts, n_sel, levels, below, cell, t, samples.n)
 
-    n_sel, g, r_pow, rx = cell_users(np.flatnonzero(macro))
-    m1 = curve(n_sel, macro_inverse_sinr(g, r_pow, rx), Cell.MACRO)
-    m0 = curve(n_sel, g, Cell.MACRO)
-    n_sel, g, r_pow, rx = cell_users(np.flatnonzero(~macro))
-    s1, s0 = (curve(n_sel, small_inverse_sinr(g, r_pow, rx, central), Cell.SMALL)
-              for central in (True, False))
+    m, s = np.flatnonzero(macro), np.flatnonzero(~macro)
+    m1 = curve(len(m), macro_inverse_sinr(g[m], r_pow[m], small_rx[m]), Cell.MACRO)
+    m0 = curve(len(m), g[m], Cell.MACRO)
+    s1, s0 = (curve(len(s), small_inverse_sinr(g[s], r_pow[s], small_rx[s], central),
+                    Cell.SMALL) for central in (True, False))
     return m1, m0, s1, s0
 
 

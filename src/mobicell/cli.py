@@ -84,13 +84,13 @@ def cmd_dynamics(args) -> int:
         print("warning: macro-only baseline is unstable (rho_bar >= 1); "
               "analytic baseline throughput is 0, empirical metrics remain valid",
               file=sys.stderr)
-    near, far = res.window_masks()
-    rr = res.replications[0]
-    print(f"wrote {out}/metrics_sc.csv, metrics_macro_only.csv, "
-          f"metrics_empirical.csv, summary.csv")
+    rho_bar = res.replications[0].windows_sc.rho_bar
+    near, far = (f"{rho_bar[window].mean():.4f}" if window.any() else "none"
+                 for window in res.window_masks())
+    print(f"wrote {out}/metrics_sc.csv, metrics_macro_only.csv, metrics_empirical.csv, "
+          f"summary.csv, trace_rep0.csv, flows_rep0.csv")
     print(f"baseline rho_bar={res.windows_mo.rho_bar[0]:.4f}; "
-          f"rep0 near-window rho_bar={rr.windows_sc.rho_bar[near].mean():.4f}, "
-          f"far-window rho_bar={rr.windows_sc.rho_bar[far].mean():.4f}")
+          f"rep0 near-window rho_bar={near}, far-window rho_bar={far}")
     return 0
 
 

@@ -109,7 +109,9 @@ _KEYS = {
                                              f"must be one of {OMEGA_VARIANTS}")),
     "hotspot.center_r_km": ("0.5", _real),
     "hotspot.center_theta_rad": ("pi/3", lambda text: _real(parse_angle(text))),
-    "hotspot.sigma_km": ("0.08", _real),
+    # floors (a millimetre, a bit, a bit per second, a move in 10^6 s) keep (R/A)^2,
+    # flow sizes, class rates and class-membership weights normal floats
+    "hotspot.sigma_km": ("0.08", _real, _at_least(1e-6)),
     "mobility.block_km": ("0.25", _real),
     "mobility.extent_km": ("2.0", _real),
     "mobility.route": ("", lambda text: _items(text, 2) or None),
@@ -120,7 +122,7 @@ _KEYS = {
     "mobility.stops": ("", lambda text: tuple(((x, y), t) for x, y, t in _items(text, 3))),
     "mobility.turn_probs": ("0.25,0.5,0.25", lambda text: tuple(map(_real, text.split(",")))),
     "traffic.lambda_tot": ("6.0", _real),
-    "traffic.sigma0_mbits": ("2.0", _real),
+    "traffic.sigma0_mbits": ("2.0", _real, _at_least(1e-6)),
     "classes.k_macro": ("4", _integer, _at_least(1)),
     "classes.l_small": ("4", _integer, _at_least(1)),
     "sim.duration_s": ("3600", _real, _POSITIVE),
@@ -132,8 +134,8 @@ _KEYS = {
     "sim.n_max": ("40", _integer, _at_least(1)),
     "sim.small_reach_km": ("0.0", _real, _at_least(0)),
     "sim.levels": ("200", _integer, _at_least(10)),
-    "sim.level_min_mbps": ("0.05", _real, _POSITIVE),
-    "sim.nu_floor": ("1e-4", _real, _POSITIVE),
+    "sim.level_min_mbps": ("0.05", _real, _at_least(1e-6)),
+    "sim.nu_floor": ("1e-4", _real, _at_least(1e-6)),
     "sim.extra_migration_rate": ("0.0", _real, _at_least(0)),
     "sim.workers": ("1", _integer, _at_least(1)),
 }
@@ -217,9 +219,10 @@ class ScenarioConfig:
 
 def _setting_errors(v: dict) -> list:
     """Errors of the built settings ``v`` (field -> value, absent ones
-    skipped): the ``_FIELDS`` rows, a horizon of two snapshots, the hotspot
-    centre inside the macro disk, the route and stops on the street grid, and
-    route plus reach inside the interference model's domain."""
+    skipped): the ``_FIELDS`` rows, a horizon of two snapshots, an ascending
+    level grid, the hotspot centre inside the macro disk, the route and stops
+    on the street grid, and route plus reach inside the interference model's
+    domain."""
     errors = []
     for field, key in _FIELDS.items():
         try:
@@ -229,6 +232,9 @@ def _setting_errors(v: dict) -> list:
             errors.append(f"{key}={v[field]}: {exc}")
     if {"duration_s", "snapshot_s"} <= v.keys() and 0 < v["duration_s"] < 2 * v["snapshot_s"]:
         errors.append("sim.duration_s must cover at least two snapshots")
+    if "levels" in v and not np.all(np.diff(v["levels"]) > 0):
+        errors.append(f"sim.level_min_mbps={v['levels'][0]}: the level grid must ascend "
+                      f"to radio.eta0_mbps={v['levels'][-1]}")
     if {"layout", "spec"} <= v.keys() and v["spec"].R_h >= v["layout"].R:
         errors.append(f"hotspot.center_r_km={v['spec'].R_h}: hotspot center must lie "
                       f"inside the macro disk (R={v['layout'].R:.4f} Km)")
@@ -249,18 +255,14 @@ def _setting_errors(v: dict) -> list:
     return errors
 
 
-def check_settings(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg`` if its settings pass the loader's checks, else ConfigError."""
-    if errors := _setting_errors(vars(cfg)):
-        raise ConfigError(errors)
-    return cfg
-
-
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file; ConfigError lists every problem."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError([str(exc)]) from exc
     sections = dict.fromkeys(key.partition(".")[0] for key in _KEYS)
     errors, items = [], {key: row[0] for key, row in _KEYS.items()}
     for sec in cp.sections():
@@ -314,14 +316,16 @@ _HELD = {"kappa": ("params", "kappa"), "sigma_km": ("spec", "A"),
 
 def _changes(cfg: ScenarioConfig, name: str, value) -> dict:
     """The fields that setting ``name`` to ``value`` replaces in ``cfg``.  An
-    object holding the value checks it, else its key's row does."""
+    object holding the value checks it, and then its key's row, if any."""
     if name in _HELD:
         field, attr = _HELD[name]
-        return {field: replace(getattr(cfg, field), **{attr: value})}
+        held = replace(getattr(cfg, field), **{attr: value})
+        if name in _KEY_OF:
+            _checked(_KEY_OF[name], value)
+        return {field: held}
+    value = _checked(_KEY_OF[name], value)
     if name == "k_classes":
-        k = _checked("classes.k_macro", value)
-        return {"K": k, "L": k}
-    value = _checked(_FIELDS[name], value)
+        return {"K": value, "L": value}
     if name != "period_s":
         return {name: value}
     if cfg.period_s is None:

@@ -91,15 +91,16 @@ class TrajectoryState:
 class MobilityPolicy:
     """Velocity law, turning behaviour and optional fixed route with stops.
 
-    ``beta_law`` is a callable (rng, state) -> beta in [-1, 1]; None draws
-    beta uniformly each step.  ``route`` is a list of intersection waypoints
-    traversed cyclically; ``stops`` are ((x, y), dwell_s) pairs lying on the
-    route.  ``dv`` is the per-step speed increment in Km/h.
+    With a ``cruise_kmh`` each step's beta is +1 below that speed, -1 above
+    it and 0 at it; with None, beta is drawn uniformly on [-1, 1] each step.
+    ``route`` is a list of intersection waypoints traversed cyclically;
+    ``stops`` are ((x, y), dwell_s) pairs lying on the route.  ``dv`` is the
+    per-step speed increment in Km/h.
     """
 
     v_max: float
     dv: float = 3.6
-    beta_law: object = None
+    cruise_kmh: float | None = None
     turn_probs: tuple[float, float, float] = (0.25, 0.5, 0.25)
     route: tuple | None = None
     stops: tuple = ()
@@ -118,24 +119,13 @@ class MobilityPolicy:
                 raise ValueError("stop dwell durations must be >= 0")
 
 
-@dataclass(frozen=True)
-class CruiseBeta:
-    """Beta law that accelerates to a target speed and then holds it.
-    A dataclass (not a closure) so policies stay picklable for worker pools
-    and compare by value."""
-
-    target_kmh: float
-
-    def __call__(self, rng, state: TrajectoryState) -> float:
-        if state.velocity < self.target_kmh:
-            return 1.0
-        if state.velocity > self.target_kmh:
-            return -1.0
-        return 0.0
-
-
-def cruise_beta(target_kmh: float) -> CruiseBeta:
-    return CruiseBeta(target_kmh)
+def _beta(policy: MobilityPolicy, rng, velocity: float) -> float:
+    """The speed update of one step at ``velocity``: toward the policy's
+    cruise speed, or one uniform draw on [-1, 1] without one."""
+    cruise = policy.cruise_kmh
+    if cruise is None:
+        return float(rng.uniform(-1.0, 1.0))
+    return 1.0 if velocity < cruise else -1.0 if velocity > cruise else 0.0
 
 
 def route_cruise_policy(route: tuple, period_s: float, *, v_max: float, dv: float,
@@ -147,8 +137,10 @@ def route_cruise_policy(route: tuple, period_s: float, *, v_max: float, dv: floa
         length = sum(abs(a[0] - b[0]) + abs(a[1] - b[1])
                      for a, b in zip(route, route[1:] + route[:1]))
         speed_kmh = length / period_s * 3600.0
+        if not math.isfinite(speed_kmh):
+            raise ValueError(f"period_s={period_s} gives an infinite cruise speed")
     return MobilityPolicy(v_max=max(v_max, speed_kmh), dv=dv,
-                          beta_law=cruise_beta(speed_kmh), turn_probs=turn_probs,
+                          cruise_kmh=speed_kmh, turn_probs=turn_probs,
                           route=route, stops=stops, initial_speed=speed_kmh)
 
 
@@ -166,10 +158,7 @@ def _pick_heading(heading: Heading, grid: ManhattanGrid, x: float, y: float,
                   policy: MobilityPolicy, rng) -> Heading:
     """Turn decision at an intersection; forced to stay within the grid."""
     options = [heading.left, heading, heading.right]
-    if rng is not None:
-        i = int(rng.choice(3, p=list(policy.turn_probs)))
-    else:
-        i = 1
+    i = int(rng.choice(3, p=list(policy.turn_probs))) if rng is not None else 1
     order = [options[i]] + [h for h in options if h is not options[i]] + [_LEFT_OF[_LEFT_OF[heading]]]
     for h in order:
         hx, hy = h.vector
@@ -207,8 +196,7 @@ def step(state: TrajectoryState, dt: float, beta: float, policy: MobilityPolicy,
             y = grid.snap(y + hy * dist)
             remaining -= dist
             heading = _pick_heading(heading, grid, x, y, policy, rng)
-    velocity = min(policy.v_max, state.velocity + beta * policy.dv)
-    velocity = max(0.0, velocity)
+    velocity = max(0.0, min(policy.v_max, state.velocity + beta * policy.dv))
     return TrajectoryState(PolarPoint(x, y), velocity, heading)
 
 
@@ -269,7 +257,6 @@ def _route_geometry(pts, stops):
     cum = np.concatenate([[0.0], np.cumsum(seg_len)]).tolist()
     stop_pos = []
     for (sx, sy), dwell in stops:
-        placed = False
         for i in range(n):
             a, b = pts[i], pts[(i + 1) % n]
             h = _segment_heading(a, b)
@@ -278,9 +265,8 @@ def _route_geometry(pts, stops):
             off = abs((sx - a[0]) * hy) + abs((sy - a[1]) * hx)
             if off <= _ON_STREET_TOL and -_ON_STREET_TOL <= along <= seg_len[i] + _ON_STREET_TOL:
                 stop_pos.append((cum[i] + max(along, 0.0), float(dwell)))
-                placed = True
                 break
-        if not placed:
+        else:
             raise InvalidRouteError(f"stop ({sx}, {sy}) does not lie on the route")
     stop_pos.sort()
     return cum, stop_pos
@@ -306,7 +292,7 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
     With a route the vehicle follows its waypoints cyclically and dwells at
     each stop (decelerating beforehand when ``dv`` allows); without one, turns
     are drawn from ``turn_probs`` at every intersection.  On a route with a
-    ``CruiseBeta`` law, once the vehicle is back at the start in its starting
+    cruise speed, once the vehicle is back at the start in its starting
     state, later states repeat the first lap exactly.
     """
     if T <= 0 or dt <= 0:
@@ -322,9 +308,7 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
     state = TrajectoryState(PolarPoint(0.0, 0.0), min(v0, policy.v_max), Heading.PX)
     states = [state]
     for _ in range(n_steps):
-        beta = policy.beta_law(rng, state) if policy.beta_law is not None \
-            else float(rng.uniform(-1.0, 1.0))
-        state = step(state, dt, beta, policy, grid, rng)
+        state = step(state, dt, _beta(policy, rng, state.velocity), policy, grid, rng)
         states.append(state)
     return Trajectory(times, states, dt)
 
@@ -350,9 +334,9 @@ def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, r
 
     x, y, h = _route_point(pts, cum, s)
     states = [TrajectoryState(PolarPoint(x, y), velocity, h)]
-    # a beta law that draws nothing makes the motion a function of this state
+    # a cruise speed draws nothing, so the motion is a function of this state
     # alone: once it recurs at the start, every later step repeats the lap
-    cyclic = isinstance(policy.beta_law, CruiseBeta)
+    cyclic = policy.cruise_kmh is not None
     start = (velocity, dwell_left, next_stop_idx, v_before_stop)
 
     for _ in range(len(times) - 1):
@@ -385,15 +369,13 @@ def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, r
             continue
         s = (s + move) % total
 
-        # braking beats the beta law when a stop is near
-        braking_dist = (velocity ** 2) * dt * KMH_TO_KM_PER_S / (2.0 * policy.dv) \
+        # braking beats the speed law near a stop (v * v gives inf where v ** 2 raises)
+        braking_dist = velocity * velocity * dt * KMH_TO_KM_PER_S / (2.0 * policy.dv) \
             if policy.dv > 0 else 0.0
         if next_stop_idx is not None and policy.dv > 0 and dist_to_next_stop() <= braking_dist:
             beta = -1.0
-        elif policy.beta_law is not None:
-            beta = float(policy.beta_law(rng, states[-1]))
         else:
-            beta = float(rng.uniform(-1.0, 1.0))
+            beta = _beta(policy, rng, states[-1].velocity)
         velocity = max(0.0, min(policy.v_max, velocity + beta * policy.dv))
 
         x, y, h = _route_point(pts, cum, s)

@@ -223,10 +223,10 @@ def inverse_interference_factor(y, params: RadioParams, layout: CellLayout):
     return out
 
 
-def macro_association(small_rx, r_neg_pow):
+def macro_association(small_rx, macro_rx):
     """Cell selection by received power, ties to the macro cell, elementwise:
-    small_rx = kappa * d^-2b_small against r_neg_pow = r^-2b_macro."""
-    return small_rx <= r_neg_pow
+    small_rx = kappa * d^-2b_small against macro_rx = r^-2b_macro."""
+    return small_rx <= macro_rx
 
 
 def macro_inverse_sinr(g, r_pow, small_rx):
@@ -306,8 +306,8 @@ def macro_associated(m: PolarPoint, Ls: PolarPoint, params: RadioParams) -> bool
     """Cell selection by received power, ties to the macro cell."""
     if params.kappa == 0.0:
         return True
-    r_neg_pow = math.inf if m.r == 0.0 else m.r ** (-2.0 * params.b_macro)
-    return bool(macro_association(_small_rx(m, Ls, params), r_neg_pow))
+    macro_rx = math.inf if m.r == 0.0 else m.r ** (-2.0 * params.b_macro)
+    return bool(macro_association(_small_rx(m, Ls, params), macro_rx))
 
 
 def shannon_rate(gamma, params: RadioParams):

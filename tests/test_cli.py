@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import pytest
 
@@ -95,6 +97,35 @@ def test_dynamics_command_and_reproducibility(tmp_path, capsys):
     header = (tmp_path / "a" / "metrics_sc.csv").read_text().splitlines()[1]
     assert header == ("scenario_id,t_window,rho,rho_tilde,rho_bar,"
                       "eta_bar_mbps,R_mbps,conservation_residual")
+
+
+def test_a_free_walk_summary_has_no_nan_and_no_warning(tmp_path, capsys):
+    """Without a route the bus walks freely from the origin and here never
+    comes within the near window: the summary says ``none`` for that window
+    instead of a nan with numpy's empty-mean warnings, and the command names
+    all six files it wrote."""
+    config = tmp_path / "free.ini"
+    config.write_text(re.sub(r"(?m)^route = .*$", "route =",
+                             bundled_scenario_path().read_text()))
+    out = tmp_path / "free"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dynamics", "--config", str(config), "--samples", "2000",
+                     "--replications", "1", "--duration", "600", "--out", str(out)]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert caught == [] and stderr == ""
+    assert "nan" not in stdout and "near-window rho_bar=none" in stdout
+    assert all(name in stdout and (out / name).exists() for name in DYNAMICS_FILES)
+
+
+def test_a_malformed_scenario_file_exits_2(tmp_path, capsys):
+    """A file configparser cannot read, here with a section given twice, is a
+    configuration error like any other, not a traceback."""
+    p = tmp_path / "twice.ini"
+    p.write_text("[sim]\nseed = 1\n[sim]\nreplications = 1\n")
+    assert main(["validate", "--config", str(p)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config" and "'sim'" in payload["detail"][0]
 
 
 def test_dynamics_different_seed_differs(tmp_path):

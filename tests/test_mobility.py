@@ -8,7 +8,7 @@ from mobicell.config import bundled_scenario_path, load_scenario
 from mobicell.geometry import PolarPoint
 from mobicell.hotspot import HotspotSpec
 from mobicell.mobility import (Heading, InvalidRouteError, ManhattanGrid,
-                               MobilityPolicy, TrajectoryState, cruise_beta,
+                               MobilityPolicy, TrajectoryState,
                                distance_to_hotspot, generate_trajectory, step)
 from mobicell.pipeline import _trajectory_file, _write
 
@@ -60,7 +60,7 @@ def test_step_splits_at_intersection_and_goes_straight_without_rng():
 
 def test_forced_straight_never_turns():
     pol = MobilityPolicy(v_max=20.0, dv=2.0, turn_probs=(0.0, 1.0, 0.0),
-                         initial_speed=20.0, beta_law=cruise_beta(20.0))
+                         initial_speed=20.0, cruise_kmh=20.0)
     traj = generate_trajectory(pol, GRID, T=600.0, dt=1.0, seed=4)
     assert all(s.heading is Heading.PX for s in traj)
     assert all(s.position.y == 0.0 for s in traj)
@@ -92,7 +92,7 @@ def test_trajectory_length():
 def test_route_loop_is_periodic():
     """Rectangular loop of circumference 1.5 Km at 3 Km/h: period 1800 s."""
     pol = MobilityPolicy(v_max=3.0, dv=0.0, route=RECT, initial_speed=3.0,
-                         beta_law=cruise_beta(3.0))
+                         cruise_kmh=3.0)
     traj = generate_trajectory(pol, GRID, T=3600.0, dt=10.0, seed=0)
     xy = traj.positions_xy()
     period_steps = 180  # 1800 s / 10 s
@@ -121,7 +121,7 @@ def test_route_cruise_repeats_its_lap_exactly():
             (first.position.x, first.position.y, first.velocity, first.heading)
 
 
-@pytest.mark.parametrize("change", [dict(beta_law=None),
+@pytest.mark.parametrize("change", [dict(cruise_kmh=None),
                                     dict(dv=3.0, initial_speed=0.0)],
                          ids=["random-beta", "start-below-cruise"])
 def test_route_lap_not_repeated_unless_the_state_recurs(change):
@@ -137,7 +137,7 @@ def test_route_lap_not_repeated_unless_the_state_recurs(change):
 
 def test_route_positions_on_route_and_speed_constant():
     pol = MobilityPolicy(v_max=3.0, dv=0.0, route=RECT, initial_speed=3.0,
-                         beta_law=cruise_beta(3.0))
+                         cruise_kmh=3.0)
     traj = generate_trajectory(pol, GRID, T=1800.0, dt=5.0, seed=0)
     for s in traj:
         assert GRID.on_street(s.position.x, s.position.y)
@@ -151,7 +151,7 @@ def test_route_positions_on_route_and_speed_constant():
 def test_route_with_stop_dwells():
     stops = (((0.25, 0.5), 60.0),)
     pol = MobilityPolicy(v_max=6.0, dv=1.0, route=RECT, initial_speed=6.0,
-                         beta_law=cruise_beta(6.0), stops=stops)
+                         cruise_kmh=6.0, stops=stops)
     traj = generate_trajectory(pol, GRID, T=1200.0, dt=2.0, seed=0)
     xy = traj.positions_xy()
     at_stop = (np.abs(xy[:, 0] - 0.25) < 1e-9) & (np.abs(xy[:, 1] - 0.5) < 1e-9)
@@ -177,7 +177,7 @@ def test_invalid_routes_rejected():
 def test_distance_to_hotspot_series():
     spec = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.08)
     pol = MobilityPolicy(v_max=3.0, dv=0.0, route=RECT, initial_speed=3.0,
-                         beta_law=cruise_beta(3.0))
+                         cruise_kmh=3.0)
     traj = generate_trajectory(pol, GRID, T=3600.0, dt=5.0, seed=0)
     d = distance_to_hotspot(traj, spec)
     # the route passes through the hotspot center (0.25, 0.433): closest
@@ -194,7 +194,7 @@ def test_distance_to_hotspot_series():
 
 def test_csv_export(tmp_path):
     pol = MobilityPolicy(v_max=3.0, dv=0.0, route=RECT, initial_speed=3.0,
-                         beta_law=cruise_beta(3.0))
+                         cruise_kmh=3.0)
     traj = generate_trajectory(pol, GRID, T=60.0, dt=10.0, seed=0)
     _write(tmp_path, "# config=abc seed=0", {"traj.csv": _trajectory_file(traj)})
     lines = (tmp_path / "traj.csv").read_text().strip().splitlines()
