@@ -205,50 +205,30 @@ def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: Couple
     return _distribution(states, lw, K, n_max, total_is_one=True)
 
 
-def class_membership(rates_series):
+def class_membership(rates: TransitionRates):
     """Long-run probability that a user sits in each flow class, from the
-    single-user class chain (two migration ladders joined by the handover
-    edge between the first classes).
+    single-user class chain of ``rates`` (two migration ladders joined by
+    the handover edge between the first classes).
 
-    This is the stationary vector of that chain, by detailed balance:
+    This is the stationary vector of that one chain, by detailed balance:
     relative to the small cell's first class, macro weights carry the
     handover ratio and the running product of macro up/down ratios, small
-    weights the small ladder products. Ratios are averaged over the snapshot
-    series before normalizing to a distribution.
+    weights the small ladder products.
     """
-    series = [rates_series] if isinstance(rates_series, TransitionRates) else list(rates_series)
-    if not series:
-        raise ValueError("need at least one TransitionRates snapshot")
-    K = len(series[0].nu_up)
-    L = len(series[0].nu_tilde_up)
-
-    def ladder(up, down, count, t):
+    def ladder(up, down):
         out = [1.0]
-        for j in range(count - 1):
+        for j in range(len(up) - 1):
             if down[j + 1] == 0.0:
-                raise UndefinedChainError(
-                    f"down-rate out of class {j + 2} is zero at t={t}")
+                raise UndefinedChainError(f"down-rate out of class {j + 2} is zero")
             out.append(out[-1] * up[j] / down[j + 1])
         return np.array(out)
 
-    w_macro = np.zeros((len(series), K))
-    w_small = np.zeros((len(series), L))
-    times = np.array([r.t for r in series], dtype=np.float64)
-    for i, r in enumerate(series):
-        if r.nu_handover_m2s == 0.0:
-            raise UndefinedChainError(f"macro-to-small handover rate is zero at t={r.t}")
-        if r.nu_handover_s2m == 0.0:
-            raise UndefinedChainError(f"small-to-macro handover rate is zero at t={r.t}")
-        hm = r.nu_handover_s2m / r.nu_handover_m2s
-        w_macro[i] = hm * ladder(r.nu_up, r.nu_down, K, r.t)
-        w_small[i] = ladder(r.nu_tilde_up, r.nu_tilde_down, L, r.t)
-
-    if len(series) == 1:
-        qm, qs = w_macro[0], w_small[0]
-    else:
-        span = times[-1] - times[0]
-        qm = np.trapezoid(w_macro, times, axis=0) / span
-        qs = np.trapezoid(w_small, times, axis=0) / span
+    if rates.nu_handover_m2s == 0.0:
+        raise UndefinedChainError("macro-to-small handover rate is zero")
+    if rates.nu_handover_s2m == 0.0:
+        raise UndefinedChainError("small-to-macro handover rate is zero")
+    qm = rates.nu_handover_s2m / rates.nu_handover_m2s * ladder(rates.nu_up, rates.nu_down)
+    qs = ladder(rates.nu_tilde_up, rates.nu_tilde_down)
     total = qm.sum() + qs.sum()
     return qm / total, qs / total
 

@@ -600,15 +600,15 @@ def _equal_mass_bins(rates: np.ndarray, masses: np.ndarray, k: int):
 @dataclass
 class ClassProfile:
     """Flow classes at one snapshot: per-class rates for both interference
-    phases, class densities and Poisson arrival intensities."""
+    phases and Poisson arrival intensities.  Classes are equal-mass bins of
+    a cell's throughput distribution, so each holds 1/K (1/L) of its cell's
+    users."""
 
     t: float
     K: int
     L: int
     eta_macro: np.ndarray       # (K, 2): column 0 partner idle, column 1 interfered
     eta_small: np.ndarray       # (L, 2)
-    p_macro: np.ndarray
-    p_small: np.ndarray
     lambda_macro: np.ndarray
     lambda_small: np.ndarray
     S_t: float
@@ -634,7 +634,8 @@ def extract_classes(macro_curve: CcdfCurve, small_curve: CcdfCurve,
     identical draws behind both curves the bin means are ordered up to the
     rounding of the class sums, so the idle rate is max(idle, interfered) and
     eta[k, idle] >= eta[k, interfered] holds exactly.  Arrival intensities
-    split the total Poisson intensity by coverage mass and class density.
+    split the total Poisson intensity by coverage mass, then equally over a
+    cell's classes.
     """
     if K < 1 or L < 1:
         raise ValueError("class counts must be >= 1")
@@ -657,16 +658,13 @@ def extract_classes(macro_curve: CcdfCurve, small_curve: CcdfCurve,
 
     S, S_t = macro_curve.mass, small_curve.mass
     tot = S + S_t
-    p_m = np.full(K, 1.0 / K)
-    p_s = np.full(L, 1.0 / L)
-    lam_m = lambda_tot * (S / tot) * p_m if tot > 0 else np.zeros(K)
-    lam_s = lambda_tot * (S_t / tot) * p_s if tot > 0 else np.zeros(L)
+    lam_m = np.full(K, lambda_tot * (S / tot) * (1.0 / K)) if tot > 0 else np.zeros(K)
+    lam_s = np.full(L, lambda_tot * (S_t / tot) * (1.0 / L)) if tot > 0 else np.zeros(L)
 
     return ClassProfile(
         t=macro_curve.t, K=K, L=L,
         eta_macro=np.column_stack([eta_m0, eta_m1]),
         eta_small=np.column_stack([eta_s0, eta_s1]),
-        p_macro=p_m, p_small=p_s,
         lambda_macro=lam_m, lambda_small=lam_s,
         S_t=S, S_tilde_t=S_t,
         macro_edges=edges_m, small_edges=edges_s,

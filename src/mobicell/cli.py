@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from mobicell.config import (SWEEP_PARAMS, ConfigError, bundled_scenario_path,
@@ -64,15 +65,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _instants(option: str, text: str) -> list:
+    """The comma-separated values of ``option``, each finite and >= 0."""
+    values = [float(x) for x in text.split(",")]
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ValueError(f"{option}={text}: every value must be finite and >= 0")
+    return values
+
+
 def cmd_ccdf(args) -> int:
     cfg = _load(args)
-    times = [float(x) for x in args.times.split(",")] if args.times else None
-    distances = [float(x) for x in args.distances_m.split(",")] \
+    times = _instants("--times", args.times) if args.times else None
+    distances = _instants("--distances-m", args.distances_m) \
         if args.distances_m else (0.0, 60.0, 120.0)
     out = args.out or f"out/{cfg.scenario_id}-ccdf"
     res = _run(cfg, run_ccdf, times=times, distances_m=distances, out_dir=out)
     print(f"wrote {out}/ccdf.csv and {out}/trajectory.csv "
-          f"(snapshots at t={['%.0f' % t for t in res['times']]} s)")
+          f"(snapshots at t={['%.0f' % t for t, _, _ in res['at_times']]} s)")
     return 0
 
 

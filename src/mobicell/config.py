@@ -89,8 +89,8 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 # power of the link budget a finite float
 _DB = (_at_least(-300), _at_most(300))
 
-# one row per key: (default text, parser, (predicate, message) rules...); what a
-# domain object checks (v_max > 0, turn_probs summing to 1, ...) it checks itself
+# one row per key: (default text, parser, (predicate, message) rules...); a rule
+# a domain object also applies is repeated here, so its error names the key
 _KEYS = {
     "layout.delta_km": ("1.0", _real, _POSITIVE),
     "layout.oracle_rings": ("30", _integer, _at_least(1)),
@@ -107,21 +107,24 @@ _KEYS = {
         ("alpha_load", "1.0", _at_least(0), _at_most(1)))},
     "radio.omega_variant": ("product", str, (lambda v: v in OMEGA_VARIANTS,
                                              f"must be one of {OMEGA_VARIANTS}")),
-    "hotspot.center_r_km": ("0.5", _real),
+    "hotspot.center_r_km": ("0.5", _real, _at_least(0)),
     "hotspot.center_theta_rad": ("pi/3", lambda text: _real(parse_angle(text))),
     # floors (a millimetre, a bit, a bit per second, a move in 10^6 s) keep (R/A)^2,
     # flow sizes, class rates and class-membership weights normal floats
     "hotspot.sigma_km": ("0.08", _real, _at_least(1e-6)),
-    "mobility.block_km": ("0.25", _real),
+    "mobility.block_km": ("0.25", _real, _POSITIVE),
     "mobility.extent_km": ("2.0", _real),
     "mobility.route": ("", lambda text: _items(text, 2) or None),
     "mobility.period_s": ("1800", _real, _POSITIVE),
     "mobility.speed_kmh": ("", lambda text: _real(text) if text else None, _at_least(0)),
-    "mobility.v_max_kmh": ("50", _real),
-    "mobility.dv_kmh": ("3.6", _real),
-    "mobility.stops": ("", lambda text: tuple(((x, y), t) for x, y, t in _items(text, 3))),
-    "mobility.turn_probs": ("0.25,0.5,0.25", lambda text: tuple(map(_real, text.split(",")))),
-    "traffic.lambda_tot": ("6.0", _real),
+    "mobility.v_max_kmh": ("50", _real, _POSITIVE),
+    "mobility.dv_kmh": ("3.6", _real, _at_least(0)),
+    "mobility.stops": ("", lambda text: tuple(((x, y), t) for x, y, t in _items(text, 3)),
+                       (lambda v: all(t >= 0 for _, t in v), "every dwell must be >= 0")),
+    "mobility.turn_probs": ("0.25,0.5,0.25", lambda text: tuple(map(_real, text.split(","))),
+                            (lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1) <= 1e-9,
+                             "must be three numbers >= 0 summing to 1")),
+    "traffic.lambda_tot": ("6.0", _real, _at_least(0)),
     "traffic.sigma0_mbits": ("2.0", _real, _at_least(1e-6)),
     "classes.k_macro": ("4", _integer, _at_least(1)),
     "classes.l_small": ("4", _integer, _at_least(1)),
@@ -172,14 +175,14 @@ def _policy(v: dict) -> MobilityPolicy:
                                speed_kmh=m["speed_kmh"], **kw)
 
 
-# domain objects in build order: (field, section its errors name, builder on
-# the values so far); one reading a key that failed (KeyError) is skipped
+# domain objects in build order: (field, section or key its errors name, maker
+# from the values so far); one reading a key that failed (KeyError) is skipped
 _OBJECTS = (
     ("layout", "layout", lambda v: CellLayout(v["layout.delta_km"], v["layout.oracle_rings"])),
     ("params", "radio", lambda v: RadioParams.from_link_budget(**_section(v, "radio"))),
     ("spec", "hotspot", lambda v: HotspotSpec(
         v["hotspot.center_r_km"], v["hotspot.center_theta_rad"], v["hotspot.sigma_km"])),
-    ("grid", "mobility",
+    ("grid", "mobility.extent_km",
      lambda v: ManhattanGrid(v["mobility.block_km"], v["mobility.extent_km"])),
     ("policy", "mobility", _policy),
     ("traffic", "traffic",

@@ -79,6 +79,8 @@ class CheckError(AssertionError):
 # flow is served its size to 1e-9 of it plus gamma_10 (|T| + |base|), with
 # gamma_10 = 10u / (1 - 10u) (Higham 2002, Lemma 3.1).
 _GAMMA = 10 * 2.0 ** -53 / (1 - 10 * 2.0 ** -53)
+# the least coverage share a cell is handed flows at; below it, a cell drains
+SMALL_SHARE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -666,8 +668,6 @@ class MetricsReport:
     """Time-averaged flow-level metrics of one trace."""
 
     T: float
-    mean_n: np.ndarray            # (K,)
-    mean_n_tilde: np.ndarray      # (L,)
     P_k: np.ndarray
     P_tilde_l: np.ndarray
     mean_flow_throughput: float   # Mbps, offered bits over flow-time (Little form)
@@ -699,7 +699,7 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
     drawn = trace.offered_mbits_drawn
     sd = sigma0 * math.sqrt(2.0 * lam * trace.T)
     return MetricsReport(
-        T=trace.T, mean_n=mean_m, mean_n_tilde=mean_s, P_k=P_k, P_tilde_l=P_l,
+        T=trace.T, P_k=P_k, P_tilde_l=P_l,
         mean_flow_throughput=R,
         rho_busy=trace.busy_time[MACRO] / trace.T,
         rho_tilde_busy=trace.busy_time[SMALL] / trace.T,
@@ -711,21 +711,22 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
     )
 
 
-def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0,
-                              min_share: float = 1e-3) -> list[TransitionRates]:
+def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0
+                              ) -> list[TransitionRates]:
     """Per-flow migration and handover hazards from the drift of consecutive
     snapshots.
 
     Class migration: the change, across one snapshot interval, of the CCDF
     mass above a class boundary is the net probability flux over that
-    boundary; divided by the interval and the source-class density it becomes
-    a per-flow hazard (upward for positive flux, negative for downward).
-    Handover: the growth rate of the small-cell coverage share, scaled by the
-    losing side's share; suppressed when the gaining side covers less than
-    ``min_share`` so flows are not handed into a degenerate cell.  A cell
-    whose coverage has collapsed below ``min_share`` drains its remaining
-    flows by handover within roughly one snapshot interval (otherwise
-    stragglers would be stuck at the dead cell's floor rate forever).
+    boundary; divided by the interval and the source-class density (1/K of
+    an equal-mass cell) it becomes a per-flow hazard (upward for positive
+    flux, downward for negative).  Handover: the growth rate of the
+    small-cell coverage share, scaled by the losing side's share; suppressed
+    when the gaining side covers less than ``SMALL_SHARE_EPS`` so flows are
+    not handed into a degenerate cell.  A cell whose coverage has collapsed
+    below ``SMALL_SHARE_EPS`` drains its remaining flows by handover within
+    roughly one snapshot interval (otherwise stragglers would be stuck at the
+    dead cell's floor rate forever).
     ``extra_migration_rate`` adds a constant user-mobility hazard to every
     admissible migration.
     """
@@ -741,7 +742,7 @@ def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0,
         nu_up, nu_down = np.zeros(K), np.zeros(K)
         nu_tup, nu_tdown = np.zeros(L), np.zeros(L)
 
-        def fill(curve0, curve1, edges, p_cls, up, down):
+        def fill(curve0, curve1, edges, density, up, down):
             if curve0 is None or curve1 is None or curve0.empty or curve1.empty:
                 return
             inner = edges[1:-1]
@@ -750,12 +751,12 @@ def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0,
             flux = (m1 - m0) / dt
             for j, f in enumerate(flux):
                 if f > 0:
-                    up[j] += f / p_cls[j]
+                    up[j] += f / density
                 else:
-                    down[j + 1] += -f / p_cls[j + 1]
+                    down[j + 1] += -f / density
 
-        fill(p0.macro_curve, p1.macro_curve, p0.macro_edges, p0.p_macro, nu_up, nu_down)
-        fill(p0.small_curve, p1.small_curve, p0.small_edges, p0.p_small, nu_tup, nu_tdown)
+        fill(p0.macro_curve, p1.macro_curve, p0.macro_edges, 1.0 / K, nu_up, nu_down)
+        fill(p0.small_curve, p1.small_curve, p0.small_edges, 1.0 / L, nu_tup, nu_tdown)
         if extra_migration_rate > 0.0:
             nu_up[:-1] += extra_migration_rate
             nu_down[1:] += extra_migration_rate
@@ -765,14 +766,15 @@ def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0,
         share0, share1 = p0.small_share, p1.small_share
         dshare = (share1 - share0) / dt
         m2s = s2m = 0.0
-        if dshare > 0 and share1 >= min_share:
-            m2s = dshare / max(1.0 - share0, min_share)
-        elif dshare < 0 and (1.0 - share1) >= min_share:
-            s2m = -dshare / max(share0, min_share)
+        eps = SMALL_SHARE_EPS
+        if dshare > 0 and share1 >= eps:
+            m2s = dshare / max(1.0 - share0, eps)
+        elif dshare < 0 and (1.0 - share1) >= eps:
+            s2m = -dshare / max(share0, eps)
         drain = 3.0 / dt
-        if share1 < min_share and (share0 >= min_share or share1 > 0.0):
+        if share1 < eps and (share0 >= eps or share1 > 0.0):
             s2m = max(s2m, drain)   # dying small cell: evacuate stragglers
-        if 1.0 - share1 < min_share and (1.0 - share0 >= min_share or share1 < 1.0):
+        if 1.0 - share1 < eps and (1.0 - share0 >= eps or share1 < 1.0):
             m2s = max(m2s, drain)
         out.append(TransitionRates(p0.t, nu_up, nu_down, nu_tup, nu_tdown, m2s, s2m))
     return out

@@ -91,8 +91,9 @@ class TrajectoryState:
 class MobilityPolicy:
     """Velocity law, turning behaviour and optional fixed route with stops.
 
-    With a ``cruise_kmh`` each step's beta is +1 below that speed, -1 above
-    it and 0 at it; with None, beta is drawn uniformly on [-1, 1] each step.
+    With a ``cruise_kmh`` each step's beta moves the speed toward that speed
+    by at most ``dv``, landing on it when it is less than ``dv`` away (0 at
+    it); with None, beta is drawn uniformly on [-1, 1] each step.
     ``route`` is a list of intersection waypoints traversed cyclically;
     ``stops`` are ((x, y), dwell_s) pairs lying on the route.  ``dv`` is the
     per-step speed increment in Km/h.
@@ -121,11 +122,14 @@ class MobilityPolicy:
 
 def _beta(policy: MobilityPolicy, rng, velocity: float) -> float:
     """The speed update of one step at ``velocity``: toward the policy's
-    cruise speed, or one uniform draw on [-1, 1] without one."""
+    cruise speed, clipped to [-1, 1] so that a speed within ``dv`` of it
+    lands on it, or one uniform draw on [-1, 1] without one."""
     cruise = policy.cruise_kmh
     if cruise is None:
         return float(rng.uniform(-1.0, 1.0))
-    return 1.0 if velocity < cruise else -1.0 if velocity > cruise else 0.0
+    if velocity == cruise or policy.dv == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, (cruise - velocity) / policy.dv))
 
 
 def route_cruise_policy(route: tuple, period_s: float, *, v_max: float, dv: float,
@@ -218,9 +222,9 @@ class Trajectory:
     def speeds(self) -> np.ndarray:
         return np.array([s.velocity for s in self.states])
 
-    def position_at(self, t: float) -> PolarPoint:
-        i = min(int(round(t / self.dt)), len(self.states) - 1)
-        return self.states[i].position
+    def index_at(self, t: float) -> int:
+        """The step nearest time ``t``, or the last one past the horizon."""
+        return min(int(round(t / self.dt)), len(self.states) - 1)
 
 
 def _validate_route(route, grid: ManhattanGrid):
@@ -314,6 +318,8 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
 
 
 def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, rng):
+    """The states along the policy's route at ``times``: after a dwell the
+    bus accelerates by ``dv`` per step and lands on its cruise speed."""
     pts = _validate_route(policy.route, grid)
     cum, stop_pos = _route_geometry(pts, policy.stops)
     total = cum[-1]

@@ -3,10 +3,10 @@ and transition rates -> coupled flow simulation plus the analytic evaluation,
 for both the with-small-cell scenario and the macro-only baseline.  Every
 output file is written here, by ``_write``.
 
-A snapshot series evaluates each distinct small-cell position once.  A route
-bus that returns to its starting state repeats its first lap exactly (see
-``mobility.generate_trajectory``), so on a horizon of several laps every
-later snapshot reuses the evaluation of its first-lap twin.
+A snapshot series evaluates each distinct small-cell position once, into one
+(curves, profile, loads) record.  A route bus that returns to its starting
+state repeats its first lap exactly (see ``mobility.generate_trajectory``), so
+on a horizon of several laps every later snapshot reuses its first-lap twin's.
 
 Windowed analytic series
 ------------------------
@@ -40,12 +40,11 @@ from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
 from mobicell.config import SWEEP_PARAMS, ConfigError, ScenarioConfig, with_overrides
-from mobicell.flowsim import (QueueTrace, TrafficSpec, TransitionRates,
+from mobicell.flowsim import (SMALL_SHARE_EPS, QueueTrace, TrafficSpec, TransitionRates,
                               empirical_metrics, estimate_transition_rates, simulate)
 from mobicell.hotspot import CoverageRegion
 from mobicell.mobility import Trajectory, distance_to_hotspot, generate_trajectory
 
-SMALL_SHARE_EPS = 1e-3
 NEAR_WINDOW_KM = 0.06          # small cell essentially on the hotspot
 FAR_WINDOW_KM = (0.12, 0.30)   # near-but-off band: covering a small share
 
@@ -56,7 +55,8 @@ def provenance(cfg: ScenarioConfig, command: str, seed) -> str:
 
 @dataclass
 class SnapshotSeries:
-    """Per-snapshot radio state of the with-small-cell scenario."""
+    """Per-snapshot radio state of the with-small-cell scenario, its four
+    curves always kept."""
 
     times: np.ndarray
     positions: list
@@ -65,7 +65,7 @@ class SnapshotSeries:
     loads: list
     rates: list                       # len(times) - 1, for the sim
     trajectory: Trajectory = field(repr=False)   # the path the positions sample
-    curves: list = field(repr=False, default=None)   # (m1, m0, s1, s0) per snapshot
+    curves: list = field(repr=False)  # (m1, m0, s1, s0) per snapshot
 
 
 def scenario_trajectory(cfg: ScenarioConfig) -> Trajectory:
@@ -74,55 +74,47 @@ def scenario_trajectory(cfg: ScenarioConfig) -> Trajectory:
                                cfg.trajectory_dt_s, seed=0)
 
 
-def snapshot_series(cfg: ScenarioConfig, mc_seed, keep_curves: bool = False,
-                    traj: Trajectory | None = None) -> SnapshotSeries:
+def snapshot_series(cfg: ScenarioConfig, mc_seed, traj: Trajectory | None = None
+                    ) -> SnapshotSeries:
     """Trajectory (``traj``, generated when not given) plus the full
     CCDF/class pipeline on common random numbers.
 
-    Each distinct small-cell position is evaluated once, every one of them
-    in one ``snapshot_sweep``: a later snapshot at the exact same position (a
-    later lap, a dwelling bus) reuses its curves, class profile and loads,
-    restamped with its own time."""
+    Each distinct small-cell position is evaluated once, all of them in one
+    ``snapshot_sweep``, into one (curves, profile, loads) record made in
+    first-snapshot order.  A later snapshot at the same position (a later
+    lap, a dwelling bus) takes that record restamped with its own time."""
     if traj is None:
         traj = scenario_trajectory(cfg)
-    dist = distance_to_hotspot(traj, cfg.spec)
     times = np.arange(0.0, cfg.duration_s + 0.5 * cfg.snapshot_s, cfg.snapshot_s)
-    samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
-    positions = [traj.position_at(float(t)) for t in times]
+    steps = [traj.index_at(float(t)) for t in times]
+    positions = [traj.states[i].position for i in steps]
     first = {}         # (x, y) -> index of its first snapshot
     for i, Ls in enumerate(positions):
         first.setdefault((Ls.x, Ls.y), i)
-    swept = dict(zip(first, snapshot_sweep(
+    samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
+    swept = snapshot_sweep(
         [times[i] for i in first.values()],
         [CoverageRegion(cfg.layout.R, positions[i], cfg.small_reach_km)
-         for i in first.values()], cfg.levels, samples)))
-    profiles, loads, curves = [], [], []
-    d_at = []
-    seen = {}          # (x, y) -> (curves, profile, loads) of its first snapshot
+         for i in first.values()], cfg.levels, samples)
+    records = {}       # (x, y) -> (curves, profile, loads) of its first snapshot
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # degenerate far-off small curves
-        for t, Ls in zip(times, positions):
-            hit = seen.get((Ls.x, Ls.y))
-            if hit is None:
-                m1, m0, s1, s0 = four = swept[(Ls.x, Ls.y)]
-                prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L,
-                                       cfg.traffic.lambda_tot)
-                ld = coupled_loads_fixed_point(prof, cfg.traffic)
-                seen[(Ls.x, Ls.y)] = (four, prof, ld)
-            else:
-                four = tuple(replace(c, t=t) for c in hit[0])
-                prof = replace(hit[1], t=t, macro_curve=four[0], small_curve=four[2])
-                ld = hit[2]
-            profiles.append(prof)
-            loads.append(ld)
-            if keep_curves:
-                curves.append(four)
-            i = min(int(round(t / cfg.trajectory_dt_s)), len(dist) - 1)
-            d_at.append(dist[i])
-    rates = estimate_transition_rates(profiles, cfg.extra_migration_rate,
-                                      min_share=SMALL_SHARE_EPS)
-    return SnapshotSeries(times, positions, np.asarray(d_at), profiles, loads, rates,
-                          traj, curves if keep_curves else None)
+        for key, (m1, m0, s1, s0) in zip(first, swept):
+            prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L, cfg.traffic.lambda_tot)
+            records[key] = ((m1, m0, s1, s0), prof,
+                            coupled_loads_fixed_point(prof, cfg.traffic))
+    curves, profiles, loads = [], [], []
+    for i, (t, Ls) in enumerate(zip(times, positions)):
+        four, prof, ld = records[(Ls.x, Ls.y)]
+        if first[(Ls.x, Ls.y)] != i:
+            four = tuple(replace(c, t=t) for c in four)
+            prof = replace(prof, t=t, macro_curve=four[0], small_curve=four[2])
+        curves.append(four)
+        profiles.append(prof)
+        loads.append(ld)
+    rates = estimate_transition_rates(profiles, cfg.extra_migration_rate)
+    return SnapshotSeries(times, positions, distance_to_hotspot(traj, cfg.spec)[steps],
+                          profiles, loads, rates, traj, curves)
 
 
 def macro_only_profile(cfg: ScenarioConfig) -> ClassProfile:
@@ -136,7 +128,6 @@ def macro_only_profile(cfg: ScenarioConfig) -> ClassProfile:
         t=0.0, K=cfg.K, L=1,
         eta_macro=np.column_stack([eta, eta]),
         eta_small=np.array([[1.0, 1.0]]),
-        p_macro=np.full(cfg.K, 1.0 / cfg.K), p_small=np.array([1.0]),
         lambda_macro=np.full(cfg.K, cfg.traffic.lambda_tot / cfg.K),
         lambda_small=np.array([0.0]),
         S_t=curve.mass, S_tilde_t=0.0,
@@ -296,10 +287,7 @@ def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None 
     if prof_mo is None:
         prof_mo = macro_only_profile(cfg)
     # carve the baseline pieces on the same snapshot grid so windowed series align
-    profs_mo = []
-    for t in series.times:
-        p = ClassProfile(**{**prof_mo.__dict__, "t": float(t)})
-        profs_mo.append(p)
+    profs_mo = [replace(prof_mo, t=float(t)) for t in series.times]
     trace_mo = simulate(profs_mo, None, cfg.traffic, cfg.duration_s, sim_seed)
     return ReplicationResult(rep, windows_sc, summary,
                              _empirical_windows(trace_sc), _empirical_windows(trace_mo),
@@ -443,8 +431,7 @@ def _trajectory_file(traj: Trajectory) -> tuple:
         for t, s in zip(traj.t, traj.states)]
 
 
-def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
-             out_dir=None, series: SnapshotSeries | None = None):
+def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0), out_dir=None):
     """CCDF experiment: the macro-only closed form plus macro/small/combined
     curves at the snapshots nearest the requested times (or
     small-cell-to-hotspot distances), and the time-averaged combined and
@@ -460,8 +447,7 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0),
     average user experience converges to the no-small-cell baseline instead
     of to a permanently interfered field.
     """
-    if series is None:
-        series = snapshot_series(cfg, (cfg.seed, 0, 0), keep_curves=True)
+    series = snapshot_series(cfg, (cfg.seed, 0, 0))
     grid_times = series.times
     d_at = series.distance_km
     if times is None:

@@ -30,7 +30,6 @@ def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
         t=t, K=K, L=L,
         eta_macro=np.column_stack([eta_m0, eta_m1]),
         eta_small=np.column_stack([eta_s0, eta_s1]),
-        p_macro=np.full(K, 1.0 / K), p_small=np.full(L, 1.0 / L),
         lambda_macro=lam_m, lambda_small=lam_s,
         S_t=S, S_tilde_t=S_tilde,
     )

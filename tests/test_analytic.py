@@ -310,12 +310,37 @@ def test_class_membership_normalization_and_errors():
                                         m2s=1.0, s2m=1.0))
 
 
-def test_class_membership_time_average():
-    r1 = rates_snapshot(t=0.0, m2s=1.0, s2m=2.0)
-    r2 = rates_snapshot(t=10.0, m2s=1.0, s2m=4.0)
-    q, qt = class_membership([r1, r2])
-    # trapezoid average of s2m/m2s is 3: q = 3/(3+1)
-    assert q[0] == pytest.approx(0.75, rel=1e-12)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 4), l=st.integers(1, 4))
+def test_class_membership_is_the_stationary_vector_of_the_class_chain(data, k, l):
+    """Every ladder shape, K and L in 1..4: the detailed-balance form equals
+    the stationary vector of the explicit single-user generator (macro
+    classes 1..K, then small classes 1..L; each ladder moves one class up or
+    down, and the first classes are joined by the two handovers), solved
+    densely."""
+    rate = st.floats(0.1, 10.0)
+
+    def ladder(n):
+        up = data.draw(st.lists(rate, min_size=n - 1, max_size=n - 1))
+        down = data.draw(st.lists(rate, min_size=n - 1, max_size=n - 1))
+        return [*up, 0.0], [0.0, *down]
+
+    (up, down), (tup, tdown) = ladder(k), ladder(l)
+    m2s, s2m = data.draw(rate), data.draw(rate)
+    Q = np.zeros((k + l, k + l))
+    for first, u, d in ((0, up, down), (k, tup, tdown)):
+        for j in range(len(u) - 1):
+            Q[first + j, first + j + 1] = u[j]
+            Q[first + j + 1, first + j] = d[j + 1]
+    Q[0, k], Q[k, 0] = m2s, s2m
+    Q -= np.diag(Q.sum(axis=1))
+    A = Q.T.copy()
+    A[-1] = 1.0
+    pi = np.linalg.solve(A, np.eye(k + l)[-1])
+    q, qt = class_membership(rates_snapshot(nu_up=up, nu_down=down, tup=tup, tdown=tdown,
+                                            m2s=m2s, s2m=s2m))
+    assert q == pytest.approx(pi[:k], rel=1e-9)
+    assert qt == pytest.approx(pi[k:], rel=1e-9)
 
 
 def test_effective_rate_phase_limits():

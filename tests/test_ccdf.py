@@ -403,7 +403,7 @@ def test_extract_classes_conserves_mean():
     for k in (2, 4, 8):
         prof = extract_classes(mc, sc, mc, sc, K=k, L=k, lambda_tot=1.0)
         grid_step = np.diff(mc.levels).max()
-        assert float(np.dot(prof.p_macro, prof.eta_macro[:, 1])) == pytest.approx(
+        assert float(np.dot(np.full(k, 1.0 / k), prof.eta_macro[:, 1])) == pytest.approx(
             mc.mean_throughput(), abs=grid_step)
 
 
@@ -786,8 +786,8 @@ def test_extract_classes_conserves_mean_and_phase_order(ls_r, ls_theta, reach, k
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # single-rate curves
         prof = extract_classes(m1, s1, m0, s0, K=k, L=l, lambda_tot=1.0)
-    for eta, p, idle, busy in ((prof.eta_macro, prof.p_macro, m0, m1),
-                               (prof.eta_small, prof.p_small, s0, s1)):
+    for eta, p, idle, busy in ((prof.eta_macro, np.full(k, 1.0 / k), m0, m1),
+                               (prof.eta_small, np.full(l, 1.0 / l), s0, s1)):
         for col, curve in ((0, idle), (1, busy)):
             if not curve.empty:
                 rates, masses = curve_pmf(curve)

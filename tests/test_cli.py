@@ -255,3 +255,22 @@ def test_a_value_error_inside_a_run_is_not_a_configuration_error(tmp_path, capsy
     assert main(["ccdf", "--samples", "2000", "--times", "soon",
                  "--out", str(tmp_path / "o")]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--times", "nan"), ("--times", "inf"), ("--times", "-50"), ("--times", "150,-1"),
+    ("--distances-m", "-60"), ("--distances-m", "nan")])
+def test_a_nonsense_ccdf_instant_exits_2_naming_the_option(tmp_path, capsys, option, value):
+    out = tmp_path / "o"
+    assert main(["ccdf", "--samples", "2000", option, value, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "invalid-argument"
+    assert payload["detail"].startswith(f"{option}={value}:")
+    assert not out.exists()
+
+
+def test_the_ccdf_summary_prints_the_snapshot_it_picked(tmp_path, capsys):
+    """A time past the horizon picks the last snapshot, and says so."""
+    assert main(["ccdf", "--samples", "2000", "--times", "5000",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "(snapshots at t=['3600'] s)" in capsys.readouterr().out

@@ -196,6 +196,19 @@ def test_radio_errors_name_the_key(tmp_path, capsys, text, error):
     assert error in capsys.readouterr().err
 
 
+def test_errors_a_domain_object_would_raise_name_their_key(tmp_path):
+    """Values that the hotspot, traffic, grid and policy objects refuse are
+    reported under their keys, all of them: none hides behind another."""
+    errors = errors_of(tmp_path, "[hotspot]\ncenter_r_km = -1\n[traffic]\nlambda_tot = -1\n"
+                                 "[mobility]\nblock_km = 1\nextent_km = 0.5\nv_max_kmh = 0\n"
+                                 "dv_kmh = -1\nturn_probs = 0.5,0.5,0.5\n")
+    keys = ("hotspot.center_r_km", "traffic.lambda_tot", "mobility.extent_km",
+            "mobility.v_max_kmh", "mobility.dv_kmh", "mobility.turn_probs")
+    assert len(errors) == len(keys)
+    for key in keys:
+        assert sum(e.startswith((f"{key}=", f"{key}:")) for e in errors) == 1, (key, errors)
+
+
 @pytest.mark.parametrize("name, value, error", [
     ("seed", -1, "sim.seed=-1: must be >= 0"),
     ("k_classes", 2.5, "classes.k_macro=2.5: must be an integer"),

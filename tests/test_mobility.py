@@ -161,6 +161,23 @@ def test_route_with_stop_dwells():
     assert speeds[at_stop][1:-1].max() == 0.0
 
 
+def test_a_cruising_bus_regains_its_cruise_speed_after_each_dwell():
+    """The reference bus (3 Km/h, dv 3.6 Km/h) with two stops: each stop
+    holds it at rest for its dwell, give or take the steps it arrives and
+    leaves on, and one step later it is back at exactly 3 Km/h."""
+    policy, grid, lap = reference_route()
+    stops = (((0.25, 0.5), 60.0), ((0.0, 0.5), 30.0))
+    traj = generate_trajectory(replace(policy, stops=stops), grid, T=2.0 * lap, dt=1.0,
+                               seed=0)
+    speeds = traj.speeds()
+    assert set(speeds.tolist()) == {0.0, 3.0}
+    at_rest = np.flatnonzero(speeds == 0.0)
+    runs = np.split(at_rest, np.flatnonzero(np.diff(at_rest) > 1) + 1)
+    assert len(runs) == 4
+    assert all(dwell <= len(run) <= dwell + 2 for run, dwell in zip(runs, (60, 30, 60, 30)))
+    assert all(speeds[run[-1] + 1] == 3.0 for run in runs)
+
+
 def test_invalid_routes_rejected():
     with pytest.raises(InvalidRouteError):
         generate_trajectory(MobilityPolicy(v_max=5.0, route=((0.1, 0.0), (0.25, 0.0))),

@@ -51,7 +51,7 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
                   snapshot_s=300.0)
     with mock.patch("mobicell.pipeline.snapshot_sweep",
                     side_effect=snapshot_sweep) as sweep:
-        s = snapshot_series(cfg, mc_seed=(1, 0, 0), keep_curves=True)
+        s = snapshot_series(cfg, mc_seed=(1, 0, 0))
     distinct = {(p.x, p.y) for p in s.positions}
     evaluated = sum(len(call.args[1]) for call in sweep.call_args_list)
     assert evaluated == len(distinct) < len(s.times)
@@ -74,8 +74,8 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
     got = s.profiles[i]
     assert (got.t, s.profiles[j].t) == (t, 300.0)
     assert got.macro_curve is s.curves[i][0] and got.small_curve is s.curves[i][2]
-    for name in ("eta_macro", "eta_small", "p_macro", "p_small", "lambda_macro",
-                 "lambda_small", "macro_edges", "small_edges"):
+    for name in ("eta_macro", "eta_small", "lambda_macro", "lambda_small",
+                 "macro_edges", "small_edges"):
         assert np.array_equal(getattr(got, name), getattr(prof, name)), name
     assert (got.K, got.L, got.S_t, got.S_tilde_t) == (prof.K, prof.L, prof.S_t,
                                                       prof.S_tilde_t)

@@ -106,19 +106,20 @@ INVALID = {
     "radio.eta0_mbps": below(0.0),
     "radio.alpha_load": below(0.0, exclude_max=True) | reals(1.0, 10.0, exclude_min=True),
     "radio.omega_variant": st.just("bogus"),
-    "hotspot.center_r_km": _NAN,
+    "hotspot.center_r_km": _NAN | below(0.0, exclude_max=True),
     "hotspot.center_theta_rad": st.just("inf"),
     "hotspot.sigma_km": below(1e-6, exclude_max=True) | _NAN,
-    "mobility.block_km": _NAN,
+    "mobility.block_km": _NAN | below(0.0),
     "mobility.extent_km": _NAN,
     "mobility.route": st.just("0.25,nan; 0.25,0.75"),
     "mobility.period_s": below(0.0),
     "mobility.speed_kmh": below(0.0, exclude_max=True),
-    "mobility.v_max_kmh": _NAN,
-    "mobility.dv_kmh": _NAN,
-    "mobility.stops": st.just("0.25,0.5,inf"),
-    "mobility.turn_probs": st.just("0.25,nan,0.25"),
-    "traffic.lambda_tot": _NAN,
+    "mobility.v_max_kmh": _NAN | below(0.0),
+    "mobility.dv_kmh": _NAN | below(0.0, exclude_max=True),
+    "mobility.stops": st.sampled_from(["0.25,0.5,inf", "0.25,0.5,-1"]),
+    "mobility.turn_probs": st.sampled_from(["0.25,nan,0.25", "0.5,0.5,0.5", "-0.5,1,0.5",
+                                            "0.5,0.5"]),
+    "traffic.lambda_tot": _NAN | below(0.0, exclude_max=True),
     "traffic.sigma0_mbits": below(1e-6, exclude_max=True) | _NAN,
     "classes.k_macro": integers(-2, 0) | st.just("2.5"),
     "classes.l_small": integers(-2, 0) | st.just("2.5"),
