@@ -237,26 +237,20 @@ def effective_rate(profiles, loads_series, q: np.ndarray, q_tilde: np.ndarray,
                    traffic: TrafficSpec):
     """Service rate of the equivalent single PS queue and the matching load.
 
-    Per snapshot the class rates are phase-mixed with the (clamped) partner
-    loads and weighted by the class membership probabilities; the series is
-    time-averaged with the trapezoidal rule.  Returns (eta_bar, rho_bar).
+    Per snapshot of the series (two or more, in time order) the class rates
+    are phase-mixed with the (clamped) partner loads and weighted by the
+    class membership probabilities; the series is time-averaged with the
+    trapezoidal rule.  Returns (eta_bar, rho_bar).
     """
-    profs = [profiles] if isinstance(profiles, ClassProfile) else list(profiles)
-    loads = [loads_series] if isinstance(loads_series, CoupledLoads) else list(loads_series)
-    if len(profs) != len(loads):
-        raise ValueError("profiles and loads series lengths differ")
-    vals = np.empty(len(profs))
-    for i, (p, ld) in enumerate(zip(profs, loads)):
+    vals = np.empty(len(profiles))
+    for i, (p, ld) in enumerate(zip(profiles, loads_series, strict=True)):
         rt = ld.rho_tilde_clamped
         r = ld.rho_clamped
         macro = np.dot(q, rt * p.eta_macro[:, 1] + (1.0 - rt) * p.eta_macro[:, 0])
         small = np.dot(q_tilde, r * p.eta_small[:, 1] + (1.0 - r) * p.eta_small[:, 0])
         vals[i] = macro + small
-    if len(profs) == 1:
-        eta_bar = float(vals[0])
-    else:
-        times = np.array([p.t for p in profs])
-        eta_bar = float(np.trapezoid(vals, times) / (times[-1] - times[0]))
+    times = np.array([p.t for p in profiles])
+    eta_bar = float(np.trapezoid(vals, times) / (times[-1] - times[0]))
     if eta_bar <= 0.0:
         raise CheckError("effective-rate", "effective service rate must be positive")
     return eta_bar, traffic.lambda_tot * traffic.sigma0 / eta_bar

@@ -10,8 +10,11 @@ small-cell position changes between snapshots and curve differences in time
 are not drowned in sampling noise.  ``snapshot_sweep`` is the one curve
 kernel: it counts the four curves of every snapshot of a series in one pass
 over the draws.  ``snapshot_curves`` is its call at one position, and
-``macro_ccdf`` and ``small_ccdf`` return one of those four curves.  The
-module opens no file: ``pipeline`` writes the curves to ``ccdf.csv``.
+``macro_ccdf`` and ``small_ccdf`` return one of those four curves.  A
+snapshot is asked by the small cell's position and one coverage reach; the
+``FieldSamples`` it is asked of fixes the radio parameters, the layout and
+the macro disk its draws were split by.  The module opens no file:
+``pipeline`` writes the curves to ``ccdf.csv``.
 
 A snapshot touches only the draws that can be in S*: every draw in the macro
 disk and, of the draws outside it, those within ``small_reach`` of the small
@@ -115,7 +118,7 @@ from scipy.special import chndtr
 
 from mobicell.geometry import CellLayout
 from mobicell.geometry import PolarPoint
-from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+from mobicell.hotspot import HotspotSpec, sample_xy
 from mobicell.radio import (RadioParams, _g_formula, inverse_interference_factor,
                             macro_association, macro_inverse_sinr, psi,
                             small_inverse_sinr)
@@ -191,12 +194,12 @@ class FieldSamples:
     hold the core draws followed by the rim draws, one draw per index; ``n``
     still counts every draw, so masses stay shares of the whole population.
     ``fallbacks`` counts the snapshots that ``snapshot_sweep`` gave to the
-    exact path (see the module docstring)."""
+    exact path (see the module docstring).  Nothing here depends on a level
+    grid: the sweep makes its counting grid once per call."""
 
     def __init__(self, spec: HotspotSpec, params: RadioParams, layout: CellLayout,
                  n: int, seed):
         self.params = params
-        self.layout = layout
         self.n = n
         xy = sample_xy(spec, n, seed)
         r = np.hypot(xy[:, 0], xy[:, 1])
@@ -218,27 +221,21 @@ class FieldSamples:
         self.xy = np.asfortranarray(xy.take(kept, axis=0))
         del xy, kept                          # the draws are kept once, reordered
         # the kernel's per-draw factor (where one is not a normal number, as
-        # with kappa = 0, every snapshot takes the exact path) and the
-        # counting grid of the last level grid
+        # with kappa = 0, every snapshot takes the exact path)
         self._kr = params.kappa * r ** (2.0 * params.b_macro)
         self._fast = params.kappa > 0.0 and bool(np.all(self._kr >= _TINY))
-        self._grid_of = None
         self.fallbacks = 0
 
-    def at(self, Ls: PolarPoint, region: CoverageRegion):
-        """Position-dependent arrays for one snapshot, freshly made:
+    def at(self, Ls: PolarPoint, small_reach: float):
+        """Position-dependent arrays for one snapshot with the small cell at
+        ``Ls`` and coverage reach ``small_reach``, freshly made:
         ``(rim, macro_assoc, delta)``.
 
         The snapshot's S* users are every core draw followed by the rim draws
         ``rim`` (see ``rim`` and ``users``).  ``delta`` holds each user's
         power ratio small_rx * r^2b_macro, by the fast formula of the module
-        docstring, and ``macro_assoc`` is delta <= 1.
-
-        ``region`` must be centred on ``Ls`` and use the macro disk the draws
-        were split by (``layout.R``); ValueError otherwise."""
-        if region.macro_radius != self.layout.R or region.small_center != Ls:
-            raise ValueError("region must have macro_radius layout.R and small_center Ls")
-        rim = self.rim(Ls, region.small_reach)
+        docstring, and ``macro_assoc`` is delta <= 1."""
+        rim = self.rim(Ls, small_reach)
         users = self.users(rim)
         delta = np.empty(len(users))
         self._power_ratio(Ls, self.xy[users], self._kr[users], delta, np.empty(len(users)))
@@ -276,20 +273,18 @@ class FieldSamples:
         """Draw index of each S* user of a snapshot whose rim draws are ``rim``."""
         return np.concatenate([np.arange(self.n_core), rim])
 
-    def _grid(self, levels: np.ndarray):
-        """``(below, thresholds, keys)`` of a level grid: the levels at or
-        below the peak rate, where rate >= l iff 1/gamma <= psi(l); and the
-        guard keys, the bottom of each threshold's guard band and then the
-        float above its top, so that the count of sorted values below a key
-        is the count below a band and then the count at or below its top.
-        Kept for the last grid asked."""
-        if self._grid_of is None or not np.array_equal(self._grid_of[0], levels):
-            below = levels <= self.params.eta0
-            th = psi(levels[below], self.params)
-            keys = np.concatenate([th * (1.0 - _GUARD_EPS),
-                                   np.nextafter(th * (1.0 + _GUARD_EPS), np.inf)])
-            self._grid_of = (levels.copy(), below, th, keys)
-        return self._grid_of[1:]
+
+def _level_grid(levels: np.ndarray, params: RadioParams):
+    """``(below, thresholds, keys)`` of a level grid: the levels at or below
+    the peak rate, where rate >= l iff 1/gamma <= psi(l); and the guard keys,
+    the bottom of each threshold's guard band and then the float above its
+    top, so that the count of sorted values below a key is the count below a
+    band and then the count at or below its top."""
+    below = levels <= params.eta0
+    th = psi(levels[below], params)
+    keys = np.concatenate([th * (1.0 - _GUARD_EPS),
+                           np.nextafter(th * (1.0 + _GUARD_EPS), np.inf)])
+    return below, th, keys
 
 
 def _finish_curve(counts, n_sel, levels, below, cell, t, n) -> CcdfCurve:
@@ -331,7 +326,7 @@ def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, bel
     exact path's.
 
     ``row`` holds, for m1, s1 and s0 in turn, the count of values below each
-    guard key (see ``FieldSamples._grid``), and then the count of the macro
+    guard key (see ``_level_grid``), and then the count of the macro
     users' g at or below each threshold; ``g_counts`` is that count over
     every user of the block, and ``below_g`` the count of g below each key,
     with which an all-macro block may count m1 in windows (see the module
@@ -378,7 +373,7 @@ def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
     small_rx from hypot and power, r^2b_macro and r^-2b_macro from hypot and
     power as ``FieldSamples`` takes them, association ``small_rx <=
     r^-2b_macro`` and ``radio``'s SINR kernels on the users of ``rim``."""
-    below, th = samples._grid(levels)[:2]
+    below, th = _level_grid(levels, samples.params)[:2]
     users = samples.users(rim) if len(rim) else slice(0, samples.n_core)
     xy, g = samples.xy[users], samples.g[users]
     # small_rx = kappa * d^-2b_small, in place
@@ -409,23 +404,21 @@ def _buffers(n):
     return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
 
-def snapshot_sweep(times, regions, levels, samples: FieldSamples) -> list:
+def snapshot_sweep(times, positions, small_reach: float, levels,
+                   samples: FieldSamples) -> list:
     """The four curves of each snapshot, (m1, m0, s1, s0), with the small
-    cell at the centre of ``regions[i]`` and the curves stamped ``times[i]``:
-    macro and small cell, each with its partner transmitting (1) and silent
-    (0), under ``samples.params``.  They are counted from the power ratio
-    block by block (see the module docstring), or on the exact path where
-    the guard cannot prove those counts exact; either way bit for bit the
-    exact path's.  Every region must use the macro disk the draws were split
-    by (``layout.R``); ValueError otherwise."""
+    cell at ``positions[i]``, its coverage reach ``small_reach`` and the
+    curves stamped ``times[i]``: macro and small cell, each with its partner
+    transmitting (1) and silent (0), under ``samples.params``.  They are
+    counted from the power ratio block by block (see the module docstring),
+    or on the exact path where the guard cannot prove those counts exact;
+    either way bit for bit the exact path's."""
     levels = _checked_levels(levels)
-    if any(region.macro_radius != samples.layout.R for region in regions):
-        raise ValueError("regions must have macro_radius layout.R")
-    below, th, keys = samples._grid(levels)
+    below, th, keys = _level_grid(levels, samples.params)
     k, n_th = len(keys), len(th)
-    rows = np.zeros((len(regions), 3 * k + n_th), dtype=np.int64)
-    n_macro = [0] * len(regions)
-    exact = [not samples._fast] * len(regions)
+    rows = np.zeros((len(positions), 3 * k + n_th), dtype=np.int64)
+    n_macro = [0] * len(positions)
+    exact = [not samples._fast] * len(positions)
 
     def ranks(g):
         """A block's counts of g at or below each threshold and below each
@@ -445,13 +438,12 @@ def snapshot_sweep(times, regions, levels, samples: FieldSamples) -> list:
         block = slice(lo, min(lo + _BLOCK, c))
         xy, kr, g = samples.xy[block], samples._kr[block], samples.g[block]
         g_ranks = ranks(g)
-        for p, region in enumerate(regions):
+        for p, Ls in enumerate(positions):
             if not exact[p]:
-                count(p, region.small_center, xy, kr, g, g_ranks, buffers)
+                count(p, Ls, xy, kr, g, g_ranks, buffers)
     out = []
-    for p, (t, region) in enumerate(zip(times, regions)):
-        Ls = region.small_center
-        rim = samples.rim(Ls, region.small_reach)
+    for p, (t, Ls) in enumerate(zip(times, positions)):
+        rim = samples.rim(Ls, small_reach)
         if len(rim) and not exact[p]:
             # the rim users are one more block, in ascending g as the draws are
             g = samples.g[rim]
@@ -473,27 +465,15 @@ def snapshot_sweep(times, regions, levels, samples: FieldSamples) -> list:
     return out
 
 
-def snapshot_curves(t: float, Ls: PolarPoint, levels, region: CoverageRegion,
+def snapshot_curves(t: float, Ls: PolarPoint, small_reach: float, levels,
                     samples: FieldSamples):
     """The four curves of one snapshot, (m1, m0, s1, s0): ``snapshot_sweep``
-    at the one position ``Ls``, on which ``region`` must be centred."""
-    if region.small_center != Ls:
-        raise ValueError("region must have small_center Ls")
-    return snapshot_sweep([t], [region], levels, samples)[0]
+    at the one position ``Ls``."""
+    return snapshot_sweep([t], [Ls], small_reach, levels, samples)[0]
 
 
-def _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed, samples):
-    if samples is None:
-        samples = FieldSamples(spec, params, layout, n, seed)
-    elif samples.params != params:
-        raise ValueError("samples were built with other radio parameters")
-    return snapshot_curves(t, Ls, levels, region, samples)
-
-
-def macro_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: RadioParams,
-               region: CoverageRegion, layout: CellLayout, n: int = 200_000, seed=0,
-               include_small_interference: bool = True,
-               samples: FieldSamples | None = None) -> CcdfCurve:
+def macro_ccdf(t: float, Ls: PolarPoint, small_reach: float, levels,
+               samples: FieldSamples, include_small_interference: bool = True) -> CcdfCurve:
     """Throughput CCDF of macro-associated users within S*: ``snapshot_curves``'
     m1, or m0 with ``include_small_interference`` cleared.
 
@@ -501,19 +481,15 @@ def macro_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: Radi
     the small-cell term removed from the macro SINR (the partner-idle radio
     condition), which by construction dominates the interfered curve.
     """
-    m1, m0, _, _ = _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed,
-                                 samples)
+    m1, m0, _, _ = snapshot_curves(t, Ls, small_reach, levels, samples)
     return m1 if include_small_interference else m0
 
 
-def small_ccdf(t: float, Ls: PolarPoint, levels, spec: HotspotSpec, params: RadioParams,
-               region: CoverageRegion, layout: CellLayout, n: int = 200_000, seed=0,
-               include_central_macro: bool = True,
-               samples: FieldSamples | None = None) -> CcdfCurve:
+def small_ccdf(t: float, Ls: PolarPoint, small_reach: float, levels,
+               samples: FieldSamples, include_central_macro: bool = True) -> CcdfCurve:
     """Throughput CCDF of small-cell-associated users within S*:
     ``snapshot_curves``' s1, or s0 with ``include_central_macro`` cleared."""
-    _, _, s1, s0 = _one_snapshot(t, Ls, levels, spec, params, region, layout, n, seed,
-                                 samples)
+    _, _, s1, s0 = snapshot_curves(t, Ls, small_reach, levels, samples)
     return s1 if include_central_macro else s0
 
 

@@ -67,21 +67,3 @@ class CellLayout:
         if self.rings_for_oracle < 1:
             raise ValueError("rings_for_oracle must be >= 1")
         object.__setattr__(self, "R", disk_radius(self.delta))
-
-
-def interferer_positions(layout: CellLayout) -> list[PolarPoint]:
-    """Centers of all macro sites within ``rings_for_oracle`` hex rings of the
-    origin, origin excluded; ring j holds 6j sites. One site pair lies on the
-    x-axis."""
-    delta = layout.delta
-    n = layout.rings_for_oracle
-    sites = []
-    for u in range(-n, n + 1):
-        for v in range(-n, n + 1):
-            if u == 0 and v == 0:
-                continue
-            # hex ring index in axial coordinates
-            if max(abs(u), abs(v), abs(u + v)) > n:
-                continue
-            sites.append(PolarPoint(delta * (u + 0.5 * v), delta * (_SQRT3 / 2.0) * v))
-    return sites

@@ -91,11 +91,11 @@ class TrajectoryState:
 class MobilityPolicy:
     """Velocity law, turning behaviour and optional fixed route with stops.
 
-    With a ``cruise_kmh`` each step's beta moves the speed toward that speed
-    by at most ``dv``, landing on it when it is less than ``dv`` away (0 at
-    it); with None, beta is drawn uniformly on [-1, 1] each step.
-    ``route`` is a list of intersection waypoints traversed cyclically;
-    ``stops`` are ((x, y), dwell_s) pairs lying on the route.  ``dv`` is the
+    With a ``cruise_kmh`` each step moves the speed toward that speed by
+    ``dv``, landing on it when it is at most ``dv`` away; with None, beta is
+    drawn uniformly on [-1, 1] each step.  ``route`` is a list of
+    intersection waypoints traversed cyclically; ``stops`` are ((x, y),
+    dwell_s) pairs lying on the route, each at its own place.  ``dv`` is the
     per-step speed increment in Km/h.
     """
 
@@ -120,16 +120,19 @@ class MobilityPolicy:
                 raise ValueError("stop dwell durations must be >= 0")
 
 
-def _beta(policy: MobilityPolicy, rng, velocity: float) -> float:
-    """The speed update of one step at ``velocity``: toward the policy's
-    cruise speed, clipped to [-1, 1] so that a speed within ``dv`` of it
-    lands on it, or one uniform draw on [-1, 1] without one."""
+def _next_speed(policy: MobilityPolicy, rng, velocity: float) -> float:
+    """The speed one step after ``velocity``, in [0, v_max]: toward the
+    policy's cruise speed by ``dv``, landing on it exactly when it is at most
+    ``dv`` away; or moved by ``dv`` times one uniform draw on [-1, 1] without
+    one."""
     cruise = policy.cruise_kmh
     if cruise is None:
-        return float(rng.uniform(-1.0, 1.0))
-    if velocity == cruise or policy.dv == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, (cruise - velocity) / policy.dv))
+        velocity += float(rng.uniform(-1.0, 1.0)) * policy.dv
+    elif abs(cruise - velocity) <= policy.dv:
+        velocity = cruise
+    else:
+        velocity += math.copysign(policy.dv, cruise - velocity)
+    return max(0.0, min(policy.v_max, velocity))
 
 
 def route_cruise_policy(route: tuple, period_s: float, *, v_max: float, dv: float,
@@ -182,6 +185,14 @@ def step(state: TrajectoryState, dt: float, beta: float, policy: MobilityPolicy,
         raise ValueError(f"dt must be positive, got {dt}")
     if not -1.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+    velocity = max(0.0, min(policy.v_max, state.velocity + beta * policy.dv))
+    return _moved(state, dt, policy, grid, rng, velocity)
+
+
+def _moved(state: TrajectoryState, dt: float, policy: MobilityPolicy, grid: ManhattanGrid,
+           rng, velocity: float) -> TrajectoryState:
+    """``state`` moved with its speed for dt seconds, as ``step`` moves it,
+    with the new speed ``velocity``."""
     x, y = state.position.x, state.position.y
     heading = state.heading
     remaining = state.velocity * dt * KMH_TO_KM_PER_S
@@ -200,7 +211,6 @@ def step(state: TrajectoryState, dt: float, beta: float, policy: MobilityPolicy,
             y = grid.snap(y + hy * dist)
             remaining -= dist
             heading = _pick_heading(heading, grid, x, y, policy, rng)
-    velocity = max(0.0, min(policy.v_max, state.velocity + beta * policy.dv))
     return TrajectoryState(PolarPoint(x, y), velocity, heading)
 
 
@@ -273,6 +283,9 @@ def _route_geometry(pts, stops):
         else:
             raise InvalidRouteError(f"stop ({sx}, {sy}) does not lie on the route")
     stop_pos.sort()
+    for (a, _), (b, _) in zip(stop_pos, stop_pos[1:]):
+        if b - a <= _ON_STREET_TOL:
+            raise InvalidRouteError("two stops share one place on the route")
     return cum, stop_pos
 
 
@@ -312,62 +325,73 @@ def generate_trajectory(policy: MobilityPolicy, grid: ManhattanGrid, T: float,
     state = TrajectoryState(PolarPoint(0.0, 0.0), min(v0, policy.v_max), Heading.PX)
     states = [state]
     for _ in range(n_steps):
-        state = step(state, dt, _beta(policy, rng, state.velocity), policy, grid, rng)
+        state = _moved(state, dt, policy, grid, rng, _next_speed(policy, rng, state.velocity))
         states.append(state)
     return Trajectory(times, states, dt)
 
 
 def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, rng):
-    """The states along the policy's route at ``times``: after a dwell the
-    bus accelerates by ``dv`` per step and lands on its cruise speed."""
+    """The states along the policy's route at ``times``.
+
+    Stops are served in route order.  The next stop always lies ahead of the
+    bus: a stop where the bus stands (a stop on the first waypoint at the
+    start, or a route's one stop just served) is a full lap ahead, so a stop
+    on the first waypoint is first served on arrival one lap later.  A move
+    that reaches the next stop, or ends within ``_ON_STREET_TOL`` of it,
+    ends on it.  A stop of dwell D holds the bus at rest there for
+    ceil(D / dt) + 1 states: the step that arrives and the ceil(D / dt)
+    steps after it.  The next step is one speed update, still on the stop:
+    up by ``dv`` toward the cruise speed, landing on it (back to the speed
+    before the stop at once when ``dv`` is 0).
+
+    A bus within braking distance of its next stop, v^2 dt / (2 dv), brakes
+    by ``dv`` per step instead of following the speed law, but never to rest
+    short of the stop: a brake that would stop it sets the speed whose next
+    move ends on the stop.  So the bus is at rest only on stops.
+    """
     pts = _validate_route(policy.route, grid)
     cum, stop_pos = _route_geometry(pts, policy.stops)
     total = cum[-1]
 
     s = 0.0                 # arc position along the cyclic route
     v0 = policy.initial_speed if policy.initial_speed is not None else 0.0
-    velocity = min(max(v0, 0.0), policy.v_max)
-    dwell_left = 0.0
-    v_before_stop = velocity
-    next_stop_idx = 0 if stop_pos else None
+    velocity = v_start = min(max(v0, 0.0), policy.v_max)
+    dwell_left = 0
+    next_stop_idx = None
+    if stop_pos:            # the first stop ahead of the start
+        next_stop_idx = 1 % len(stop_pos) if stop_pos[0][0] <= _ON_STREET_TOL else 0
 
     def dist_to_next_stop() -> float:
         if next_stop_idx is None:
             return math.inf
-        target = stop_pos[next_stop_idx][0]
-        d = (target - s) % total
-        return d if d > _ON_STREET_TOL else 0.0
+        d = (stop_pos[next_stop_idx][0] - s) % total
+        return d if d > _ON_STREET_TOL else total
 
     x, y, h = _route_point(pts, cum, s)
     states = [TrajectoryState(PolarPoint(x, y), velocity, h)]
     # a cruise speed draws nothing, so the motion is a function of this state
     # alone: once it recurs at the start, every later step repeats the lap
     cyclic = policy.cruise_kmh is not None
-    start = (velocity, dwell_left, next_stop_idx, v_before_stop)
+    start = (velocity, dwell_left, next_stop_idx)
 
     for _ in range(len(times) - 1):
         lap = len(states) - 1
         if (cyclic and lap and min(s, total - s) <= _ON_STREET_TOL
-                and (velocity, dwell_left, next_stop_idx, v_before_stop) == start):
+                and (velocity, dwell_left, next_stop_idx) == start):
             states = [states[j % lap] for j in range(len(times))]
             break
-        if dwell_left > 0.0:
-            dwell_left -= dt
-            if dwell_left <= 0.0:
-                dwell_left = 0.0
-                if policy.dv == 0.0:
-                    velocity = v_before_stop  # no acceleration model: resume cruise
-            x, y, h = _route_point(pts, cum, s)
-            states.append(TrajectoryState(PolarPoint(x, y), 0.0 if dwell_left > 0 else velocity, h))
+        if dwell_left > 0:
+            dwell_left -= 1
+            states.append(states[-1])
             continue
 
         move = velocity * dt * KMH_TO_KM_PER_S
         d_stop = dist_to_next_stop()
-        if d_stop <= move:
+        if d_stop <= move + _ON_STREET_TOL:
             # cut the move at the stop and start dwelling
             s = (s + d_stop) % total
-            v_before_stop = max(velocity, v_before_stop if velocity == 0 else velocity)
-            dwell_left = stop_pos[next_stop_idx][1]
+            # the steps at rest after this one; a dwell past the horizon stops there
+            dwell_left = math.ceil(min(stop_pos[next_stop_idx][1] / dt, len(times)))
             next_stop_idx = (next_stop_idx + 1) % len(stop_pos)
             velocity = 0.0
             x, y, h = _route_point(pts, cum, s)
@@ -376,13 +400,16 @@ def _generate_on_route(policy: MobilityPolicy, grid: ManhattanGrid, times, dt, r
         s = (s + move) % total
 
         # braking beats the speed law near a stop (v * v gives inf where v ** 2 raises)
-        braking_dist = velocity * velocity * dt * KMH_TO_KM_PER_S / (2.0 * policy.dv) \
-            if policy.dv > 0 else 0.0
-        if next_stop_idx is not None and policy.dv > 0 and dist_to_next_stop() <= braking_dist:
-            beta = -1.0
+        d_stop = dist_to_next_stop()
+        if policy.dv == 0.0:
+            velocity = v_start      # no acceleration model: the speed never changes
+        elif (next_stop_idx is not None
+              and d_stop <= velocity * velocity * dt * KMH_TO_KM_PER_S / (2.0 * policy.dv)):
+            velocity -= policy.dv
+            if velocity <= 0.0:
+                velocity = d_stop / (dt * KMH_TO_KM_PER_S)
         else:
-            beta = _beta(policy, rng, states[-1].velocity)
-        velocity = max(0.0, min(policy.v_max, velocity + beta * policy.dv))
+            velocity = _next_speed(policy, rng, velocity)
 
         x, y, h = _route_point(pts, cum, s)
         states.append(TrajectoryState(PolarPoint(x, y), velocity, h))

@@ -42,7 +42,6 @@ from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
 from mobicell.config import SWEEP_PARAMS, ConfigError, ScenarioConfig, with_overrides
 from mobicell.flowsim import (SMALL_SHARE_EPS, QueueTrace, TrafficSpec, TransitionRates,
                               empirical_metrics, estimate_transition_rates, simulate)
-from mobicell.hotspot import CoverageRegion
 from mobicell.mobility import Trajectory, distance_to_hotspot, generate_trajectory
 
 NEAR_WINDOW_KM = 0.06          # small cell essentially on the hotspot
@@ -92,10 +91,9 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, traj: Trajectory | None = None
     for i, Ls in enumerate(positions):
         first.setdefault((Ls.x, Ls.y), i)
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
-    swept = snapshot_sweep(
-        [times[i] for i in first.values()],
-        [CoverageRegion(cfg.layout.R, positions[i], cfg.small_reach_km)
-         for i in first.values()], cfg.levels, samples)
+    swept = snapshot_sweep([times[i] for i in first.values()],
+                           [positions[i] for i in first.values()],
+                           cfg.small_reach_km, cfg.levels, samples)
     records = {}       # (x, y) -> (curves, profile, loads) of its first snapshot
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # degenerate far-off small curves

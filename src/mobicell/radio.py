@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mobicell.geometry import CellLayout, PolarPoint, distance, interferer_positions
+from mobicell.geometry import CellLayout, PolarPoint, distance
 from mobicell.special import hurwitz_zeta, riemann_zeta
 
 OMEGA_VARIANTS = ("product", "sum")
@@ -158,41 +158,6 @@ def interference_factor(r, params: RadioParams, layout: CellLayout):
     if np.any(r_arr < 0.0) or np.any(r_arr > layout.R):
         raise ValueError(f"r outside [0, R={layout.R:.6f}] Km")
     return _g_formula(r, params, layout)
-
-
-def _lattice_g(px, py, r, params: RadioParams, layout: CellLayout):
-    """Direct lattice sum for g at positions (px, py) of radius r, elementwise:
-    (alpha * P * sum_i d_i^-2b + P_N) / (P * r^-2b)."""
-    sites = interferer_positions(layout)
-    sx = np.array([s.x for s in sites])
-    sy = np.array([s.y for s in sites])
-    b2 = 2.0 * params.b_macro
-    d = np.hypot(np.asarray(px)[..., None] - sx, np.asarray(py)[..., None] - sy)
-    return (params.alpha * params.P * np.sum(d ** (-b2), axis=-1) + params.P_N) \
-        / (params.P * r ** (-b2))
-
-
-def interference_factor_oracle(point: PolarPoint, params: RadioParams, layout: CellLayout) -> float:
-    """Brute-force g at an explicit position: direct sum over the interferer
-    lattice, (alpha * P * sum_i d_i^-2b + P_N) / (P * r^-2b).
-
-    Unlike the closed form this depends on the azimuth; averaging it over
-    azimuths is the validation oracle for the closed form.
-    """
-    r = point.r
-    if r <= 0.0:
-        raise ValueError("oracle undefined at r = 0 (serving power infinite)")
-    if r > layout.R:
-        raise ValueError(f"r outside (0, R={layout.R:.6f}] Km")
-    return float(_lattice_g(point.x, point.y, r, params, layout))
-
-
-def _interference_oracle_grid(r_values, params: RadioParams, layout: CellLayout,
-                              n_azimuths: int = 360) -> np.ndarray:
-    """Azimuth-averaged lattice-sum g on an array of radii (vectorized)."""
-    theta = np.linspace(0.0, 2.0 * math.pi, n_azimuths, endpoint=False)
-    return np.array([np.mean(_lattice_g(r * np.cos(theta), r * np.sin(theta), r,
-                                        params, layout)) for r in r_values])
 
 
 def inverse_interference_factor(y, params: RadioParams, layout: CellLayout):

@@ -1,6 +1,8 @@
 """Shared builders for synthetic class profiles, the exact coupled-chain
-oracles used by the flow-simulation and analytic tests, and the Monte Carlo
-indicator integral over the covered region used by the hotspot tests."""
+oracles used by the flow-simulation and analytic tests, the Monte Carlo
+indicator integral over the covered region used by the hotspot tests, and
+the lattice-sum oracle of the interference factor used by the geometry,
+radio and acceptance tests."""
 
 import itertools
 import math
@@ -12,8 +14,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mobicell.ccdf import ClassProfile
-from mobicell.geometry import PolarPoint
-from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+from mobicell.geometry import CellLayout, PolarPoint
+from mobicell.hotspot import HotspotSpec, sample_xy
+from mobicell.radio import RadioParams
 
 
 def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
@@ -150,6 +153,16 @@ def migration_chain_piece_integrals(pieces, n_max):
     return np.array(int_n), np.array(served), dropped
 
 
+@dataclass(frozen=True)
+class Region:
+    """S*: the macro disk of radius ``macro_radius`` plus the disk of radius
+    ``small_reach`` around the small cell at ``small_center``."""
+
+    macro_radius: float
+    small_center: PolarPoint
+    small_reach: float
+
+
 class DegenerateRegionError(RuntimeError):
     """No probability mass of the hotspot falls inside the covered region."""
 
@@ -167,7 +180,7 @@ def sample(spec: HotspotSpec, n: int, seed) -> list[PolarPoint]:
     return [PolarPoint(float(x), float(y)) for x, y in xy]
 
 
-def in_region_xy(xy: np.ndarray, region: CoverageRegion) -> np.ndarray:
+def in_region_xy(xy: np.ndarray, region: Region) -> np.ndarray:
     """Boolean mask of points inside S*."""
     r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
     inside = r2 <= region.macro_radius ** 2
@@ -186,7 +199,7 @@ class IndicatorEstimate:
     n_total: int
 
 
-def integrate_indicator(f, spec: HotspotSpec, region: CoverageRegion, n: int, seed,
+def integrate_indicator(f, spec: HotspotSpec, region: Region, n: int, seed,
                         vectorized: bool = False) -> IndicatorEstimate:
     """Monte Carlo mass of {f holds} within S* under the user measure.
 
@@ -210,3 +223,56 @@ def integrate_indicator(f, spec: HotspotSpec, region: CoverageRegion, n: int, se
     p = float(np.count_nonzero(hits)) / n
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
     return IndicatorEstimate(mass=p, stderr=stderr, n_accepted=n_acc, n_total=n)
+
+
+def interferer_positions(layout: CellLayout) -> list[PolarPoint]:
+    """Centers of all macro sites within ``rings_for_oracle`` hex rings of the
+    origin, origin excluded; ring j holds 6j sites. One site pair lies on the
+    x-axis."""
+    delta = layout.delta
+    n = layout.rings_for_oracle
+    sites = []
+    for u in range(-n, n + 1):
+        for v in range(-n, n + 1):
+            if u == 0 and v == 0:
+                continue
+            # hex ring index in axial coordinates
+            if max(abs(u), abs(v), abs(u + v)) > n:
+                continue
+            sites.append(PolarPoint(delta * (u + 0.5 * v), delta * (math.sqrt(3.0) / 2.0) * v))
+    return sites
+
+
+def _lattice_g(px, py, r, params: RadioParams, layout: CellLayout):
+    """Direct lattice sum for g at positions (px, py) of radius r, elementwise:
+    (alpha * P * sum_i d_i^-2b + P_N) / (P * r^-2b)."""
+    sites = interferer_positions(layout)
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+    b2 = 2.0 * params.b_macro
+    d = np.hypot(np.asarray(px)[..., None] - sx, np.asarray(py)[..., None] - sy)
+    return (params.alpha * params.P * np.sum(d ** (-b2), axis=-1) + params.P_N) \
+        / (params.P * r ** (-b2))
+
+
+def interference_factor_oracle(point: PolarPoint, params: RadioParams, layout: CellLayout) -> float:
+    """Brute-force g at an explicit position: direct sum over the interferer
+    lattice, (alpha * P * sum_i d_i^-2b + P_N) / (P * r^-2b).
+
+    Unlike the closed form this depends on the azimuth; averaging it over
+    azimuths is the validation oracle for the closed form.
+    """
+    r = point.r
+    if r <= 0.0:
+        raise ValueError("oracle undefined at r = 0 (serving power infinite)")
+    if r > layout.R:
+        raise ValueError(f"r outside (0, R={layout.R:.6f}] Km")
+    return float(_lattice_g(point.x, point.y, r, params, layout))
+
+
+def _interference_oracle_grid(r_values, params: RadioParams, layout: CellLayout,
+                              n_azimuths: int = 360) -> np.ndarray:
+    """Azimuth-averaged lattice-sum g on an array of radii (vectorized)."""
+    theta = np.linspace(0.0, 2.0 * math.pi, n_azimuths, endpoint=False)
+    return np.array([np.mean(_lattice_g(r * np.cos(theta), r * np.sin(theta), r,
+                                        params, layout)) for r in r_values])

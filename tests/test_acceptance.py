@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_profile
+from conftest import _interference_oracle_grid, make_profile
 from mobicell.analytic import coupled_loads_fixed_point, stationary_static
 from mobicell.ccdf import (FieldSamples, combined_ccdf, default_levels,
                            extract_classes, macro_ccdf, macro_only_ccdf,
@@ -27,10 +27,9 @@ from mobicell.ccdf import (FieldSamples, combined_ccdf, default_levels,
 from mobicell.config import bundled_scenario_path, load_scenario
 from mobicell.flowsim import TrafficSpec, simulate
 from mobicell.geometry import CellLayout, PolarPoint
-from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+from mobicell.hotspot import HotspotSpec, sample_xy
 from mobicell.pipeline import run_dynamics
-from mobicell.radio import (RadioParams, _interference_oracle_grid,
-                            interference_factor, inverse_interference_factor,
+from mobicell.radio import (RadioParams, interference_factor, inverse_interference_factor,
                             omega, psi)
 from mobicell.special import bessel_i0, log_gamma
 
@@ -94,9 +93,7 @@ def test_criterion_2_macro_only_triple_agreement():
 
     p0 = RadioParams(**{**params.__dict__, "kappa": 0.0})
     Ls = PolarPoint.from_polar(2.0, 0.0)
-    region = CoverageRegion(layout.R, Ls, 0.0)
-    pipeline = macro_ccdf(0.0, Ls, levels, spec, p0, region, layout,
-                          n=400_000, seed=777)
+    pipeline = macro_ccdf(0.0, Ls, 0.0, levels, FieldSamples(spec, p0, layout, 400_000, 777))
     pipe_se = np.maximum(pipeline.stderr, 1e-5)
 
     tol_qm = 3.0 * np.maximum(mc_se, 1e-4)
@@ -129,14 +126,11 @@ def test_criterion_3_ccdf_structural_suite():
         c = spec.center
         Ls = PolarPoint(c.x + float(rng.uniform(-0.15, 0.15)),
                         c.y + float(rng.uniform(-0.15, 0.15)))
-        region = CoverageRegion(layout.R, Ls, 0.0)
         samples = FieldSamples(spec, params, layout, 20_000, int(rng.integers(2 ** 31)))
-        m1 = macro_ccdf(0.0, Ls, levels, spec, params, region, layout, samples=samples)
-        m0 = macro_ccdf(0.0, Ls, levels, spec, params, region, layout, samples=samples,
-                        include_small_interference=False)
-        s1 = small_ccdf(0.0, Ls, levels, spec, params, region, layout, samples=samples)
-        s0 = small_ccdf(0.0, Ls, levels, spec, params, region, layout, samples=samples,
-                        include_central_macro=False)
+        m1 = macro_ccdf(0.0, Ls, 0.0, levels, samples)
+        m0 = macro_ccdf(0.0, Ls, 0.0, levels, samples, include_small_interference=False)
+        s1 = small_ccdf(0.0, Ls, 0.0, levels, samples)
+        s0 = small_ccdf(0.0, Ls, 0.0, levels, samples, include_central_macro=False)
         for curve in (m1, m0, s1, s0):
             assert np.all(np.diff(curve.values) <= 1e-12)
             assert np.all(curve.values[levels > params.eta0] == 0.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,11 +349,16 @@ def test_effective_rate_phase_limits():
                         eta_s0=(8.0,), eta_s1=(4.0,))
     traffic = TrafficSpec(2.0, 2.0)
     q, qt = np.array([0.5]), np.array([0.5])
-    eta_bar, rho_bar = effective_rate(prof, CoupledLoads(0.0, 0.0), q, qt, traffic)
+    series = [prof, replace(prof, t=1.0)]     # a constant series over [0, 1]
+
+    def rate(ld):
+        return effective_rate(series, [ld, ld], q, qt, traffic)
+
+    eta_bar, rho_bar = rate(CoupledLoads(0.0, 0.0))
     assert eta_bar == pytest.approx(0.5 * 10 + 0.5 * 8)
-    eta_bar1, _ = effective_rate(prof, CoupledLoads(1.0, 1.0), q, qt, traffic)
+    eta_bar1, _ = rate(CoupledLoads(1.0, 1.0))
     assert eta_bar1 == pytest.approx(0.5 * 6 + 0.5 * 4)
-    eta_mid, _ = effective_rate(prof, CoupledLoads(0.5, 0.5), q, qt, traffic)
+    eta_mid, _ = rate(CoupledLoads(0.5, 0.5))
     assert min(4.0, 6.0) <= eta_mid <= max(8.0, 10.0)
     assert rho_bar == pytest.approx(2.0 * 2.0 / eta_bar)
 

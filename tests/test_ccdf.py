@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import in_region_xy
+from conftest import Region, in_region_xy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -21,7 +21,7 @@ from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            extract_classes, macro_ccdf, macro_only_ccdf,
                            small_ccdf, snapshot_curves)
 from mobicell.geometry import CellLayout, PolarPoint
-from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+from mobicell.hotspot import HotspotSpec, sample_xy
 from mobicell.pipeline import _curves_file, _write
 from mobicell.radio import (RadioParams, _g_formula, interference_factor,
                             inverse_interference_factor, macro_association,
@@ -33,17 +33,13 @@ LAYOUT = CellLayout(delta=1.0, rings_for_oracle=30)
 PARAMS = RadioParams.from_link_budget()
 SPEC = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.08)
 LEVELS = default_levels(PARAMS.eta0)
-
-
-def region_at(Ls, reach=0.2):
-    return CoverageRegion(macro_radius=LAYOUT.R, small_center=Ls, small_reach=reach)
+REACH = 0.2
 
 
 def curves_at(Ls, n=60_000, seed=0):
-    region = region_at(Ls)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
-    mc = macro_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
-    sc = small_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
+    mc = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    sc = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
     return mc, sc, samples
 
 
@@ -68,22 +64,20 @@ def test_curve_structure_random_positions():
 def test_levels_validation():
     Ls = SPEC.center
     with pytest.raises(ValueError):
-        macro_ccdf(0.0, Ls, [3.0, 2.0, 1.0], SPEC, PARAMS, region_at(Ls), LAYOUT, n=100)
+        macro_ccdf(0.0, Ls, REACH, [3.0, 2.0, 1.0], FieldSamples(SPEC, PARAMS, LAYOUT, 100, 0))
 
 
 def test_zero_above_peak_rate():
     mc, sc, _ = curves_at(SPEC.center, n=20_000)
     grid = np.array([0.5, 10.0, 97.9, 98.0, 98.1, 150.0])
-    c = macro_ccdf(0.0, SPEC.center, grid, SPEC, PARAMS, region_at(SPEC.center), LAYOUT,
-                   n=20_000)
+    c = macro_ccdf(0.0, SPEC.center, REACH, grid, FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 0))
     assert c.values[grid > 98.0].max() == 0.0
     assert c.values[grid <= 98.0].min() >= 0.0
 
 
 def test_association_partition():
     mc, sc, samples = curves_at(SPEC.center)
-    region = region_at(SPEC.center)
-    _, macro_assoc, _ = samples.at(SPEC.center, region)
+    _, macro_assoc, _ = samples.at(SPEC.center, REACH)
     m_star = float(len(macro_assoc)) / samples.n     # one entry per S* user
     assert mc.mass + sc.mass == pytest.approx(m_star, abs=1e-15)
 
@@ -96,8 +90,8 @@ def test_field_at_matches_a_fresh_evaluation():
     calls = [(SPEC.center, 0.2), (SPEC.center, 0.2), (other, 0.2), (other, 0.1),
              (SPEC.center, 0.2)]
     for Ls, reach in calls:
-        got = samples.at(Ls, region_at(Ls, reach))
-        want = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4).at(Ls, region_at(Ls, reach))
+        got = samples.at(Ls, reach)
+        want = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4).at(Ls, reach)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -122,7 +116,7 @@ def test_field_samples_keep_each_set_in_ascending_g():
     assert np.array_equal(samples._kr, PARAMS.kappa * r ** b2)
     Ls = PolarPoint(*map(float, xy[c + 3]))           # on a rim draw
     for reach in (0.0, 0.2):
-        rim, macro_assoc, delta = samples.at(Ls, region_at(Ls, reach))
+        rim, macro_assoc, delta = samples.at(Ls, reach)
         assert np.array_equal(rim, samples.rim(Ls, reach))
         assert reach > 0.0 or list(rim) == [c + 3]
         users = samples.users(rim)
@@ -182,33 +176,32 @@ def test_windowed_sweep_gives_the_exact_curves(block):
     """With every all-macro block counted in windows, a sweep of positions
     from the hotspot to far off it still gives the exact path's curves."""
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 4_000, 6)
-    places = [PolarPoint.from_polar(r, SPEC.theta_h + math.pi) for r in (0.1, 0.3, 0.5)]
-    regions = [region_at(Ls, reach) for Ls in [SPEC.center, *places] for reach in (0.0, 0.3)]
-    times = [10.0 * i for i in range(len(regions))]
-    with mock.patch.object(ccdf_module, "_BLOCK", block), \
-            mock.patch.object(ccdf_module, "_KEY_COST", 0), \
-            mock.patch.object(ccdf_module, "_WINDOW_COST", 0):
-        swept = ccdf_module.snapshot_sweep(times, regions, LEVELS, samples)
-    assert samples.fallbacks == 0
-    for t, region, got in zip(times, regions, swept):
-        Ls = region.small_center
-        rim = samples.rim(Ls, region.small_reach)
-        assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
+    positions = [SPEC.center,
+                 *(PolarPoint.from_polar(r, SPEC.theta_h + math.pi) for r in (0.1, 0.3, 0.5))]
+    times = [10.0 * i for i in range(len(positions))]
+    for reach in (0.0, 0.3):
+        with mock.patch.object(ccdf_module, "_BLOCK", block), \
+                mock.patch.object(ccdf_module, "_KEY_COST", 0), \
+                mock.patch.object(ccdf_module, "_WINDOW_COST", 0):
+            swept = ccdf_module.snapshot_sweep(times, positions, reach, LEVELS, samples)
+        assert samples.fallbacks == 0
+        for t, Ls, got in zip(times, positions, swept):
+            rim = samples.rim(Ls, reach)
+            assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
 
 
 def test_simplified_and_direct_indicators_agree_bitwise():
     """Counting rate >= l directly and counting 1/gamma <= psi(l) give the
     same curve on the same draws."""
     Ls = SPEC.center
-    region = region_at(Ls)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 30_000, 3)
-    rim, macro_assoc, delta = samples.at(Ls, region)
+    rim, macro_assoc, delta = samples.at(Ls, REACH)
     draws = samples.users(rim)[macro_assoc]
     inv_gamma = samples.g[draws] + delta[macro_assoc]
     with np.errstate(divide="ignore"):
         gamma = np.where(inv_gamma > 0, 1.0 / inv_gamma, np.inf)
     rates = shannon_rate(gamma, PARAMS)
-    curve = macro_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
+    curve = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
     direct = np.array([np.count_nonzero(rates >= l) for l in LEVELS]) / len(rates)
     direct[LEVELS > PARAMS.eta0] = 0.0
     assert np.array_equal(curve.values, direct)
@@ -219,8 +212,7 @@ def test_macro_kappa_zero_matches_closed_form():
     form within Monte Carlo error at every level."""
     p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
     Ls = PolarPoint.from_polar(2.0, 0.0)  # irrelevant when kappa = 0
-    region = CoverageRegion(macro_radius=LAYOUT.R, small_center=Ls, small_reach=0.0)
-    mc = macro_ccdf(0.0, Ls, LEVELS, SPEC, p0, region, LAYOUT, n=200_000, seed=11)
+    mc = macro_ccdf(0.0, Ls, 0.0, LEVELS, FieldSamples(SPEC, p0, LAYOUT, 200_000, 11))
     ref = macro_only_ccdf(LEVELS, SPEC, p0, LAYOUT)
     se = np.maximum(mc.stderr, 1e-4)
     assert np.all(np.abs(mc.values - ref.values) <= 3.0 * se)
@@ -311,10 +303,9 @@ def test_small_cell_on_hotspot_dominates_macro():
     macro users' curve at every level."""
     spec = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.05)
     Ls = spec.center
-    region = region_at(Ls)
     samples = FieldSamples(spec, PARAMS, LAYOUT, 60_000, 21)
-    mc = macro_ccdf(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT, samples=samples)
-    sc = small_ccdf(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT, samples=samples)
+    mc = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    sc = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
     assert sc.mass > 0.3
     sel = LEVELS <= PARAMS.eta0
     assert np.all(sc.values[sel] >= mc.values[sel] - 3.0 * (mc.stderr[sel] + sc.stderr[sel]))
@@ -323,43 +314,20 @@ def test_small_cell_on_hotspot_dominates_macro():
 
 def test_phase0_dominates_phase1_pointwise():
     Ls = SPEC.center
-    region = region_at(Ls)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 40_000, 8)
-    m1 = macro_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
-    m0 = macro_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples,
-                    include_small_interference=False)
-    s1 = small_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
-    s0 = small_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples,
-                    include_central_macro=False)
+    m1 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    m0 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples, include_small_interference=False)
+    s1 = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    s0 = small_ccdf(0.0, Ls, REACH, LEVELS, samples, include_central_macro=False)
     assert np.all(m0.values >= m1.values)
     assert np.all(s0.values >= s1.values)
     assert m0.mass == m1.mass and s0.mass == s1.mass  # same association
 
 
-def test_mismatched_samples_or_region_raise():
-    """Draws built with other radio parameters, a region with another macro
-    disk and a region centred off the small cell are refused, not mixed into
-    one curve."""
-    Ls = SPEC.center
-    samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, 0)
-    p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
-    for curve_fn in (macro_ccdf, small_ccdf):
-        with pytest.raises(ValueError):
-            curve_fn(0.0, Ls, LEVELS, SPEC, p0, region_at(Ls), LAYOUT, samples=samples)
-    elsewhere = PolarPoint(Ls.x + 0.1, Ls.y)
-    for region in (CoverageRegion(macro_radius=0.9 * LAYOUT.R, small_center=Ls,
-                                  small_reach=0.2),
-                   region_at(elsewhere)):
-        with pytest.raises(ValueError):
-            samples.at(Ls, region)
-        with pytest.raises(ValueError):
-            snapshot_curves(0.0, Ls, LEVELS, region, samples)
-
-
 def test_empty_small_curve_marker():
     p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
     Ls = SPEC.center
-    sc = small_ccdf(0.0, Ls, LEVELS, SPEC, p0, region_at(Ls), LAYOUT, n=5000, seed=0)
+    sc = small_ccdf(0.0, Ls, REACH, LEVELS, FieldSamples(SPEC, p0, LAYOUT, 5000, 0))
     assert sc.empty and sc.mass == 0.0 and sc.values.max() == 0.0
 
 
@@ -411,14 +379,11 @@ def test_extract_classes_phase_ordering_random_scenarios():
     rng = np.random.default_rng(17)
     for _ in range(5):
         Ls = PolarPoint(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.4, 0.4)))
-        region = region_at(Ls)
         samples = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, int(rng.integers(1e6)))
-        m1 = macro_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
-        m0 = macro_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples,
-                        include_small_interference=False)
-        s1 = small_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples)
-        s0 = small_ccdf(0.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT, samples=samples,
-                        include_central_macro=False)
+        m1 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
+        m0 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples, include_small_interference=False)
+        s1 = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
+        s0 = small_ccdf(0.0, Ls, REACH, LEVELS, samples, include_central_macro=False)
         prof = extract_classes(m1, s1, m0, s0, K=4, L=4, lambda_tot=1.0)
         assert np.all(prof.eta_macro[:, 0] >= prof.eta_macro[:, 1] - 1e-12)
         assert np.all(prof.eta_small[:, 0] >= prof.eta_small[:, 1] - 1e-12)
@@ -430,7 +395,7 @@ def test_extract_classes_phase_order_is_exact():
     interfered rate, exactly."""
     Ls = PolarPoint.from_polar(0.5, 3.0)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, 0)
-    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, LEVELS, region_at(Ls, 0.0), samples)
+    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, 0.0, LEVELS, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # single-rate curves
         prof = extract_classes(m1, s1, m0, s0, K=5, L=5, lambda_tot=1.0)
@@ -478,9 +443,8 @@ def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r
     small-cell position; and each curve counts exactly those inverse SINRs."""
     spec = HotspotSpec(R_h=r_h, theta_h=theta_h, A=sigma)
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
-    region = region_at(Ls, reach)
     samples = FieldSamples(spec, PARAMS, LAYOUT, 500, seed)
-    rim, macro_assoc, delta = (a.copy() for a in samples.at(Ls, region))
+    rim, macro_assoc, delta = (a.copy() for a in samples.at(Ls, reach))
     draws = samples.users(rim)
     users = [PolarPoint(float(x), float(y)) for x, y in samples.xy[draws]]
     assert macro_assoc.tolist() == [macro_associated(m, Ls, PARAMS) for m in users]
@@ -500,8 +464,7 @@ def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r
               for u in small_users]))
         for curve_fn, kw, counted, scalar in cases:
             np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
-            curve = curve_fn(0.0, Ls, LEVELS, spec, PARAMS, region, LAYOUT,
-                             samples=samples, **kw)
+            curve = curve_fn(0.0, Ls, reach, LEVELS, samples, **kw)
             if len(counted):
                 want = np.zeros(len(LEVELS))
                 want[below] = [np.count_nonzero(counted <= x) / len(counted)
@@ -517,14 +480,13 @@ def test_snapshot_curves_match_one_curve_calls(ls_r, ls_theta, reach, seed):
     one-curve calls, for random small-cell positions; every curve is
     non-increasing in level and lies in [0, 1]."""
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
-    region = region_at(Ls, reach)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
-    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
-    args = (5.0, Ls, LEVELS, SPEC, PARAMS, region, LAYOUT)
-    want = (macro_ccdf(*args, samples=samples),
-            macro_ccdf(*args, include_small_interference=False, samples=samples),
-            small_ccdf(*args, samples=samples),
-            small_ccdf(*args, include_central_macro=False, samples=samples))
+    got = snapshot_curves(5.0, Ls, reach, LEVELS, samples)
+    args = (5.0, Ls, reach, LEVELS, samples)
+    want = (macro_ccdf(*args),
+            macro_ccdf(*args, include_small_interference=False),
+            small_ccdf(*args),
+            small_ccdf(*args, include_central_macro=False))
     for g, w in zip(got, want):
         assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
             (w.cell, w.t, w.mass, w.n_samples, w.empty)
@@ -550,12 +512,12 @@ def brute_force_field(Ls, n, seed):
     return xy, r, d, small_rx, macro_association(small_rx, r_neg_pow), g, r ** b2
 
 
-def brute_force_curves(Ls, region, n, seed):
+def brute_force_curves(Ls, reach, n, seed):
     """The four curves of a snapshot, (m1, m0, s1, s0), as (values, stderr,
     mass, n_samples), from every draw: S* is ``in_region_xy`` within the
     domain, plus a draw on the small cell itself (the disk of reach 0)."""
     xy, r, d, small_rx, assoc, g, r_pow = brute_force_field(Ls, n, seed)
-    inside = (in_region_xy(xy, region) | (d == 0.0)) & np.isfinite(g)
+    inside = (in_region_xy(xy, Region(LAYOUT.R, Ls, reach)) | (d == 0.0)) & np.isfinite(g)
     below = LEVELS <= PARAMS.eta0
     thresholds = psi(LEVELS[below], PARAMS)
 
@@ -573,8 +535,8 @@ def brute_force_curves(Ls, region, n, seed):
             curve(s, small_inverse_sinr(g, r_pow, small_rx, False)))
 
 
-def assert_brute_force_curves(got, Ls, region, n, seed):
-    want = brute_force_curves(Ls, region, n, seed)
+def assert_brute_force_curves(got, Ls, reach, n, seed):
+    want = brute_force_curves(Ls, reach, n, seed)
     for g, (values, stderr, mass, n_samples) in zip(got, want):
         assert np.array_equal(g.values, values)
         assert np.array_equal(g.stderr, stderr)
@@ -608,10 +570,9 @@ def test_snapshot_curves_match_brute_force_over_all_draws(ls_r, ls_theta, reach,
         else:
             pick = np.flatnonzero(r <= LAYOUT.R)
         Ls = PolarPoint(*map(float, xy[pick[seed % len(pick)]]))
-    region = region_at(Ls, reach)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
-    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
-    want = assert_brute_force_curves(got, Ls, region, n, seed)
+    got = snapshot_curves(5.0, Ls, reach, LEVELS, samples)
+    want = assert_brute_force_curves(got, Ls, reach, n, seed)
     if on_draw is not None:
         assert want[2][3] >= 1                 # the draw on the small cell is its user
     assert samples.fallbacks == (on_draw is not None)
@@ -635,7 +596,7 @@ def position_on_edge(n, seed, target, straddles):
         for phi in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
             Ls = PolarPoint(float(xy[i, 0] + d * math.cos(phi)),
                             float(xy[i, 1] + d * math.sin(phi)))
-            delta = samples.at(Ls, region_at(Ls, 0.0))[2][j]
+            delta = samples.at(Ls, 0.0)[2][j]
             if straddles(i, j, delta, brute_force_field(Ls, n, seed)):
                 return samples, Ls
     raise AssertionError("no straddling position found")
@@ -650,8 +611,8 @@ def test_a_draw_on_the_association_tie_takes_the_exact_path():
     samples, Ls = position_on_edge(
         n, seed, lambda i: 1.0,
         lambda i, j, delta, field: bool(delta <= 1.0) != bool(field[4][i]))
-    got = snapshot_curves(5.0, Ls, LEVELS, region_at(Ls, 0.0), samples)
-    assert_brute_force_curves(got, Ls, region_at(Ls, 0.0), n, seed)
+    got = snapshot_curves(5.0, Ls, 0.0, LEVELS, samples)
+    assert_brute_force_curves(got, Ls, 0.0, n, seed)
     assert samples.fallbacks == 1
 
 
@@ -675,8 +636,8 @@ def test_a_draw_on_a_threshold_takes_the_exact_path():
         return bool(assoc[i]) and bool(g[i] + delta <= th) != bool(exact <= th)
 
     samples, Ls = position_on_edge(n, seed, lambda i: threshold(i) - g[i], straddles)
-    got = snapshot_curves(5.0, Ls, LEVELS, region_at(Ls, 0.0), samples)
-    assert_brute_force_curves(got, Ls, region_at(Ls, 0.0), n, seed)
+    got = snapshot_curves(5.0, Ls, 0.0, LEVELS, samples)
+    assert_brute_force_curves(got, Ls, 0.0, n, seed)
     assert samples.fallbacks == 1
 
 
@@ -694,11 +655,10 @@ def test_guarded_kernel_equals_the_exact_path(r_h, theta_h, sigma, off_r, off_th
     spec = HotspotSpec(R_h=r_h, theta_h=theta_h, A=sigma)
     off = PolarPoint.from_polar(off_r, off_theta)
     Ls = PolarPoint(spec.center.x + off.x, spec.center.y + off.y)
-    region = region_at(Ls, reach)
     samples = FieldSamples(spec, PARAMS, LAYOUT, 2_000, seed)
-    got = snapshot_curves(5.0, Ls, LEVELS, region, samples)
+    got = snapshot_curves(5.0, Ls, reach, LEVELS, samples)
     assert samples.fallbacks == 0
-    rim = samples.at(Ls, region)[0]
+    rim = samples.at(Ls, reach)[0]
     want = ccdf_module._exact_curves(5.0, Ls, LEVELS, samples, rim)
     for g, w in zip(got, want):
         assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
@@ -742,32 +702,36 @@ def test_sweep_counts_every_position_as_its_one_position_call(places, block, see
     c, m = samples.n_core, len(samples.g)
     assume(m > c)
     far = PolarPoint.from_polar(0.5, SPEC.theta_h + math.pi)
-    regions, on_draw = [], []
+    spots, on_draw = [], []
     for place, reach, ls_r, ls_theta, pick in places:
         Ls = {"hotspot": SPEC.center, "far": far,
               "core draw": PolarPoint(*map(float, samples.xy[pick % c])),
               "rim draw": PolarPoint(*map(float, samples.xy[c + pick % (m - c)])),
               "random": PolarPoint.from_polar(ls_r, ls_theta)}[place]
-        regions.append(region_at(Ls, reach))
+        spots.append((Ls, reach))
         on_draw.append(place.endswith("draw"))
-    regions.append(regions[0])                        # a repeated position
+    spots.append(spots[0])                            # a repeated position
     on_draw.append(on_draw[0])
-    times = [10.0 * i for i in range(len(regions))]
+    times = [10.0 * i for i in range(len(spots))]
     one, flagged = [], []
-    for t, region in zip(times, regions):
+    for t, (Ls, reach) in zip(times, spots):
         before = samples.fallbacks
-        one.append(snapshot_curves(t, region.small_center, LEVELS, region, samples))
+        one.append(snapshot_curves(t, Ls, reach, LEVELS, samples))
         flagged.append(samples.fallbacks - before)
     assert all(flagged[i] == 1 for i, drawn in enumerate(on_draw) if drawn)
     before = samples.fallbacks
-    with mock.patch.object(ccdf_module, "_BLOCK", block):
-        swept = ccdf_module.snapshot_sweep(times, regions, LEVELS, samples)
+    for reach in sorted({reach for _, reach in spots}):     # one sweep per reach
+        series = [i for i, spot in enumerate(spots) if spot[1] == reach]
+        with mock.patch.object(ccdf_module, "_BLOCK", block):
+            swept = ccdf_module.snapshot_sweep([times[i] for i in series],
+                                               [spots[i][0] for i in series], reach,
+                                               LEVELS, samples)
+        for i, got in zip(series, swept, strict=True):
+            t, Ls = times[i], spots[i][0]
+            assert_same_curves(got, one[i])
+            rim = samples.rim(Ls, reach)
+            assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
     assert samples.fallbacks - before == sum(flagged)
-    for t, region, got, want in zip(times, regions, swept, one, strict=True):
-        Ls = region.small_center
-        assert_same_curves(got, want)
-        rim = samples.rim(Ls, region.small_reach)
-        assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
 
 
 @settings(max_examples=25, deadline=None)
@@ -782,7 +746,7 @@ def test_extract_classes_conserves_mean_and_phase_order(ls_r, ls_theta, reach, k
     both curves agree over a class's span)."""
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
-    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, LEVELS, region_at(Ls, reach), samples)
+    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, reach, LEVELS, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # single-rate curves
         prof = extract_classes(m1, s1, m0, s0, K=k, L=l, lambda_tot=1.0)

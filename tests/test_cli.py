@@ -99,6 +99,57 @@ def test_dynamics_command_and_reproducibility(tmp_path, capsys):
                       "eta_bar_mbps,R_mbps,conservation_residual")
 
 
+# copies of the bundled scenario, each made by one substitution of a line:
+# (pattern, replacement, the --duration of its run, or None for the file's)
+VARIANTS = {
+    "bundled": (None, None, "300"),
+    # coverage past the macro disk: the snapshots also count the rim users
+    "reach-0.1": (r"^small_reach_km = .*", "small_reach_km = 0.1", "300"),
+    # one lap over the horizon: all but the last snapshot position are distinct
+    "one-lap": (r"^period_s = .*", "period_s = 3600", None),
+    # two stops: the bus dwells 60 s and 30 s each lap and regains its cruise speed
+    "two-stops": (r"^period_s = .*", "\\g<0>\nstops = 0.25,0.5,60; 0.0,0.5,30", None),
+    # one stop, which the bus leaves each lap
+    "one-stop": (r"^period_s = .*", "\\g<0>\nstops = 0.25,0.5,7", None),
+    # no route: the bus walks freely, drawing its speed change each step
+    "free-walk": (r"^route = .*", "route =", "600"),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_scenario_variant_runs_alike_on_one_and_two_workers(variant, tmp_path, capfd):
+    """Each copy of the bundled scenario runs at 1 and 2 workers: both exit
+    0 and write the same six non-empty files (a worker returns replication
+    0's trace pickled, and the results come back in replication order), with
+    nothing on stderr and no Python warning, in the run or in a worker."""
+    pattern, replacement, duration = VARIANTS[variant]
+    text = bundled_scenario_path().read_text()
+    if pattern is not None:
+        text, n = re.subn(pattern, replacement, text, count=1, flags=re.M)
+        assert n == 1
+    config = tmp_path / "s.ini"
+    config.write_text(text)
+    argv = ["dynamics", "--config", str(config), "--samples", "2000", "--replications", "2"]
+    if duration is not None:
+        argv += ["--duration", duration]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in ("1", "2"):
+            assert main(argv + ["--workers", w, "--out", str(tmp_path / w)]) == 0
+    assert capfd.readouterr().err == ""
+    for name in DYNAMICS_FILES:
+        one = (tmp_path / "1" / name).read_bytes()
+        assert one.count(b"\r\n") > 1 and one == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_two_ccdf_runs_write_the_same_bytes(tmp_path):
+    for run in ("a", "b"):
+        assert main(["ccdf", "--samples", "2000", "--out", str(tmp_path / run)]) == 0
+    for name in ("ccdf.csv", "trajectory.csv"):
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a.count(b"\r\n") > 1 and a == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_a_free_walk_summary_has_no_nan_and_no_warning(tmp_path, capsys):
     """Without a route the bus walks freely from the origin and here never
     comes within the near window: the summary says ``none`` for that window
@@ -206,7 +257,9 @@ def test_invalid_overrides_exit_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize("mobility, key", [
     ("route = 0.3,0.75; 0.25,0.75; 0.25,0.25", "mobility.route"),
     ("route = 0.25,0.25; 0.25,0.75; 0.0,0.75; 0.0,0.25\nstops = 1.5,1.5,10", "mobility.stops"),
-], ids=["off-grid-waypoint", "stop-off-route"])
+    ("route = 0.25,0.25; 0.25,0.75; 0.0,0.75; 0.0,0.25\nstops = 0.25,0.5,10; 0.25,0.5,5",
+     "mobility.stops"),
+], ids=["off-grid-waypoint", "stop-off-route", "stops-sharing-a-place"])
 @pytest.mark.parametrize("cmd", ["validate", "dynamics"])
 def test_a_route_the_bus_cannot_drive_exits_2(tmp_path, capsys, mobility, key, cmd):
     """``validate`` rejects what ``dynamics`` would: the same config error,

@@ -16,7 +16,7 @@ from mobicell.flowsim import (_GAMMA, MACRO, SMALL, InsufficientDataError, Traff
                               estimate_transition_rates, simulate)
 from mobicell.pipeline import _flows_file, _trace_file, _write
 from mobicell.geometry import CellLayout, PolarPoint
-from mobicell.hotspot import CoverageRegion, HotspotSpec
+from mobicell.hotspot import HotspotSpec
 from mobicell.radio import RadioParams
 
 
@@ -183,13 +183,10 @@ def _profiles_for_motion(positions, seed=2, n=20_000):
     samples = FieldSamples(spec, params, layout, n, seed)
     profs = []
     for t, Ls in positions:
-        region = CoverageRegion(macro_radius=layout.R, small_center=Ls, small_reach=0.2)
-        m1 = macro_ccdf(t, Ls, levels, spec, params, region, layout, samples=samples)
-        m0 = macro_ccdf(t, Ls, levels, spec, params, region, layout, samples=samples,
-                        include_small_interference=False)
-        s1 = small_ccdf(t, Ls, levels, spec, params, region, layout, samples=samples)
-        s0 = small_ccdf(t, Ls, levels, spec, params, region, layout, samples=samples,
-                        include_central_macro=False)
+        m1 = macro_ccdf(t, Ls, 0.2, levels, samples)
+        m0 = macro_ccdf(t, Ls, 0.2, levels, samples, include_small_interference=False)
+        s1 = small_ccdf(t, Ls, 0.2, levels, samples)
+        s0 = small_ccdf(t, Ls, 0.2, levels, samples, include_central_macro=False)
         profs.append(extract_classes(m1, s1, m0, s0, K=4, L=4, lambda_tot=5.0))
     return profs
 

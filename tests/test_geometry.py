@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mobicell.geometry import (CellLayout, PolarPoint, disk_radius, distance,
-                               interferer_positions)
+from conftest import interferer_positions
+from mobicell.geometry import CellLayout, PolarPoint, disk_radius, distance
 
 
 def test_disk_radius_closed_form():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mobicell.geometry import PolarPoint
-from mobicell.hotspot import CoverageRegion, HotspotSpec, sample_xy
+from mobicell.hotspot import HotspotSpec, sample_xy
 
-from conftest import (DegenerateRegionError, density, in_region_xy, integrate_indicator,
-                      sample)
+from conftest import (DegenerateRegionError, Region, density, in_region_xy,
+                      integrate_indicator, sample)
 
 
 @pytest.fixture
@@ -17,8 +17,7 @@ def spec():
 
 def wide_region():
     # big enough to catch essentially all Gaussian mass
-    return CoverageRegion(macro_radius=50.0, small_center=PolarPoint(0.0, 0.0),
-                          small_reach=0.0)
+    return Region(macro_radius=50.0, small_center=PolarPoint(0.0, 0.0), small_reach=0.0)
 
 
 def polar_grid_mass(f, spec, region, n_r=1000, n_th=2000, r_max=None):
@@ -92,7 +91,7 @@ def test_integrate_full_mass(spec):
 def test_association_partition_sums_to_region_mass(spec):
     """Complementary indicators on identical draws split the covered mass
     exactly."""
-    region = CoverageRegion(macro_radius=0.525, small_center=spec.center, small_reach=0.1)
+    region = Region(macro_radius=0.525, small_center=spec.center, small_reach=0.1)
     f = lambda xy: xy[:, 0] > spec.center.x
     g = lambda xy: xy[:, 0] <= spec.center.x
     whole = integrate_indicator(lambda xy: np.ones(len(xy), bool), spec, region, 50_000, 9,
@@ -114,7 +113,7 @@ def test_integrate_monotone_in_indicator(spec):
 def test_integrate_vs_quadrature_oracle(spec):
     """Monte Carlo mass against the polar-grid quadrature oracle on the
     asymmetric covered region."""
-    region = CoverageRegion(macro_radius=0.525, small_center=spec.center, small_reach=0.15)
+    region = Region(macro_radius=0.525, small_center=spec.center, small_reach=0.15)
     f = lambda xy: xy[:, 1] > spec.center.y
     est = integrate_indicator(f, spec, region, 200_000, 17, vectorized=True)
     ref = polar_grid_mass(f, spec, region)
@@ -143,8 +142,8 @@ def test_integrate_scalar_predicate_matches_vectorized(spec):
 
 
 def test_degenerate_region(spec):
-    region = CoverageRegion(macro_radius=1e-6, small_center=PolarPoint(30.0, 30.0),
-                            small_reach=1e-6)
+    region = Region(macro_radius=1e-6, small_center=PolarPoint(30.0, 30.0),
+                    small_reach=1e-6)
     with pytest.raises(DegenerateRegionError):
         integrate_indicator(lambda xy: np.ones(len(xy), bool), spec, region, 1000, 1,
                             vectorized=True)
@@ -162,5 +161,3 @@ def test_spec_validation():
         HotspotSpec(R_h=0.5, theta_h=0.0, A=0.0)
     with pytest.raises(ValueError):
         HotspotSpec(R_h=-0.5, theta_h=0.0, A=0.1)
-    with pytest.raises(ValueError):
-        CoverageRegion(macro_radius=0.5, small_center=PolarPoint(0, 0), small_reach=-0.1)

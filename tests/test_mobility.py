@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobicell.config import bundled_scenario_path, load_scenario
 from mobicell.geometry import PolarPoint
@@ -154,28 +156,162 @@ def test_route_with_stop_dwells():
                          cruise_kmh=6.0, stops=stops)
     traj = generate_trajectory(pol, GRID, T=1200.0, dt=2.0, seed=0)
     xy = traj.positions_xy()
-    at_stop = (np.abs(xy[:, 0] - 0.25) < 1e-9) & (np.abs(xy[:, 1] - 0.5) < 1e-9)
-    # dwell of 60 s at dt=2 leaves ~30 consecutive samples frozen at the stop
-    assert at_stop.sum() >= 28
+    at_stop = np.flatnonzero((np.abs(xy[:, 0] - 0.25) < 1e-9) & (np.abs(xy[:, 1] - 0.5) < 1e-9))
+    visits = np.split(at_stop, np.flatnonzero(np.diff(at_stop) > 1) + 1)
+    assert len(visits) == 2
     speeds = traj.speeds()
-    assert speeds[at_stop][1:-1].max() == 0.0
+    for visit in visits:
+        # dwell of 60 s at dt=2 leaves ~30 consecutive samples frozen at the stop
+        assert len(visit) >= 28
+        assert speeds[visit][1:-1].max() == 0.0
+
+
+def rest_runs(speeds):
+    """The maximal runs of consecutive steps at speed 0, as index arrays."""
+    at_rest = np.flatnonzero(speeds == 0.0)
+    return np.split(at_rest, np.flatnonzero(np.diff(at_rest) > 1) + 1) if len(at_rest) else []
 
 
 def test_a_cruising_bus_regains_its_cruise_speed_after_each_dwell():
     """The reference bus (3 Km/h, dv 3.6 Km/h) with two stops: each stop
-    holds it at rest for its dwell, give or take the steps it arrives and
-    leaves on, and one step later it is back at exactly 3 Km/h."""
+    holds it at rest for the step it arrives on and its dwell, and one step
+    later it is back at exactly 3 Km/h."""
     policy, grid, lap = reference_route()
     stops = (((0.25, 0.5), 60.0), ((0.0, 0.5), 30.0))
     traj = generate_trajectory(replace(policy, stops=stops), grid, T=2.0 * lap, dt=1.0,
                                seed=0)
     speeds = traj.speeds()
     assert set(speeds.tolist()) == {0.0, 3.0}
-    at_rest = np.flatnonzero(speeds == 0.0)
-    runs = np.split(at_rest, np.flatnonzero(np.diff(at_rest) > 1) + 1)
+    runs = rest_runs(speeds)
     assert len(runs) == 4
-    assert all(dwell <= len(run) <= dwell + 2 for run, dwell in zip(runs, (60, 30, 60, 30)))
+    assert [len(run) for run in runs] == [61, 31, 61, 31]
     assert all(speeds[run[-1] + 1] == 3.0 for run in runs)
+
+
+@pytest.mark.parametrize("stop, dv, rests, first", [
+    ((0.25, 0.5, 7.0), 3.6, [8, 8], 300),
+    ((0.25, 0.5, 7.0), 0.0, [8, 8], 300),
+    ((0.25, 0.5, 0.0), 3.6, [1, 1], 300),
+    ((0.25, 0.25, 7.0), 3.6, [8], 1800)],
+    ids=["mid-route", "no-acceleration", "no-dwell", "first-waypoint"])
+def test_a_route_with_one_stop_leaves_it(stop, dv, rests, first):
+    """The reference bus with one stop rests there once a lap, for the step
+    it arrives on and its dwell, and drives on: a stop it has just served
+    lies a full lap ahead, so a stop on the first waypoint is first served on
+    arrival one lap later."""
+    policy, grid, lap = reference_route()
+    x, y, dwell = stop
+    traj = generate_trajectory(replace(policy, dv=dv, stops=(((x, y), dwell),)), grid,
+                               T=2.0 * lap, dt=1.0, seed=0)
+    runs = rest_runs(traj.speeds())
+    assert [len(run) for run in runs] == rests
+    assert runs[0][0] == first
+    for run in runs:
+        assert all((s.position.x, s.position.y) == (x, y) for s in traj.states[run[0]:run[-1] + 2])
+        assert traj.states[run[-1] + 1].velocity == 3.0
+
+
+def route_point(route, arc):
+    """The point at arc length ``arc`` (less than one lap) along the cyclic
+    axis-aligned ``route``."""
+    for (ax, ay), (bx, by) in zip(route, route[1:] + route[:1]):
+        length = abs(bx - ax) + abs(by - ay)
+        if arc <= length:
+            return (ax + math.copysign(arc, bx - ax) if bx != ax else ax,
+                    ay + math.copysign(arc, by - ay) if by != ay else ay)
+        arc -= length
+    raise AssertionError("arc past the lap")
+
+
+def route_distance(xy, route):
+    """Distance of each point of ``xy`` to the cyclic axis-aligned ``route``."""
+    best = np.full(len(xy), np.inf)
+    for (ax, ay), (bx, by) in zip(route, route[1:] + route[:1]):
+        cx = np.clip(xy[:, 0], min(ax, bx), max(ax, bx))
+        cy = np.clip(xy[:, 1], min(ay, by), max(ay, by))
+        best = np.minimum(best, np.hypot(xy[:, 0] - cx, xy[:, 1] - cy))
+    return best
+
+
+@st.composite
+def buses(draw):
+    """A bus on a cyclic grid route (out and back, a rectangle or an L, in
+    either direction and from any corner), with a cruise speed, dv (0
+    included), a step dt and zero to three stops at distinct half-block
+    places along it, each with a dwell; and the grid, each stop's arc
+    position in half blocks and the route's length."""
+    block = draw(st.sampled_from([0.1, 0.25]))
+    i, j = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    w, h, a, b = (draw(st.integers(1, 2)) for _ in range(4))
+    corners = draw(st.sampled_from([
+        [(i, j), (i + w, j)],
+        [(i, j), (i + w, j), (i + w, j + h), (i, j + h)],
+        [(i, j), (i + w + a, j), (i + w + a, j + h), (i + w, j + h), (i + w, j + h + b),
+         (i, j + h + b)]]))
+    if draw(st.booleans()):
+        corners = corners[::-1]
+    if draw(st.booleans()):
+        corners = [(y, x) for x, y in corners]
+    k = draw(st.integers(0, len(corners) - 1))
+    route = tuple((x * block, y * block) for x, y in corners[k:] + corners[:k])
+    halves = round(sum(abs(p[0] - q[0]) + abs(p[1] - q[1])
+                       for p, q in zip(corners, corners[1:] + corners[:1])) * 2)
+    # a place an out-and-back route passes twice lies at its first pass
+    first = {}
+    for p in range(halves):
+        point = route_point(route, p * block / 2)
+        first.setdefault(tuple(round(c, 9) for c in point), (p, point))
+    chosen = sorted(draw(st.lists(st.sampled_from(sorted(first.values())), max_size=3,
+                                  unique=True)))
+    places, points = [p for p, _ in chosen], [point for _, point in chosen]
+    dt = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 3.0))
+    stops = tuple((point, draw(st.sampled_from([0.0, 7.0, 2.5 * dt]) | st.floats(0.0, 40.0)))
+                  for point in points)
+    cruise = draw(st.floats(2.0, 40.0))
+    dv = draw(st.sampled_from([0.0]) | st.floats(0.1, 50.0))
+    v_max = cruise * draw(st.floats(1.0, 2.0))
+    return (MobilityPolicy(v_max=v_max, dv=dv, cruise_kmh=cruise, route=route, stops=stops,
+                           initial_speed=cruise), ManhattanGrid(block, 2.0), places,
+            halves * block / 2, dt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bus=buses())
+def test_route_kinematics_with_stops(bus):
+    """On random grid routes with stops: every state lies on the route; the
+    bus rests only on stops, serving them in route order from the first one
+    ahead of the start, each for ceil(dwell / dt) + 1 states; it then leaves
+    the stop and regains its cruise speed within ceil(cruise / dv) steps (at
+    once when dv is 0) unless it brakes for the next stop first; and it never
+    exceeds v_max."""
+    policy, grid, places, total, dt = bus
+    lap = 3600.0 * total / policy.cruise_kmh + sum(d for _, d in policy.stops) + 10 * dt
+    traj = generate_trajectory(policy, grid, T=min(2.0 * lap, 3000 * dt), dt=dt, seed=0)
+    xy, speeds = traj.positions_xy(), traj.speeds()
+    assert route_distance(xy, policy.route).max() <= 1e-9
+    assert 0.0 <= speeds.min() and speeds.max() <= policy.v_max
+    stops = [np.array(p) for p, _ in policy.stops]
+    # the stops (in arc order) in the order served: a stop on the start comes last
+    order = list(range(len(places)))
+    if places and places[0] == 0:
+        order = order[1:] + order[:1]
+    cruise, dv = policy.cruise_kmh, policy.dv
+    regain = math.ceil(cruise / dv) if dv > 0 else 1
+    runs = rest_runs(speeds)
+    for m, run in enumerate(runs):
+        at = [n for n, p in enumerate(stops) if np.abs(xy[run] - p).max() <= 1e-9]
+        assert len(at) == 1, "a rest off a stop"
+        assert at[0] == order[m % len(order)]
+        end = run[-1]
+        if end + regain + 2 >= len(speeds):
+            break                                       # cut by the horizon
+        assert len(run) == math.ceil(policy.stops[at[0]][1] / dt) + 1
+        assert np.abs(xy[end + 1] - stops[at[0]]).max() <= 1e-9 < speeds[end + 1]
+        assert np.abs(xy[end + 2] - stops[at[0]]).max() > 1e-9
+        after = speeds[end + 1:end + 2 + regain]
+        braked = np.flatnonzero(np.diff(after) < 0)
+        reached = np.flatnonzero(after[:regain] == cruise)
+        assert len(reached) or len(braked), after
 
 
 def test_invalid_routes_rejected():
@@ -189,6 +325,10 @@ def test_invalid_routes_rejected():
         generate_trajectory(
             MobilityPolicy(v_max=5.0, route=RECT, stops=(((1.5, 1.5), 10.0),)),
             GRID, 10.0, 1.0, 0)  # stop off the route
+    with pytest.raises(InvalidRouteError, match="two stops"):
+        generate_trajectory(
+            MobilityPolicy(v_max=5.0, route=RECT, stops=(((0.25, 0.5), 10.0), ((0.25, 0.5), 5.0))),
+            GRID, 10.0, 1.0, 0)  # two stops at one place
 
 
 def test_distance_to_hotspot_series():

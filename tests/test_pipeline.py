@@ -11,7 +11,6 @@ from mobicell.ccdf import (FieldSamples, extract_classes, snapshot_curves,
                            snapshot_sweep)
 from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenario_id,
                              load_scenario, with_overrides)
-from mobicell.hotspot import CoverageRegion
 from mobicell.pipeline import (analytic_windows, baseline_windows,
                                macro_only_profile, mean_flux_rates, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
@@ -61,8 +60,7 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
     Ls = s.positions[i]
     assert (Ls.x, Ls.y) == (s.positions[j].x, s.positions[j].y)
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, (1, 0, 0))
-    region = CoverageRegion(cfg.layout.R, Ls, cfg.small_reach_km)
-    fresh = snapshot_curves(t, Ls, cfg.levels, region, samples)
+    fresh = snapshot_curves(t, Ls, cfg.small_reach_km, cfg.levels, samples)
     prof = extract_classes(fresh[0], fresh[2], fresh[1], fresh[3], cfg.K, cfg.L,
                            cfg.traffic.lambda_tot)
     for got, want, twin in zip(s.curves[i], fresh, s.curves[j]):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (_interference_oracle_grid, interference_factor_oracle,
+                      interferer_positions)
 from mobicell.geometry import CellLayout, PolarPoint
-from mobicell.radio import (RadioParams, _interference_oracle_grid,
-                            interference_factor, interference_factor_oracle,
-                            inverse_interference_factor, macro_associated, omega,
-                            psi, shannon_rate, sinr_macro, sinr_small)
+from mobicell.radio import (RadioParams, interference_factor, inverse_interference_factor,
+                            macro_associated, omega, psi, shannon_rate, sinr_macro,
+                            sinr_small)
 
 TABLE = dict(pathloss_exp_macro=3.76, pathloss_exp_small=3.67, bandwidth_mhz=20.0,
              k1=0.85, k2=1.9, eta0_mbps=98.0)
@@ -45,9 +46,7 @@ def test_omega_variant_arbitration():
     layout = CellLayout(delta=1.0, rings_for_oracle=60)
     for b in (1.88, 1.835, 2.0):
         b2 = 2.0 * b
-        lattice = sum(s.r ** (-b2) for s in
-                      __import__("mobicell.geometry", fromlist=["interferer_positions"])
-                      .interferer_positions(layout)) / 6.0
+        lattice = sum(s.r ** (-b2) for s in interferer_positions(layout)) / 6.0
         # ring tail of the 60-ring truncation decays like ring^(1-2b)
         tail = 6.0 * 60 ** (2.0 - b2) / (b2 - 2.0) / 6.0
         assert omega(b, "product") == pytest.approx(lattice, abs=3 * tail)
