@@ -38,10 +38,14 @@ class HotspotSpec:
 
 
 def sample_xy(spec: HotspotSpec, n: int, rng) -> np.ndarray:
-    """n i.i.d. draws from the user measure as an (n, 2) Cartesian array."""
+    """n i.i.d. draws from the user measure as an (n, 2) Cartesian array,
+    c + A N for standard normal N, scaled and shifted in place."""
     if n < 1:
         raise ValueError("need at least one sample")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     c = spec.center
-    return np.array([c.x, c.y]) + spec.A * rng.standard_normal((n, 2))
+    xy = rng.standard_normal((n, 2))
+    xy *= spec.A
+    xy += (c.x, c.y)
+    return xy

@@ -95,8 +95,10 @@ class MobilityPolicy:
     ``dv``, landing on it when it is at most ``dv`` away; with None, beta is
     drawn uniformly on [-1, 1] each step.  ``route`` is a list of
     intersection waypoints traversed cyclically; ``stops`` are ((x, y),
-    dwell_s) pairs lying on the route, each at its own place.  ``dv`` is the
-    per-step speed increment in Km/h.
+    dwell_s) pairs lying on the route, each at its own place.  A stop on a
+    place the route passes twice belongs to the first segment that passes
+    it, so the bus serves it on that pass only.  ``dv`` is the per-step
+    speed increment in Km/h.
     """
 
     v_max: float
@@ -262,7 +264,10 @@ def _segment_heading(a, b) -> Heading:
 
 def _route_geometry(pts, stops):
     """Cumulative arc lengths of the cyclic route (a list of Python floats)
-    and stop arc positions."""
+    and stop arc positions.  A stop's position is on the first segment, in
+    route order, that passes its place: on a place passed twice (an
+    out-and-back route, say) it is served on the first pass only, and a
+    second stop there is the same place on the route."""
     n = len(pts)
     seg_len = []
     for i in range(n):

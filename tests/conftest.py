@@ -2,7 +2,8 @@
 oracles used by the flow-simulation and analytic tests, the Monte Carlo
 indicator integral over the covered region used by the hotspot tests, and
 the lattice-sum oracle of the interference factor used by the geometry,
-radio and acceptance tests."""
+radio and acceptance tests, and the reference build of the field samples'
+arrays used by the CCDF tests."""
 
 import itertools
 import math
@@ -13,10 +14,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mobicell.ccdf import ClassProfile
+from mobicell.ccdf import _DOMAIN_FRAC, _TINY, ClassProfile
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import HotspotSpec, sample_xy
-from mobicell.radio import RadioParams
+from mobicell.radio import RadioParams, _g_formula
 
 
 def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
@@ -276,3 +277,30 @@ def _interference_oracle_grid(r_values, params: RadioParams, layout: CellLayout,
     theta = np.linspace(0.0, 2.0 * math.pi, n_azimuths, endpoint=False)
     return np.array([np.mean(_lattice_g(r * np.cos(theta), r * np.sin(theta), r,
                                         params, layout)) for r in r_values])
+
+
+def reference_field_arrays(spec: HotspotSpec, params: RadioParams, layout: CellLayout,
+                           n: int, seed) -> dict:
+    """The arrays of ``FieldSamples(spec, params, layout, n, seed)`` by a
+    plain build that holds every draw's temporaries at once: the draws
+    ``c + A * N`` out of place, g over every kept radius, then one
+    reordering gather of each array."""
+    rng = np.random.default_rng(seed)
+    c = spec.center
+    xy = np.array([c.x, c.y]) + spec.A * rng.standard_normal((n, 2))
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    core = r <= layout.R
+    kept = np.concatenate([np.flatnonzero(core),
+                           np.flatnonzero(~core & (r < _DOMAIN_FRAC * layout.delta))])
+    n_core = int(np.count_nonzero(core))
+    r = r[kept]
+    g = _g_formula(r, params, layout)
+    order = np.argsort(g[:n_core])
+    order = np.concatenate([order, n_core + np.argsort(g[n_core:])])
+    g = g[order]
+    r = r[order]
+    kept = kept[order]
+    xy = np.asfortranarray(xy.take(kept, axis=0))
+    kr = params.kappa * r ** (2.0 * params.b_macro)
+    return {"xy": xy, "g": g, "_kr": kr, "n_core": n_core,
+            "_fast": params.kappa > 0.0 and bool(np.all(kr >= _TINY))}

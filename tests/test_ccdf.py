@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import Region, in_region_xy
+from conftest import Region, in_region_xy, reference_field_arrays
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -20,6 +21,7 @@ from mobicell.ccdf import (CcdfCurve, Cell, FieldSamples, combined_ccdf,
                            curve_pmf, default_levels,
                            extract_classes, macro_ccdf, macro_only_ccdf,
                            small_ccdf, snapshot_curves)
+from mobicell.config import bundled_scenario_path, load_scenario
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import HotspotSpec, sample_xy
 from mobicell.pipeline import _curves_file, _write
@@ -94,6 +96,35 @@ def test_field_at_matches_a_fresh_evaluation():
         want = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 4).at(Ls, reach)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+_REFERENCE = load_scenario(bundled_scenario_path())
+
+
+@pytest.mark.parametrize("case, seed", [
+    ("reference", 0), ("reference", 1), ("reference", (1, 0, 0)),
+    ("wide-hotspot", 5), ("kappa-0", 3)])
+def test_field_samples_equal_the_reference_build(case, seed):
+    """Built block by block and permuted in place, the field samples hold
+    bit for bit the arrays of the plain build, ``xy`` column-major, on the
+    reference scenario at full size, on a hotspot wide enough for rim draws
+    and domain cuts, and with kappa = 0, which no snapshot takes fast."""
+    cfg = _REFERENCE
+    spec, params = cfg.spec, cfg.params
+    if case == "wide-hotspot":
+        spec = dataclasses.replace(spec, A=0.4)
+    elif case == "kappa-0":
+        params = dataclasses.replace(params, kappa=0.0)
+    n = cfg.mc_samples
+    samples = FieldSamples(spec, params, cfg.layout, n, seed)
+    want = reference_field_arrays(spec, params, cfg.layout, n, seed)
+    for name in ("xy", "g", "_kr"):
+        assert np.array_equal(getattr(samples, name), want[name]), name
+    assert samples.xy.flags.f_contiguous
+    assert (samples.n_core, samples._fast) == (want["n_core"], want["_fast"])
+    if case == "wide-hotspot":
+        assert samples.n_core < len(samples.g) < n
+    assert samples._fast == (case != "kappa-0")
 
 
 def test_field_samples_keep_each_set_in_ascending_g():

@@ -406,6 +406,25 @@ def test_a_flow_small_against_its_class_clock_departs_within_the_check(seed):
     assert all(err[fid] <= 1e-9 * cols.size[fid] + _GAMMA * cols.scale[fid] for fid in done)
 
 
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+def test_work_is_conserved_to_the_rounding_of_the_class_clocks(record):
+    """A slow class keeps the cell busy while flows pass through a class a
+    billion times faster, whose clock runs about 1e8 times a flow's size:
+    each departure leaves a few ulps of that clock unserved, up to several
+    times 1e-9 of the drawn work over a run.  The run-level check allows the
+    departures' clock rounding, with or without records, so every seed
+    runs, and its gap stays inside that allowance."""
+    prof = make_profile(lam_m=(0.001, 0.05), eta_m0=(1e-3, 1e6))
+    gaps = []
+    for seed in range(10):
+        tr = simulate(prof, None, TrafficSpec(0.051, 1.0), 2e4, seed, record_flows=record)
+        drawn = tr.offered_mbits_drawn
+        gap = abs(drawn - tr.served_mbits() - tr.backlog_mbits)
+        assert gap <= 1e-9 * drawn + _GAMMA * tr.departure_scale
+        gaps.append(gap / (1e-9 * drawn))
+    assert max(gaps) > 1.0
+
+
 def test_recorded_trace_survives_pickling():
     profs, rates, traffic, T = _moving_system()
     tr = simulate(profs, rates, traffic, T, 4, record_flows=True)

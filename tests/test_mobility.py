@@ -11,7 +11,8 @@ from mobicell.geometry import PolarPoint
 from mobicell.hotspot import HotspotSpec
 from mobicell.mobility import (Heading, InvalidRouteError, ManhattanGrid,
                                MobilityPolicy, TrajectoryState,
-                               distance_to_hotspot, generate_trajectory, step)
+                               distance_to_hotspot, generate_trajectory,
+                               route_cruise_policy, step)
 from mobicell.pipeline import _trajectory_file, _write
 
 GRID = ManhattanGrid(block=0.25, extent=2.0)
@@ -209,6 +210,25 @@ def test_a_route_with_one_stop_leaves_it(stop, dv, rests, first):
     for run in runs:
         assert all((s.position.x, s.position.y) == (x, y) for s in traj.states[run[0]:run[-1] + 2])
         assert traj.states[run[-1] + 1].velocity == 3.0
+
+
+def test_a_stop_the_route_passes_twice_is_served_on_the_first_pass():
+    """On an out-and-back route a stop halfway lies on both passes; it
+    belongs to the first segment that passes it, so the bus rests there
+    heading out, once a lap, and drives through it on the way back.  A
+    second stop at that place is the same place on the route."""
+    policy, grid, _ = reference_route()
+    route, stop = ((0.0, 0.0), (0.5, 0.0)), ((0.25, 0.0), 10.0)
+    bus = route_cruise_policy(route, 240.0, v_max=policy.v_max, dv=policy.dv,
+                              turn_probs=policy.turn_probs, stops=(stop,))
+    traj = generate_trajectory(bus, grid, T=480.0, dt=1.0, seed=0)
+    runs = rest_runs(traj.speeds())
+    assert [(run[0], run[-1]) for run in runs] == [(61, 71), (316, 326)]
+    for run in runs:
+        assert {traj.states[i].heading for i in run} == {Heading.PX}
+    with pytest.raises(InvalidRouteError, match="two stops share one place"):
+        generate_trajectory(replace(bus, stops=(stop, ((0.25, 0.0), 5.0))), grid,
+                            T=480.0, dt=1.0, seed=0)
 
 
 def route_point(route, arc):

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -40,6 +41,31 @@ def test_snapshot_series_structure(cfg_small, series_small):
         assert np.all(np.diff(p.eta_macro[:, 1]) >= 0)
         assert p.lambda_macro.sum() + p.lambda_small.sum() == pytest.approx(
             cfg_small.traffic.lambda_tot)
+
+
+def test_a_round_holds_its_draws_and_flows_at_the_size_it_keeps(cfg_small):
+    """Building the reference scenario's field samples peaks, as traced, at
+    most 1.8 times the bytes they keep (the draws, g and kappa r^2b), and
+    replication 0's recorded flows hold 8 bytes per value in each value
+    column."""
+    cfg = load_scenario(bundled_scenario_path())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, (1, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = samples.xy.nbytes + samples.g.nbytes + samples._kr.nbytes
+    assert peak <= 1.8 * kept, f"peak {peak / kept:.3f} times the bytes kept"
+
+    trace = run_replication(cfg_small, 0).trace_sc
+    cols = trace.flow_columns
+    assert trace.n_arrivals > 0
+    for col in (cols.arrival, cols.size, cols.departure, cols.served, cols.scale):
+        view = memoryview(col)
+        assert (view.format, view.nbytes) == ("d", 8 * trace.n_arrivals)
 
 
 def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
