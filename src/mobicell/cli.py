@@ -74,6 +74,8 @@ def _instants(option: str, text: str) -> list:
 
 
 def cmd_ccdf(args) -> int:
+    if args.times is not None and args.distances_m is not None:
+        raise ValueError("--times and --distances-m are alternatives: give one of them")
     cfg = _load(args)
     times = _instants("--times", args.times) if args.times else None
     distances = _instants("--distances-m", args.distances_m) \

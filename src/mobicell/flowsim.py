@@ -11,11 +11,16 @@ The rates are constant within an epoch (one piece, one partner phase), so
 there class k's clock is base_k + eta_k S, with S restarted at 0 when the
 epoch starts and each occupied class rebased so that its clock is
 continuous; an empty class's clock restarts at 0 when a flow enters it.
-Each class's top departs at share clock (top_k - base_k) / eta_k, and each
-cell keeps the least of these, refreshed only in the cell an event touches;
-the next departure is (least - S) |n| away.  Time integrals are flushed per
-class (n dt and n d clock) when its count changes, at piece boundaries and at
-T, and the busy time per busy period.
+Each class's top departs at share clock (top_k - base_k) / eta_k, its due;
+each cell keeps the class of the least due (None while the cell is idle),
+refreshed only in the cell an event touches, and the next departure is
+(due - S) |n| away.  Time integrals are flushed per class (n dt and n d
+clock) when its count changes, at piece boundaries and at T, and the busy
+time per busy period.
+
+Every event but a piece boundary picks the flow that leaves a class and the
+flow that enters one with the work it has left; one leave step and one enter
+step do the bookkeeping, so migrations and handovers share one move.
 
 Each flow in service has one entry, held both in its class's heap of
 thresholds and in its class's member list, which migrations and handovers
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import array
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -49,8 +55,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from mobicell.ccdf import ClassProfile
 
 MACRO, SMALL = 0, 1
 
@@ -211,12 +215,18 @@ class QueueTrace:
         return m, s
 
     def served_mbits(self) -> float:
-        return float(sum(sum(c) for c in self.int_served))
+        return _sum(map(_sum, self.int_served))
 
     def state_frequencies(self) -> dict:
         if self.states_time is None:
             raise ValueError("run simulate(..., track_states=True) to collect state frequencies")
         return {k: v / self.T for k, v in self.states_time.items()}
+
+
+def _sum(xs) -> float:
+    """Left to right from 0.0, as Python 3.11's builtin sum: it compensates
+    from 3.12 on, which would tie a run's bytes to the Python version."""
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 _BLOCK = 8192
@@ -230,22 +240,19 @@ def _pool(draw, first):
     return itertools.chain.from_iterable(map(memoryview, blocks))
 
 
-def _as_list(x):
-    return [x] if isinstance(x, (ClassProfile, TransitionRates)) else list(x)
-
-
 class _Class:
     """One class of one cell during a run: its flows, its clock and its
     integrals since the last flush."""
 
-    __slots__ = ("k", "tag", "n", "hazard", "rate", "base", "due", "heap", "members",
-                 "since", "clock", "piece_n", "piece_served", "int_n", "int_served")
+    __slots__ = ("k", "tag", "n", "up", "down", "hazard", "rate", "base", "due", "heap",
+                 "members", "since", "clock", "piece_n", "piece_served", "int_n", "int_served")
 
     def __init__(self, c: int, k: int):
         self.k = k
         self.tag = (c, k)    # a flow record's visit
         self.n = 0
-        self.hazard = 0.0    # migration hazard per flow in the current piece
+        # migration hazards per flow in the current piece: up, down, both
+        self.up = self.down = self.hazard = 0.0
         self.rate = 0.0      # eta_k of the epoch; each flow gets rate / |n|
         self.base = 0.0      # class clock at the epoch start
         self.due = math.inf  # share clock at which the heap top departs
@@ -275,18 +282,20 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
              track_states: bool = False, record_flows: bool = False) -> QueueTrace:
     """Run the coupled system for T seconds of model time.
 
-    ``profiles`` is one ClassProfile or a time series; rates and class/arrival
-    parameters are piecewise constant between profile timestamps.  ``rates``
-    may be None (no migrations or handovers), a single TransitionRates or a
-    series aligned with the profile intervals.  Deterministic per seed.
+    ``profiles`` is a series of ClassProfile, one element for a stationary
+    run; rates and class/arrival parameters are piecewise constant between
+    profile timestamps.  ``rates`` is None (no migrations or handovers) or a
+    series of TransitionRates aligned with the profile intervals, its last
+    element holding for the pieces past its end.  Deterministic per seed.
 
     Each cell runs on one share clock (see the module notes): an event
-    advances it by delta/|n| and reads the next departure off the cell's
-    least due share time; an epoch (one piece, one partner phase) rebases the
-    cell's occupied classes, and the integrals are flushed per class when its
-    count changes, at piece boundaries and at T.  Same draws in the same
-    order as a per-class-clock engine; times and integrals differ from its by
-    rounding.
+    advances it by delta/|n| and reads the next departure off the due of the
+    cell's least class, ``first_q``; an epoch (one piece, one partner phase)
+    rebases the cell's occupied classes, and the integrals are flushed per
+    class when its count changes, at piece boundaries and at T.  Each other
+    event picks what leaves and what enters, and one leave block and one
+    enter block do its bookkeeping.  Same draws in the same order as a
+    per-class-clock engine; times and integrals differ from its by rounding.
 
     ``T`` must be positive and finite (ValueError otherwise).  Model time
     runs on Python floats: profile times and ``T`` may be numpy scalars and
@@ -307,12 +316,11 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     T = float(T)    # model time runs on Python floats (see the module notes)
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    profs = _as_list(profiles)
-    profs.sort(key=lambda p: p.t)
+    profs = sorted(profiles, key=lambda p: p.t)
     K, L = profs[0].K, profs[0].L
     if any(p.K != K or p.L != L for p in profs):
         raise ValueError("all profiles must share the class counts")
-    rate_list = [TransitionRates.zeros(K, L)] if rates is None else _as_list(rates)
+    rate_list = [TransitionRates.zeros(K, L)] if rates is None else rates
     n_pieces = len(profs)
 
     # two pools on one Generator: the first exponential block is drawn before
@@ -331,8 +339,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     # share clock of each cell since its epoch began; within an epoch class
     # k's clock is base + rate * share
     share = [0.0, 0.0]
-    first = [inf, inf]             # least due of each cell's occupied classes
-    first_q = [None, None]         # its class, the lowest on a tie
+    # the class of each cell's least due, the lowest on a tie; None while idle
+    first_q = [None, None]
     hz = [0.0, 0.0]                # sum of n_k * hazard_k per cell
     busy_from = [0.0, 0.0]
     drawn = 0.0
@@ -373,24 +381,15 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         # eta[cell][phase][class] as plain lists for fast scalar access
         eta = ([p.eta_macro[:, 0].tolist(), p.eta_macro[:, 1].tolist()],
                [p.eta_small[:, 0].tolist(), p.eta_small[:, 1].tolist()])
-        mig = ((r.nu_up.tolist(), r.nu_down.tolist()),
-               (r.nu_tilde_up.tolist(), r.nu_tilde_down.tolist()))
-        for c, (ups, downs) in enumerate(mig):
-            for q, u, d in zip(cq[c], ups, downs):
-                q.hazard = u + d
-        return (arrivals, cum, sum(lam[MACRO]) + sum(lam[SMALL]), eta, mig,
+        nus = ((r.nu_up, r.nu_down), (r.nu_tilde_up, r.nu_tilde_down))
+        for c, (ups, downs) in enumerate(nus):
+            for q, u, d in zip(cq[c], ups.tolist(), downs.tolist()):
+                q.up, q.down, q.hazard = u, d, u + d
+        return (arrivals, cum, _sum(lam[MACRO]) + _sum(lam[SMALL]), eta,
                 float(r.nu_handover_m2s), float(r.nu_handover_s2m), min(piece_edges[i], T))
 
-    (arrivals, cum, lam_tot, eta, mig, ho_m2s, ho_s2m, piece_end) = piece_params(piece)
+    (arrivals, cum, lam_tot, eta, ho_m2s, ho_s2m, piece_end) = piece_params(piece)
     rate = [eta[MACRO][0], eta[SMALL][0]]   # class rates of each cell's epoch
-
-    def refresh(c: int):
-        occ = occupied[c]
-        if occ:
-            q = first_q[c] = min(occ, key=_DUE)
-            first[c] = q.due
-        else:
-            first[c] = inf
 
     def new_epoch(c: int):
         """Switch cell c to the rates of the piece and its partner's phase:
@@ -403,7 +402,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
             q.rate = r[q.k]
             q.due = (q.heap[0][0] - q.base) / q.rate
         share[c] = 0.0
-        refresh(c)
+        occ = occupied[c]
+        first_q[c] = min(occ, key=_DUE) if occ else None
 
     def sum_hazard(c: int):
         h = 0.0
@@ -423,82 +423,17 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 q.int_served += q.piece_served
                 q.piece_n = q.piece_served = 0.0
 
-    def enter(fid: int, c: int, q: _Class, remaining: float, t: float):
-        if q.n:
-            v = q.flush(share[c], t)
-        else:
-            # an empty class's clock restarts at 0
-            q.rate = rate[c][q.k]
-            q.base = -(q.rate * share[c])
-            q.since = t
-            q.clock = v = 0.0
-            bisect.insort(occupied[c], q, key=_INDEX)
-        q.n += 1
-        m = q.members
-        entry = [v + remaining, fid, True, len(m)]
-        heapq.heappush(q.heap, entry)
-        m.append(entry)
-        if q.heap[0] is entry:
-            d = q.due = (entry[0] - q.base) / q.rate
-            if d < first[c] or (d == first[c] and q.k < first_q[c].k):
-                first[c] = d
-                first_q[c] = q
-        if q.hazard:
-            sum_hazard(c)
-        total[c] += 1
-        if total[c] == 1:
-            busy_from[c] = t
-            new_epoch(1 - c)
-
-    def leave(entry: list, c: int, q: _Class, t: float) -> float:
-        """Swap-remove ``entry`` from its class and mark it dead in the heap,
-        popping the dead tops if it was the top; return its remaining work."""
-        v = q.flush(share[c], t)
-        m = q.members
-        last = m.pop()
-        if last is not entry:
-            m[entry[3]] = last
-            last[3] = entry[3]
-        entry[2] = False
-        q.n -= 1
-        h = q.heap
-        if h[0] is entry:
-            while h and not h[0][2]:
-                heapq.heappop(h)
-            if h:
-                q.due = (h[0][0] - q.base) / q.rate
-            else:
-                occupied[c].remove(q)
-            if q is first_q[c]:
-                refresh(c)
-        if q.hazard:
-            sum_hazard(c)
-        total[c] -= 1
-        if not total[c]:
-            busy_time[c] += t - busy_from[c]
-            share[c] = 0.0
-            new_epoch(1 - c)
-        return entry[0] - v
-
-    def transfer(entry: list, c: int, q: _Class, c2: int, q2: _Class, t: float):
-        """A migration or handover: the flow of ``entry`` leaves class q of
-        cell c for class q2 of cell c2 with the work it has left."""
-        enter(entry[1], c2, q2, leave(entry, c, q, t), t)
-        if record_flows:
-            cols.moved_fid.append(entry[1])
-            cols.moved_to.append(q2.tag)
-
     while t < T:
         # next departure: each busy cell's least due, |n| seconds per unit
         # of share clock; the macro cell first on a tie
         best_dep = inf
         tc = total[MACRO]
         if tc:
-            best_dep = (first[MACRO] - share[MACRO]) * tc
+            best_dep = (first_q[MACRO].due - share[MACRO]) * tc
             dep_c = MACRO
         tc = total[SMALL]
         if tc:
-            dt_small = (first[SMALL] - share[SMALL]) * tc
+            dt_small = (first_q[SMALL].due - share[SMALL]) * tc
             if dt_small < best_dep:
                 best_dep = dt_small
                 dep_c = SMALL
@@ -545,77 +480,135 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
                 piece_time[piece] = t - piece_from
                 piece_from = t
                 piece += 1
-                (arrivals, cum, lam_tot, eta, mig, ho_m2s, ho_s2m,
-                 piece_end) = piece_params(piece)
+                (arrivals, cum, lam_tot, eta, ho_m2s, ho_s2m, piece_end) = piece_params(piece)
                 for c in cells:
                     new_epoch(c)
                     sum_hazard(c)
             continue
 
+        # each event picks what leaves (the flow of ``entry``, in class q of
+        # cell c) and what enters (flow fid with ``work`` left, into class q2
+        # of cell c2): a departure enters nothing, an arrival leaves nothing
         if delta == best_dep:
-            q = first_q[dep_c]
+            c = dep_c
+            q = first_q[c]
             entry = q.heap[0]   # live: tops are kept live
-            left = leave(entry, dep_c, q, t)
-            scale = abs(entry[0]) + abs(q.base)
-            scale_sum += scale
-            if record_flows:
-                fid = entry[1]
-                departures[fid] = t
-                served[fid] = sizes[fid] - left
-                scales[fid] = scale
+            q2 = None
             n_dep += 1
-            continue
-
-        if delta == dt_arr:
-            c, q = arrivals[bisect.bisect_right(cum, nxt(unis) * lam_tot)]
-            size = nxt(exps) * sigma0
-            drawn += size
+        elif delta == dt_arr:
+            q = None
+            c2, q2 = arrivals[bisect.bisect_right(cum, nxt(unis) * lam_tot)]
+            fid = n_arr
+            work = nxt(exps) * sigma0
+            drawn += work
             if record_flows:
                 add_arrival(t)
-                add_size(size)
+                add_size(work)
                 add_departure(math.nan)
                 add_served(0.0)
                 add_scale(math.nan)
-                add_first(q.tag)
-            enter(n_arr, c, q, size, t)
+                add_first(q2.tag)
             n_arr += 1
-            continue
-
-        if delta == dt_mig:
+        elif delta == dt_mig:
             u = nxt(unis) * mig_rate
             acc = 0.0
-            move = None
-            for c in cells:
-                ups, downs = mig[c]
-                for q in occupied[c]:
-                    acc += q.n * ups[q.k]
-                    if u < acc:
-                        move = (c, q, q.k + 1)
-                        break
-                    acc += q.n * downs[q.k]
-                    if u < acc:
-                        move = (c, q, q.k - 1)
-                        break
-                if move:
+            for q in occupied[MACRO] + occupied[SMALL]:
+                acc += q.n * q.up
+                if u < acc:
+                    k2 = q.k + 1
                     break
-            if move:
-                c, q, k2 = move
-                transfer(q.members[int(nxt(unis) * q.n)], c, q, c, cq[c][k2], t)
-                n_mig += 1
-            continue
-
-        if delta == dt_ho:
+                acc += q.n * q.down
+                if u < acc:
+                    k2 = q.k - 1
+                    break
+            else:
+                continue    # u rounded past the last hazard: nothing moves
+            c = c2 = q.tag[0]
+            q2 = cq[c][k2]
+            entry = q.members[int(nxt(unis) * q.n)]
+            n_mig += 1
+        else:
             u = nxt(unis) * ho_rate
-            src = MACRO if u < total[MACRO] * ho_m2s else SMALL
-            pick = int(nxt(unis) * total[src])
-            for q in occupied[src]:
+            c = MACRO if u < total[MACRO] * ho_m2s else SMALL
+            pick = int(nxt(unis) * total[c])
+            for q in occupied[c]:
                 if pick < q.n:
-                    # into the first class
-                    transfer(q.members[pick], src, q, 1 - src, cq[1 - src][0], t)
-                    n_ho += 1
                     break
                 pick -= q.n
-            continue
+            else:
+                continue    # u rounded into a cell with no flow: nothing moves
+            entry = q.members[pick]
+            c2 = 1 - c
+            q2 = cq[c2][0]      # into the first class
+            n_ho += 1
+
+        if q is not None:
+            # leave: swap-remove the entry from its class's members and mark
+            # it dead in the heap, popping the dead tops if it was the top
+            v = q.flush(share[c], t)
+            m = q.members
+            last = m.pop()
+            if last is not entry:
+                m[entry[3]] = last
+                last[3] = entry[3]
+            entry[2] = False
+            q.n -= 1
+            h = q.heap
+            if h[0] is entry:
+                while h and not h[0][2]:
+                    heapq.heappop(h)
+                if h:
+                    q.due = (h[0][0] - q.base) / q.rate
+                else:
+                    occupied[c].remove(q)
+                if q is first_q[c]:
+                    occ = occupied[c]
+                    first_q[c] = min(occ, key=_DUE) if occ else None
+            if q.hazard:
+                sum_hazard(c)
+            total[c] -= 1
+            if not total[c]:
+                busy_time[c] += t - busy_from[c]
+                share[c] = 0.0
+                new_epoch(1 - c)
+            fid = entry[1]
+            work = entry[0] - v
+            if q2 is None:
+                scale = abs(entry[0]) + abs(q.base)
+                scale_sum += scale
+                if record_flows:
+                    departures[fid] = t
+                    served[fid] = sizes[fid] - work
+                    scales[fid] = scale
+                continue
+            if record_flows:
+                cols.moved_fid.append(fid)
+                cols.moved_to.append(q2.tag)
+
+        # enter: an empty class's clock restarts at 0
+        if q2.n:
+            v = q2.flush(share[c2], t)
+        else:
+            q2.rate = rate[c2][q2.k]
+            q2.base = -(q2.rate * share[c2])
+            q2.since = t
+            q2.clock = v = 0.0
+            bisect.insort(occupied[c2], q2, key=_INDEX)
+        q2.n += 1
+        entry = [v + work, fid, True, len(q2.members)]
+        heapq.heappush(q2.heap, entry)
+        q2.members.append(entry)
+        if q2.heap[0] is entry:
+            d = q2.due = (entry[0] - q2.base) / q2.rate
+            f = first_q[c2]
+            if f is None or d < f.due or (d == f.due and q2.k < f.k):
+                first_q[c2] = q2
+        if q2.hazard:
+            sum_hazard(c2)
+        total[c2] += 1
+        if total[c2] == 1:
+            busy_from[c2] = t
+            new_epoch(1 - c2)
 
     # close the integrals at T; flows still in service keep a NaN departure
     # and their remaining work is the backlog
@@ -664,7 +657,7 @@ def _validate_trace(trace: QueueTrace):
         if bad.any():
             raise CheckError("served-work",
                              f"flow {int(np.argmax(bad))} departed with served != size")
-        served_flows = sum(cols.served)
+        served_flows = _sum(cols.served)
         if served_int > 0 and abs(served_flows - served_int) > 1e-6 * max(served_int, 1.0):
             raise CheckError("flow-bookkeeping",
                              f"flows {served_flows} vs integral {served_int}")
@@ -708,7 +701,7 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
     P_k = mean_m / tot if tot > 0 else np.zeros_like(mean_m)
     P_l = mean_s / tot if tot > 0 else np.zeros_like(mean_s)
     served = trace.served_mbits()
-    int_total_n = float(sum(sum(c) for c in trace.int_n))
+    int_total_n = _sum(map(_sum, trace.int_n))
     R = served / int_total_n if int_total_n > 0 else 0.0
     lam, sigma0 = trace.traffic.lambda_tot, trace.traffic.sigma0
     offered = lam * sigma0 * trace.T
@@ -730,7 +723,7 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
 def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0
                               ) -> list[TransitionRates]:
     """Per-flow migration and handover hazards from the drift of consecutive
-    snapshots.
+    snapshots of the series ``class_profiles``.
 
     Class migration: the change, across one snapshot interval, of the CCDF
     mass above a class boundary is the net probability flux over that
@@ -746,11 +739,10 @@ def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0
     ``extra_migration_rate`` adds a constant user-mobility hazard to every
     admissible migration.
     """
-    profs = _as_list(class_profiles)
-    if len(profs) < 2:
+    if len(class_profiles) < 2:
         raise InsufficientDataError("need at least two consecutive class profiles")
     out = []
-    for p0, p1 in zip(profs, profs[1:]):
+    for p0, p1 in zip(class_profiles, class_profiles[1:]):
         dt = p1.t - p0.t
         if dt <= 0:
             raise ValueError("profiles must have strictly increasing timestamps")

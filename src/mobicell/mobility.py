@@ -143,8 +143,11 @@ def route_cruise_policy(route: tuple, period_s: float, *, v_max: float, dv: floa
     """Cruise the cyclic ``route`` once per ``period_s`` unless ``speed_kmh``
     pins the speed; ``v_max`` is raised to that speed if lower."""
     if speed_kmh is None:
-        length = sum(abs(a[0] - b[0]) + abs(a[1] - b[1])
-                     for a, b in zip(route, route[1:] + route[:1]))
+        # summed left to right from 0.0: builtin sum compensates from Python
+        # 3.12 on, which would change the speed's bits with the version
+        length = 0.0
+        for a, b in zip(route, route[1:] + route[:1]):
+            length += abs(a[0] - b[0]) + abs(a[1] - b[1])
         speed_kmh = length / period_s * 3600.0
         if not math.isfinite(speed_kmh):
             raise ValueError(f"period_s={period_s} gives an infinite cruise speed")

@@ -156,7 +156,7 @@ def test_criterion_4_mm1_ps_oracle():
         T = 1e5 / lam
         means = []
         for seed in range(20):
-            tr = simulate(prof, None, TrafficSpec(lam, sigma0), T, (4, int(rho * 10), seed))
+            tr = simulate([prof], None, TrafficSpec(lam, sigma0), T, (4, int(rho * 10), seed))
             means.append(float(sum(tr.mean_counts()[0])))
         mu = float(np.mean(means))
         se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
@@ -182,7 +182,7 @@ def test_criterion_5_coupled_stationary_oracle():
     loads = coupled_loads_fixed_point(prof, traffic)
     assert loads.rho == pytest.approx(0.4, abs=1e-8)
     dist = stationary_static(prof, traffic, loads, n_max=60)
-    tr = simulate(prof, None, traffic, 200_000.0, (5, 1), track_states=True)
+    tr = simulate([prof], None, traffic, 200_000.0, (5, 1), track_states=True)
     sim = tr.state_frequencies()
     keys = set(sim) | {(tuple(n), tuple(m)) for n, m in dist.states}
     tv = 0.5 * sum(abs(sim.get(k, 0.0) - dist.prob(*k)) for k in keys)

@@ -265,7 +265,7 @@ def test_stationary_static_matches_simulation_tv():
     loads = coupled_loads_fixed_point(prof, traffic)
     assert loads.rho == pytest.approx(0.4, rel=1e-14)
     dist = stationary_static(prof, traffic, loads, n_max=60)
-    tr = simulate(prof, None, traffic, 120_000.0, 41, track_states=True)
+    tr = simulate([prof], None, traffic, 120_000.0, 41, track_states=True)
     sim = tr.state_frequencies()
     keys = set(sim) | {(tuple(n), tuple(m)) for n, m in dist.states}
     tv = 0.5 * sum(abs(sim.get(k, 0.0) - dist.prob(*k)) for k in keys)
@@ -404,7 +404,7 @@ def test_stationary_mobile_requires_system_stability():
 def test_mean_flow_throughput_single_always_on_flow():
     """One permanent flow: R equals that flow's service rate."""
     prof = make_profile(lam_m=(0.05,), lam_s=(0.0,), eta_m0=(10.0,), eta_s0=(10.0,))
-    tr = simulate(prof, None, TrafficSpec(0.05, 1e9), 2000.0, 3)
+    tr = simulate([prof], None, TrafficSpec(0.05, 1e9), 2000.0, 3)
     # the single giant flow never finishes; occupancy is eventually 1+
     if sum(tr.mean_counts()[0]) > 0:
         R = empirical_metrics(tr).mean_flow_throughput
@@ -418,7 +418,7 @@ def test_mean_flow_throughput_mm1_oracle():
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     vals = []
     for seed in range(6):
-        tr = simulate(prof, None, TrafficSpec(lam, sigma0), 30_000.0, seed)
+        tr = simulate([prof], None, TrafficSpec(lam, sigma0), 30_000.0, seed)
         vals.append(empirical_metrics(tr).mean_flow_throughput)
     assert float(np.mean(vals)) == pytest.approx(eta * (1 - rho), rel=0.05)
 
@@ -437,23 +437,23 @@ def test_mean_flow_throughput_from_distribution():
 
 def test_mean_flow_throughput_never_exceeds_max_class_rate():
     prof, traffic, lam, eta0, eta1 = make_coupled_toy(rho_target=0.5)
-    tr = simulate(prof, None, traffic, 20_000.0, 11)
+    tr = simulate([prof], None, traffic, 20_000.0, 11)
     assert empirical_metrics(tr).mean_flow_throughput <= eta0 + 1e-9
 
 
 def test_conservation_residual():
     prof = make_profile(lam_m=(0.0,), lam_s=(0.0,))
-    tr = simulate(prof, None, TrafficSpec(0.0, 2.0), 100.0, 1)
+    tr = simulate([prof], None, TrafficSpec(0.0, 2.0), 100.0, 1)
     assert empirical_metrics(tr).conservation_residual == 0.0
     # stable run: residual within 2% of the offered rate
     eta, sigma0, rho = 10.0, 2.0, 0.5
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
-    tr = simulate(prof, None, TrafficSpec(lam, sigma0), 50_000.0, 2)
+    tr = simulate([prof], None, TrafficSpec(lam, sigma0), 50_000.0, 2)
     assert abs(empirical_metrics(tr).conservation_residual) / (lam * sigma0) < 0.02
     # overload: strictly positive residual
-    tr_hot = simulate(make_profile(lam_m=(10.0,), lam_s=(0.0,), eta_m0=(10.0,),
-                                   eta_s0=(10.0,)), None,
+    tr_hot = simulate([make_profile(lam_m=(10.0,), lam_s=(0.0,), eta_m0=(10.0,),
+                                    eta_s0=(10.0,))], None,
                       TrafficSpec(10.0, 2.0), 5000.0, 3)
     assert empirical_metrics(tr_hot).conservation_residual > 0.0
 

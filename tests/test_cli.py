@@ -322,6 +322,16 @@ def test_a_nonsense_ccdf_instant_exits_2_naming_the_option(tmp_path, capsys, opt
     assert not out.exists()
 
 
+def test_ccdf_takes_times_or_distances_not_both(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["ccdf", "--samples", "2000", "--times", "0", "--distances-m", "60",
+                 "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "invalid-argument"
+    assert "--times" in payload["detail"] and "--distances-m" in payload["detail"]
+    assert not out.exists()
+
+
 def test_the_ccdf_summary_prints_the_snapshot_it_picked(tmp_path, capsys):
     """A time past the horizon picks the last snapshot, and says so."""
     assert main(["ccdf", "--samples", "2000", "--times", "5000",

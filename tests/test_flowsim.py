@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobicell.flowsim
+import mobicell.mobility
 from conftest import (coupled_chain_stationary, make_profile, migration_chain_piece_integrals,
                       migration_chain_stationary)
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
@@ -17,6 +20,7 @@ from mobicell.flowsim import (_GAMMA, MACRO, SMALL, InsufficientDataError, Traff
 from mobicell.pipeline import _flows_file, _trace_file, _write
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import HotspotSpec
+from mobicell.mobility import route_cruise_policy
 from mobicell.radio import RadioParams
 
 
@@ -24,7 +28,7 @@ def run_mm1(rho, eta=10.0, sigma0=2.0, n_arrivals=30_000, seed=0, record_flows=F
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     T = n_arrivals / lam
-    return simulate(prof, None, TrafficSpec(lam, sigma0), T, seed,
+    return simulate([prof], None, TrafficSpec(lam, sigma0), T, seed,
                     record_flows=record_flows)
 
 
@@ -43,7 +47,7 @@ def test_mm1_ps_mean_occupancy():
 
 def test_empty_traffic_gives_empty_trace():
     prof = make_profile(lam_m=(0.0,), lam_s=(0.0,))
-    tr = simulate(prof, None, TrafficSpec(0.0, 2.0), 1000.0, 1)
+    tr = simulate([prof], None, TrafficSpec(0.0, 2.0), 1000.0, 1)
     assert tr.n_arrivals == 0 and tr.n_departures == 0
     assert tr.served_mbits() == 0.0
 
@@ -92,7 +96,7 @@ def test_phase_switching_against_exact_chain():
     lam = 0.4 / (sigma0 * (0.4 / eta1 + 0.6 / eta0))
     prof = make_profile(lam_m=(lam,), lam_s=(lam,), eta_m0=(eta0,), eta_m1=(eta1,),
                         eta_s0=(eta0,), eta_s1=(eta1,))
-    tr = simulate(prof, None, TrafficSpec(2 * lam, sigma0), 150_000.0, 13,
+    tr = simulate([prof], None, TrafficSpec(2 * lam, sigma0), 150_000.0, 13,
                   track_states=True)
     freqs = tr.state_frequencies()
     exact = coupled_chain_stationary(lam, lam, sigma0, eta0, eta1, eta0, eta1)
@@ -109,7 +113,7 @@ def test_coupling_raises_occupancy_vs_independent():
     lam = 1.5
     prof = make_profile(lam_m=(lam,), lam_s=(lam,), eta_m0=(eta0,), eta_m1=(eta1,),
                         eta_s0=(eta0,), eta_s1=(eta1,))
-    tr = simulate(prof, None, TrafficSpec(2 * lam, sigma0), 40_000.0, 29)
+    tr = simulate([prof], None, TrafficSpec(2 * lam, sigma0), 40_000.0, 29)
     rho0 = lam * sigma0 / eta0
     mean_total = sum(tr.mean_counts()[0]) + sum(tr.mean_counts()[1])
     assert mean_total > 2 * rho0 / (1 - rho0)
@@ -121,7 +125,7 @@ def test_migrations_move_flows_between_classes():
                         eta_s0=(8.0,))
     rates = TransitionRates(0.0, nu_up=np.array([0.5, 0.0]), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1))
-    tr = simulate(prof, rates, TrafficSpec(lam, 2.0), 5000.0, 17,
+    tr = simulate([prof], [rates], TrafficSpec(lam, 2.0), 5000.0, 17,
                   record_flows=True)
     assert tr.n_migrations > 100
     # all arrivals enter class 1; anything served in class 2 got there by migration
@@ -147,7 +151,7 @@ def test_handover_delivers_into_first_class():
     rates = TransitionRates(0.0, nu_up=np.zeros(2), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(2), nu_tilde_down=np.zeros(2),
                             nu_handover_m2s=0.2)
-    tr = simulate(prof, rates, TrafficSpec(2 * lam, 2.0), 3000.0, 19,
+    tr = simulate([prof], [rates], TrafficSpec(2 * lam, 2.0), 3000.0, 19,
                   record_flows=True)
     assert tr.n_handovers > 50
     handed = [f for f in tr.flows if any(c == SMALL for c, _ in f.path)]
@@ -230,7 +234,7 @@ def test_transition_rates_need_two_profiles():
 
 def test_trace_csv_exports(tmp_path):
     tr = run_mm1(0.4, n_arrivals=500, seed=1, record_flows=True)
-    tr2 = simulate(make_profile(lam_m=(1.0,), lam_s=(0.0,)), None, TrafficSpec(1.0, 2.0),
+    tr2 = simulate([make_profile(lam_m=(1.0,), lam_s=(0.0,))], None, TrafficSpec(1.0, 2.0),
                    100.0, 1)
     _write(tmp_path, "# provenance", {"trace.csv": _trace_file(tr2),
                                       "flows.csv": _flows_file(tr)})
@@ -322,6 +326,60 @@ def test_moving_system_realisation_is_pinned():
             assert got[c] == pytest.approx(pinned[c], rel=1e-12)
 
 
+def test_a_migration_heavy_realisation_is_pinned():
+    """The moving system with +2/s on every admissible migration and
+    +0.05/s on both handover rates: thousands of moves, each a flow leaving
+    one class with the work it has left and entering another, so a change to
+    the move path shows in the event counts, the integrals or the flow
+    columns, pinned to the bit."""
+    profs, rates, traffic, T = _moving_system()
+    busy = [TransitionRates(r.t, r.nu_up + [2.0, 0.0], r.nu_down + [0.0, 2.0],
+                            r.nu_tilde_up + [2.0, 0.0], r.nu_tilde_down + [0.0, 2.0],
+                            r.nu_handover_m2s + 0.05, r.nu_handover_s2m + 0.05)
+            for r in rates]
+    tr = simulate(profs, busy, traffic, T, 5, record_flows=True)
+    assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
+        (2733, 2733, 2293, 82)
+    assert [[repr(float(x)) for x in c] for c in tr.int_n] == \
+        [["444.7253256742499", "306.5625628310021"],
+         ["165.0274589666724", "195.51807371844774"]]
+    assert [[repr(float(x)) for x in c] for c in tr.int_served] == \
+        [["1288.4184252367447", "1655.395822502915"],
+         ["718.9375804103304", "1882.7141541478102"]]
+    cols = tr.flow_columns
+    h = hashlib.sha256()
+    for col in (cols.arrival, cols.departure, cols.size, cols.served):
+        h.update(col.tobytes())
+    for col in (cols.first, cols.moved_fid, cols.moved_to):
+        h.update(repr(col).encode())
+    assert h.hexdigest() == "e877be996e02277109f6bff9baa6d46541aad1ebccf1f6fd61fbb6c5d56c6112"
+
+
+def _compensated_sum(xs, start=0):
+    """A builtin ``sum`` that rounds once, as a compensated sum does."""
+    return start + math.fsum(xs)
+
+
+def test_no_result_depends_on_how_the_builtin_sum_rounds(monkeypatch):
+    """From Python 3.12 on the builtin sum of floats is compensated: six
+    classes of 0.1/s sum to 0.6000000000000001/s there, 0.6/s on 3.11, and a
+    route with a 0.3 km side to 1.7999999999999998 km, not 1.8.  The engine's
+    arrival rate and integrals and a route's cruise speed are summed left to
+    right, so they keep their bits when the builtin sum rounds otherwise."""
+    def results():
+        tr = simulate([make_profile(lam_m=(0.1,) * 6, eta_m0=(3, 5, 7, 9, 11, 13))], None,
+                      TrafficSpec(0.6, 2.0), 5000.0, 3)
+        bus = route_cruise_policy(((0.0, 0.0), (0.6, 0.0), (0.6, 0.3), (0.0, 0.3)), 600.0,
+                                  v_max=10.0, dv=3.6, turn_probs=(0.25, 0.5, 0.25))
+        return _realisation(tr), empirical_metrics(tr).mean_flow_throughput, bus.cruise_kmh
+
+    plain = results()
+    assert plain[2] == 10.8
+    for module in (mobicell.flowsim, mobicell.mobility):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert results() == plain
+
+
 def _flow_values(tr):
     """Every flow record as exact values, a NaN departure as None."""
     return [(f.fid, f.arrival, None if math.isnan(f.departure) else f.departure, f.size,
@@ -398,7 +456,7 @@ def test_a_flow_small_against_its_class_clock_departs_within_the_check(seed):
     more than 1e-9 of its size, as in the smallest flows of a long busy
     period, yet within the rounding the check allows."""
     prof = make_profile(lam_m=(0.005, 0.005), eta_m0=(0.01, 1e6))
-    tr = simulate(prof, None, TrafficSpec(0.01, 1.0), 2e4, seed, record_flows=True)
+    tr = simulate([prof], None, TrafficSpec(0.01, 1.0), 2e4, seed, record_flows=True)
     cols = tr.flow_columns
     done = [fid for fid, d in enumerate(cols.departure) if not math.isnan(d)]
     err = {fid: abs(cols.served[fid] - cols.size[fid]) for fid in done}
@@ -417,7 +475,7 @@ def test_work_is_conserved_to_the_rounding_of_the_class_clocks(record):
     prof = make_profile(lam_m=(0.001, 0.05), eta_m0=(1e-3, 1e6))
     gaps = []
     for seed in range(10):
-        tr = simulate(prof, None, TrafficSpec(0.051, 1.0), 2e4, seed, record_flows=record)
+        tr = simulate([prof], None, TrafficSpec(0.051, 1.0), 2e4, seed, record_flows=record)
         drawn = tr.offered_mbits_drawn
         gap = abs(drawn - tr.served_mbits() - tr.backlog_mbits)
         assert gap <= 1e-9 * drawn + _GAMMA * tr.departure_scale
@@ -438,7 +496,7 @@ def test_recorded_trace_survives_pickling():
 def test_bad_horizon_is_rejected(T):
     prof = make_profile(lam_m=(1.0,), lam_s=(0.0,))
     with pytest.raises(ValueError, match="T must be positive and finite"):
-        simulate(prof, None, TrafficSpec(1.0, 2.0), T, 1)
+        simulate([prof], None, TrafficSpec(1.0, 2.0), T, 1)
 
 
 @pytest.mark.parametrize("lam, sigma0", [
@@ -520,7 +578,7 @@ def test_flow_records_never_change_the_realisation(K, L, seed, lam, nu, ho, etas
     rates = TransitionRates(0.0, np.array(up), np.array(down), np.array(tup),
                             np.array(tdown), ho, 2 * ho)
     traffic = TrafficSpec(2 * lam, 2.0)
-    on, off = (simulate(profs, rates, traffic, 80.0, seed,
+    on, off = (simulate(profs, [rates], traffic, 80.0, seed,
                         track_states=True, record_flows=rec)
                for rec in (True, False))
     assert _realisation(off) == _realisation(on)
@@ -546,7 +604,7 @@ def test_drawn_work_splits_into_served_and_backlog():
     """On the migration/handover oracle's system, every drawn Mbit is served
     or still in service at T, migrations and handovers included."""
     prof, rates, traffic = _oracle_system()
-    tr = simulate(prof, rates, traffic, 5000.0, 3)
+    tr = simulate([prof], [rates], traffic, 5000.0, 3)
     assert tr.n_migrations > 500 and tr.n_handovers > 500 and tr.backlog_mbits > 0.0
     m = empirical_metrics(tr)
     assert m.offered_mbits_drawn == pytest.approx(m.served_mbits + m.backlog_mbits,
@@ -562,7 +620,7 @@ def test_migrations_and_handovers_against_exact_chain():
     0.004).  A chain whose s->m handovers enter macro class 2 lies at TV 0.03
     from the simulation, one with nu_up x 1.5 at 0.027, one with both at 0.055."""
     prof, rates, traffic = _oracle_system()
-    tr = simulate(prof, rates, traffic, 60_000.0, 0, track_states=True)
+    tr = simulate([prof], [rates], traffic, 60_000.0, 0, track_states=True)
     assert tr.n_migrations > 10_000 and tr.n_handovers > 10_000
     sim = tr.state_frequencies()
     exact = migration_chain_stationary(**ORACLE)
