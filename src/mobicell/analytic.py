@@ -233,14 +233,14 @@ def class_membership(rates: TransitionRates):
     return qm / total, qs / total
 
 
-def effective_rate(profiles, loads_series, q: np.ndarray, q_tilde: np.ndarray,
+def effective_rate(times, profiles, loads_series, q: np.ndarray, q_tilde: np.ndarray,
                    traffic: TrafficSpec):
     """Service rate of the equivalent single PS queue and the matching load.
 
-    Per snapshot of the series (two or more, in time order) the class rates
-    are phase-mixed with the (clamped) partner loads and weighted by the
-    class membership probabilities; the series is time-averaged with the
-    trapezoidal rule.  Returns (eta_bar, rho_bar).
+    Per snapshot of the series (two or more, taken at the ascending
+    ``times``) the class rates are phase-mixed with the (clamped) partner
+    loads and weighted by the class membership probabilities; the series is
+    time-averaged with the trapezoidal rule.  Returns (eta_bar, rho_bar).
     """
     vals = np.empty(len(profiles))
     for i, (p, ld) in enumerate(zip(profiles, loads_series, strict=True)):
@@ -249,7 +249,7 @@ def effective_rate(profiles, loads_series, q: np.ndarray, q_tilde: np.ndarray,
         macro = np.dot(q, rt * p.eta_macro[:, 1] + (1.0 - rt) * p.eta_macro[:, 0])
         small = np.dot(q_tilde, r * p.eta_small[:, 1] + (1.0 - r) * p.eta_small[:, 0])
         vals[i] = macro + small
-    times = np.array([p.t for p in profiles])
+    times = np.asarray(times, dtype=float)
     eta_bar = float(np.trapezoid(vals, times) / (times[-1] - times[0]))
     if eta_bar <= 0.0:
         raise CheckError("effective-rate", "effective service rate must be positive")

@@ -160,7 +160,6 @@ class CcdfCurve:
     values: np.ndarray
     stderr: np.ndarray
     cell: Cell
-    t: float = 0.0
     mass: float = 0.0        # coverage-measure share of the population (S_t / S~_t)
     n_samples: int = 0
     empty: bool = False
@@ -296,16 +295,16 @@ def _level_grid(levels: np.ndarray, params: RadioParams):
     return below, th, keys
 
 
-def _finish_curve(counts, n_sel, levels, below, cell, t, n) -> CcdfCurve:
+def _finish_curve(counts, n_sel, levels, below, cell, n) -> CcdfCurve:
     """The curve of ``n_sel`` users of ``n`` draws, ``counts`` of them at or
     below each threshold of the levels ``below`` the peak rate."""
     if n_sel == 0:
         z = np.zeros(len(levels))
-        return CcdfCurve(levels, z, z.copy(), cell, t, 0.0, 0, empty=True)
+        return CcdfCurve(levels, z, z.copy(), cell, 0.0, 0, empty=True)
     values = np.zeros(len(levels))
     values[below] = counts / n_sel
     stderr = np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_sel)
-    return CcdfCurve(levels, values, stderr, cell, t, n_sel / n, n_sel)
+    return CcdfCurve(levels, values, stderr, cell, n_sel / n, n_sel)
 
 
 def _windowed_m1_counts(g, m1, dmax, keys, below_g, work):
@@ -377,7 +376,7 @@ def _count_block(samples: FieldSamples, Ls: PolarPoint, xy, kr, g, g_counts, bel
     return n_m
 
 
-def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
+def _exact_curves(Ls: PolarPoint, levels, samples: FieldSamples, rim):
     """(m1, m0, s1, s0) on the exact path, the guarded kernel's reference:
     small_rx from hypot and power, r^2b_macro and r^-2b_macro from hypot and
     power as ``FieldSamples`` takes them, association ``small_rx <=
@@ -399,7 +398,7 @@ def _exact_curves(t, Ls: PolarPoint, levels, samples: FieldSamples, rim):
 
     def curve(n_sel, inv_gamma, cell):
         counts = np.searchsorted(np.sort(inv_gamma), th, side="right")
-        return _finish_curve(counts, n_sel, levels, below, cell, t, samples.n)
+        return _finish_curve(counts, n_sel, levels, below, cell, samples.n)
 
     m, s = np.flatnonzero(macro), np.flatnonzero(~macro)
     m1 = curve(len(m), macro_inverse_sinr(g[m], r_pow[m], small_rx[m]), Cell.MACRO)
@@ -413,15 +412,14 @@ def _buffers(n):
     return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
 
-def snapshot_sweep(times, positions, small_reach: float, levels,
-                   samples: FieldSamples) -> list:
+def snapshot_sweep(positions, small_reach: float, levels, samples: FieldSamples) -> list:
     """The four curves of each snapshot, (m1, m0, s1, s0), with the small
-    cell at ``positions[i]``, its coverage reach ``small_reach`` and the
-    curves stamped ``times[i]``: macro and small cell, each with its partner
-    transmitting (1) and silent (0), under ``samples.params``.  They are
-    counted from the power ratio block by block (see the module docstring),
-    or on the exact path where the guard cannot prove those counts exact;
-    either way bit for bit the exact path's."""
+    cell at ``positions[i]`` and its coverage reach ``small_reach``: macro
+    and small cell, each with its partner transmitting (1) and silent (0),
+    under ``samples.params``.  They are counted from the power ratio block
+    by block (see the module docstring), or on the exact path where the
+    guard cannot prove those counts exact; either way bit for bit the exact
+    path's."""
     levels = _checked_levels(levels)
     below, th, keys = _level_grid(levels, samples.params)
     k, n_th = len(keys), len(th)
@@ -451,7 +449,7 @@ def snapshot_sweep(times, positions, small_reach: float, levels,
             if not exact[p]:
                 count(p, Ls, xy, kr, g, g_ranks, buffers)
     out = []
-    for p, (t, Ls) in enumerate(zip(times, positions)):
+    for p, Ls in enumerate(positions):
         rim = samples.rim(Ls, small_reach)
         if len(rim) and not exact[p]:
             # the rim users are one more block, in ascending g as the draws are
@@ -462,11 +460,11 @@ def snapshot_sweep(times, positions, small_reach: float, levels,
         counts = rows[p, :3 * k].reshape(3, 2, n_th)
         if exact[p] or not np.array_equal(counts[:, 0], counts[:, 1]):
             samples.fallbacks += 1
-            out.append(_exact_curves(t, Ls, levels, samples, rim))
+            out.append(_exact_curves(Ls, levels, samples, rim))
             continue
         (m1, s1, s0), m0, n_m = counts[:, 0], rows[p, 3 * k:], n_macro[p]
         n_s = c + len(rim) - n_m
-        out.append(tuple(_finish_curve(counted, n_sel, levels, below, cell, t, samples.n)
+        out.append(tuple(_finish_curve(counted, n_sel, levels, below, cell, samples.n)
                          for counted, n_sel, cell in ((m1, n_m, Cell.MACRO),
                                                      (m0, n_m, Cell.MACRO),
                                                      (s1, n_s, Cell.SMALL),
@@ -474,15 +472,14 @@ def snapshot_sweep(times, positions, small_reach: float, levels,
     return out
 
 
-def snapshot_curves(t: float, Ls: PolarPoint, small_reach: float, levels,
-                    samples: FieldSamples):
+def snapshot_curves(Ls: PolarPoint, small_reach: float, levels, samples: FieldSamples):
     """The four curves of one snapshot, (m1, m0, s1, s0): ``snapshot_sweep``
     at the one position ``Ls``."""
-    return snapshot_sweep([t], [Ls], small_reach, levels, samples)[0]
+    return snapshot_sweep([Ls], small_reach, levels, samples)[0]
 
 
-def macro_ccdf(t: float, Ls: PolarPoint, small_reach: float, levels,
-               samples: FieldSamples, include_small_interference: bool = True) -> CcdfCurve:
+def macro_ccdf(Ls: PolarPoint, small_reach: float, levels, samples: FieldSamples,
+               include_small_interference: bool = True) -> CcdfCurve:
     """Throughput CCDF of macro-associated users within S*: ``snapshot_curves``'
     m1, or m0 with ``include_small_interference`` cleared.
 
@@ -490,15 +487,15 @@ def macro_ccdf(t: float, Ls: PolarPoint, small_reach: float, levels,
     the small-cell term removed from the macro SINR (the partner-idle radio
     condition), which by construction dominates the interfered curve.
     """
-    m1, m0, _, _ = snapshot_curves(t, Ls, small_reach, levels, samples)
+    m1, m0, _, _ = snapshot_curves(Ls, small_reach, levels, samples)
     return m1 if include_small_interference else m0
 
 
-def small_ccdf(t: float, Ls: PolarPoint, small_reach: float, levels,
-               samples: FieldSamples, include_central_macro: bool = True) -> CcdfCurve:
+def small_ccdf(Ls: PolarPoint, small_reach: float, levels, samples: FieldSamples,
+               include_central_macro: bool = True) -> CcdfCurve:
     """Throughput CCDF of small-cell-associated users within S*:
     ``snapshot_curves``' s1, or s0 with ``include_central_macro`` cleared."""
-    _, _, s1, s0 = snapshot_curves(t, Ls, small_reach, levels, samples)
+    _, _, s1, s0 = snapshot_curves(Ls, small_reach, levels, samples)
     return s1 if include_central_macro else s0
 
 
@@ -509,12 +506,11 @@ def combined_ccdf(macro_curve: CcdfCurve, small_curve: CcdfCurve) -> CcdfCurve:
     tot = s + st
     if tot == 0.0:
         z = np.zeros(len(macro_curve.levels))
-        return CcdfCurve(macro_curve.levels, z, z.copy(), Cell.MACRO, macro_curve.t,
-                         0.0, 0, empty=True)
+        return CcdfCurve(macro_curve.levels, z, z.copy(), Cell.MACRO, 0.0, 0, empty=True)
     values = (s * macro_curve.values + st * small_curve.values) / tot
     stderr = np.hypot(s * macro_curve.stderr, st * small_curve.stderr) / tot
-    return CcdfCurve(macro_curve.levels, values, stderr, Cell.MACRO, macro_curve.t,
-                     tot, macro_curve.n_samples + small_curve.n_samples)
+    return CcdfCurve(macro_curve.levels, values, stderr, Cell.MACRO, tot,
+                     macro_curve.n_samples + small_curve.n_samples)
 
 
 def macro_only_ccdf(levels, spec: HotspotSpec, params: RadioParams,
@@ -539,7 +535,7 @@ def macro_only_ccdf(levels, spec: HotspotSpec, params: RadioParams,
         lam = inverse_interference_factor(psi(levels[below], params), params, layout)
         values[below] = chndtr((lam / spec.A) ** 2, 2, nc) / norm
     stderr = np.zeros(len(levels))
-    return CcdfCurve(levels, values, stderr, Cell.MACRO_ONLY, 0.0, float(norm), 0)
+    return CcdfCurve(levels, values, stderr, Cell.MACRO_ONLY, float(norm), 0)
 
 
 def curve_pmf(curve: CcdfCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -589,7 +585,6 @@ class ClassProfile:
     a cell's throughput distribution, so each holds 1/K (1/L) of its cell's
     users."""
 
-    t: float
     K: int
     L: int
     eta_macro: np.ndarray       # (K, 2): column 0 partner idle, column 1 interfered
@@ -647,7 +642,7 @@ def extract_classes(macro_curve: CcdfCurve, small_curve: CcdfCurve,
     lam_s = np.full(L, lambda_tot * (S_t / tot) * (1.0 / L)) if tot > 0 else np.zeros(L)
 
     return ClassProfile(
-        t=macro_curve.t, K=K, L=L,
+        K=K, L=L,
         eta_macro=np.column_stack([eta_m0, eta_m1]),
         eta_small=np.column_stack([eta_s0, eta_s1]),
         lambda_macro=lam_m, lambda_small=lam_s,

@@ -65,9 +65,18 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _numbers(name: str, text: str) -> list:
+    """The comma-separated numbers given as ``name`` (an option or a sweep
+    parameter); ValueError naming it if the list is empty or not numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{name}={text}: give comma-separated numbers") from None
+
+
 def _instants(option: str, text: str) -> list:
     """The comma-separated values of ``option``, each finite and >= 0."""
-    values = [float(x) for x in text.split(",")]
+    values = _numbers(option, text)
     if not all(0.0 <= v < math.inf for v in values):
         raise ValueError(f"{option}={text}: every value must be finite and >= 0")
     return values
@@ -77,9 +86,9 @@ def cmd_ccdf(args) -> int:
     if args.times is not None and args.distances_m is not None:
         raise ValueError("--times and --distances-m are alternatives: give one of them")
     cfg = _load(args)
-    times = _instants("--times", args.times) if args.times else None
+    times = _instants("--times", args.times) if args.times is not None else None
     distances = _instants("--distances-m", args.distances_m) \
-        if args.distances_m else (0.0, 60.0, 120.0)
+        if args.distances_m is not None else (0.0, 60.0, 120.0)
     out = args.out or f"out/{cfg.scenario_id}-ccdf"
     res = _run(cfg, run_ccdf, times=times, distances_m=distances, out_dir=out)
     print(f"wrote {out}/ccdf.csv and {out}/trajectory.csv "
@@ -107,7 +116,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = [float(x) for x in args.values.split(",")]
+    values = _numbers(args.parameter, args.values)
     out = args.out or f"out/{cfg.scenario_id}-sweep"
     _run(cfg, run_sweep, args.parameter, values, out_dir=out)
     print(f"wrote {out}/sweep_{args.parameter}.csv ({len(values)} values x "

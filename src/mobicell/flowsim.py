@@ -107,7 +107,6 @@ class TrafficSpec:
 class TransitionRates:
     """Per-flow class-migration and handover hazards (1/s) at one snapshot."""
 
-    t: float
     nu_up: np.ndarray          # (K,), nu_up[K-1] == 0
     nu_down: np.ndarray        # (K,), nu_down[0] == 0
     nu_tilde_up: np.ndarray    # (L,)
@@ -130,8 +129,8 @@ class TransitionRates:
             raise ValueError("boundary migration rates out of the class range must be 0")
 
     @classmethod
-    def zeros(cls, K: int, L: int, t: float = 0.0) -> "TransitionRates":
-        return cls(t, np.zeros(K), np.zeros(K), np.zeros(L), np.zeros(L))
+    def zeros(cls, K: int, L: int) -> "TransitionRates":
+        return cls(np.zeros(K), np.zeros(K), np.zeros(L), np.zeros(L))
 
 
 @dataclass
@@ -278,15 +277,16 @@ _INDEX = operator.attrgetter("k")
 _DUE = operator.attrgetter("due")
 
 
-def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
+def simulate(times, profiles, rates, traffic: TrafficSpec, T: float, seed,
              track_states: bool = False, record_flows: bool = False) -> QueueTrace:
     """Run the coupled system for T seconds of model time.
 
     ``profiles`` is a series of ClassProfile, one element for a stationary
-    run; rates and class/arrival parameters are piecewise constant between
-    profile timestamps.  ``rates`` is None (no migrations or handovers) or a
-    series of TransitionRates aligned with the profile intervals, its last
-    element holding for the pieces past its end.  Deterministic per seed.
+    run, profile i holding from times[i] to times[i + 1] (the last to T);
+    ``times`` must strictly ascend, one per profile (ValueError otherwise).
+    ``rates`` is None (no migrations or handovers) or a series of
+    TransitionRates aligned with the pieces, its last element holding for
+    the pieces past its end.  Deterministic per seed.
 
     Each cell runs on one share clock (see the module notes): an event
     advances it by delta/|n| and reads the next departure off the due of the
@@ -298,8 +298,8 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     per-class-clock engine; times and integrals differ from its by rounding.
 
     ``T`` must be positive and finite (ValueError otherwise).  Model time
-    runs on Python floats: profile times and ``T`` may be numpy scalars and
-    give the same values.
+    runs on Python floats: ``times`` and ``T`` may be numpy scalars and give
+    the same values.
 
     The trace samples the class counts at t = 0 and at each piece start
     before T, as the boundary leaves them; sampling draws nothing.  Nor does
@@ -316,12 +316,14 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     T = float(T)    # model time runs on Python floats (see the module notes)
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    profs = sorted(profiles, key=lambda p: p.t)
-    K, L = profs[0].K, profs[0].L
-    if any(p.K != K or p.L != L for p in profs):
+    piece_t = [float(t) for t in times]
+    if len(piece_t) != len(profiles) or not all(a < b for a, b in itertools.pairwise(piece_t)):
+        raise ValueError("times must strictly ascend, one per profile")
+    K, L = profiles[0].K, profiles[0].L
+    if any(p.K != K or p.L != L for p in profiles):
         raise ValueError("all profiles must share the class counts")
     rate_list = [TransitionRates.zeros(K, L)] if rates is None else rates
-    n_pieces = len(profs)
+    n_pieces = len(profiles)
 
     # two pools on one Generator: the first exponential block is drawn before
     # the first uniform one, later blocks as each pool runs out
@@ -367,10 +369,10 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
     t = 0.0
     piece = 0
     piece_from = 0.0
-    piece_edges = [float(p.t) for p in profs[1:]] + [inf]
+    piece_edges = piece_t[1:] + [inf]
 
     def piece_params(i: int):
-        p = profs[i]
+        p = profiles[i]
         r = rate_list[min(i, len(rate_list) - 1)]
         lam = (p.lambda_macro.tolist(), p.lambda_small.tolist())
         arrivals = [(c, cq[c][k]) for c in cells for k, x in enumerate(lam[c]) if x > 0.0]
@@ -630,7 +632,7 @@ def simulate(profiles, rates, traffic: TrafficSpec, T: float, seed,
         int_n=[[q.int_n for q in cell] for cell in cq],
         int_served=[[q.int_served for q in cell] for cell in cq],
         busy_time=busy_time,
-        piece_t=np.array([p.t for p in profs]),
+        piece_t=np.array(piece_t),
         piece_time=np.array(piece_time), piece_int_n=np.array(piece_int_n),
         piece_served=np.array(piece_served),
         flow_columns=cols,
@@ -720,10 +722,11 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
     )
 
 
-def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0
+def estimate_transition_rates(times, class_profiles, extra_migration_rate: float = 0.0
                               ) -> list[TransitionRates]:
     """Per-flow migration and handover hazards from the drift of consecutive
-    snapshots of the series ``class_profiles``.
+    snapshots of the series ``class_profiles`` taken at ``times``, one per
+    interval; ``times`` must strictly ascend, one per profile (ValueError).
 
     Class migration: the change, across one snapshot interval, of the CCDF
     mass above a class boundary is the net probability flux over that
@@ -742,10 +745,10 @@ def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0
     if len(class_profiles) < 2:
         raise InsufficientDataError("need at least two consecutive class profiles")
     out = []
-    for p0, p1 in zip(class_profiles, class_profiles[1:]):
-        dt = p1.t - p0.t
-        if dt <= 0:
-            raise ValueError("profiles must have strictly increasing timestamps")
+    for (t0, p0), (t1, p1) in itertools.pairwise(zip(times, class_profiles, strict=True)):
+        dt = t1 - t0
+        if not dt > 0:
+            raise ValueError("times must strictly ascend")
         K, L = p0.K, p0.L
         nu_up, nu_down = np.zeros(K), np.zeros(K)
         nu_tup, nu_tdown = np.zeros(L), np.zeros(L)
@@ -784,5 +787,5 @@ def estimate_transition_rates(class_profiles, extra_migration_rate: float = 0.0
             s2m = max(s2m, drain)   # dying small cell: evacuate stragglers
         if 1.0 - share1 < eps and (1.0 - share0 >= eps or share1 < 1.0):
             m2s = max(m2s, drain)
-        out.append(TransitionRates(p0.t, nu_up, nu_down, nu_tup, nu_tdown, m2s, s2m))
+        out.append(TransitionRates(nu_up, nu_down, nu_tup, nu_tdown, m2s, s2m))
     return out

@@ -6,7 +6,9 @@ output file is written here, by ``_write``.
 A snapshot series evaluates each distinct small-cell position once, into one
 (curves, profile, loads) record.  A route bus that returns to its starting
 state repeats its first lap exactly (see ``mobility.generate_trajectory``), so
-on a horizon of several laps every later snapshot reuses its first-lap twin's.
+on a horizon of several laps every later snapshot points at its first-lap
+twin's record.  A record holds no time: each snapshot's time is held once, in
+the series' ``times``, and passed to what reads it.
 
 Windowed analytic series
 ------------------------
@@ -28,7 +30,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,44 +75,28 @@ def scenario_trajectory(cfg: ScenarioConfig) -> Trajectory:
                                cfg.trajectory_dt_s, seed=0)
 
 
-def snapshot_series(cfg: ScenarioConfig, mc_seed, traj: Trajectory | None = None
-                    ) -> SnapshotSeries:
-    """Trajectory (``traj``, generated when not given) plus the full
-    CCDF/class pipeline on common random numbers.
+def snapshot_series(cfg: ScenarioConfig, mc_seed, traj: Trajectory) -> SnapshotSeries:
+    """The full CCDF/class pipeline along ``traj`` on common random numbers.
 
     Each distinct small-cell position is evaluated once, all of them in one
-    ``snapshot_sweep``, into one (curves, profile, loads) record made in
-    first-snapshot order.  A later snapshot at the same position (a later
-    lap, a dwelling bus) takes that record restamped with its own time."""
-    if traj is None:
-        traj = scenario_trajectory(cfg)
+    ``snapshot_sweep``, into one (curves, profile, loads) record; every
+    snapshot at that position (a later lap, a dwelling bus) holds that same
+    record."""
     times = np.arange(0.0, cfg.duration_s + 0.5 * cfg.snapshot_s, cfg.snapshot_s)
     steps = [traj.index_at(float(t)) for t in times]
     positions = [traj.states[i].position for i in steps]
-    first = {}         # (x, y) -> index of its first snapshot
-    for i, Ls in enumerate(positions):
-        first.setdefault((Ls.x, Ls.y), i)
+    first = {(Ls.x, Ls.y): Ls for Ls in positions}   # in first-snapshot order
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, mc_seed)
-    swept = snapshot_sweep([times[i] for i in first.values()],
-                           [positions[i] for i in first.values()],
-                           cfg.small_reach_km, cfg.levels, samples)
-    records = {}       # (x, y) -> (curves, profile, loads) of its first snapshot
+    swept = snapshot_sweep(list(first.values()), cfg.small_reach_km, cfg.levels, samples)
+    records = {}       # (x, y) -> (curves, profile, loads)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # degenerate far-off small curves
         for key, (m1, m0, s1, s0) in zip(first, swept):
             prof = extract_classes(m1, s1, m0, s0, cfg.K, cfg.L, cfg.traffic.lambda_tot)
             records[key] = ((m1, m0, s1, s0), prof,
                             coupled_loads_fixed_point(prof, cfg.traffic))
-    curves, profiles, loads = [], [], []
-    for i, (t, Ls) in enumerate(zip(times, positions)):
-        four, prof, ld = records[(Ls.x, Ls.y)]
-        if first[(Ls.x, Ls.y)] != i:
-            four = tuple(replace(c, t=t) for c in four)
-            prof = replace(prof, t=t, macro_curve=four[0], small_curve=four[2])
-        curves.append(four)
-        profiles.append(prof)
-        loads.append(ld)
-    rates = estimate_transition_rates(profiles, cfg.extra_migration_rate)
+    curves, profiles, loads = map(list, zip(*[records[(Ls.x, Ls.y)] for Ls in positions]))
+    rates = estimate_transition_rates(times, profiles, cfg.extra_migration_rate)
     return SnapshotSeries(times, positions, distance_to_hotspot(traj, cfg.spec)[steps],
                           profiles, loads, rates, traj, curves)
 
@@ -123,7 +109,7 @@ def macro_only_profile(cfg: ScenarioConfig) -> ClassProfile:
     rates, masses = curve_pmf(curve)
     eta, edges = _equal_mass_bins(rates, masses, cfg.K)
     return ClassProfile(
-        t=0.0, K=cfg.K, L=1,
+        K=cfg.K, L=1,
         eta_macro=np.column_stack([eta, eta]),
         eta_small=np.array([[1.0, 1.0]]),
         lambda_macro=np.full(cfg.K, cfg.traffic.lambda_tot / cfg.K),
@@ -197,7 +183,7 @@ def mean_flux_rates(series: SnapshotSeries, nu_floor: float) -> TransitionRates:
             floor[0] = 0.0
         return np.maximum(acc, floor)
 
-    return TransitionRates(0.0, avg("nu_up", K, "up"), avg("nu_down", K, "down"),
+    return TransitionRates(avg("nu_up", K, "up"), avg("nu_down", K, "down"),
                            avg("nu_tilde_up", L, "up"), avg("nu_tilde_down", L, "down"),
                            m2s, s2m)
 
@@ -208,8 +194,8 @@ def ergodic_summary(series: SnapshotSeries, win: WindowSeries, cfg: ScenarioConf
     the matching mean flow throughput forms; ``win`` is the series' windows."""
     rates = mean_flux_rates(series, cfg.nu_floor)
     q, q_tilde = class_membership(rates)
-    eta_bar, rho_bar = effective_rate(series.profiles, series.loads, q, q_tilde,
-                                      cfg.traffic)
+    eta_bar, rho_bar = effective_rate(series.times, series.profiles, series.loads, q,
+                                      q_tilde, cfg.traffic)
     offered = cfg.traffic.lambda_tot * cfg.traffic.sigma0
     # windowed quasi-stationary occupancy from the per-window coupled
     # stationary marginals, one PS queue per cell; unstable windows are
@@ -262,31 +248,29 @@ def _empirical_windows(trace) -> dict:
     }
 
 
-def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile | None = None,
-                    traj: Trajectory | None = None) -> ReplicationResult:
+def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile,
+                    traj: Trajectory) -> ReplicationResult:
     """One full replication: fresh Monte Carlo draws for the radio pipeline
     and a fresh arrival stream for both scenarios.
 
-    It builds one snapshot series and runs two simulations, the
-    with-small-cell scenario and the macro-only baseline (``prof_mo``, built
-    here when not given), along ``traj`` (generated when not given).
+    It builds one snapshot series along ``traj`` and runs two simulations on
+    its snapshot times, the with-small-cell scenario and the macro-only
+    baseline (``prof_mo`` in every piece).
     Replication 0 records its with-small-cell flows and keeps that trace,
     with the occupancy every trace samples at each snapshot, for
     ``trace_rep0.csv`` and ``flows_rep0.csv``; neither draws anything, so
     the trace is the very run whose metrics the replication reports."""
     mc_seed = (cfg.seed, rep, 0)
     sim_seed = (cfg.seed, rep, 1)
-    series = snapshot_series(cfg, mc_seed, traj=traj)
+    series = snapshot_series(cfg, mc_seed, traj)
     windows_sc = analytic_windows(series, cfg.traffic)
     summary = ergodic_summary(series, windows_sc, cfg)
 
-    trace_sc = simulate(series.profiles, series.rates, cfg.traffic, cfg.duration_s,
-                        sim_seed, record_flows=rep == 0)
-    if prof_mo is None:
-        prof_mo = macro_only_profile(cfg)
+    trace_sc = simulate(series.times, series.profiles, series.rates, cfg.traffic,
+                        cfg.duration_s, sim_seed, record_flows=rep == 0)
     # carve the baseline pieces on the same snapshot grid so windowed series align
-    profs_mo = [replace(prof_mo, t=float(t)) for t in series.times]
-    trace_mo = simulate(profs_mo, None, cfg.traffic, cfg.duration_s, sim_seed)
+    trace_mo = simulate(series.times, [prof_mo] * len(series.times), None, cfg.traffic,
+                        cfg.duration_s, sim_seed)
     return ReplicationResult(rep, windows_sc, summary,
                              _empirical_windows(trace_sc), _empirical_windows(trace_mo),
                              series.distance_km, trace_sc if rep == 0 else None)
@@ -418,9 +402,10 @@ def _dynamics_files(res: DynamicsResult) -> dict:
 
 
 def _curves_file(curves) -> tuple:
+    """Header and rows of ``curves``, (t, curve) pairs."""
     return "t_s,cell,level_mbps,ccdf,stderr", [
-        f"{c.t:.3f},{c.cell.value},{level:.6f},{v:.8f},{se:.8f}"
-        for c in curves for level, v, se in zip(c.levels, c.values, c.stderr)]
+        f"{t:.3f},{c.cell.value},{level:.6f},{v:.8f},{se:.8f}"
+        for t, c in curves for level, v, se in zip(c.levels, c.values, c.stderr)]
 
 
 def _trajectory_file(traj: Trajectory) -> tuple:
@@ -445,20 +430,21 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0), ou
     average user experience converges to the no-small-cell baseline instead
     of to a permanently interfered field.
     """
-    series = snapshot_series(cfg, (cfg.seed, 0, 0))
+    series = snapshot_series(cfg, (cfg.seed, 0, 0), scenario_trajectory(cfg))
     grid_times = series.times
     d_at = series.distance_km
     if times is None:
         times = [float(grid_times[int(np.argmin(np.abs(d_at - dm / 1000.0)))])
                  for dm in distances_m]
     baseline = macro_only_ccdf(cfg.levels, cfg.spec, cfg.params, cfg.layout)
-    curves = [baseline]
+    curves = [(0.0, baseline)]    # (t_s, curve): the baseline holds at every time
     picked = []
     for t in times:
         i = int(np.argmin(np.abs(grid_times - t)))
+        t_i = float(grid_times[i])
         m1, m0, s1, s0 = series.curves[i]
-        curves += [m1, s1, combined_ccdf(m1, s1)]
-        picked.append((float(grid_times[i]), m1, s1))
+        curves += [(t_i, m1), (t_i, s1), (t_i, combined_ccdf(m1, s1))]
+        picked.append((t_i, m1, s1))
 
     # time- and phase-weighted average over the horizon, mass-weighted so
     # each snapshot contributes its covered population
@@ -476,12 +462,10 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0), ou
         mass_c += m1.mass + s1.mass
         mass_s += s1.mass
     avg_combined = CcdfCurve(cfg.levels, acc_c / max(mass_c, 1e-12),
-                             np.zeros(len(cfg.levels)), Cell.MACRO, -1.0,
-                             mass_c / n_t, 0)
+                             np.zeros(len(cfg.levels)), Cell.MACRO, mass_c / n_t, 0)
     avg_small = CcdfCurve(cfg.levels, acc_s / max(mass_s, 1e-12),
-                          np.zeros(len(cfg.levels)), Cell.SMALL, -1.0,
-                          mass_s / n_t, 0)
-    curves += [avg_combined, avg_small]
+                          np.zeros(len(cfg.levels)), Cell.SMALL, mass_s / n_t, 0)
+    curves += [(-1.0, avg_combined), (-1.0, avg_small)]   # -1: over the horizon
     if out_dir is not None:
         _write(out_dir, provenance(cfg, "ccdf", cfg.seed), {
             "ccdf.csv": _curves_file(curves),

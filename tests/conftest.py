@@ -20,7 +20,7 @@ from mobicell.hotspot import HotspotSpec, sample_xy
 from mobicell.radio import RadioParams, _g_formula
 
 
-def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
+def make_profile(lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
                  eta_s0=(10.0,), eta_s1=None, S=0.5, S_tilde=0.5):
     """Synthetic profile; phase-1 rates default to the phase-0 ones."""
     lam_m = np.asarray(lam_m, dtype=float)
@@ -31,7 +31,7 @@ def make_profile(t=0.0, lam_m=(1.0,), lam_s=(0.0,), eta_m0=(10.0,), eta_m1=None,
     eta_s1 = eta_s0 if eta_s1 is None else np.asarray(eta_s1, dtype=float)
     K, L = len(lam_m), len(lam_s)
     return ClassProfile(
-        t=t, K=K, L=L,
+        K=K, L=L,
         eta_macro=np.column_stack([eta_m0, eta_m1]),
         eta_small=np.column_stack([eta_s0, eta_s1]),
         lambda_macro=lam_m, lambda_small=lam_s,

@@ -93,7 +93,7 @@ def test_criterion_2_macro_only_triple_agreement():
 
     p0 = RadioParams(**{**params.__dict__, "kappa": 0.0})
     Ls = PolarPoint.from_polar(2.0, 0.0)
-    pipeline = macro_ccdf(0.0, Ls, 0.0, levels, FieldSamples(spec, p0, layout, 400_000, 777))
+    pipeline = macro_ccdf(Ls, 0.0, levels, FieldSamples(spec, p0, layout, 400_000, 777))
     pipe_se = np.maximum(pipeline.stderr, 1e-5)
 
     tol_qm = 3.0 * np.maximum(mc_se, 1e-4)
@@ -127,10 +127,10 @@ def test_criterion_3_ccdf_structural_suite():
         Ls = PolarPoint(c.x + float(rng.uniform(-0.15, 0.15)),
                         c.y + float(rng.uniform(-0.15, 0.15)))
         samples = FieldSamples(spec, params, layout, 20_000, int(rng.integers(2 ** 31)))
-        m1 = macro_ccdf(0.0, Ls, 0.0, levels, samples)
-        m0 = macro_ccdf(0.0, Ls, 0.0, levels, samples, include_small_interference=False)
-        s1 = small_ccdf(0.0, Ls, 0.0, levels, samples)
-        s0 = small_ccdf(0.0, Ls, 0.0, levels, samples, include_central_macro=False)
+        m1 = macro_ccdf(Ls, 0.0, levels, samples)
+        m0 = macro_ccdf(Ls, 0.0, levels, samples, include_small_interference=False)
+        s1 = small_ccdf(Ls, 0.0, levels, samples)
+        s0 = small_ccdf(Ls, 0.0, levels, samples, include_central_macro=False)
         for curve in (m1, m0, s1, s0):
             assert np.all(np.diff(curve.values) <= 1e-12)
             assert np.all(curve.values[levels > params.eta0] == 0.0)
@@ -156,7 +156,7 @@ def test_criterion_4_mm1_ps_oracle():
         T = 1e5 / lam
         means = []
         for seed in range(20):
-            tr = simulate([prof], None, TrafficSpec(lam, sigma0), T, (4, int(rho * 10), seed))
+            tr = simulate([0.0], [prof], None, TrafficSpec(lam, sigma0), T, (4, int(rho * 10), seed))
             means.append(float(sum(tr.mean_counts()[0])))
         mu = float(np.mean(means))
         se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
@@ -182,7 +182,7 @@ def test_criterion_5_coupled_stationary_oracle():
     loads = coupled_loads_fixed_point(prof, traffic)
     assert loads.rho == pytest.approx(0.4, abs=1e-8)
     dist = stationary_static(prof, traffic, loads, n_max=60)
-    tr = simulate([prof], None, traffic, 200_000.0, (5, 1), track_states=True)
+    tr = simulate([0.0], [prof], None, traffic, 200_000.0, (5, 1), track_states=True)
     sim = tr.state_frequencies()
     keys = set(sim) | {(tuple(n), tuple(m)) for n, m in dist.states}
     tv = 0.5 * sum(abs(sim.get(k, 0.0) - dist.prob(*k)) for k in keys)

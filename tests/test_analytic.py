@@ -17,9 +17,9 @@ from mobicell.analytic import (CoupledLoads, InstabilityError,
 from mobicell.flowsim import TrafficSpec, TransitionRates, empirical_metrics, simulate
 
 
-def rates_snapshot(t=0.0, nu_up=(0.0,), nu_down=(0.0,), tup=(0.0,), tdown=(0.0,),
+def rates_snapshot(nu_up=(0.0,), nu_down=(0.0,), tup=(0.0,), tdown=(0.0,),
                    m2s=1.0, s2m=1.0):
-    return TransitionRates(t, np.asarray(nu_up, float), np.asarray(nu_down, float),
+    return TransitionRates(np.asarray(nu_up, float), np.asarray(nu_down, float),
                            np.asarray(tup, float), np.asarray(tdown, float), m2s, s2m)
 
 
@@ -265,7 +265,7 @@ def test_stationary_static_matches_simulation_tv():
     loads = coupled_loads_fixed_point(prof, traffic)
     assert loads.rho == pytest.approx(0.4, rel=1e-14)
     dist = stationary_static(prof, traffic, loads, n_max=60)
-    tr = simulate([prof], None, traffic, 120_000.0, 41, track_states=True)
+    tr = simulate([0.0], [prof], None, traffic, 120_000.0, 41, track_states=True)
     sim = tr.state_frequencies()
     keys = set(sim) | {(tuple(n), tuple(m)) for n, m in dist.states}
     tv = 0.5 * sum(abs(sim.get(k, 0.0) - dist.prob(*k)) for k in keys)
@@ -349,10 +349,8 @@ def test_effective_rate_phase_limits():
                         eta_s0=(8.0,), eta_s1=(4.0,))
     traffic = TrafficSpec(2.0, 2.0)
     q, qt = np.array([0.5]), np.array([0.5])
-    series = [prof, replace(prof, t=1.0)]     # a constant series over [0, 1]
-
-    def rate(ld):
-        return effective_rate(series, [ld, ld], q, qt, traffic)
+    def rate(ld):     # a constant series over [0, 1]
+        return effective_rate([0.0, 1.0], [prof, prof], [ld, ld], q, qt, traffic)
 
     eta_bar, rho_bar = rate(CoupledLoads(0.0, 0.0))
     assert eta_bar == pytest.approx(0.5 * 10 + 0.5 * 8)
@@ -404,7 +402,7 @@ def test_stationary_mobile_requires_system_stability():
 def test_mean_flow_throughput_single_always_on_flow():
     """One permanent flow: R equals that flow's service rate."""
     prof = make_profile(lam_m=(0.05,), lam_s=(0.0,), eta_m0=(10.0,), eta_s0=(10.0,))
-    tr = simulate([prof], None, TrafficSpec(0.05, 1e9), 2000.0, 3)
+    tr = simulate([0.0], [prof], None, TrafficSpec(0.05, 1e9), 2000.0, 3)
     # the single giant flow never finishes; occupancy is eventually 1+
     if sum(tr.mean_counts()[0]) > 0:
         R = empirical_metrics(tr).mean_flow_throughput
@@ -418,7 +416,7 @@ def test_mean_flow_throughput_mm1_oracle():
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     vals = []
     for seed in range(6):
-        tr = simulate([prof], None, TrafficSpec(lam, sigma0), 30_000.0, seed)
+        tr = simulate([0.0], [prof], None, TrafficSpec(lam, sigma0), 30_000.0, seed)
         vals.append(empirical_metrics(tr).mean_flow_throughput)
     assert float(np.mean(vals)) == pytest.approx(eta * (1 - rho), rel=0.05)
 
@@ -437,22 +435,22 @@ def test_mean_flow_throughput_from_distribution():
 
 def test_mean_flow_throughput_never_exceeds_max_class_rate():
     prof, traffic, lam, eta0, eta1 = make_coupled_toy(rho_target=0.5)
-    tr = simulate([prof], None, traffic, 20_000.0, 11)
+    tr = simulate([0.0], [prof], None, traffic, 20_000.0, 11)
     assert empirical_metrics(tr).mean_flow_throughput <= eta0 + 1e-9
 
 
 def test_conservation_residual():
     prof = make_profile(lam_m=(0.0,), lam_s=(0.0,))
-    tr = simulate([prof], None, TrafficSpec(0.0, 2.0), 100.0, 1)
+    tr = simulate([0.0], [prof], None, TrafficSpec(0.0, 2.0), 100.0, 1)
     assert empirical_metrics(tr).conservation_residual == 0.0
     # stable run: residual within 2% of the offered rate
     eta, sigma0, rho = 10.0, 2.0, 0.5
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
-    tr = simulate([prof], None, TrafficSpec(lam, sigma0), 50_000.0, 2)
+    tr = simulate([0.0], [prof], None, TrafficSpec(lam, sigma0), 50_000.0, 2)
     assert abs(empirical_metrics(tr).conservation_residual) / (lam * sigma0) < 0.02
     # overload: strictly positive residual
-    tr_hot = simulate([make_profile(lam_m=(10.0,), lam_s=(0.0,), eta_m0=(10.0,),
+    tr_hot = simulate([0.0], [make_profile(lam_m=(10.0,), lam_s=(0.0,), eta_m0=(10.0,),
                                     eta_s0=(10.0,))], None,
                       TrafficSpec(10.0, 2.0), 5000.0, 3)
     assert empirical_metrics(tr_hot).conservation_residual > 0.0

@@ -40,8 +40,8 @@ REACH = 0.2
 
 def curves_at(Ls, n=60_000, seed=0):
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
-    mc = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
-    sc = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    mc = macro_ccdf(Ls, REACH, LEVELS, samples)
+    sc = small_ccdf(Ls, REACH, LEVELS, samples)
     return mc, sc, samples
 
 
@@ -66,13 +66,13 @@ def test_curve_structure_random_positions():
 def test_levels_validation():
     Ls = SPEC.center
     with pytest.raises(ValueError):
-        macro_ccdf(0.0, Ls, REACH, [3.0, 2.0, 1.0], FieldSamples(SPEC, PARAMS, LAYOUT, 100, 0))
+        macro_ccdf(Ls, REACH, [3.0, 2.0, 1.0], FieldSamples(SPEC, PARAMS, LAYOUT, 100, 0))
 
 
 def test_zero_above_peak_rate():
     mc, sc, _ = curves_at(SPEC.center, n=20_000)
     grid = np.array([0.5, 10.0, 97.9, 98.0, 98.1, 150.0])
-    c = macro_ccdf(0.0, SPEC.center, REACH, grid, FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 0))
+    c = macro_ccdf(SPEC.center, REACH, grid, FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, 0))
     assert c.values[grid > 98.0].max() == 0.0
     assert c.values[grid <= 98.0].min() >= 0.0
 
@@ -209,16 +209,15 @@ def test_windowed_sweep_gives_the_exact_curves(block):
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 4_000, 6)
     positions = [SPEC.center,
                  *(PolarPoint.from_polar(r, SPEC.theta_h + math.pi) for r in (0.1, 0.3, 0.5))]
-    times = [10.0 * i for i in range(len(positions))]
     for reach in (0.0, 0.3):
         with mock.patch.object(ccdf_module, "_BLOCK", block), \
                 mock.patch.object(ccdf_module, "_KEY_COST", 0), \
                 mock.patch.object(ccdf_module, "_WINDOW_COST", 0):
-            swept = ccdf_module.snapshot_sweep(times, positions, reach, LEVELS, samples)
+            swept = ccdf_module.snapshot_sweep(positions, reach, LEVELS, samples)
         assert samples.fallbacks == 0
-        for t, Ls, got in zip(times, positions, swept):
+        for Ls, got in zip(positions, swept):
             rim = samples.rim(Ls, reach)
-            assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
+            assert_same_curves(got, ccdf_module._exact_curves(Ls, LEVELS, samples, rim))
 
 
 def test_simplified_and_direct_indicators_agree_bitwise():
@@ -232,7 +231,7 @@ def test_simplified_and_direct_indicators_agree_bitwise():
     with np.errstate(divide="ignore"):
         gamma = np.where(inv_gamma > 0, 1.0 / inv_gamma, np.inf)
     rates = shannon_rate(gamma, PARAMS)
-    curve = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    curve = macro_ccdf(Ls, REACH, LEVELS, samples)
     direct = np.array([np.count_nonzero(rates >= l) for l in LEVELS]) / len(rates)
     direct[LEVELS > PARAMS.eta0] = 0.0
     assert np.array_equal(curve.values, direct)
@@ -243,7 +242,7 @@ def test_macro_kappa_zero_matches_closed_form():
     form within Monte Carlo error at every level."""
     p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
     Ls = PolarPoint.from_polar(2.0, 0.0)  # irrelevant when kappa = 0
-    mc = macro_ccdf(0.0, Ls, 0.0, LEVELS, FieldSamples(SPEC, p0, LAYOUT, 200_000, 11))
+    mc = macro_ccdf(Ls, 0.0, LEVELS, FieldSamples(SPEC, p0, LAYOUT, 200_000, 11))
     ref = macro_only_ccdf(LEVELS, SPEC, p0, LAYOUT)
     se = np.maximum(mc.stderr, 1e-4)
     assert np.all(np.abs(mc.values - ref.values) <= 3.0 * se)
@@ -335,8 +334,8 @@ def test_small_cell_on_hotspot_dominates_macro():
     spec = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.05)
     Ls = spec.center
     samples = FieldSamples(spec, PARAMS, LAYOUT, 60_000, 21)
-    mc = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
-    sc = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
+    mc = macro_ccdf(Ls, REACH, LEVELS, samples)
+    sc = small_ccdf(Ls, REACH, LEVELS, samples)
     assert sc.mass > 0.3
     sel = LEVELS <= PARAMS.eta0
     assert np.all(sc.values[sel] >= mc.values[sel] - 3.0 * (mc.stderr[sel] + sc.stderr[sel]))
@@ -346,10 +345,10 @@ def test_small_cell_on_hotspot_dominates_macro():
 def test_phase0_dominates_phase1_pointwise():
     Ls = SPEC.center
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 40_000, 8)
-    m1 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
-    m0 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples, include_small_interference=False)
-    s1 = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
-    s0 = small_ccdf(0.0, Ls, REACH, LEVELS, samples, include_central_macro=False)
+    m1 = macro_ccdf(Ls, REACH, LEVELS, samples)
+    m0 = macro_ccdf(Ls, REACH, LEVELS, samples, include_small_interference=False)
+    s1 = small_ccdf(Ls, REACH, LEVELS, samples)
+    s0 = small_ccdf(Ls, REACH, LEVELS, samples, include_central_macro=False)
     assert np.all(m0.values >= m1.values)
     assert np.all(s0.values >= s1.values)
     assert m0.mass == m1.mass and s0.mass == s1.mass  # same association
@@ -358,7 +357,7 @@ def test_phase0_dominates_phase1_pointwise():
 def test_empty_small_curve_marker():
     p0 = RadioParams(**{**PARAMS.__dict__, "kappa": 0.0})
     Ls = SPEC.center
-    sc = small_ccdf(0.0, Ls, REACH, LEVELS, FieldSamples(SPEC, p0, LAYOUT, 5000, 0))
+    sc = small_ccdf(Ls, REACH, LEVELS, FieldSamples(SPEC, p0, LAYOUT, 5000, 0))
     assert sc.empty and sc.mass == 0.0 and sc.values.max() == 0.0
 
 
@@ -372,7 +371,7 @@ def test_curve_pmf_sums_to_one_and_mean():
 def synthetic_two_point_curve(lo=10.0, hi=90.0):
     levels = default_levels(98.0)
     values = np.where(levels <= lo, 1.0, np.where(levels <= hi, 0.5, 0.0))
-    return CcdfCurve(levels, values, np.zeros_like(levels), Cell.MACRO, 0.0, 0.6, 1000)
+    return CcdfCurve(levels, values, np.zeros_like(levels), Cell.MACRO, 0.6, 1000)
 
 
 def test_extract_classes_two_point_quartiles():
@@ -411,10 +410,10 @@ def test_extract_classes_phase_ordering_random_scenarios():
     for _ in range(5):
         Ls = PolarPoint(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.4, 0.4)))
         samples = FieldSamples(SPEC, PARAMS, LAYOUT, 20_000, int(rng.integers(1e6)))
-        m1 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples)
-        m0 = macro_ccdf(0.0, Ls, REACH, LEVELS, samples, include_small_interference=False)
-        s1 = small_ccdf(0.0, Ls, REACH, LEVELS, samples)
-        s0 = small_ccdf(0.0, Ls, REACH, LEVELS, samples, include_central_macro=False)
+        m1 = macro_ccdf(Ls, REACH, LEVELS, samples)
+        m0 = macro_ccdf(Ls, REACH, LEVELS, samples, include_small_interference=False)
+        s1 = small_ccdf(Ls, REACH, LEVELS, samples)
+        s0 = small_ccdf(Ls, REACH, LEVELS, samples, include_central_macro=False)
         prof = extract_classes(m1, s1, m0, s0, K=4, L=4, lambda_tot=1.0)
         assert np.all(prof.eta_macro[:, 0] >= prof.eta_macro[:, 1] - 1e-12)
         assert np.all(prof.eta_small[:, 0] >= prof.eta_small[:, 1] - 1e-12)
@@ -426,7 +425,7 @@ def test_extract_classes_phase_order_is_exact():
     interfered rate, exactly."""
     Ls = PolarPoint.from_polar(0.5, 3.0)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, 0)
-    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, 0.0, LEVELS, samples)
+    m1, m0, s1, s0 = snapshot_curves(Ls, 0.0, LEVELS, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # single-rate curves
         prof = extract_classes(m1, s1, m0, s0, K=5, L=5, lambda_tot=1.0)
@@ -437,7 +436,7 @@ def test_extract_classes_phase_order_is_exact():
 def test_degenerate_curve_warns_single_rate():
     levels = default_levels(98.0)
     values = np.where(levels <= 50.0, 1.0, 0.0)  # all mass at one atom
-    curve = CcdfCurve(levels, values, np.zeros_like(levels), Cell.MACRO, 0.0, 1.0, 100)
+    curve = CcdfCurve(levels, values, np.zeros_like(levels), Cell.MACRO, 1.0, 100)
     with pytest.warns(UserWarning):
         prof = extract_classes(curve, curve, curve, curve, K=3, L=1, lambda_tot=1.0)
     assert np.allclose(prof.eta_macro[:, 1], prof.eta_macro[0, 1])
@@ -454,7 +453,7 @@ def test_combined_curve_is_mass_weighted_mixture():
 
 def test_csv_export(tmp_path):
     mc, sc, _ = curves_at(SPEC.center, n=5000)
-    _write(tmp_path, "# config=x seed=1", {"ccdf.csv": _curves_file([mc, sc])})
+    _write(tmp_path, "# config=x seed=1", {"ccdf.csv": _curves_file([(0.0, mc), (0.0, sc)])})
     lines = (tmp_path / "ccdf.csv").read_text().strip().splitlines()
     assert lines[0] == "# config=x seed=1"
     assert lines[1] == "t_s,cell,level_mbps,ccdf,stderr"
@@ -495,7 +494,7 @@ def test_scalar_sinr_api_matches_counted_curve_samples(r_h, theta_h, sigma, ls_r
               for u in small_users]))
         for curve_fn, kw, counted, scalar in cases:
             np.testing.assert_allclose(counted, scalar, rtol=1e-12, atol=0.0)
-            curve = curve_fn(0.0, Ls, reach, LEVELS, samples, **kw)
+            curve = curve_fn(Ls, reach, LEVELS, samples, **kw)
             if len(counted):
                 want = np.zeros(len(LEVELS))
                 want[below] = [np.count_nonzero(counted <= x) / len(counted)
@@ -512,15 +511,15 @@ def test_snapshot_curves_match_one_curve_calls(ls_r, ls_theta, reach, seed):
     non-increasing in level and lies in [0, 1]."""
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
-    got = snapshot_curves(5.0, Ls, reach, LEVELS, samples)
-    args = (5.0, Ls, reach, LEVELS, samples)
+    got = snapshot_curves(Ls, reach, LEVELS, samples)
+    args = (Ls, reach, LEVELS, samples)
     want = (macro_ccdf(*args),
             macro_ccdf(*args, include_small_interference=False),
             small_ccdf(*args),
             small_ccdf(*args, include_central_macro=False))
     for g, w in zip(got, want):
-        assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
-            (w.cell, w.t, w.mass, w.n_samples, w.empty)
+        assert (g.cell, g.mass, g.n_samples, g.empty) == \
+            (w.cell, w.mass, w.n_samples, w.empty)
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.stderr, w.stderr)
         assert_curve_structure(g)
@@ -602,7 +601,7 @@ def test_snapshot_curves_match_brute_force_over_all_draws(ls_r, ls_theta, reach,
             pick = np.flatnonzero(r <= LAYOUT.R)
         Ls = PolarPoint(*map(float, xy[pick[seed % len(pick)]]))
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, n, seed)
-    got = snapshot_curves(5.0, Ls, reach, LEVELS, samples)
+    got = snapshot_curves(Ls, reach, LEVELS, samples)
     want = assert_brute_force_curves(got, Ls, reach, n, seed)
     if on_draw is not None:
         assert want[2][3] >= 1                 # the draw on the small cell is its user
@@ -642,7 +641,7 @@ def test_a_draw_on_the_association_tie_takes_the_exact_path():
     samples, Ls = position_on_edge(
         n, seed, lambda i: 1.0,
         lambda i, j, delta, field: bool(delta <= 1.0) != bool(field[4][i]))
-    got = snapshot_curves(5.0, Ls, 0.0, LEVELS, samples)
+    got = snapshot_curves(Ls, 0.0, LEVELS, samples)
     assert_brute_force_curves(got, Ls, 0.0, n, seed)
     assert samples.fallbacks == 1
 
@@ -667,7 +666,7 @@ def test_a_draw_on_a_threshold_takes_the_exact_path():
         return bool(assoc[i]) and bool(g[i] + delta <= th) != bool(exact <= th)
 
     samples, Ls = position_on_edge(n, seed, lambda i: threshold(i) - g[i], straddles)
-    got = snapshot_curves(5.0, Ls, 0.0, LEVELS, samples)
+    got = snapshot_curves(Ls, 0.0, LEVELS, samples)
     assert_brute_force_curves(got, Ls, 0.0, n, seed)
     assert samples.fallbacks == 1
 
@@ -687,13 +686,13 @@ def test_guarded_kernel_equals_the_exact_path(r_h, theta_h, sigma, off_r, off_th
     off = PolarPoint.from_polar(off_r, off_theta)
     Ls = PolarPoint(spec.center.x + off.x, spec.center.y + off.y)
     samples = FieldSamples(spec, PARAMS, LAYOUT, 2_000, seed)
-    got = snapshot_curves(5.0, Ls, reach, LEVELS, samples)
+    got = snapshot_curves(Ls, reach, LEVELS, samples)
     assert samples.fallbacks == 0
     rim = samples.at(Ls, reach)[0]
-    want = ccdf_module._exact_curves(5.0, Ls, LEVELS, samples, rim)
+    want = ccdf_module._exact_curves(Ls, LEVELS, samples, rim)
     for g, w in zip(got, want):
-        assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
-            (w.cell, w.t, w.mass, w.n_samples, w.empty)
+        assert (g.cell, g.mass, g.n_samples, g.empty) == \
+            (w.cell, w.mass, w.n_samples, w.empty)
         assert (type(g.mass), type(g.n_samples)) == (float, int)   # as pickled
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.stderr, w.stderr)
@@ -701,8 +700,8 @@ def test_guarded_kernel_equals_the_exact_path(r_h, theta_h, sigma, off_r, off_th
 
 def assert_same_curves(got, want):
     for g, w in zip(got, want, strict=True):
-        assert (g.cell, g.t, g.mass, g.n_samples, g.empty) == \
-            (w.cell, w.t, w.mass, w.n_samples, w.empty)
+        assert (g.cell, g.mass, g.n_samples, g.empty) == \
+            (w.cell, w.mass, w.n_samples, w.empty)
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.stderr, w.stderr)
 
@@ -743,25 +742,23 @@ def test_sweep_counts_every_position_as_its_one_position_call(places, block, see
         on_draw.append(place.endswith("draw"))
     spots.append(spots[0])                            # a repeated position
     on_draw.append(on_draw[0])
-    times = [10.0 * i for i in range(len(spots))]
     one, flagged = [], []
-    for t, (Ls, reach) in zip(times, spots):
+    for Ls, reach in spots:
         before = samples.fallbacks
-        one.append(snapshot_curves(t, Ls, reach, LEVELS, samples))
+        one.append(snapshot_curves(Ls, reach, LEVELS, samples))
         flagged.append(samples.fallbacks - before)
     assert all(flagged[i] == 1 for i, drawn in enumerate(on_draw) if drawn)
     before = samples.fallbacks
     for reach in sorted({reach for _, reach in spots}):     # one sweep per reach
         series = [i for i, spot in enumerate(spots) if spot[1] == reach]
         with mock.patch.object(ccdf_module, "_BLOCK", block):
-            swept = ccdf_module.snapshot_sweep([times[i] for i in series],
-                                               [spots[i][0] for i in series], reach,
+            swept = ccdf_module.snapshot_sweep([spots[i][0] for i in series], reach,
                                                LEVELS, samples)
         for i, got in zip(series, swept, strict=True):
-            t, Ls = times[i], spots[i][0]
+            Ls = spots[i][0]
             assert_same_curves(got, one[i])
             rim = samples.rim(Ls, reach)
-            assert_same_curves(got, ccdf_module._exact_curves(t, Ls, LEVELS, samples, rim))
+            assert_same_curves(got, ccdf_module._exact_curves(Ls, LEVELS, samples, rim))
     assert samples.fallbacks - before == sum(flagged)
 
 
@@ -777,7 +774,7 @@ def test_extract_classes_conserves_mean_and_phase_order(ls_r, ls_theta, reach, k
     both curves agree over a class's span)."""
     Ls = PolarPoint.from_polar(ls_r, ls_theta)
     samples = FieldSamples(SPEC, PARAMS, LAYOUT, 2_000, seed)
-    m1, m0, s1, s0 = snapshot_curves(0.0, Ls, reach, LEVELS, samples)
+    m1, m0, s1, s0 = snapshot_curves(Ls, reach, LEVELS, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # single-rate curves
         prof = extract_classes(m1, s1, m0, s0, K=k, L=l, lambda_tot=1.0)

@@ -312,13 +312,28 @@ def test_a_value_error_inside_a_run_is_not_a_configuration_error(tmp_path, capsy
 
 @pytest.mark.parametrize("option, value", [
     ("--times", "nan"), ("--times", "inf"), ("--times", "-50"), ("--times", "150,-1"),
-    ("--distances-m", "-60"), ("--distances-m", "nan")])
+    ("--distances-m", "-60"), ("--distances-m", "nan"),
+    # an empty list is not an absent option, and every item must be a number
+    ("--times", ""), ("--distances-m", ""), ("--times", "abc"), ("--times", "1,,2"),
+    ("--distances-m", "x")])
 def test_a_nonsense_ccdf_instant_exits_2_naming_the_option(tmp_path, capsys, option, value):
     out = tmp_path / "o"
     assert main(["ccdf", "--samples", "2000", option, value, "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "invalid-argument"
     assert payload["detail"].startswith(f"{option}={value}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["4,abc", ""])
+def test_sweep_values_that_are_not_numbers_exit_2_naming_the_parameter(values, tmp_path,
+                                                                       capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "lambda_tot", values, "--samples", "2000", "--replications", "1",
+                 "--duration", "300", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "invalid-argument"
+    assert payload["detail"].startswith(f"lambda_tot={values}:")
     assert not out.exists()
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import pickle
@@ -28,7 +27,7 @@ def run_mm1(rho, eta=10.0, sigma0=2.0, n_arrivals=30_000, seed=0, record_flows=F
     lam = rho * eta / sigma0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     T = n_arrivals / lam
-    return simulate([prof], None, TrafficSpec(lam, sigma0), T, seed,
+    return simulate([0.0], [prof], None, TrafficSpec(lam, sigma0), T, seed,
                     record_flows=record_flows)
 
 
@@ -47,7 +46,7 @@ def test_mm1_ps_mean_occupancy():
 
 def test_empty_traffic_gives_empty_trace():
     prof = make_profile(lam_m=(0.0,), lam_s=(0.0,))
-    tr = simulate([prof], None, TrafficSpec(0.0, 2.0), 1000.0, 1)
+    tr = simulate([0.0], [prof], None, TrafficSpec(0.0, 2.0), 1000.0, 1)
     assert tr.n_arrivals == 0 and tr.n_departures == 0
     assert tr.served_mbits() == 0.0
 
@@ -84,8 +83,8 @@ def test_drained_trace_balances_arrivals():
     lam, eta, sigma0 = 0.5, 10.0, 2.0
     prof = make_profile(lam_m=(lam,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
     # stop arrivals after t=500 by switching to a zero-rate piece
-    prof2 = make_profile(t=500.0, lam_m=(0.0,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
-    tr = simulate([prof, prof2], None, TrafficSpec(lam, sigma0), 2000.0, 7)
+    prof2 = make_profile(lam_m=(0.0,), lam_s=(0.0,), eta_m0=(eta,), eta_s0=(eta,))
+    tr = simulate([0.0, 500.0], [prof, prof2], None, TrafficSpec(lam, sigma0), 2000.0, 7)
     assert tr.n_departures == tr.n_arrivals
 
 
@@ -96,7 +95,7 @@ def test_phase_switching_against_exact_chain():
     lam = 0.4 / (sigma0 * (0.4 / eta1 + 0.6 / eta0))
     prof = make_profile(lam_m=(lam,), lam_s=(lam,), eta_m0=(eta0,), eta_m1=(eta1,),
                         eta_s0=(eta0,), eta_s1=(eta1,))
-    tr = simulate([prof], None, TrafficSpec(2 * lam, sigma0), 150_000.0, 13,
+    tr = simulate([0.0], [prof], None, TrafficSpec(2 * lam, sigma0), 150_000.0, 13,
                   track_states=True)
     freqs = tr.state_frequencies()
     exact = coupled_chain_stationary(lam, lam, sigma0, eta0, eta1, eta0, eta1)
@@ -113,7 +112,7 @@ def test_coupling_raises_occupancy_vs_independent():
     lam = 1.5
     prof = make_profile(lam_m=(lam,), lam_s=(lam,), eta_m0=(eta0,), eta_m1=(eta1,),
                         eta_s0=(eta0,), eta_s1=(eta1,))
-    tr = simulate([prof], None, TrafficSpec(2 * lam, sigma0), 40_000.0, 29)
+    tr = simulate([0.0], [prof], None, TrafficSpec(2 * lam, sigma0), 40_000.0, 29)
     rho0 = lam * sigma0 / eta0
     mean_total = sum(tr.mean_counts()[0]) + sum(tr.mean_counts()[1])
     assert mean_total > 2 * rho0 / (1 - rho0)
@@ -123,9 +122,9 @@ def test_migrations_move_flows_between_classes():
     lam, eta = 1.0, 8.0
     prof = make_profile(lam_m=(lam, 0.0), lam_s=(0.0,), eta_m0=(4.0, eta),
                         eta_s0=(8.0,))
-    rates = TransitionRates(0.0, nu_up=np.array([0.5, 0.0]), nu_down=np.zeros(2),
+    rates = TransitionRates(nu_up=np.array([0.5, 0.0]), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1))
-    tr = simulate([prof], [rates], TrafficSpec(lam, 2.0), 5000.0, 17,
+    tr = simulate([0.0], [prof], [rates], TrafficSpec(lam, 2.0), 5000.0, 17,
                   record_flows=True)
     assert tr.n_migrations > 100
     # all arrivals enter class 1; anything served in class 2 got there by migration
@@ -137,10 +136,10 @@ def test_migrations_move_flows_between_classes():
 
 def test_migration_boundary_rates_validated():
     with pytest.raises(ValueError):
-        TransitionRates(0.0, nu_up=np.array([0.5]), nu_down=np.zeros(1),
+        TransitionRates(nu_up=np.array([0.5]), nu_down=np.zeros(1),
                         nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1))
     with pytest.raises(ValueError):
-        TransitionRates(0.0, nu_up=np.array([0.5, 0.0]), nu_down=np.array([0.1, 0.0]),
+        TransitionRates(nu_up=np.array([0.5, 0.0]), nu_down=np.array([0.1, 0.0]),
                         nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1))
 
 
@@ -148,10 +147,10 @@ def test_handover_delivers_into_first_class():
     lam = 1.0
     prof = make_profile(lam_m=(lam, lam), lam_s=(0.0, 0.0),
                         eta_m0=(5.0, 10.0), eta_s0=(5.0, 10.0))
-    rates = TransitionRates(0.0, nu_up=np.zeros(2), nu_down=np.zeros(2),
+    rates = TransitionRates(nu_up=np.zeros(2), nu_down=np.zeros(2),
                             nu_tilde_up=np.zeros(2), nu_tilde_down=np.zeros(2),
                             nu_handover_m2s=0.2)
-    tr = simulate([prof], [rates], TrafficSpec(2 * lam, 2.0), 3000.0, 19,
+    tr = simulate([0.0], [prof], [rates], TrafficSpec(2 * lam, 2.0), 3000.0, 19,
                   record_flows=True)
     assert tr.n_handovers > 50
     handed = [f for f in tr.flows if any(c == SMALL for c, _ in f.path)]
@@ -186,19 +185,19 @@ def _profiles_for_motion(positions, seed=2, n=20_000):
     levels = default_levels(params.eta0)
     samples = FieldSamples(spec, params, layout, n, seed)
     profs = []
-    for t, Ls in positions:
-        m1 = macro_ccdf(t, Ls, 0.2, levels, samples)
-        m0 = macro_ccdf(t, Ls, 0.2, levels, samples, include_small_interference=False)
-        s1 = small_ccdf(t, Ls, 0.2, levels, samples)
-        s0 = small_ccdf(t, Ls, 0.2, levels, samples, include_central_macro=False)
+    for Ls in positions:
+        m1 = macro_ccdf(Ls, 0.2, levels, samples)
+        m0 = macro_ccdf(Ls, 0.2, levels, samples, include_small_interference=False)
+        s1 = small_ccdf(Ls, 0.2, levels, samples)
+        s0 = small_ccdf(Ls, 0.2, levels, samples, include_central_macro=False)
         profs.append(extract_classes(m1, s1, m0, s0, K=4, L=4, lambda_tot=5.0))
     return profs
 
 
 def test_transition_rates_zero_for_static_cell():
     c = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.08).center
-    profs = _profiles_for_motion([(0.0, c), (10.0, c)])
-    rates = estimate_transition_rates(profs)
+    profs = _profiles_for_motion([c, c])
+    rates = estimate_transition_rates([0.0, 10.0], profs)
     assert len(rates) == 1
     r = rates[0]
     assert np.all(r.nu_up == 0) and np.all(r.nu_down == 0)
@@ -213,12 +212,12 @@ def test_transition_rates_approach_drives_small_cell_upward():
     c = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.08).center
     far = PolarPoint(c.x, c.y - 0.15)
     near = PolarPoint(c.x, c.y - 0.05)
-    rates = estimate_transition_rates(_profiles_for_motion([(0.0, far), (10.0, near)]))
+    rates = estimate_transition_rates([0.0, 10.0], _profiles_for_motion([far, near]))
     r = rates[0]
     assert r.nu_tilde_up.sum() > 0.0
     assert r.nu_handover_m2s > 0.0 and r.nu_handover_s2m == 0.0
     # receding reverses the handover direction
-    back = estimate_transition_rates(_profiles_for_motion([(0.0, near), (10.0, far)]))[0]
+    back = estimate_transition_rates([0.0, 10.0], _profiles_for_motion([near, far]))[0]
     assert back.nu_handover_s2m > 0.0 and back.nu_handover_m2s == 0.0
     # all rates nonnegative by construction
     for arr in (r.nu_up, r.nu_down, r.nu_tilde_up, r.nu_tilde_down):
@@ -227,14 +226,14 @@ def test_transition_rates_approach_drives_small_cell_upward():
 
 def test_transition_rates_need_two_profiles():
     c = HotspotSpec(R_h=0.5, theta_h=math.pi / 3, A=0.08).center
-    profs = _profiles_for_motion([(0.0, c)])
+    profs = _profiles_for_motion([c])
     with pytest.raises(InsufficientDataError):
-        estimate_transition_rates(profs)
+        estimate_transition_rates([0.0], profs)
 
 
 def test_trace_csv_exports(tmp_path):
     tr = run_mm1(0.4, n_arrivals=500, seed=1, record_flows=True)
-    tr2 = simulate([make_profile(lam_m=(1.0,), lam_s=(0.0,))], None, TrafficSpec(1.0, 2.0),
+    tr2 = simulate([0.0], [make_profile(lam_m=(1.0,), lam_s=(0.0,))], None, TrafficSpec(1.0, 2.0),
                    100.0, 1)
     _write(tmp_path, "# provenance", {"trace.csv": _trace_file(tr2),
                                       "flows.csv": _flows_file(tr)})
@@ -248,19 +247,20 @@ def _moving_system():
     """A 900 s horizon of 30 s pieces with drifting arrivals, migrations in
     both cells and handovers both ways."""
     T, piece_dt = 900.0, 30.0
+    times = [i * piece_dt for i in range(int(T / piece_dt))]
     profs, rates = [], []
-    for i in range(int(T / piece_dt)):
+    for i in range(len(times)):
         lam = 0.8 + 0.6 * math.sin(i / 4.0) ** 2
-        profs.append(make_profile(t=i * piece_dt, lam_m=(lam, 0.5), lam_s=(0.3, lam),
+        profs.append(make_profile(lam_m=(lam, 0.5), lam_s=(0.3, lam),
                                   eta_m0=(6.0, 12.0), eta_m1=(4.0, 9.0),
                                   eta_s0=(8.0, 16.0), eta_s1=(5.0, 11.0)))
-        rates.append(TransitionRates(i * piece_dt, nu_up=np.array([0.05, 0.0]),
+        rates.append(TransitionRates(nu_up=np.array([0.05, 0.0]),
                                      nu_down=np.array([0.0, 0.03]),
                                      nu_tilde_up=np.array([0.04, 0.0]),
                                      nu_tilde_down=np.array([0.0, 0.02]),
                                      nu_handover_m2s=0.01 * (i % 3),
                                      nu_handover_s2m=0.01 * (i % 2)))
-    return profs, rates, TrafficSpec(2.5, 2.0), T
+    return times, profs, rates, TrafficSpec(2.5, 2.0), T
 
 
 # occupancy of _moving_system at seed 5 every 30 s, as a sampler on a
@@ -279,8 +279,8 @@ PIECE_START_COUNTS = [
 def test_piece_start_samples_are_pinned():
     """Every run samples the class counts at t = 0 and at each piece start
     before T, stamped with the piece time, as the boundary leaves them."""
-    profs, rates, traffic, T = _moving_system()
-    tr = simulate(profs, rates, traffic, T, 5)
+    times, profs, rates, traffic, T = _moving_system()
+    tr = simulate(times, profs, rates, traffic, T, 5)
     assert tr.sample_times == [30.0 * i for i in range(30)]
     assert tr.sample_counts == PIECE_START_COUNTS
 
@@ -295,8 +295,8 @@ def _realisation(tr):
 
 
 def test_flow_records_consume_no_draws():
-    profs, rates, traffic, T = _moving_system()
-    on, off = (simulate(profs, rates, traffic, T, 5, track_states=True,
+    times, profs, rates, traffic, T = _moving_system()
+    on, off = (simulate(times, profs, rates, traffic, T, 5, track_states=True,
                         record_flows=rec) for rec in (True, False))
     assert off.flows == [] and len(on.flows) == on.n_arrivals
     assert _realisation(off) == _realisation(on)
@@ -307,8 +307,8 @@ def test_moving_system_realisation_is_pinned():
     that moves, adds or drops a draw, or reorders a sum, fails here.  The
     event counts and the integrals of the per-class-clock engine, to
     rounding, show that the share-clock engine draws the same realisation."""
-    profs, rates, traffic, T = _moving_system()
-    tr = simulate(profs, rates, traffic, T, 5)
+    times, profs, rates, traffic, T = _moving_system()
+    tr = simulate(times, profs, rates, traffic, T, 5)
     assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
         (2759, 2759, 58, 20)
     assert [[repr(float(x)) for x in c] for c in tr.int_n] == \
@@ -332,12 +332,12 @@ def test_a_migration_heavy_realisation_is_pinned():
     one class with the work it has left and entering another, so a change to
     the move path shows in the event counts, the integrals or the flow
     columns, pinned to the bit."""
-    profs, rates, traffic, T = _moving_system()
-    busy = [TransitionRates(r.t, r.nu_up + [2.0, 0.0], r.nu_down + [0.0, 2.0],
+    times, profs, rates, traffic, T = _moving_system()
+    busy = [TransitionRates(r.nu_up + [2.0, 0.0], r.nu_down + [0.0, 2.0],
                             r.nu_tilde_up + [2.0, 0.0], r.nu_tilde_down + [0.0, 2.0],
                             r.nu_handover_m2s + 0.05, r.nu_handover_s2m + 0.05)
             for r in rates]
-    tr = simulate(profs, busy, traffic, T, 5, record_flows=True)
+    tr = simulate(times, profs, busy, traffic, T, 5, record_flows=True)
     assert (tr.n_arrivals, tr.n_departures, tr.n_migrations, tr.n_handovers) == \
         (2733, 2733, 2293, 82)
     assert [[repr(float(x)) for x in c] for c in tr.int_n] == \
@@ -367,7 +367,7 @@ def test_no_result_depends_on_how_the_builtin_sum_rounds(monkeypatch):
     arrival rate and integrals and a route's cruise speed are summed left to
     right, so they keep their bits when the builtin sum rounds otherwise."""
     def results():
-        tr = simulate([make_profile(lam_m=(0.1,) * 6, eta_m0=(3, 5, 7, 9, 11, 13))], None,
+        tr = simulate([0.0], [make_profile(lam_m=(0.1,) * 6, eta_m0=(3, 5, 7, 9, 11, 13))], None,
                       TrafficSpec(0.6, 2.0), 5000.0, 3)
         bus = route_cruise_policy(((0.0, 0.0), (0.6, 0.0), (0.6, 0.3), (0.0, 0.3)), 600.0,
                                   v_max=10.0, dv=3.6, turn_probs=(0.25, 0.5, 0.25))
@@ -387,13 +387,13 @@ def _flow_values(tr):
 
 
 def test_numpy_profile_times_run_on_python_floats():
-    """Profile times and T given as numpy scalars give the
+    """Piece times and T given as numpy scalars give the
     realisation and flow values of Python floats, and the records hold
     Python floats."""
-    profs, rates, traffic, T = _moving_system()
-    np_profs = [dataclasses.replace(p, t=np.float64(p.t)) for p in profs]
-    runs = [simulate(ps, rates, traffic, horizon, 5, track_states=True, record_flows=True)
-            for ps, horizon in ((profs, T), (np_profs, np.float64(T)))]
+    times, profs, rates, traffic, T = _moving_system()
+    runs = [simulate(ts, profs, rates, traffic, horizon, 5, track_states=True,
+                     record_flows=True)
+            for ts, horizon in ((times, T), (np.array(times), np.float64(T)))]
     assert _realisation(runs[0]) == _realisation(runs[1])
     assert _flow_values(runs[0]) == _flow_values(runs[1])
     for tr in runs:
@@ -422,8 +422,8 @@ def test_flows_csv_from_columns_matches_record_writer(tmp_path):
     """The rows built from the flow columns, through the output writer, give
     the bytes of a per-record writer, on a run with multi-visit paths and
     flows still in service at T."""
-    profs, rates, traffic, T = _moving_system()
-    tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
+    times, profs, rates, traffic, T = _moving_system()
+    tr = simulate(times, profs, rates, traffic, T, 4, record_flows=True)
     assert sum(len(f.path) > 2 for f in tr.flows) > 0
     assert sum(math.isnan(f.departure) for f in tr.flows) > 0
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -435,8 +435,8 @@ def test_flows_csv_from_columns_matches_record_writer(tmp_path):
 def test_validation_checks_every_departed_flow():
     """Work off by 1e-6 relative on any one departed flow fails the check,
     though the sum over all flows stays within its own tolerance."""
-    profs, rates, traffic, T = _moving_system()
-    tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
+    times, profs, rates, traffic, T = _moving_system()
+    tr = simulate(times, profs, rates, traffic, T, 4, record_flows=True)
     served = tr.flow_columns.served
     done = [fid for fid, d in enumerate(tr.flow_columns.departure) if not math.isnan(d)]
     for fid in (done[0], done[len(done) // 2], done[-1]):
@@ -456,7 +456,7 @@ def test_a_flow_small_against_its_class_clock_departs_within_the_check(seed):
     more than 1e-9 of its size, as in the smallest flows of a long busy
     period, yet within the rounding the check allows."""
     prof = make_profile(lam_m=(0.005, 0.005), eta_m0=(0.01, 1e6))
-    tr = simulate([prof], None, TrafficSpec(0.01, 1.0), 2e4, seed, record_flows=True)
+    tr = simulate([0.0], [prof], None, TrafficSpec(0.01, 1.0), 2e4, seed, record_flows=True)
     cols = tr.flow_columns
     done = [fid for fid, d in enumerate(cols.departure) if not math.isnan(d)]
     err = {fid: abs(cols.served[fid] - cols.size[fid]) for fid in done}
@@ -475,7 +475,7 @@ def test_work_is_conserved_to_the_rounding_of_the_class_clocks(record):
     prof = make_profile(lam_m=(0.001, 0.05), eta_m0=(1e-3, 1e6))
     gaps = []
     for seed in range(10):
-        tr = simulate([prof], None, TrafficSpec(0.051, 1.0), 2e4, seed, record_flows=record)
+        tr = simulate([0.0], [prof], None, TrafficSpec(0.051, 1.0), 2e4, seed, record_flows=record)
         drawn = tr.offered_mbits_drawn
         gap = abs(drawn - tr.served_mbits() - tr.backlog_mbits)
         assert gap <= 1e-9 * drawn + _GAMMA * tr.departure_scale
@@ -484,11 +484,25 @@ def test_work_is_conserved_to_the_rounding_of_the_class_clocks(record):
 
 
 def test_recorded_trace_survives_pickling():
-    profs, rates, traffic, T = _moving_system()
-    tr = simulate(profs, rates, traffic, T, 4, record_flows=True)
+    times, profs, rates, traffic, T = _moving_system()
+    tr = simulate(times, profs, rates, traffic, T, 4, record_flows=True)
     back = pickle.loads(pickle.dumps(tr))
     assert _flow_values(back) == _flow_values(tr)
     assert _realisation(back) == _realisation(tr)
+
+
+@pytest.mark.parametrize("times, n_profiles", [
+    ([30.0, 0.0], 2), ([0.0, 0.0], 2), ([0.0, 30.0, 60.0], 2), ([0.0], 2)],
+    ids=["descending", "repeated", "more-times", "more-profiles"])
+def test_piece_times_must_ascend_one_per_profile(times, n_profiles):
+    """The piece times come beside the profiles, not inside them: times that
+    do not strictly ascend, or a count that differs from the profiles',
+    raise instead of pairing a profile with another piece's time or rates."""
+    profs = [make_profile(lam_m=(1.0,), lam_s=(0.0,))] * n_profiles
+    with pytest.raises(ValueError, match="strictly ascend, one per profile"):
+        simulate(times, profs, None, TrafficSpec(1.0, 2.0), 60.0, 1)
+    with pytest.raises(ValueError):
+        estimate_transition_rates(times, profs)
 
 
 @pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf, np.float64(math.nan)],
@@ -496,7 +510,7 @@ def test_recorded_trace_survives_pickling():
 def test_bad_horizon_is_rejected(T):
     prof = make_profile(lam_m=(1.0,), lam_s=(0.0,))
     with pytest.raises(ValueError, match="T must be positive and finite"):
-        simulate([prof], None, TrafficSpec(1.0, 2.0), T, 1)
+        simulate([0.0], [prof], None, TrafficSpec(1.0, 2.0), T, 1)
 
 
 @pytest.mark.parametrize("lam, sigma0", [
@@ -518,13 +532,13 @@ def piecewise_systems(draw):
     rate = st.floats(0.0, 1.5)
     eta = st.floats(1.0, 20.0)
     profs, rates = [], []
-    for t in starts:
+    for _ in starts:
         lam_m = draw(st.lists(rate, min_size=K, max_size=K))
         lam_s = draw(st.lists(rate, min_size=L, max_size=L))
         eta_m0 = draw(st.lists(eta, min_size=K, max_size=K))
         eta_s0 = draw(st.lists(eta, min_size=L, max_size=L))
         ratio = draw(st.floats(0.2, 1.0))
-        profs.append(make_profile(t=t, lam_m=lam_m, lam_s=lam_s, eta_m0=eta_m0,
+        profs.append(make_profile(lam_m=lam_m, lam_s=lam_s, eta_m0=eta_m0,
                                   eta_m1=[ratio * x for x in eta_m0], eta_s0=eta_s0,
                                   eta_s1=[ratio * x for x in eta_s0]))
         nu = st.floats(0.0, 0.8)
@@ -532,11 +546,11 @@ def piecewise_systems(draw):
         down = [0.0] + draw(st.lists(nu, min_size=K, max_size=K))[1:]
         tup = draw(st.lists(nu, min_size=L, max_size=L))[:-1] + [0.0]
         tdown = [0.0] + draw(st.lists(nu, min_size=L, max_size=L))[1:]
-        rates.append(TransitionRates(t, np.array(up), np.array(down), np.array(tup),
+        rates.append(TransitionRates(np.array(up), np.array(down), np.array(tup),
                                      np.array(tdown), draw(st.floats(0.0, 0.4)),
                                      draw(st.floats(0.0, 0.4))))
     lam_tot = max(float(p.lambda_macro.sum() + p.lambda_small.sum()) for p in profs)
-    return profs, rates, TrafficSpec(max(lam_tot, 0.1), 2.0), T
+    return starts, profs, rates, TrafficSpec(max(lam_tot, 0.1), 2.0), T
 
 
 @settings(max_examples=40, deadline=None)
@@ -546,8 +560,8 @@ def test_lazy_integrals_match_per_event_accounting(system, seed):
     agree with the per-event state record: occupancy, busy time and horizon
     from states_time, per-piece sums against the class totals, and piece
     durations against the grid."""
-    profs, rates, traffic, T = system
-    tr = simulate(profs, rates, traffic, T, seed, track_states=True)
+    times, profs, rates, traffic, T = system
+    tr = simulate(times, profs, rates, traffic, T, seed, track_states=True)
     close = dict(rel=1e-9, abs=1e-12 * T)
     assert sum(tr.states_time.values()) == pytest.approx(T, **close)
     for c, n_classes in ((MACRO, tr.K), (SMALL, tr.L)):
@@ -569,16 +583,16 @@ def test_lazy_integrals_match_per_event_accounting(system, seed):
 def test_flow_records_never_change_the_realisation(K, L, seed, lam, nu, ho, etas):
     """Records on or off, any small profile gives the same realisation, and
     the drawn work splits into served work and backlog."""
-    profs = [make_profile(t=t, lam_m=[lam / K] * K, lam_s=[lam / L] * L,
+    profs = [make_profile(lam_m=[lam / K] * K, lam_s=[lam / L] * L,
                           eta_m0=etas[:K], eta_m1=[0.7 * x for x in etas[:K]],
                           eta_s0=etas[6:6 + L], eta_s1=[0.5 * x for x in etas[6:6 + L]])
-             for t in (0.0, 40.0)]
+             for _ in range(2)]
     up, down = [nu] * (K - 1) + [0.0], [0.0] + [nu] * (K - 1)
     tup, tdown = [nu] * (L - 1) + [0.0], [0.0] + [nu] * (L - 1)
-    rates = TransitionRates(0.0, np.array(up), np.array(down), np.array(tup),
+    rates = TransitionRates(np.array(up), np.array(down), np.array(tup),
                             np.array(tdown), ho, 2 * ho)
     traffic = TrafficSpec(2 * lam, 2.0)
-    on, off = (simulate(profs, [rates], traffic, 80.0, seed,
+    on, off = (simulate([0.0, 40.0], profs, [rates], traffic, 80.0, seed,
                         track_states=True, record_flows=rec)
                for rec in (True, False))
     assert _realisation(off) == _realisation(on)
@@ -594,7 +608,7 @@ def _oracle_system():
     o = ORACLE
     prof = make_profile(lam_m=o["lam_m"], lam_s=(o["lam_s"],), eta_m0=o["eta_m0"],
                         eta_m1=o["eta_m1"], eta_s0=(o["eta_s0"],), eta_s1=(o["eta_s1"],))
-    rates = TransitionRates(0.0, nu_up=np.array(o["nu_up"]), nu_down=np.array(o["nu_down"]),
+    rates = TransitionRates(nu_up=np.array(o["nu_up"]), nu_down=np.array(o["nu_down"]),
                             nu_tilde_up=np.zeros(1), nu_tilde_down=np.zeros(1),
                             nu_handover_m2s=o["ho_m2s"], nu_handover_s2m=o["ho_s2m"])
     return prof, rates, TrafficSpec(sum(o["lam_m"]) + o["lam_s"], o["sigma0"])
@@ -604,7 +618,7 @@ def test_drawn_work_splits_into_served_and_backlog():
     """On the migration/handover oracle's system, every drawn Mbit is served
     or still in service at T, migrations and handovers included."""
     prof, rates, traffic = _oracle_system()
-    tr = simulate([prof], [rates], traffic, 5000.0, 3)
+    tr = simulate([0.0], [prof], [rates], traffic, 5000.0, 3)
     assert tr.n_migrations > 500 and tr.n_handovers > 500 and tr.backlog_mbits > 0.0
     m = empirical_metrics(tr)
     assert m.offered_mbits_drawn == pytest.approx(m.served_mbits + m.backlog_mbits,
@@ -620,7 +634,7 @@ def test_migrations_and_handovers_against_exact_chain():
     0.004).  A chain whose s->m handovers enter macro class 2 lies at TV 0.03
     from the simulation, one with nu_up x 1.5 at 0.027, one with both at 0.055."""
     prof, rates, traffic = _oracle_system()
-    tr = simulate([prof], [rates], traffic, 60_000.0, 0, track_states=True)
+    tr = simulate([0.0], [prof], [rates], traffic, 60_000.0, 0, track_states=True)
     assert tr.n_migrations > 10_000 and tr.n_handovers > 10_000
     sim = tr.state_frequencies()
     exact = migration_chain_stationary(**ORACLE)
@@ -658,17 +672,18 @@ def test_piece_integrals_against_exact_transient():
     exact_n, exact_served, dropped = migration_chain_piece_integrals(
         [(tau, ch) for ch in chains], n_max=14)
     assert dropped < 1e-9   # the truncation moves no measurable mass
-    profs = [make_profile(t=i * tau, lam_m=ch["lam_m"], lam_s=(ch["lam_s"],),
+    profs = [make_profile(lam_m=ch["lam_m"], lam_s=(ch["lam_s"],),
                           eta_m0=ch["eta_m0"], eta_m1=ch["eta_m1"],
                           eta_s0=(ch["eta_s0"],), eta_s1=(ch["eta_s1"],))
-             for i, ch in enumerate(chains)]
-    rates = [TransitionRates(i * tau, np.array(ch["nu_up"]), np.array(ch["nu_down"]),
+             for ch in chains]
+    rates = [TransitionRates(np.array(ch["nu_up"]), np.array(ch["nu_down"]),
                              np.zeros(1), np.zeros(1), ch["ho_m2s"], ch["ho_s2m"])
-             for i, ch in enumerate(chains)]
+             for ch in chains]
     traffic = TrafficSpec(max(sum(ch["lam_m"]) + ch["lam_s"] for ch in chains), 2.0)
     runs_n, runs_served = [], []
     for seed in range(runs):
-        tr = simulate(profs, rates, traffic, n_pieces * tau, (7, seed))
+        tr = simulate([i * tau for i in range(n_pieces)], profs, rates, traffic,
+                      n_pieces * tau, (7, seed))
         runs_n.append(tr.piece_int_n)
         runs_served.append(tr.piece_served)
     for sims, exact in ((np.array(runs_n), exact_n), (np.array(runs_served), exact_served)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mobicell.config import bundled_scenario_path, load_scenario
 from mobicell.geometry import PolarPoint
 from mobicell.hotspot import HotspotSpec
-from mobicell.mobility import (Heading, InvalidRouteError, ManhattanGrid,
+from mobicell.mobility import (_ON_STREET_TOL, Heading, InvalidRouteError, ManhattanGrid,
                                MobilityPolicy, TrajectoryState,
                                distance_to_hotspot, generate_trajectory,
                                route_cruise_policy, step)
@@ -122,6 +122,31 @@ def test_route_cruise_repeats_its_lap_exactly():
     for first, later in zip(traj.states, traj.states[lap:]):
         assert (later.position.x, later.position.y, later.velocity, later.heading) == \
             (first.position.x, first.position.y, first.velocity, first.heading)
+
+
+@pytest.mark.parametrize("dt", [1.0, 10.0])
+@pytest.mark.parametrize("stops", [(), (((0.25, 0.5), 60.0), ((0.0, 0.5), 30.0))],
+                         ids=["no-stops", "two-stops"])
+def test_the_lap_shortcut_gives_the_step_by_step_walk(stops, dt):
+    """At dv = 0 a cruising bus takes the lap shortcut once its starting
+    state recurs, and the same bus without a cruise speed draws nothing and
+    takes no shortcut: it walks every step.  Over 3.5 laps the two agree to
+    1e-12 Km in position, exactly in speed, and in heading but within
+    ``_ON_STREET_TOL`` of a waypoint, where a state a rounding short of or
+    past the corner takes the heading of whichever segment it lies on."""
+    policy, grid, lap = reference_route()
+    bus = replace(policy, dv=0.0, stops=stops)
+    shortcut, walk = (generate_trajectory(p, grid, T=3.5 * lap, dt=dt, seed=0)
+                      for p in (bus, replace(bus, cruise_kmh=None)))
+    assert any(s is shortcut.states[0] for s in shortcut.states[1:])   # lap 1 repeated
+    assert len(shortcut.states) == len(walk.states)
+    for a, b in zip(shortcut.states, walk.states):
+        assert abs(a.position.x - b.position.x) <= 1e-12
+        assert abs(a.position.y - b.position.y) <= 1e-12
+        assert a.velocity == b.velocity
+        at_waypoint = any(max(abs(b.position.x - x), abs(b.position.y - y)) <= _ON_STREET_TOL
+                          for x, y in policy.route)
+        assert a.heading == b.heading or at_waypoint
 
 
 @pytest.mark.parametrize("change", [dict(cruise_kmh=None),

@@ -15,7 +15,7 @@ from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenari
 from mobicell.pipeline import (analytic_windows, baseline_windows,
                                macro_only_profile, mean_flux_rates, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
-                               snapshot_series)
+                               scenario_trajectory, snapshot_series)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def cfg_small():
 
 @pytest.fixture(scope="module")
 def series_small(cfg_small):
-    return snapshot_series(cfg_small, mc_seed=(1, 0, 0))
+    return snapshot_series(cfg_small, (1, 0, 0), scenario_trajectory(cfg_small))
 
 
 def test_snapshot_series_structure(cfg_small, series_small):
@@ -60,7 +60,8 @@ def test_a_round_holds_its_draws_and_flows_at_the_size_it_keeps(cfg_small):
     kept = samples.xy.nbytes + samples.g.nbytes + samples._kr.nbytes
     assert peak <= 1.8 * kept, f"peak {peak / kept:.3f} times the bytes kept"
 
-    trace = run_replication(cfg_small, 0).trace_sc
+    trace = run_replication(cfg_small, 0, macro_only_profile(cfg_small),
+                            scenario_trajectory(cfg_small)).trace_sc
     cols = trace.flow_columns
     assert trace.n_arrivals > 0
     for col in (cols.arrival, cols.size, cols.departure, cols.served, cols.scale):
@@ -70,15 +71,15 @@ def test_a_round_holds_its_draws_and_flows_at_the_size_it_keeps(cfg_small):
 
 def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
     """Over two laps each distinct position is evaluated once, and a lap-2
-    snapshot returns what a fresh evaluation at its position computes, with
-    only the time differing from its lap-1 twin."""
+    snapshot returns what a fresh evaluation at its position computes: the
+    very curves, profile and loads of its lap-1 twin."""
     cfg = replace(cfg_small, mc_samples=20_000, duration_s=2 * cfg_small.period_s,
                   snapshot_s=300.0)
     with mock.patch("mobicell.pipeline.snapshot_sweep",
                     side_effect=snapshot_sweep) as sweep:
-        s = snapshot_series(cfg, mc_seed=(1, 0, 0))
+        s = snapshot_series(cfg, (1, 0, 0), scenario_trajectory(cfg))
     distinct = {(p.x, p.y) for p in s.positions}
-    evaluated = sum(len(call.args[1]) for call in sweep.call_args_list)
+    evaluated = sum(len(call.args[0]) for call in sweep.call_args_list)
     assert evaluated == len(distinct) < len(s.times)
 
     t = cfg.period_s + 300.0
@@ -86,17 +87,17 @@ def test_lap_two_snapshot_reuses_a_fresh_evaluation(cfg_small):
     Ls = s.positions[i]
     assert (Ls.x, Ls.y) == (s.positions[j].x, s.positions[j].y)
     samples = FieldSamples(cfg.spec, cfg.params, cfg.layout, cfg.mc_samples, (1, 0, 0))
-    fresh = snapshot_curves(t, Ls, cfg.small_reach_km, cfg.levels, samples)
+    fresh = snapshot_curves(Ls, cfg.small_reach_km, cfg.levels, samples)
     prof = extract_classes(fresh[0], fresh[2], fresh[1], fresh[3], cfg.K, cfg.L,
                            cfg.traffic.lambda_tot)
     for got, want, twin in zip(s.curves[i], fresh, s.curves[j]):
-        assert (got.t, twin.t) == (t, 300.0)
+        assert got is twin
         assert (got.cell, got.mass, got.n_samples, got.empty) == \
             (want.cell, want.mass, want.n_samples, want.empty)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.stderr, want.stderr)
     got = s.profiles[i]
-    assert (got.t, s.profiles[j].t) == (t, 300.0)
+    assert got is s.profiles[j] and s.loads[i] is s.loads[j]
     assert got.macro_curve is s.curves[i][0] and got.small_curve is s.curves[i][2]
     for name in ("eta_macro", "eta_small", "lambda_macro", "lambda_small",
                  "macro_edges", "small_edges"):
@@ -143,9 +144,11 @@ def test_analytic_matches_empirical_throughput(cfg_small):
     """Quasi-stationary windowed occupancy from the stationary-form marginals
     against the simulated mean flow throughput: within 10% on the default
     mobile scenario (replication-averaged)."""
+    cfg = replace(cfg_small, duration_s=3600.0, snapshot_s=30.0)
+    prof_mo, traj = macro_only_profile(cfg), scenario_trajectory(cfg)
     emp, ana = [], []
     for rep in range(3):
-        rr = run_replication(replace(cfg_small, duration_s=3600.0, snapshot_s=30.0), rep)
+        rr = run_replication(cfg, rep, prof_mo, traj)
         emp.append(rr.emp_sc["metrics"].mean_flow_throughput)
         ana.append(rr.summary["R_windowed"])
     emp_mean, ana_mean = float(np.mean(emp)), float(np.mean(ana))
@@ -159,6 +162,29 @@ def test_ccdf_experiment_outputs(cfg_small, tmp_path):
     assert s1.mass > 0.5 * (m1.mass + s1.mass)   # cell parked on the hotspot
     assert (tmp_path / "c" / "ccdf.csv").exists()
     assert res["avg_small"].values[0] <= 1.0
+
+
+def test_ccdf_csv_stamps_each_curve_with_its_snapshot_time(cfg_small, tmp_path):
+    """Over two laps a picked snapshot's rows carry its own grid time, a
+    lap-2 pick too, though it shares its lap-1 twin's curves; the baseline
+    rows carry 0 and the two horizon averages -1."""
+    cfg = replace(cfg_small, mc_samples=20_000, duration_s=2 * cfg_small.period_s,
+                  snapshot_s=300.0)
+    lap2 = cfg.period_s + 300.0
+    res = run_ccdf(cfg, times=[290.0, lap2 + 10.0, 1e6], out_dir=tmp_path)
+    picked = [300.0, lap2, 2 * cfg.period_s]
+    assert [t for t, _, _ in res["at_times"]] == picked
+    assert res["at_times"][1][1] is res["at_times"][0][1]      # lap-2 twin of 300 s
+    with open(tmp_path / "ccdf.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    n = len(cfg.levels)
+    assert len(rows) == n * (1 + 3 * len(picked) + 2)
+    curves = [(rows[i][0], rows[i][1]) for i in range(0, len(rows), n)]
+    assert all(rows[i][:2] == list(curves[i // n]) for i in range(len(rows)))
+    assert curves == [("0.000", "macro_only"),
+                      *((f"{t:.3f}", cell) for t in picked
+                        for cell in ("macro", "small", "macro")),
+                      ("-1.000", "macro"), ("-1.000", "small")]
 
 
 def test_sweep_lambda_monotone(cfg_small):
@@ -246,6 +272,8 @@ def test_rep0_files_describe_rep0(cfg_small, tmp_path):
     trace = rows("trace_rep0.csv")
     assert len(trace) == n_samples * (cfg.K + cfg.L)
     assert all(r[3] == "0" for r in trace[:cfg.K + cfg.L])   # empty at t = 0
+    # sampled at each snapshot time before the horizon
+    assert list(dict.fromkeys(r[0] for r in trace)) == [f"{t:.6f}" for t in res.times[:-1]]
     assert all(rr.trace_sc is None for rr in res.replications[1:])
 
 
