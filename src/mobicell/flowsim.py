@@ -161,13 +161,6 @@ class FlowColumns:
     moved_fid: list     # the flow of each later visit
     moved_to: list      # (cell, class) of that visit
 
-    def paths(self) -> list:
-        """[(cell, class), ...] in visit order, per flow."""
-        paths = [[tag] for tag in self.first]
-        for fid, tag in zip(self.moved_fid, self.moved_to):
-            paths[fid].append(tag)
-        return paths
-
 
 @dataclass
 class QueueTrace:
@@ -201,12 +194,12 @@ class QueueTrace:
     def flows(self) -> list:
         """FlowRecord per arrival, by fid, built from ``flow_columns`` on
         first access; [] without records."""
-        if self._flows is None:
-            cols = self.flow_columns
-            self._flows = [] if cols is None else [
-                FlowRecord(fid, *row) for fid, row in enumerate(
-                    zip(cols.arrival, cols.departure, cols.size, cols.served, cols.paths()))]
-        return self._flows
+        if self._flows is None and (cols := self.flow_columns) is not None:
+            self._flows = [FlowRecord(fid, *row, [tag]) for fid, (*row, tag) in enumerate(
+                zip(cols.arrival, cols.departure, cols.size, cols.served, cols.first))]
+            for fid, tag in zip(cols.moved_fid, cols.moved_to):
+                self._flows[fid].path.append(tag)
+        return self._flows or []
 
     def mean_counts(self) -> tuple[np.ndarray, np.ndarray]:
         m = np.asarray(self.int_n[MACRO]) / self.T
@@ -273,6 +266,16 @@ class _Class:
         return v
 
 
+def _piece_times(times, n: int) -> list:
+    """``times`` as Python floats, checked to start at 0 and strictly ascend,
+    one per profile of a series of ``n`` (ValueError otherwise)."""
+    piece_t = [float(t) for t in times]
+    if (len(piece_t) != n or piece_t[:1] != [0.0]
+            or not all(a < b for a, b in itertools.pairwise(piece_t))):
+        raise ValueError("times must start at 0 and strictly ascend, one per profile")
+    return piece_t
+
+
 _INDEX = operator.attrgetter("k")
 _DUE = operator.attrgetter("due")
 
@@ -283,7 +286,8 @@ def simulate(times, profiles, rates, traffic: TrafficSpec, T: float, seed,
 
     ``profiles`` is a series of ClassProfile, one element for a stationary
     run, profile i holding from times[i] to times[i + 1] (the last to T);
-    ``times`` must strictly ascend, one per profile (ValueError otherwise).
+    ``times`` must start at 0 and strictly ascend, one per profile
+    (ValueError otherwise): the first piece runs from 0.
     ``rates`` is None (no migrations or handovers) or a series of
     TransitionRates aligned with the pieces, its last element holding for
     the pieces past its end.  Deterministic per seed.
@@ -316,9 +320,7 @@ def simulate(times, profiles, rates, traffic: TrafficSpec, T: float, seed,
     T = float(T)    # model time runs on Python floats (see the module notes)
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    piece_t = [float(t) for t in times]
-    if len(piece_t) != len(profiles) or not all(a < b for a, b in itertools.pairwise(piece_t)):
-        raise ValueError("times must strictly ascend, one per profile")
+    piece_t = _piece_times(times, len(profiles))
     K, L = profiles[0].K, profiles[0].L
     if any(p.K != K or p.L != L for p in profiles):
         raise ValueError("all profiles must share the class counts")
@@ -726,7 +728,8 @@ def estimate_transition_rates(times, class_profiles, extra_migration_rate: float
                               ) -> list[TransitionRates]:
     """Per-flow migration and handover hazards from the drift of consecutive
     snapshots of the series ``class_profiles`` taken at ``times``, one per
-    interval; ``times`` must strictly ascend, one per profile (ValueError).
+    interval; ``times`` must start at 0 and strictly ascend, one per
+    profile (ValueError).
 
     Class migration: the change, across one snapshot interval, of the CCDF
     mass above a class boundary is the net probability flux over that
@@ -745,10 +748,9 @@ def estimate_transition_rates(times, class_profiles, extra_migration_rate: float
     if len(class_profiles) < 2:
         raise InsufficientDataError("need at least two consecutive class profiles")
     out = []
-    for (t0, p0), (t1, p1) in itertools.pairwise(zip(times, class_profiles, strict=True)):
+    times = _piece_times(times, len(class_profiles))
+    for (t0, p0), (t1, p1) in itertools.pairwise(zip(times, class_profiles)):
         dt = t1 - t0
-        if not dt > 0:
-            raise ValueError("times must strictly ascend")
         K, L = p0.K, p0.L
         nu_up, nu_down = np.zeros(K), np.zeros(K)
         nu_tup, nu_tdown = np.zeros(L), np.zeros(L)

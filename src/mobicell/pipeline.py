@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +64,6 @@ class SnapshotSeries:
     profiles: list
     loads: list
     rates: list                       # len(times) - 1, for the sim
-    trajectory: Trajectory = field(repr=False)   # the path the positions sample
     curves: list = field(repr=False)  # (m1, m0, s1, s0) per snapshot
 
 
@@ -98,7 +96,7 @@ def snapshot_series(cfg: ScenarioConfig, mc_seed, traj: Trajectory) -> SnapshotS
     curves, profiles, loads = map(list, zip(*[records[(Ls.x, Ls.y)] for Ls in positions]))
     rates = estimate_transition_rates(times, profiles, cfg.extra_migration_rate)
     return SnapshotSeries(times, positions, distance_to_hotspot(traj, cfg.spec)[steps],
-                          profiles, loads, rates, traj, curves)
+                          profiles, loads, rates, curves)
 
 
 def macro_only_profile(cfg: ScenarioConfig) -> ClassProfile:
@@ -130,30 +128,16 @@ class WindowSeries:
     R: np.ndarray             # Little throughput of the merged window queue
 
 
-def _little(rho_bar: np.ndarray, offered: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(rho_bar < 1.0,
-                        offered * (1.0 - rho_bar) / np.maximum(rho_bar, 1e-12), 0.0)
-
-
-def _windows(t: np.ndarray, rho: np.ndarray, rho_tilde: np.ndarray,
-             traffic: TrafficSpec) -> WindowSeries:
+def window_series(times: np.ndarray, loads: list, traffic: TrafficSpec) -> WindowSeries:
+    """The windows of a series: ``loads`` holds the coupled loads of each
+    window, one per time.  The macro-only baseline is its one load repeated."""
+    rho = np.array([ld.rho for ld in loads])
+    rho_tilde = np.array([ld.rho_tilde for ld in loads])
     rho_bar = rho + rho_tilde
     offered = traffic.lambda_tot * traffic.sigma0
-    return WindowSeries(t, rho, rho_tilde, rho_bar, offered / np.maximum(rho_bar, 1e-12),
-                        _little(rho_bar, offered))
-
-
-def analytic_windows(series: SnapshotSeries, traffic: TrafficSpec) -> WindowSeries:
-    return _windows(series.times, np.array([ld.rho for ld in series.loads]),
-                    np.array([ld.rho_tilde for ld in series.loads]), traffic)
-
-
-def baseline_windows(prof_mo: ClassProfile, traffic: TrafficSpec,
-                     times: np.ndarray) -> WindowSeries:
-    """The windows of the macro-only baseline: its constant load, no partner."""
-    rho = coupled_loads_fixed_point(prof_mo, traffic).rho
-    return _windows(times, np.full(len(times), rho), np.zeros(len(times)), traffic)
+    R = np.where(rho_bar < 1.0, offered * (1.0 - rho_bar) / np.maximum(rho_bar, 1e-12), 0.0)
+    return WindowSeries(times, rho, rho_tilde, rho_bar,
+                        offered / np.maximum(rho_bar, 1e-12), R)
 
 
 def mean_flux_rates(series: SnapshotSeries, nu_floor: float) -> TransitionRates:
@@ -231,20 +215,15 @@ class ReplicationResult:
 
 def _empirical_windows(trace) -> dict:
     """Per-snapshot-piece occupancy and served-rate series from a trace."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t_piece = np.maximum(trace.piece_time, 1e-12)
-        n_mean = trace.piece_int_n.sum(axis=1) / t_piece
-        served_rate = trace.piece_served.sum(axis=1) / t_piece
-        int_n = trace.piece_int_n.sum(axis=1)
-        r_w = np.where(int_n > 0, trace.piece_served.sum(axis=1) / np.maximum(int_n, 1e-12),
-                       np.nan)
-    m = empirical_metrics(trace)
+    int_n = trace.piece_int_n.sum(axis=1)
+    served = trace.piece_served.sum(axis=1)
+    t_piece = np.maximum(trace.piece_time, 1e-12)
     return {
         "t": trace.piece_t,
-        "mean_n": n_mean,
-        "served_rate": served_rate,
-        "R_w": r_w,
-        "metrics": m,
+        "mean_n": int_n / t_piece,
+        "served_rate": served / t_piece,
+        "R_w": np.where(int_n > 0, served / np.maximum(int_n, 1e-12), np.nan),
+        "metrics": empirical_metrics(trace),
     }
 
 
@@ -263,7 +242,7 @@ def run_replication(cfg: ScenarioConfig, rep: int, prof_mo: ClassProfile,
     mc_seed = (cfg.seed, rep, 0)
     sim_seed = (cfg.seed, rep, 1)
     series = snapshot_series(cfg, mc_seed, traj)
-    windows_sc = analytic_windows(series, cfg.traffic)
+    windows_sc = window_series(series.times, series.loads, cfg.traffic)
     summary = ergodic_summary(series, windows_sc, cfg)
 
     trace_sc = simulate(series.times, series.profiles, series.rates, cfg.traffic,
@@ -302,6 +281,7 @@ def run_dynamics(cfg: ScenarioConfig, out_dir=None) -> DynamicsResult:
     traj = scenario_trajectory(cfg)
     reps = list(range(cfg.replications))
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # not paid for by one worker
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_replication, [cfg] * len(reps), reps,
                                     [prof_mo] * len(reps), [traj] * len(reps)))
@@ -309,9 +289,11 @@ def run_dynamics(cfg: ScenarioConfig, out_dir=None) -> DynamicsResult:
         results = [run_replication(cfg, r, prof_mo, traj) for r in reps]
 
     rep0 = results[0]
-    windows_mo = baseline_windows(prof_mo, cfg.traffic, rep0.windows_sc.t)
+    times = rep0.windows_sc.t
+    windows_mo = window_series(
+        times, [coupled_loads_fixed_point(prof_mo, cfg.traffic)] * len(times), cfg.traffic)
     baseline_stable = bool(windows_mo.rho_bar[0] < 1.0)
-    out = DynamicsResult(cfg, rep0.windows_sc.t, rep0.distance_km, results, windows_mo,
+    out = DynamicsResult(cfg, times, rep0.distance_km, results, windows_mo,
                          baseline_stable)
     if out_dir is not None:
         _write(out_dir, provenance(cfg, "dynamics", cfg.seed), _dynamics_files(out))
@@ -350,19 +332,17 @@ def _trace_file(trace: QueueTrace) -> tuple:
 
 
 def _flows_file(trace: QueueTrace) -> tuple:
-    """Header and rows of the recorded flows, one line per flow; each
-    distinct path's label is formatted once."""
-    labels = {}
-    rows = []
+    """Header and rows of the recorded flows, one line per flow: each path
+    is the label of the class it arrived in, then one per move."""
     cols = trace.flow_columns
-    for a, d, s, p in zip(cols.arrival, cols.departure, cols.size, cols.paths()):
-        key = tuple(p)
-        pth = labels.get(key)
-        if pth is None:
-            pth = labels[key] = ">".join(f"{'MS'[c]}{k + 1}" for c, k in key)
-        dep = "" if math.isnan(d) else f"{d:.6f}"
-        rows.append(f"{a:.6f},{dep},{pth},{s:.6f}")
-    return "arrival_s,departure_s,cell_path,size_mbits", rows
+    label = {(c, k): f"{'MS'[c]}{k + 1}" for c, n in enumerate((trace.K, trace.L))
+             for k in range(n)}
+    paths = [label[tag] for tag in cols.first]
+    for fid, tag in zip(cols.moved_fid, cols.moved_to):
+        paths[fid] += ">" + label[tag]
+    return "arrival_s,departure_s,cell_path,size_mbits", [
+        f"{a:.6f},{'' if math.isnan(d) else f'{d:.6f}'},{p},{s:.6f}"
+        for a, d, s, p in zip(cols.arrival, cols.departure, cols.size, paths)]
 
 
 def _dynamics_files(res: DynamicsResult) -> dict:
@@ -430,7 +410,8 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0), ou
     average user experience converges to the no-small-cell baseline instead
     of to a permanently interfered field.
     """
-    series = snapshot_series(cfg, (cfg.seed, 0, 0), scenario_trajectory(cfg))
+    traj = scenario_trajectory(cfg)
+    series = snapshot_series(cfg, (cfg.seed, 0, 0), traj)
     grid_times = series.times
     d_at = series.distance_km
     if times is None:
@@ -469,7 +450,7 @@ def run_ccdf(cfg: ScenarioConfig, times=None, distances_m=(0.0, 60.0, 120.0), ou
     if out_dir is not None:
         _write(out_dir, provenance(cfg, "ccdf", cfg.seed), {
             "ccdf.csv": _curves_file(curves),
-            "trajectory.csv": _trajectory_file(series.trajectory)})
+            "trajectory.csv": _trajectory_file(traj)})
     return {"baseline": baseline, "at_times": picked, "avg_combined": avg_combined,
             "avg_small": avg_small, "times": times, "series": series}
 

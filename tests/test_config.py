@@ -1,4 +1,6 @@
+import configparser
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,24 @@ def test_bundled_scenario_loads():
     # cruise speed derived from route length over the pass period
     assert cfg.policy.initial_speed == pytest.approx(1.5 / 1800.0 * 3600.0)
     assert len(cfg.scenario_id) == 12
+
+
+def _settings(path) -> dict:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(path)
+    return {(sec, key): value for sec in cp.sections() for key, value in cp[sec].items()}
+
+
+@pytest.mark.parametrize("name, differ", [
+    ("dynamics-ref.ini", {("sim", "replications")}),
+    ("dynamics-lap.ini", {("sim", "replications"), ("mobility", "period_s")})])
+def test_the_benchmark_scenarios_are_the_reference_scenario(name, differ):
+    """Each benchmark scenario holds the bundled reference's keys and
+    values, but for the ones its header names."""
+    ref = _settings(bundled_scenario_path())
+    bench = _settings(Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / name)
+    assert bench.keys() == ref.keys()
+    assert {k for k in ref if bench[k] != ref[k]} == differ
 
 
 def test_scenario_id_stable_under_reload():

@@ -492,8 +492,9 @@ def test_recorded_trace_survives_pickling():
 
 
 @pytest.mark.parametrize("times, n_profiles", [
-    ([30.0, 0.0], 2), ([0.0, 0.0], 2), ([0.0, 30.0, 60.0], 2), ([0.0], 2)],
-    ids=["descending", "repeated", "more-times", "more-profiles"])
+    ([30.0, 0.0], 2), ([0.0, 0.0], 2), ([0.0, 30.0, 60.0], 2), ([0.0], 2),
+    ([5.0, 10.0], 2)],
+    ids=["descending", "repeated", "more-times", "more-profiles", "late-start"])
 def test_piece_times_must_ascend_one_per_profile(times, n_profiles):
     """The piece times come beside the profiles, not inside them: times that
     do not strictly ascend, or a count that differs from the profiles',

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -7,15 +10,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import mobicell
 from mobicell.analytic import coupled_loads_fixed_point
 from mobicell.ccdf import (FieldSamples, extract_classes, snapshot_curves,
                            snapshot_sweep)
 from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenario_id,
                              load_scenario, with_overrides)
-from mobicell.pipeline import (analytic_windows, baseline_windows,
-                               macro_only_profile, mean_flux_rates, run_ccdf,
+from mobicell.pipeline import (macro_only_profile, mean_flux_rates, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
-                               scenario_trajectory, snapshot_series)
+                               scenario_trajectory, snapshot_series, window_series)
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +121,10 @@ def test_macro_only_profile(cfg_small):
 
 
 def test_analytic_windows_tracks_coverage(cfg_small, series_small):
-    win = analytic_windows(series_small, cfg_small.traffic)
-    base = baseline_windows(macro_only_profile(cfg_small), cfg_small.traffic,
-                            series_small.times)
+    win = window_series(series_small.times, series_small.loads, cfg_small.traffic)
+    load_mo = coupled_loads_fixed_point(macro_only_profile(cfg_small), cfg_small.traffic)
+    base = window_series(series_small.times, [load_mo] * len(series_small.times),
+                         cfg_small.traffic)
     near = series_small.distance_km < 0.06
     far = (series_small.distance_km >= 0.12) & (series_small.distance_km < 0.30)
     assert near.sum() >= 2 and far.sum() >= 5
@@ -275,6 +279,45 @@ def test_rep0_files_describe_rep0(cfg_small, tmp_path):
     # sampled at each snapshot time before the horizon
     assert list(dict.fromkeys(r[0] for r in trace)) == [f"{t:.6f}" for t in res.times[:-1]]
     assert all(rr.trace_sc is None for rr in res.replications[1:])
+
+
+def test_every_window_file_holds_the_snapshot_grid(cfg_small, tmp_path):
+    """The t_window column is the snapshot times in metrics_sc.csv (per
+    replication), metrics_macro_only.csv and metrics_empirical.csv (per
+    replication and tag)."""
+    cfg = replace(cfg_small, replications=2, duration_s=600.0, snapshot_s=30.0,
+                  mc_samples=20_000)
+    res = run_dynamics(cfg, out_dir=tmp_path)
+    grid = [f"{t:.1f}" for t in res.times]
+
+    def t_windows(name, *by):
+        with open(tmp_path / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))[1:]    # past provenance
+        out = {}
+        for row in map(dict, (zip(header, r) for r in rows)):
+            out.setdefault(tuple(row[k] for k in by), []).append(row["t_window"])
+        return list(out.values())
+
+    assert t_windows("metrics_sc.csv", "scenario_id") == [grid] * 2
+    assert t_windows("metrics_macro_only.csv", "scenario_id") == [grid]
+    assert t_windows("metrics_empirical.csv", "scenario_id", "rep") == [grid] * 4
+
+
+def test_a_one_worker_run_imports_no_multiprocessing():
+    """The process pool, and the multiprocessing it loads, is imported only
+    for a run with more than one worker."""
+    src = os.path.dirname(os.path.dirname(mobicell.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, mobicell.cli\n"
+            "from mobicell.config import bundled_scenario_path, load_scenario, with_overrides\n"
+            "from mobicell.pipeline import run_dynamics\n"
+            "run_dynamics(with_overrides(load_scenario(bundled_scenario_path()), workers=1,\n"
+            "             mc_samples=2000, duration_s=120.0, replications=1))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_period_sweep_at_loaded_period_gives_loaded_policy():
