@@ -1,5 +1,5 @@
 """Closed-form flow-level evaluation of the coupled cells: the coupled loads,
-stationary distributions of the static and mobility-averaged systems, class
+stationary laws of the static and mobility-averaged systems, class
 membership probabilities of the single-user class chain, the equivalent
 single-queue service rate and the mean flow throughput of a stationary law.
 
@@ -14,16 +14,18 @@ eta[k,0] otherwise.  The per-class effective load is therefore
 and (rho, rho_tilde) is the exact least solution of the two coupled sums; the
 loads are clamped to 1 wherever the formulas use them as probabilities.
 
-The static-coupling stationary distribution is the multiclass PS product
-form with the phase-mixed per-class loads a_k: the unique normalizable
-completion of the phase-split construction (thinning each class into a
-partner-idle and a partner-busy subclass and marginalizing).  Its truncated
-mass converges to 1 and it is the form validated against simulation.  The
-printed forms are not implemented because the explicit chains refute them: the
-printed static form (the phase split kept unmarginalized, fractional
-factorials read as Gamma(x+1)) sums to 2.30 instead of 1 on the coupled toy at
-rho = 0.4, and the printed class membership gives the small cell a share of
-0.029 on a three-state class chain whose stationary vector gives 0.048.
+The static-coupling stationary law is Kelly's product form (1979) of two
+multiclass PS cells with the phase-mixed per-class loads a_k: the unique
+normalizable completion of the phase-split construction (thinning each
+class into a partner-idle and a partner-busy subclass and marginalizing).
+It sums to 1 and it is the form validated against simulation.  The
+mobility-averaged law, a convolution over its totals, is normalizable only
+for G < 1 (see ``stationary_mobile``).  Both hold at any K and L.  The
+printed forms are not implemented because the explicit chains refute them:
+the printed static form (the phase split kept unmarginalized, fractional
+factorials read as Gamma(x+1)) sums to 2.30 instead of 1 on the coupled toy
+at rho = 0.4, and the printed class membership gives the small cell a share
+of 0.029 on a three-state class chain whose stationary vector gives 0.048.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr, xlogy
 
 from mobicell.ccdf import ClassProfile
 from mobicell.flowsim import CheckError, TrafficSpec, TransitionRates
 from mobicell.special import log_factorial
 
-_MAX_STATES = 2_000_000
+_MAX_SHELLS = 4000       # about 0.6 s for a K = L = 4 mobile law
 
 
 class InstabilityError(RuntimeError):
@@ -102,107 +105,47 @@ def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec) -> Co
     return CoupledLoads(A0 + A1, B0 + B1 * min(A0 + A1, 1.0))     # small-cell load clamped
 
 
-@dataclass
-class StationaryDistribution:
-    """Truncated stationary distribution over states (n_1..n_K, m_1..m_L).
-    Row i of ``counts`` is state i, in the C order of the grid of counts
-    0..n_max per class."""
+def _log_factor(c, coef, split=0.0):
+    """ln f(c) = c ln coef - ln Gamma(s c + 1) - ln Gamma((1 - s) c + 1), one
+    class's factor at the counts c with phase split s (ln c! at s = 0);
+    -inf where c > 0 and coef is 0 or not finite."""
+    c = np.asarray(c, dtype=np.float64)
+    lf = xlogy(c, coef) - log_factorial(split * c) - log_factorial((1.0 - split) * c)
+    return np.where(c == 0, 0.0, np.where(np.isfinite(coef), lf, -math.inf))
 
-    counts: np.ndarray         # (N, K+L)
-    probs: np.ndarray          # normalized over the truncated space
-    raw: np.ndarray            # formula values before truncation normalization
-    raw_total: float
-    deficit: float             # mass missing from the truncation
-    K: int
-    L: int
-    n_max: int
 
-    @property
-    def states(self) -> list:
-        """The states as (macro counts, small counts) tuple pairs, in row order."""
-        return [(tuple(row[:self.K]), tuple(row[self.K:])) for row in self.counts.tolist()]
+@dataclass(frozen=True)
+class StaticLaw:
+    """Kelly's product form of the static pair, summing to 1: per cell
+    P(n) = (1 - A) |n|! prod_k a_k^n_k / n_k! with A = sum_k a_k, and the
+    pair's law is the product of the two cells' laws."""
+
+    a: np.ndarray           # phase-mixed per-class loads of the macro cell
+    a_tilde: np.ndarray     # and of the small cell
 
     def prob(self, n, m) -> float:
-        """Probability of state (n, m); 0 for a state outside the truncation."""
-        c = (*n, *m)
-        if len(n) != self.K or len(m) != self.L or not all(0 <= x <= self.n_max for x in c):
+        """Probability of state (n, m); 0 for a state of the wrong shape, with
+        a negative count, or with an occupied class whose load is 0 or not finite."""
+        if len(n) != len(self.a) or len(m) != len(self.a_tilde) or min((*n, *m)) < 0:
             return 0.0
-        return float(self.probs[np.ravel_multi_index(c, (self.n_max + 1,) * len(c))])
+        return math.exp(sum(math.log1p(-a.sum()) + log_factorial(sum(x)) + _log_factor(x, a).sum()
+                            for x, a in ((n, self.a), (m, self.a_tilde))))
 
     def mean_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        mean = self.probs @ self.counts
-        return mean[:self.K], mean[self.K:]
+        return self.a / (1.0 - self.a.sum()), self.a_tilde / (1.0 - self.a_tilde.sum())
 
     def total_mean(self) -> float:
-        return float(self.probs @ self.counts.sum(axis=1))
+        return float(sum(mean.sum() for mean in self.mean_counts()))
 
 
-def _enumerate_states(K: int, L: int, n_max: int) -> np.ndarray:
-    """Every state (n_1..n_K, m_1..m_L) with counts up to n_max, one per row."""
-    if (n_max + 1) ** (K + L) > _MAX_STATES:
-        raise ValueError(
-            f"state space (n_max+1)^(K+L) = {(n_max + 1) ** (K + L)} too large to enumerate")
-    return np.indices((n_max + 1,) * (K + L)).reshape(K + L, -1).T
-
-
-def _class_log_weight(counts: np.ndarray, log_coef: np.ndarray, split=None) -> np.ndarray:
-    """Per state, the sum over one cell's classes of n_k * log_coef_k minus
-    ln(n_k!), or, with a phase split s, minus ln((s n_k)!) + ln(((1-s) n_k)!)
-    (Gamma-extended).  -inf where an occupied class has a non-finite
-    coefficient (no arrivals or no service in it)."""
-    n = counts.astype(np.float64)
-    occupied = counts > 0
-    with np.errstate(invalid="ignore"):
-        lw = np.where(occupied, n * log_coef, 0.0)
-    if split is None:
-        lw -= log_factorial(n)
-    else:
-        lw -= log_factorial(split * n) + log_factorial((1.0 - split) * n)
-    lw = lw.sum(axis=1)
-    lw[(occupied & ~np.isfinite(log_coef)).any(axis=1)] = -math.inf
-    return lw
-
-
-def _distribution(states: np.ndarray, lw: np.ndarray, K: int, n_max: int,
-                  total_is_one: bool = False) -> StationaryDistribution:
-    """Weights exp(lw) normalized over the truncated space.  The mass missing
-    from the truncation is 1 minus the raw total when the full-space total is
-    exactly 1, otherwise a geometric extrapolation beyond the outer shell."""
-    raw = np.exp(lw)
-    raw_total = float(raw.sum())
-    if total_is_one:
-        deficit = max(0.0, 1.0 - raw_total)
-    else:
-        shell = states.sum(axis=1)
-        s_last = raw[shell == n_max].sum()
-        s_prev = raw[shell == n_max - 1].sum()
-        ratio = s_last / s_prev if s_prev > 0 and s_last > 0 else 0.0
-        deficit = float(s_last * ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
-    probs = raw / raw_total if raw_total > 0 else raw
-    return StationaryDistribution(states, probs, raw, raw_total, deficit, K,
-                                  states.shape[1] - K, n_max)
-
-
-def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: CoupledLoads,
-                      n_max: int = 40) -> StationaryDistribution:
-    """Stationary distribution of the static coupled pair (no mobility terms).
-
-    Requires both per-cell loads < 1. The empty state carries probability
-    (1 - rho)(1 - rho_tilde) before truncation normalization.
-    """
-    if loads.rho >= 1.0 or loads.rho_tilde >= 1.0:
-        raise InstabilityError(
-            f"static stationary form needs rho, rho_tilde < 1, got "
-            f"({loads.rho:.4f}, {loads.rho_tilde:.4f})")
-    K = profile.K
-    states = _enumerate_states(K, profile.L, n_max)
-    n, m = states[:, :K], states[:, K:]
-    lw = log_factorial(n.sum(axis=1)) + log_factorial(m.sum(axis=1))
-    a, at = _phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde)
-    with np.errstate(divide="ignore"):
-        lw += (math.log((1.0 - float(a.sum())) * (1.0 - float(at.sum())))
-               + _class_log_weight(n, np.log(a)) + _class_log_weight(m, np.log(at)))
-    return _distribution(states, lw, K, n_max, total_is_one=True)
+def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: CoupledLoads) -> StaticLaw:
+    """Stationary law of the static coupled pair (no mobility terms), with
+    the phase-mixed per-class loads at ``loads``.  Requires both per-cell
+    loads < 1; the empty state has probability (1 - rho)(1 - rho_tilde)."""
+    if not (loads.rho < 1.0 and loads.rho_tilde < 1.0):      # NaN fails too
+        raise InstabilityError(f"static stationary form needs rho, rho_tilde < 1, got "
+                               f"({loads.rho:.4f}, {loads.rho_tilde:.4f})")
+    return StaticLaw(*_phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde))
 
 
 def class_membership(rates: TransitionRates):
@@ -256,39 +199,80 @@ def effective_rate(times, profiles, loads_series, q: np.ndarray, q_tilde: np.nda
     return eta_bar, traffic.lambda_tot * traffic.sigma0 / eta_bar
 
 
+@dataclass(frozen=True)
+class MobileLaw:
+    """Stationary law of the mobility-averaged system (see ``stationary_mobile``):
+    the weights over their sum, where ``shells[N]`` weighs the states of N
+    flows, for N up to where the rest is below 1e-15 of the total."""
+
+    K: int                  # macro classes, listed first in ``q`` and ``split``
+    q: np.ndarray           # the class label probabilities (q, q_tilde)
+    split: np.ndarray       # s per class: the partner cell's clamped load
+    rho_bar: float
+    shells: np.ndarray
+
+    def prob(self, n, m) -> float:
+        """Probability of state (n, m); 0 as for ``StaticLaw.prob``."""
+        c = (*n, *m)
+        if len(n) != self.K or len(c) != len(self.q) or min(c) < 0:
+            return 0.0
+        lw = (math.log1p(-self.rho_bar) + xlogy(sum(c), self.rho_bar) + log_factorial(sum(c))
+              + _log_factor(c, self.q, self.split).sum())
+        return math.exp(lw) / float(self.shells.sum())
+
+    def total_mean(self) -> float:
+        return float(np.arange(len(self.shells)) @ self.shells / self.shells.sum())
+
+
+def _log_convolve(h: np.ndarray, lf: np.ndarray) -> np.ndarray:
+    """ln sum_{c <= N} exp(h[N - c] + lf[c]) for each N < len(h)."""
+    out = np.empty_like(h)
+    for N in range(len(h)):
+        t = h[N::-1] + lf[:N + 1]
+        top = t.max()
+        out[N] = top + math.log(np.exp(t - top).sum()) if top > -math.inf else -math.inf
+    return out
+
+
 def stationary_mobile(q: np.ndarray, q_tilde: np.ndarray, loads: CoupledLoads,
-                      rho_bar: float, n_max: int = 60) -> StationaryDistribution:
-    """Stationary distribution of the mobility-averaged system: one PS queue
-    of load rho_bar whose flows carry class labels with probabilities
-    (q, q_tilde), keeping the phase-split factorial bookkeeping of the static
-    form (Gamma-extended).  The total-occupancy factor rho_bar^|n+m| makes the
-    form normalizable; at clamped per-cell loads it is exactly the labelled
-    geometric distribution and the empty state has probability 1 - rho_bar.
-    """
-    if rho_bar >= 1.0:
-        raise InstabilityError(
-            f"mobility-averaged form needs rho_bar < 1, got {rho_bar:.4f} "
-            "(per-cell loads may exceed 1, the system-level load may not)")
+                      rho_bar: float) -> MobileLaw:
+    """Stationary law of the mobility-averaged system: one PS queue of load
+    rho_bar whose flows carry class labels with probabilities (q, q_tilde),
+    keeping the static form's phase-split factorials.  A state of c_j flows
+    in class j, N in all, weighs (1 - rho_bar) rho_bar^N N! prod_j f_j(c_j),
+    f_j(c) = q_j^c / (Gamma(s c + 1) Gamma((1 - s) c + 1)) with s the partner
+    cell's clamped load.  As C(c, s c) <= e^{c H(s)}, H the binary entropy in
+    nats, shell N weighs at most (1 - rho_bar) G^N, G = rho_bar (sum_k q_k
+    e^{H(s)} + sum_l q~_l e^{H(s~)}): the law is normalizable for G < 1
+    (always at clamped loads, H = 0), and shells are summed until
+    G^(n+1) / (1 - G) <= 1e-15.  Each is a convolution of the K + L class
+    factors (Buzen 1973), in logs since N! overflows past N = 170.
+    InstabilityError if G >= 1; ValueError past ``_MAX_SHELLS`` shells."""
     if rho_bar < 0.0:
         raise ValueError("rho_bar must be nonnegative")
-    K = len(q)
-    states = _enumerate_states(K, len(q_tilde), n_max)
-    tot = states.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = (math.log(1.0 - rho_bar) + np.where(tot > 0, tot * np.log(rho_bar), 0.0)
-              + log_factorial(tot)
-              + _class_log_weight(states[:, :K], np.log(q), loads.rho_tilde_clamped)
-              + _class_log_weight(states[:, K:], np.log(q_tilde), loads.rho_clamped))
-    return _distribution(states, lw, K, n_max)
+    split = np.repeat([loads.rho_tilde_clamped, loads.rho_clamped], [len(q), len(q_tilde)])
+    q_all = np.concatenate([q, q_tilde])
+    G = rho_bar * float(q_all @ np.exp(entr(split) + entr(1.0 - split)))
+    if not (rho_bar < 1.0 and G < 1.0):      # NaN fails too
+        raise InstabilityError(f"mobility-averaged form needs G < 1, got G = {G:.4f} "
+                               f"at rho_bar = {rho_bar:.4f}")
+    n = 0 if G == 0.0 else max(0, math.ceil(math.log(1e-15 * (1.0 - G)) / math.log(G)) - 1)
+    if n > _MAX_SHELLS:
+        raise ValueError(f"G = {G:.6f} needs {n} shells, more than {_MAX_SHELLS}")
+    c = np.arange(n + 1)
+    log_g = np.where(c == 0, 0.0, -math.inf)      # ln (1, 0, 0, ...): no class yet
+    for coef, s in zip(q_all, split):
+        log_g = _log_convolve(log_g, _log_factor(c, coef, s))
+    shells = np.exp(math.log1p(-rho_bar) + xlogy(c, rho_bar) + log_factorial(c) + log_g)
+    return MobileLaw(len(q), q_all, split, rho_bar, shells)
 
 
-def mean_flow_throughput(dist: StationaryDistribution, traffic: TrafficSpec) -> float:
-    """Mean flow throughput R in Mbps of a stationary distribution: the
-    offered rate over the mean number of flows in system, which for a single
-    PS queue equals eta_bar * (1 - rho_bar).  A simulated trace's R is
-    ``flowsim.empirical_metrics(trace).mean_flow_throughput``.
-    """
-    mean_n = dist.total_mean()
+def mean_flow_throughput(law: StaticLaw | MobileLaw, traffic: TrafficSpec) -> float:
+    """Mean flow throughput R in Mbps of a stationary law: the offered rate
+    over the mean number of flows in system, which for a single PS queue
+    equals eta_bar * (1 - rho_bar).  A simulated trace's R is
+    ``flowsim.empirical_metrics(trace).mean_flow_throughput``."""
+    mean_n = law.total_mean()
     if mean_n <= 0.0:
         raise ValueError("empty system; mean throughput undefined")
     return traffic.lambda_tot * traffic.sigma0 / mean_n

@@ -19,9 +19,9 @@ rho_bar(t) = rho(t) + rho_tilde(t) (equivalently lambda*sigma0 over the
 harmonic, load-true capacity), and the windowed mean flow throughput is the
 Little value lambda*sigma0 * (1 - rho_bar) / rho_bar.  The macro-only
 baseline goes through the identical machinery with the small cell silenced,
-so window comparisons are estimator-consistent.  The mobility-ergodic global
-quantities (class-membership chain, equivalent service rate, system load and
-the stationary distribution marginals) are reported in the run summary.
+so window comparisons are estimator-consistent.  ``summary.csv`` reports the
+mobility-ergodic eta_bar, rho_bar and R, the windowed R, both runs' empirical
+R and conservation residual, and the mean small-cell share.
 """
 
 from __future__ import annotations
@@ -140,15 +140,14 @@ def window_series(times: np.ndarray, loads: list, traffic: TrafficSpec) -> Windo
                         offered / np.maximum(rho_bar, 1e-12), R)
 
 
-def mean_flux_rates(series: SnapshotSeries, nu_floor: float) -> TransitionRates:
-    """Horizon-level hazards for the ergodic class chain: probability fluxes
-    averaged over the horizon, normalized by the mean shares (so the chain's
-    handover balance reproduces the ergodic coverage split), floored to keep
-    every referenced ratio defined."""
+def mean_flux_rates(series: SnapshotSeries, shares: np.ndarray, mean_share: float,
+                    nu_floor: float) -> TransitionRates:
+    """Horizon-level hazards for the ergodic class chain: the profiles' small-cell
+    ``shares`` (mean ``mean_share``) give probability fluxes averaged over the
+    horizon, normalized by the mean shares (so the chain's handover balance
+    reproduces the ergodic coverage split), floored to keep every ratio defined."""
     K = series.profiles[0].K
     L = series.profiles[0].L
-    shares = np.array([p.small_share for p in series.profiles])
-    mean_share = float(np.mean(shares))
     dshare = np.diff(shares) / np.diff(series.times)
     flux_up = float(np.mean(np.maximum(dshare, 0.0)))
     flux_down = float(np.mean(np.maximum(-dshare, 0.0)))
@@ -176,7 +175,9 @@ def ergodic_summary(series: SnapshotSeries, win: WindowSeries, cfg: ScenarioConf
     """Whole-horizon mobility-averaged quantities: class membership from the
     mean-flux chain, the equivalent single-queue service rate and load, and
     the matching mean flow throughput forms; ``win`` is the series' windows."""
-    rates = mean_flux_rates(series, cfg.nu_floor)
+    shares = np.array([p.small_share for p in series.profiles])
+    mean_share = float(np.mean(shares))
+    rates = mean_flux_rates(series, shares, mean_share, cfg.nu_floor)
     q, q_tilde = class_membership(rates)
     eta_bar, rho_bar = effective_rate(series.times, series.profiles, series.loads, q,
                                       q_tilde, cfg.traffic)
@@ -198,7 +199,7 @@ def ergodic_summary(series: SnapshotSeries, win: WindowSeries, cfg: ScenarioConf
         "R_ergodic": eta_bar * (1.0 - rho_bar) if rho_bar < 1.0 else 0.0,
         "mean_n_windowed": mean_n,
         "R_windowed": offered / mean_n if mean_n > 0 else math.inf,
-        "mean_small_share": float(np.mean([p.small_share for p in series.profiles])),
+        "mean_small_share": mean_share,
     }
 
 

@@ -1,9 +1,10 @@
 """Shared builders for synthetic class profiles, the exact coupled-chain
-oracles used by the flow-simulation and analytic tests, the Monte Carlo
-indicator integral over the covered region used by the hotspot tests, and
-the lattice-sum oracle of the interference factor used by the geometry,
-radio and acceptance tests, and the reference build of the field samples'
-arrays used by the CCDF tests."""
+oracles used by the flow-simulation and analytic tests, the box enumeration
+of the stationary laws' printed weights used by the analytic tests, the
+Monte Carlo indicator integral over the covered region used by the hotspot
+tests, and the lattice-sum oracle of the interference factor used by the
+geometry, radio and acceptance tests, and the reference build of the field
+samples' arrays used by the CCDF tests."""
 
 import itertools
 import math
@@ -152,6 +153,81 @@ def migration_chain_piece_integrals(pieces, n_max):
         served.append(acc[2:4])
         dropped += acc[4]
     return np.array(int_n), np.array(served), dropped
+
+
+@dataclass(frozen=True)
+class BoxLaw:
+    """A stationary law's printed weight at every state of the box of counts
+    0..n_max per class: row i of ``counts`` is a state, macro classes first,
+    and ``raw[i]`` its weight."""
+
+    counts: np.ndarray
+    raw: np.ndarray
+    K: int
+
+    @property
+    def states(self) -> list:
+        """The states as (macro counts, small counts) tuple pairs, in row order."""
+        return [(tuple(row[:self.K]), tuple(row[self.K:])) for row in self.counts.tolist()]
+
+    @property
+    def raw_total(self) -> float:
+        return float(self.raw.sum())
+
+    @property
+    def deficit(self) -> float:
+        """The mass outside the box, for a law whose weights sum to 1."""
+        return max(0.0, 1.0 - self.raw_total)
+
+    def shells(self) -> np.ndarray:
+        """The summed weight of the states of N flows, for N = 0..n_max: the
+        shells whose every state lies in the box."""
+        tot = self.counts.sum(axis=1)
+        return np.array([self.raw[tot == N].sum() for N in range(int(self.counts.max()) + 1)])
+
+
+def _log_class_factor(c: int, coef: float, split: float) -> float:
+    """ln coef^c / (Gamma(split c + 1) Gamma((1 - split) c + 1)), one class's
+    factor; -inf for an occupied class whose coefficient is 0."""
+    if c == 0:
+        return 0.0
+    if coef == 0.0:
+        return -math.inf
+    return c * math.log(coef) - math.lgamma(split * c + 1) - math.lgamma((1 - split) * c + 1)
+
+
+def _box(n_max: int, K: int, L: int, const: float, log_weight) -> BoxLaw:
+    """const * exp(log_weight(n, m)) at every state (n, m) of the box."""
+    counts = np.array(list(itertools.product(range(n_max + 1), repeat=K + L)))
+    raw = np.array([const * math.exp(log_weight(row[:K], row[K:])) for row in counts.tolist()])
+    return BoxLaw(counts, raw, K)
+
+
+def static_box(a, a_tilde, n_max: int) -> BoxLaw:
+    """The static pair's printed weight, state by state:
+    (1 - A)(1 - A~) |n|! |m|! prod_k a_k^n_k / n_k! prod_l a~_l^m_l / m_l!
+    with per-class loads a, a~ summing to A, A~."""
+    def log_weight(n, m):
+        return (math.lgamma(sum(n) + 1) + math.lgamma(sum(m) + 1)
+                + sum(_log_class_factor(c, x, 0.0) for c, x in zip((*n, *m), (*a, *a_tilde))))
+
+    return _box(n_max, len(a), len(a_tilde), (1.0 - sum(a)) * (1.0 - sum(a_tilde)), log_weight)
+
+
+def mobile_box(q, q_tilde, loads, rho_bar: float, n_max: int) -> BoxLaw:
+    """The mobility-averaged law's printed weight, state by state:
+    (1 - rho_bar) rho_bar^N N! prod_j q_j^c_j / (Gamma(s c_j + 1) Gamma((1 - s) c_j + 1))
+    over the N flows, with s the partner cell's clamped load: min(rho_tilde, 1)
+    for a macro class, min(rho, 1) for a small-cell class."""
+    s, s_tilde = min(loads.rho_tilde, 1.0), min(loads.rho, 1.0)
+
+    def log_weight(n, m):
+        N = sum(n) + sum(m)
+        return (N * math.log(rho_bar) + math.lgamma(N + 1)
+                + sum(_log_class_factor(c, x, s) for c, x in zip(n, q))
+                + sum(_log_class_factor(c, x, s_tilde) for c, x in zip(m, q_tilde)))
+
+    return _box(n_max, len(q), len(q_tilde), 1.0 - rho_bar, log_weight)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coupled_chain_stationary, make_profile
+from conftest import coupled_chain_stationary, make_profile, mobile_box, static_box
 from mobicell.analytic import (CoupledLoads, InstabilityError,
                                UndefinedChainError,
                                class_membership,
@@ -191,10 +191,11 @@ def make_coupled_toy(rho_target=0.4, ratio=0.8, eta0=10.0, sigma0=2.0):
 def test_stationary_static_empty_state_and_reduction():
     prof, traffic, lam, eta0, eta1 = make_coupled_toy()
     loads = coupled_loads_fixed_point(prof, traffic)
-    dist = stationary_static(prof, traffic, loads, n_max=40)
+    dist = stationary_static(prof, traffic, loads)
+    box = static_box(dist.a, dist.a_tilde, 40)
     # empty-state probability is the product of the idle probabilities, up
     # to rounding: the loads solve the fixed point exactly
-    assert dist.raw[dist.states.index(((0,), (0,)))] == pytest.approx(
+    assert box.raw[box.states.index(((0,), (0,)))] == pytest.approx(
         (1 - loads.rho) * (1 - loads.rho_tilde), rel=1e-14)
     assert dist.prob((0,), (0,)) == pytest.approx(
         (1 - loads.rho) * (1 - loads.rho_tilde), rel=1e-6)
@@ -208,50 +209,57 @@ def test_stationary_static_idle_partner_reduces_to_multiclass_ps():
     traffic = TrafficSpec(1.2, 2.0)
     loads = coupled_loads_fixed_point(prof, traffic)
     assert loads.rho_tilde == 0.0
-    dist = stationary_static(prof, traffic, loads, n_max=30)
+    dist = stationary_static(prof, traffic, loads)
+    box = static_box(dist.a, dist.a_tilde, 30)
     a = np.array([0.8 * 2.0 / 8.0, 0.4 * 2.0 / 16.0])
     rho = a.sum()
     for n in ((0, 0), (1, 0), (0, 1), (2, 1), (3, 2)):
         tot = sum(n)
         expect = (1 - rho) * math.factorial(tot) * np.prod(a ** np.array(n)) \
             / np.prod([math.factorial(x) for x in n])
-        assert dist.raw[dist.states.index((n, (0,)))] == pytest.approx(expect, rel=1e-9)
+        assert box.raw[box.states.index((n, (0,)))] == pytest.approx(expect, rel=1e-9)
+        assert dist.prob(n, (0,)) == pytest.approx(expect, rel=1e-9)
 
 
 def test_stationary_static_truncated_mass_reaches_one():
-    """Truncation at 40 per class captures all but < 1e-6 of the mass for
-    loads up to 0.6 (geometric tail)."""
+    """The printed weights over the box of 40 per class hold all but < 1e-6
+    of the mass for loads up to 0.6 (geometric tail)."""
     for rho_t in (0.4, 0.6):
         prof, traffic, *_ = make_coupled_toy(rho_target=rho_t)
         loads = coupled_loads_fixed_point(prof, traffic)
-        dist = stationary_static(prof, traffic, loads, n_max=40)
-        assert dist.raw_total == pytest.approx(1.0, abs=1e-6)
-        assert dist.deficit < 1e-6
+        dist = stationary_static(prof, traffic, loads)
+        box = static_box(dist.a, dist.a_tilde, 40)
+        assert box.raw_total == pytest.approx(1.0, abs=1e-6)
+        assert box.deficit < 1e-6
+        assert sum(dist.prob(n, m) for n, m in box.states) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_stationary_static_requires_stability():
     prof, traffic, *_ = make_coupled_toy()
     with pytest.raises(InstabilityError):
-        stationary_static(prof, traffic, CoupledLoads(1.0, 0.4), n_max=10)
+        stationary_static(prof, traffic, CoupledLoads(1.0, 0.4))
+    with pytest.raises(InstabilityError):
+        stationary_static(prof, traffic, CoupledLoads(math.nan, 0.4))
 
 
 def test_stationary_law_lookup_and_means_on_the_count_grid():
-    """K = 2, L = 1: ``prob`` reads raw / raw_total at every state of the
-    box and 0 outside it, and ``mean_counts`` is the weighted sum of the
-    states."""
+    """K = 2, L = 1: ``prob`` is the printed weight over the weights' total
+    at every state of the box of 25 per class (which holds all but ~1e-14 of
+    the mass), positive past the box and 0 off the state space, and
+    ``mean_counts`` is the weighted sum of the states."""
     prof = make_profile(lam_m=(0.8, 0.4), lam_s=(0.6,), eta_m0=(8.0, 16.0),
                         eta_m1=(4.0, 8.0), eta_s0=(10.0,), eta_s1=(6.0,))
     traffic = TrafficSpec(1.8, 2.0)
-    n_max = 12
-    dist = stationary_static(prof, traffic, coupled_loads_fixed_point(prof, traffic),
-                             n_max=n_max)
-    law = {s: r / dist.raw_total for s, r in zip(dist.states, dist.raw)}
+    n_max = 25
+    dist = stationary_static(prof, traffic, coupled_loads_fixed_point(prof, traffic))
+    weights = static_box(dist.a, dist.a_tilde, n_max)
+    law = {s: r / weights.raw_total for s, r in zip(weights.states, weights.raw)}
     box = range(n_max + 1)
     assert set(law) == {((a, b), (c,)) for a, b, c in itertools.product(box, box, box)}
     for (n, m), p in law.items():
-        assert dist.prob(n, m) == p
-    for n, m in (((n_max + 1, 0), (0,)), ((0, 0), (n_max + 1,)), ((-1, 0), (0,)),
-                 ((0,), (0,)), ((0, 0), (0, 0)), ((0, 0, 0), ())):
+        assert dist.prob(n, m) == pytest.approx(p, rel=1e-12)
+    assert dist.prob((n_max + 1, 0), (0,)) > 0.0 and dist.prob((0, 0), (n_max + 1,)) > 0.0
+    for n, m in (((-1, 0), (0,)), ((0,), (0,)), ((0, 0), (0, 0)), ((0, 0, 0), ())):
         assert dist.prob(n, m) == 0.0
     em, es = dist.mean_counts()
     assert em == pytest.approx(sum(p * np.array(n) for (n, _), p in law.items()), rel=1e-12)
@@ -264,11 +272,12 @@ def test_stationary_static_matches_simulation_tv():
     prof, traffic, *_ = make_coupled_toy(rho_target=0.4, ratio=0.8)
     loads = coupled_loads_fixed_point(prof, traffic)
     assert loads.rho == pytest.approx(0.4, rel=1e-14)
-    dist = stationary_static(prof, traffic, loads, n_max=60)
+    dist = stationary_static(prof, traffic, loads)
     tr = simulate([0.0], [prof], None, traffic, 120_000.0, 41, track_states=True)
     sim = tr.state_frequencies()
-    keys = set(sim) | {(tuple(n), tuple(m)) for n, m in dist.states}
-    tv = 0.5 * sum(abs(sim.get(k, 0.0) - dist.prob(*k)) for k in keys)
+    # off the simulated support the law's mass is 1 minus its mass on it
+    law = {k: dist.prob(*k) for k in sim}
+    tv = 0.5 * (sum(abs(p - law[k]) for k, p in sim.items()) + 1.0 - sum(law.values()))
     assert tv < 0.05
 
 
@@ -365,12 +374,13 @@ def test_stationary_mobile_empty_state_and_geometric_reduction():
     # all mass on one class, loads zero: plain M/M/1-PS geometric law
     q, qt = np.array([1.0]), np.array([0.0])
     rho_bar = 0.55
-    dist = stationary_mobile(q, qt, CoupledLoads(0.0, 0.0), rho_bar, n_max=60)
-    assert dist.prob((0,), (0,)) * dist.raw_total == pytest.approx(1 - rho_bar, rel=1e-12)
+    dist = stationary_mobile(q, qt, CoupledLoads(0.0, 0.0), rho_bar)
+    box = mobile_box(q, qt, CoupledLoads(0.0, 0.0), rho_bar, 60)
+    assert dist.prob((0,), (0,)) * box.raw_total == pytest.approx(1 - rho_bar, rel=1e-12)
     for n in range(10):
-        assert dist.raw[dist.states.index(((n,), (0,)))] == pytest.approx(
+        assert box.raw[box.states.index(((n,), (0,)))] == pytest.approx(
             (1 - rho_bar) * rho_bar ** n, rel=1e-10)
-    assert dist.raw_total == pytest.approx(1.0, abs=1e-9)
+    assert box.raw_total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_stationary_mobile_clamped_loads_match_direct_evaluation():
@@ -378,25 +388,90 @@ def test_stationary_mobile_clamped_loads_match_direct_evaluation():
     distribution (negative-multinomial in the class labels)."""
     q, qt = np.array([0.6]), np.array([0.4])
     rho_bar = 0.5
-    dist = stationary_mobile(q, qt, CoupledLoads(1.0, 1.0), rho_bar, n_max=60)
+    dist = stationary_mobile(q, qt, CoupledLoads(1.0, 1.0), rho_bar)
+    box = mobile_box(q, qt, CoupledLoads(1.0, 1.0), rho_bar, 60)
     for n, m in (((0,), (0,)), ((2,), (1,)), ((3,), (3,)), ((5,), (0,))):
         tot = n[0] + m[0]
         expect = (1 - rho_bar) * rho_bar ** tot * math.factorial(tot) \
             * q[0] ** n[0] * qt[0] ** m[0] \
             / (math.factorial(n[0]) * math.factorial(m[0]))
-        assert dist.raw[dist.states.index((n, m))] == pytest.approx(expect, rel=1e-9)
-    assert dist.raw_total == pytest.approx(1.0, abs=1e-6)
-    assert dist.deficit < 1e-6
+        assert box.raw[box.states.index((n, m))] == pytest.approx(expect, rel=1e-9)
+        assert dist.prob(n, m) == pytest.approx(expect, rel=1e-9)
+    assert box.raw_total == pytest.approx(1.0, abs=1e-6)
+    assert box.deficit < 1e-6
 
 
 def test_stationary_mobile_requires_system_stability():
     with pytest.raises(InstabilityError):
-        stationary_mobile(np.array([1.0]), np.array([0.0]), CoupledLoads(1.0, 1.0),
-                          1.01, n_max=10)
+        stationary_mobile(np.array([1.0]), np.array([0.0]), CoupledLoads(1.0, 1.0), 1.01)
+    with pytest.raises(InstabilityError):
+        stationary_mobile(np.array([1.0]), np.array([0.0]), CoupledLoads(1.0, 1.0), math.nan)
     # per-cell loads above 1 are fine as long as rho_bar < 1
-    dist = stationary_mobile(np.array([1.0]), np.array([0.0]), CoupledLoads(1.0, 1.0),
-                             0.3, n_max=30)
-    assert dist.raw_total == pytest.approx(1.0, abs=1e-9)
+    dist = stationary_mobile(np.array([1.0]), np.array([0.0]), CoupledLoads(1.0, 1.0), 0.3)
+    box = mobile_box(np.array([1.0]), np.array([0.0]), CoupledLoads(1.0, 1.0), 0.3, 30)
+    assert box.raw_total == pytest.approx(1.0, abs=1e-9)
+    assert dist.shells.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _binary_entropy(s):
+    return -sum(x * math.log(x) for x in (s, 1.0 - s) if x > 0.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@example(k=1, l=1, lam=[0.9, 0.8], ratio=[0.5, 0.5], w=[0.5, 0.5],
+         rho=0.5, rho_tilde=0.5, rho_bar=0.8, n_max=6)      # G = 1.6
+@given(k=st.integers(1, 2), l=st.integers(1, 2),
+       lam=st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=3, max_size=3),
+       ratio=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+       w=st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=3, max_size=3),
+       rho=st.floats(0.0, 1.5), rho_tilde=st.floats(0.0, 1.5),
+       rho_bar=st.floats(0.01, 0.99), n_max=st.integers(1, 8))
+def test_stationary_laws_match_the_box_enumeration(k, l, lam, ratio, w, rho, rho_tilde,
+                                                   rho_bar, n_max):
+    """Drawn systems with K + L <= 3.  The static law's ``prob`` is the
+    printed weight at every state of the box, and the mobile law's shells
+    N <= n_max (whose states all lie in the box) are the box's per-shell
+    sums, both to 1e-12 relative; a system with G >= 1 raises."""
+    assume(k + l <= 3)
+    prof = make_profile(lam_m=lam[:k], lam_s=lam[k:k + l], eta_m0=(8.0,) * k,
+                        eta_m1=[8.0 * x for x in ratio[:k]], eta_s0=(10.0,) * l,
+                        eta_s1=[10.0 * x for x in ratio[k:k + l]])
+    traffic = TrafficSpec(sum(lam[:k + l]), 2.0)
+    loads = coupled_loads_fixed_point(prof, traffic)
+    if loads.rho < 0.9 and loads.rho_tilde < 0.9:
+        law = stationary_static(prof, traffic, loads)
+        box = static_box(law.a, law.a_tilde, n_max)
+        for (n, m), raw in zip(box.states, box.raw):
+            assert law.prob(n, m) == pytest.approx(raw, rel=1e-12, abs=0.0)
+
+    assume(sum(w[:k + l]) > 0.0)
+    q_all = np.array(w[:k + l]) / sum(w[:k + l])
+    q, qt = q_all[:k], q_all[k:]
+    loads = CoupledLoads(rho, rho_tilde)
+    G = rho_bar * (q.sum() * math.exp(_binary_entropy(min(rho_tilde, 1.0)))
+                   + qt.sum() * math.exp(_binary_entropy(min(rho, 1.0))))
+    assume(abs(G - 1.0) > 1e-9 and not 0.95 < G < 1.0)     # at most 732 shells
+    if G >= 1.0:
+        with pytest.raises(InstabilityError, match="G ="):
+            stationary_mobile(q, qt, loads, rho_bar)
+        return
+    law = stationary_mobile(q, qt, loads, rho_bar)
+    shells = mobile_box(q, qt, loads, rho_bar, n_max).shells()
+    top = min(n_max, len(law.shells) - 1)
+    assert law.shells[:top + 1] == pytest.approx(shells[:top + 1], rel=1e-12, abs=0.0)
+
+
+def test_stationary_mobile_at_four_classes_per_cell_past_170_flows():
+    """K = L = 4 at clamped loads, where H = 0 and the law is the labelled
+    geometric one: every shell is (1 - rho_bar) rho_bar^N, also past N = 170
+    where N! overflows a float, and the mean is rho_bar / (1 - rho_bar)."""
+    q_all = np.array([0.05, 0.1, 0.15, 0.2, 0.1, 0.15, 0.2, 0.05])
+    rho_bar = 0.95
+    law = stationary_mobile(q_all[:4], q_all[4:], CoupledLoads(1.4, 1.2), rho_bar)
+    N = np.arange(len(law.shells))
+    assert len(N) > 600
+    assert law.shells == pytest.approx((1 - rho_bar) * rho_bar ** N, rel=1e-10)
+    assert law.total_mean() == pytest.approx(rho_bar / (1 - rho_bar), rel=1e-10)
 
 
 def test_mean_flow_throughput_single_always_on_flow():
@@ -425,7 +500,7 @@ def test_mean_flow_throughput_from_distribution():
     q, qt = np.array([1.0]), np.array([0.0])
     rho_bar = 0.5
     traffic = TrafficSpec(1.0, 2.0)
-    dist = stationary_mobile(q, qt, CoupledLoads(0.0, 0.0), rho_bar, n_max=80)
+    dist = stationary_mobile(q, qt, CoupledLoads(0.0, 0.0), rho_bar)
     R = mean_flow_throughput(dist, traffic)
     # E[N] = rho/(1-rho) = 1 -> R = lam*sigma = eta_bar*(1-rho_bar) with
     # eta_bar = lam*sigma/rho_bar
@@ -462,8 +537,9 @@ def test_static_stationary_tv_against_exact_chain():
     acceptance toy."""
     prof, traffic, lam, eta0, eta1 = make_coupled_toy(rho_target=0.4, ratio=0.8)
     loads = coupled_loads_fixed_point(prof, traffic)
-    dist = stationary_static(prof, traffic, loads, n_max=80)
+    dist = stationary_static(prof, traffic, loads)
     exact = coupled_chain_stationary(lam, lam, traffic.sigma0, eta0, eta1, eta0, eta1)
-    keys = set(exact) | {(n[0], m[0]) for n, m in dist.states}
-    tv = 0.5 * sum(abs(exact.get(k, 0.0) - dist.prob((k[0],), (k[1],))) for k in keys)
+    # off the exact chain's support the law's mass is 1 minus its mass on it
+    law = {k: dist.prob((k[0],), (k[1],)) for k in exact}
+    tv = 0.5 * (sum(abs(p - law[k]) for k, p in exact.items()) + 1.0 - sum(law.values()))
     assert tv < 0.05

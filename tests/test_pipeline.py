@@ -136,8 +136,8 @@ def test_analytic_windows_tracks_coverage(cfg_small, series_small):
 def test_mean_flux_rates_balance(cfg_small, series_small):
     """The horizon-level chain hazards must reproduce the ergodic coverage
     split: s2m/m2s = (1 - mean share) / mean share."""
-    r = mean_flux_rates(series_small, cfg_small.nu_floor)
     shares = np.array([p.small_share for p in series_small.profiles])
+    r = mean_flux_rates(series_small, shares, float(np.mean(shares)), cfg_small.nu_floor)
     mean_share = shares.mean()
     assert r.nu_handover_s2m / r.nu_handover_m2s == pytest.approx(
         (1.0 - mean_share) / mean_share, rel=0.15)
