@@ -1,7 +1,30 @@
 """Closed-form flow-level evaluation of the coupled cells: the coupled loads,
-stationary laws of the static and mobility-averaged systems, class
-membership probabilities of the single-user class chain, the equivalent
-single-queue service rate and the mean flow throughput of a stationary law.
+the quasi-stationary windows of a snapshot series, the per-interval class
+migration and handover hazards that drive the flow simulation, stationary
+laws of the static and mobility-averaged systems, class membership
+probabilities of the single-user class chain, the equivalent single-queue
+service rate and the mean flow throughput of a stationary law.
+
+Windows
+-------
+Flows are short-lived compared to the vehicle's motion, so each snapshot
+window is treated as quasi-stationary: the coupled per-cell loads come from
+the fixed point, the merged single-queue equivalent of the window is
+rho_bar(t) = rho(t) + rho_tilde(t) (equivalently lambda*sigma0 over the
+harmonic, load-true capacity), and the windowed mean flow throughput is the
+Little value lambda*sigma0 * (1 - rho_bar) / rho_bar.
+
+Class weights
+-------------
+Every ``ClassProfile`` splits each cell into equal-mass classes, so over a
+horizon each macro class holds (1 - s)/K of the users and each small class
+s/L, with s the mean small-cell share of the series: those are the class
+weights a run passes to ``effective_rate``.  ``class_membership`` gives the
+weights of a chain given as one ``TransitionRates``, and no run calls it:
+averaging the per-interval hazards into one chain does not give the
+equal-mass shares, because each interval's flux is measured at the earlier
+snapshot's class edges, which move (on replication 0 of the bundled
+scenario its macro weights were [0.42, 0.23, 0.16, 0.13] against 0.22 each).
 
 Phase mixing
 ------------
@@ -30,6 +53,7 @@ of 0.029 on a three-state class chain whose stationary vector gives 0.048.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,10 +61,12 @@ import numpy as np
 from scipy.special import entr, xlogy
 
 from mobicell.ccdf import ClassProfile
-from mobicell.flowsim import CheckError, TrafficSpec, TransitionRates
+from mobicell.flowsim import CheckError, TrafficSpec, TransitionRates, _piece_times
 from mobicell.special import log_factorial
 
 _MAX_SHELLS = 4000       # about 0.6 s for a K = L = 4 mobile law
+# the least coverage share a cell is handed flows at; below it, a cell drains
+SMALL_SHARE_EPS = 1e-3
 
 
 class InstabilityError(RuntimeError):
@@ -48,6 +74,10 @@ class InstabilityError(RuntimeError):
 
 
 class UndefinedChainError(ValueError):
+    pass
+
+
+class InsufficientDataError(ValueError):
     pass
 
 
@@ -105,6 +135,28 @@ def coupled_loads_fixed_point(profile: ClassProfile, traffic: TrafficSpec) -> Co
     return CoupledLoads(A0 + A1, B0 + B1 * min(A0 + A1, 1.0))     # small-cell load clamped
 
 
+@dataclass
+class WindowSeries:
+    t: np.ndarray
+    rho: np.ndarray
+    rho_tilde: np.ndarray
+    rho_bar: np.ndarray       # merged quasi-stationary system load
+    eta_bar: np.ndarray       # lambda sigma0 / rho_bar
+    R: np.ndarray             # Little throughput of the merged window queue
+
+
+def window_series(times: np.ndarray, loads: list, traffic: TrafficSpec) -> WindowSeries:
+    """The windows of a series: ``loads`` holds the coupled loads of each
+    window, one per time.  The macro-only baseline is its one load repeated."""
+    rho = np.array([ld.rho for ld in loads])
+    rho_tilde = np.array([ld.rho_tilde for ld in loads])
+    rho_bar = rho + rho_tilde
+    offered = traffic.lambda_tot * traffic.sigma0
+    R = np.where(rho_bar < 1.0, offered * (1.0 - rho_bar) / np.maximum(rho_bar, 1e-12), 0.0)
+    return WindowSeries(times, rho, rho_tilde, rho_bar,
+                        offered / np.maximum(rho_bar, 1e-12), R)
+
+
 def _log_factor(c, coef, split=0.0):
     """ln f(c) = c ln coef - ln Gamma(s c + 1) - ln Gamma((1 - s) c + 1), one
     class's factor at the counts c with phase split s (ln c! at s = 0);
@@ -146,6 +198,75 @@ def stationary_static(profile: ClassProfile, traffic: TrafficSpec, loads: Couple
         raise InstabilityError(f"static stationary form needs rho, rho_tilde < 1, got "
                                f"({loads.rho:.4f}, {loads.rho_tilde:.4f})")
     return StaticLaw(*_phase_mixed_loads(profile, traffic, loads.rho, loads.rho_tilde))
+
+
+def estimate_transition_rates(times, class_profiles, extra_migration_rate: float = 0.0
+                              ) -> list[TransitionRates]:
+    """Per-flow migration and handover hazards from the drift of consecutive
+    snapshots of the series ``class_profiles`` taken at ``times``, one per
+    interval; ``times`` must start at 0 and strictly ascend, one per
+    profile (ValueError).
+
+    Class migration: the change, across one snapshot interval, of the CCDF
+    mass above a class boundary is the net probability flux over that
+    boundary; divided by the interval and the source-class density (1/K of
+    an equal-mass cell) it becomes a per-flow hazard (upward for positive
+    flux, downward for negative).  Handover: the growth rate of the
+    small-cell coverage share, scaled by the losing side's share; suppressed
+    when the gaining side covers less than ``SMALL_SHARE_EPS`` so flows are
+    not handed into a degenerate cell.  A cell whose coverage has collapsed
+    below ``SMALL_SHARE_EPS`` drains its remaining flows by handover within
+    roughly one snapshot interval (otherwise stragglers would be stuck at the
+    dead cell's floor rate forever).
+    ``extra_migration_rate`` adds a constant user-mobility hazard to every
+    admissible migration.
+    """
+    if len(class_profiles) < 2:
+        raise InsufficientDataError("need at least two consecutive class profiles")
+    out = []
+    times = _piece_times(times, len(class_profiles))
+    for (t0, p0), (t1, p1) in itertools.pairwise(zip(times, class_profiles)):
+        dt = t1 - t0
+        K, L = p0.K, p0.L
+        nu_up, nu_down = np.zeros(K), np.zeros(K)
+        nu_tup, nu_tdown = np.zeros(L), np.zeros(L)
+
+        def fill(curve0, curve1, edges, density, up, down):
+            if curve0 is None or curve1 is None or curve0.empty or curve1.empty:
+                return
+            inner = edges[1:-1]
+            m0 = np.interp(inner, curve0.levels, curve0.values)
+            m1 = np.interp(inner, curve1.levels, curve1.values)
+            flux = (m1 - m0) / dt
+            for j, f in enumerate(flux):
+                if f > 0:
+                    up[j] += f / density
+                else:
+                    down[j + 1] += -f / density
+
+        fill(p0.macro_curve, p1.macro_curve, p0.macro_edges, 1.0 / K, nu_up, nu_down)
+        fill(p0.small_curve, p1.small_curve, p0.small_edges, 1.0 / L, nu_tup, nu_tdown)
+        if extra_migration_rate > 0.0:
+            nu_up[:-1] += extra_migration_rate
+            nu_down[1:] += extra_migration_rate
+            nu_tup[:-1] += extra_migration_rate
+            nu_tdown[1:] += extra_migration_rate
+
+        share0, share1 = p0.small_share, p1.small_share
+        dshare = (share1 - share0) / dt
+        m2s = s2m = 0.0
+        eps = SMALL_SHARE_EPS
+        if dshare > 0 and share1 >= eps:
+            m2s = dshare / max(1.0 - share0, eps)
+        elif dshare < 0 and (1.0 - share1) >= eps:
+            s2m = -dshare / max(share0, eps)
+        drain = 3.0 / dt
+        if share1 < eps and (share0 >= eps or share1 > 0.0):
+            s2m = max(s2m, drain)   # dying small cell: evacuate stragglers
+        if 1.0 - share1 < eps and (1.0 - share0 >= eps or share1 < 1.0):
+            m2s = max(m2s, drain)
+        out.append(TransitionRates(nu_up, nu_down, nu_tup, nu_tdown, m2s, s2m))
+    return out
 
 
 def class_membership(rates: TransitionRates):

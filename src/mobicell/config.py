@@ -109,8 +109,8 @@ _KEYS = {
                                              f"must be one of {OMEGA_VARIANTS}")),
     "hotspot.center_r_km": ("0.5", _real, _at_least(0)),
     "hotspot.center_theta_rad": ("pi/3", lambda text: _real(parse_angle(text))),
-    # floors (a millimetre, a bit, a bit per second, a move in 10^6 s) keep (R/A)^2,
-    # flow sizes, class rates and class-membership weights normal floats
+    # floors (a millimetre, a bit, a bit per second) keep (R/A)^2, flow sizes
+    # and class rates normal floats
     "hotspot.sigma_km": ("0.08", _real, _at_least(1e-6)),
     "mobility.block_km": ("0.25", _real, _POSITIVE),
     "mobility.extent_km": ("2.0", _real),
@@ -124,7 +124,8 @@ _KEYS = {
     "mobility.turn_probs": ("0.25,0.5,0.25", lambda text: tuple(map(_real, text.split(","))),
                             (lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1) <= 1e-9,
                              "must be three numbers >= 0 summing to 1")),
-    "traffic.lambda_tot": ("6.0", _real, _at_least(0)),
+    # no traffic, no throughput: every R of an empty system is undefined
+    "traffic.lambda_tot": ("6.0", _real, _POSITIVE),
     "traffic.sigma0_mbits": ("2.0", _real, _at_least(1e-6)),
     "classes.k_macro": ("4", _integer, _at_least(1)),
     "classes.l_small": ("4", _integer, _at_least(1)),
@@ -134,6 +135,7 @@ _KEYS = {
     "sim.seed": ("1", _integer, _at_least(0)),
     "sim.replications": ("10", _integer, _at_least(1)),
     "sim.mc_samples": ("200000", _integer, _at_least(100)),
+    # n_max and nu_floor are read by nothing; the scenario files still carry them
     "sim.n_max": ("40", _integer, _at_least(1)),
     "sim.small_reach_km": ("0.0", _real, _at_least(0)),
     "sim.levels": ("200", _integer, _at_least(10)),

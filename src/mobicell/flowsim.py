@@ -59,10 +59,6 @@ import numpy as np
 MACRO, SMALL = 0, 1
 
 
-class InsufficientDataError(ValueError):
-    pass
-
-
 class CheckError(AssertionError):
     """An internal check failed: the run's own bookkeeping, not its inputs,
     is at fault.  ``check`` names the check."""
@@ -85,8 +81,6 @@ class CheckError(AssertionError):
 # flow is served its size to 1e-9 of it plus gamma_10 (|T| + |base|), with
 # gamma_10 = 10u / (1 - 10u) (Higham 2002, Lemma 3.1).
 _GAMMA = 10 * 2.0 ** -53 / (1 - 10 * 2.0 ** -53)
-# the least coverage share a cell is handed flows at; below it, a cell drains
-SMALL_SHARE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -722,72 +716,3 @@ def empirical_metrics(trace: QueueTrace) -> MetricsReport:
         drawn_z=(drawn - offered) / sd if sd > 0 else 0.0,
         n_arrivals=trace.n_arrivals, n_departures=trace.n_departures,
     )
-
-
-def estimate_transition_rates(times, class_profiles, extra_migration_rate: float = 0.0
-                              ) -> list[TransitionRates]:
-    """Per-flow migration and handover hazards from the drift of consecutive
-    snapshots of the series ``class_profiles`` taken at ``times``, one per
-    interval; ``times`` must start at 0 and strictly ascend, one per
-    profile (ValueError).
-
-    Class migration: the change, across one snapshot interval, of the CCDF
-    mass above a class boundary is the net probability flux over that
-    boundary; divided by the interval and the source-class density (1/K of
-    an equal-mass cell) it becomes a per-flow hazard (upward for positive
-    flux, downward for negative).  Handover: the growth rate of the
-    small-cell coverage share, scaled by the losing side's share; suppressed
-    when the gaining side covers less than ``SMALL_SHARE_EPS`` so flows are
-    not handed into a degenerate cell.  A cell whose coverage has collapsed
-    below ``SMALL_SHARE_EPS`` drains its remaining flows by handover within
-    roughly one snapshot interval (otherwise stragglers would be stuck at the
-    dead cell's floor rate forever).
-    ``extra_migration_rate`` adds a constant user-mobility hazard to every
-    admissible migration.
-    """
-    if len(class_profiles) < 2:
-        raise InsufficientDataError("need at least two consecutive class profiles")
-    out = []
-    times = _piece_times(times, len(class_profiles))
-    for (t0, p0), (t1, p1) in itertools.pairwise(zip(times, class_profiles)):
-        dt = t1 - t0
-        K, L = p0.K, p0.L
-        nu_up, nu_down = np.zeros(K), np.zeros(K)
-        nu_tup, nu_tdown = np.zeros(L), np.zeros(L)
-
-        def fill(curve0, curve1, edges, density, up, down):
-            if curve0 is None or curve1 is None or curve0.empty or curve1.empty:
-                return
-            inner = edges[1:-1]
-            m0 = np.interp(inner, curve0.levels, curve0.values)
-            m1 = np.interp(inner, curve1.levels, curve1.values)
-            flux = (m1 - m0) / dt
-            for j, f in enumerate(flux):
-                if f > 0:
-                    up[j] += f / density
-                else:
-                    down[j + 1] += -f / density
-
-        fill(p0.macro_curve, p1.macro_curve, p0.macro_edges, 1.0 / K, nu_up, nu_down)
-        fill(p0.small_curve, p1.small_curve, p0.small_edges, 1.0 / L, nu_tup, nu_tdown)
-        if extra_migration_rate > 0.0:
-            nu_up[:-1] += extra_migration_rate
-            nu_down[1:] += extra_migration_rate
-            nu_tup[:-1] += extra_migration_rate
-            nu_tdown[1:] += extra_migration_rate
-
-        share0, share1 = p0.small_share, p1.small_share
-        dshare = (share1 - share0) / dt
-        m2s = s2m = 0.0
-        eps = SMALL_SHARE_EPS
-        if dshare > 0 and share1 >= eps:
-            m2s = dshare / max(1.0 - share0, eps)
-        elif dshare < 0 and (1.0 - share1) >= eps:
-            s2m = -dshare / max(share0, eps)
-        drain = 3.0 / dt
-        if share1 < eps and (share0 >= eps or share1 > 0.0):
-            s2m = max(s2m, drain)   # dying small cell: evacuate stragglers
-        if 1.0 - share1 < eps and (1.0 - share0 >= eps or share1 < 1.0):
-            m2s = max(m2s, drain)
-        out.append(TransitionRates(nu_up, nu_down, nu_tup, nu_tdown, m2s, s2m))
-    return out

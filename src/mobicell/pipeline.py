@@ -10,18 +10,12 @@ on a horizon of several laps every later snapshot points at its first-lap
 twin's record.  A record holds no time: each snapshot's time is held once, in
 the series' ``times``, and passed to what reads it.
 
-Windowed analytic series
-------------------------
-Flows are short-lived compared to the vehicle's motion, so each snapshot
-window is treated as quasi-stationary: the coupled per-cell loads come from
-the fixed point, the merged single-queue equivalent of the window is
-rho_bar(t) = rho(t) + rho_tilde(t) (equivalently lambda*sigma0 over the
-harmonic, load-true capacity), and the windowed mean flow throughput is the
-Little value lambda*sigma0 * (1 - rho_bar) / rho_bar.  The macro-only
-baseline goes through the identical machinery with the small cell silenced,
-so window comparisons are estimator-consistent.  ``summary.csv`` reports the
-mobility-ergodic eta_bar, rho_bar and R, the windowed R, both runs' empirical
-R and conservation residual, and the mean small-cell share.
+The windowed analytic series of both scenarios come from
+``analytic.window_series``: the macro-only baseline goes through the
+identical machinery with the small cell silenced, so window comparisons are
+estimator-consistent.  ``summary.csv`` reports the mobility-ergodic eta_bar,
+rho_bar and R, the windowed R, both runs' empirical R and conservation
+residual, and the mean small-cell share.
 """
 
 from __future__ import annotations
@@ -33,16 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mobicell.analytic import (class_membership, coupled_loads_fixed_point,
-                               effective_rate)
+from mobicell.analytic import (WindowSeries, coupled_loads_fixed_point, effective_rate,
+                               estimate_transition_rates, window_series)
+# bound here only for perfbench/spans.py, which times it under this name
+from mobicell.analytic import class_membership  # noqa: F401
 from mobicell.ccdf import (CcdfCurve, Cell, ClassProfile, FieldSamples,
                            combined_ccdf, curve_pmf, _equal_mass_bins,
                            extract_classes, macro_only_ccdf, snapshot_sweep)
 # re-exported: perfbench/spans.py times the one-curve API under these names
 from mobicell.ccdf import macro_ccdf, small_ccdf  # noqa: F401
 from mobicell.config import SWEEP_PARAMS, ConfigError, ScenarioConfig, with_overrides
-from mobicell.flowsim import (SMALL_SHARE_EPS, QueueTrace, TrafficSpec, TransitionRates,
-                              empirical_metrics, estimate_transition_rates, simulate)
+from mobicell.flowsim import QueueTrace, empirical_metrics, simulate
 from mobicell.mobility import Trajectory, distance_to_hotspot, generate_trajectory
 
 NEAR_WINDOW_KM = 0.06          # small cell essentially on the hotspot
@@ -118,67 +113,17 @@ def macro_only_profile(cfg: ScenarioConfig) -> ClassProfile:
     )
 
 
-@dataclass
-class WindowSeries:
-    t: np.ndarray
-    rho: np.ndarray
-    rho_tilde: np.ndarray
-    rho_bar: np.ndarray       # merged quasi-stationary system load
-    eta_bar: np.ndarray       # lambda sigma0 / rho_bar
-    R: np.ndarray             # Little throughput of the merged window queue
-
-
-def window_series(times: np.ndarray, loads: list, traffic: TrafficSpec) -> WindowSeries:
-    """The windows of a series: ``loads`` holds the coupled loads of each
-    window, one per time.  The macro-only baseline is its one load repeated."""
-    rho = np.array([ld.rho for ld in loads])
-    rho_tilde = np.array([ld.rho_tilde for ld in loads])
-    rho_bar = rho + rho_tilde
-    offered = traffic.lambda_tot * traffic.sigma0
-    R = np.where(rho_bar < 1.0, offered * (1.0 - rho_bar) / np.maximum(rho_bar, 1e-12), 0.0)
-    return WindowSeries(times, rho, rho_tilde, rho_bar,
-                        offered / np.maximum(rho_bar, 1e-12), R)
-
-
-def mean_flux_rates(series: SnapshotSeries, shares: np.ndarray, mean_share: float,
-                    nu_floor: float) -> TransitionRates:
-    """Horizon-level hazards for the ergodic class chain: the profiles' small-cell
-    ``shares`` (mean ``mean_share``) give probability fluxes averaged over the
-    horizon, normalized by the mean shares (so the chain's handover balance
-    reproduces the ergodic coverage split), floored to keep every ratio defined."""
-    K = series.profiles[0].K
-    L = series.profiles[0].L
-    dshare = np.diff(shares) / np.diff(series.times)
-    flux_up = float(np.mean(np.maximum(dshare, 0.0)))
-    flux_down = float(np.mean(np.maximum(-dshare, 0.0)))
-    m2s = max(flux_up / max(1.0 - mean_share, SMALL_SHARE_EPS), nu_floor)
-    s2m = max(flux_down / max(mean_share, SMALL_SHARE_EPS), nu_floor)
-
-    def avg(attr, n, last_zero):
-        acc = np.zeros(n)
-        for r in series.rates:
-            acc += getattr(r, attr)
-        acc /= max(len(series.rates), 1)
-        floor = np.full(n, nu_floor)
-        if last_zero == "up":
-            floor[-1] = 0.0
-        else:
-            floor[0] = 0.0
-        return np.maximum(acc, floor)
-
-    return TransitionRates(avg("nu_up", K, "up"), avg("nu_down", K, "down"),
-                           avg("nu_tilde_up", L, "up"), avg("nu_tilde_down", L, "down"),
-                           m2s, s2m)
-
-
 def ergodic_summary(series: SnapshotSeries, win: WindowSeries, cfg: ScenarioConfig) -> dict:
-    """Whole-horizon mobility-averaged quantities: class membership from the
-    mean-flux chain, the equivalent single-queue service rate and load, and
-    the matching mean flow throughput forms; ``win`` is the series' windows."""
-    shares = np.array([p.small_share for p in series.profiles])
-    mean_share = float(np.mean(shares))
-    rates = mean_flux_rates(series, shares, mean_share, cfg.nu_floor)
-    q, q_tilde = class_membership(rates)
+    """Whole-horizon mobility-averaged quantities: the class weights, the
+    equivalent single-queue service rate and load, and the matching mean flow
+    throughput forms; ``win`` is the series' windows.
+
+    Every profile splits each cell into equal-mass classes, so over the
+    horizon each macro class holds (1 - mean small share)/K of the users and
+    each small class (mean small share)/L: those are the class weights."""
+    mean_share = float(np.mean([p.small_share for p in series.profiles]))
+    q = np.full(cfg.K, (1.0 - mean_share) / cfg.K)
+    q_tilde = np.full(cfg.L, mean_share / cfg.L)
     eta_bar, rho_bar = effective_rate(series.times, series.profiles, series.loads, q,
                                       q_tilde, cfg.traffic)
     offered = cfg.traffic.lambda_tot * cfg.traffic.sigma0
@@ -197,7 +142,6 @@ def ergodic_summary(series: SnapshotSeries, win: WindowSeries, cfg: ScenarioConf
         "eta_bar_ergodic": eta_bar,
         "rho_bar_ergodic": rho_bar,
         "R_ergodic": eta_bar * (1.0 - rho_bar) if rho_bar < 1.0 else 0.0,
-        "mean_n_windowed": mean_n,
         "R_windowed": offered / mean_n if mean_n > 0 else math.inf,
         "mean_small_share": mean_share,
     }

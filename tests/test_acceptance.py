@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured figures when it holds (pytest -s shows them; any failure fails
-the run), plus an exact work-conservation check on criterion 6's runs.
+the run), plus an exact work-conservation check on criterion 6's runs and
+the agreement of the analytic throughputs with the simulated one on them.
 
 Criterion 8's sign statistics run on the windowed analytic series, whose
 replication-to-replication variation comes from the Monte Carlo draws of the
@@ -220,6 +221,23 @@ def test_criterion_6_runs_conserve_drawn_work(dynamics):
             zs.append(m.drawn_z)
     print(f"\n{len(zs)} runs conserve work; arrival noise z in "
           f"[{min(zs):+.2f}, {max(zs):+.2f}]")
+
+
+def test_the_analytic_throughputs_track_the_simulated_one(dynamics):
+    """Over the reference run's replications, the mobility-averaged R (the
+    single queue on the equal-mass class weights) lies within 15% of the
+    simulated mean flow throughput, and the windowed R within 5%."""
+    def mean(values):
+        return float(np.mean(list(values)))
+
+    reps = dynamics.replications
+    emp = mean(rr.emp_sc["metrics"].mean_flow_throughput for rr in reps)
+    ergodic = mean(rr.summary["R_ergodic"] for rr in reps)
+    windowed = mean(rr.summary["R_windowed"] for rr in reps)
+    print(f"\nR_ergodic {ergodic:.3f}, R_windowed {windowed:.3f}, "
+          f"R_empirical_sc {emp:.3f} Mbps over {len(reps)} replications")
+    assert abs(ergodic - emp) <= 0.15 * emp
+    assert abs(windowed - emp) <= 0.05 * emp
 
 
 def test_criterion_7_snapshot_ccdf_trends(cfg):

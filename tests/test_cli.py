@@ -242,12 +242,14 @@ def test_overrides_enter_the_scenario_stamp():
      "--duration", "300"],
     ["dynamics", "--seed", "-1", "--samples", "2000", "--replications", "1",
      "--duration", "300"],
+    ["sweep", "lambda_tot", "0,5", "--samples", "2000", "--replications", "1",
+     "--duration", "300"],
 ])
 def test_invalid_overrides_exit_2(argv, tmp_path, capsys):
     """Overrides and sweep values obey the scenario file's rules:
     replications >= 1, mc_samples >= 100, workers >= 1, a finite horizon of
     two snapshots, an integer K >= 1, a positive period, a reach inside the
-    interference model's domain and a seed >= 0."""
+    interference model's domain, a seed >= 0 and some traffic."""
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "config"

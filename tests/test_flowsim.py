@@ -13,9 +13,9 @@ from conftest import (coupled_chain_stationary, make_profile, migration_chain_pi
                       migration_chain_stationary)
 from mobicell.ccdf import (FieldSamples, default_levels, extract_classes,
                            macro_ccdf, small_ccdf)
-from mobicell.flowsim import (_GAMMA, MACRO, SMALL, InsufficientDataError, TrafficSpec,
-                              TransitionRates, _validate_trace, empirical_metrics,
-                              estimate_transition_rates, simulate)
+from mobicell.analytic import InsufficientDataError, estimate_transition_rates
+from mobicell.flowsim import (_GAMMA, MACRO, SMALL, TrafficSpec, TransitionRates,
+                              _validate_trace, empirical_metrics, simulate)
 from mobicell.pipeline import _flows_file, _trace_file, _write
 from mobicell.geometry import CellLayout, PolarPoint
 from mobicell.hotspot import HotspotSpec

@@ -1,6 +1,9 @@
+import collections
 import csv
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,14 +14,15 @@ import numpy as np
 import pytest
 
 import mobicell
-from mobicell.analytic import coupled_loads_fixed_point
+import mobicell.pipeline
+from mobicell.analytic import coupled_loads_fixed_point, window_series
 from mobicell.ccdf import (FieldSamples, extract_classes, snapshot_curves,
                            snapshot_sweep)
 from mobicell.config import (ConfigError, bundled_scenario_path, derived_scenario_id,
                              load_scenario, with_overrides)
-from mobicell.pipeline import (macro_only_profile, mean_flux_rates, run_ccdf,
+from mobicell.pipeline import (ergodic_summary, macro_only_profile, run_ccdf,
                                run_dynamics, run_replication, run_sweep,
-                               scenario_trajectory, snapshot_series, window_series)
+                               scenario_trajectory, snapshot_series)
 
 
 @pytest.fixture(scope="module")
@@ -133,15 +137,20 @@ def test_analytic_windows_tracks_coverage(cfg_small, series_small):
     assert np.all(win.R[near] > base.R[near])
 
 
-def test_mean_flux_rates_balance(cfg_small, series_small):
-    """The horizon-level chain hazards must reproduce the ergodic coverage
-    split: s2m/m2s = (1 - mean share) / mean share."""
-    shares = np.array([p.small_share for p in series_small.profiles])
-    r = mean_flux_rates(series_small, shares, float(np.mean(shares)), cfg_small.nu_floor)
-    mean_share = shares.mean()
-    assert r.nu_handover_s2m / r.nu_handover_m2s == pytest.approx(
-        (1.0 - mean_share) / mean_share, rel=0.15)
-    assert r.nu_down[0] == 0.0 and r.nu_up[-1] == 0.0
+def test_ergodic_class_weights_are_the_equal_mass_shares(cfg_small, series_small):
+    """Each profile splits a cell into equal-mass classes, so the ergodic
+    weights are (1 - mean small share)/K per macro class and (mean small
+    share)/L per small class, the share that summary.csv prints."""
+    win = window_series(series_small.times, series_small.loads, cfg_small.traffic)
+    summary = ergodic_summary(series_small, win, cfg_small)
+    share = summary["mean_small_share"]
+    assert share == np.mean([p.small_share for p in series_small.profiles])
+    assert 0.0 < share < 1.0
+    np.testing.assert_allclose(summary["q"], np.full(cfg_small.K, (1.0 - share) / cfg_small.K),
+                               rtol=1e-12)
+    np.testing.assert_allclose(summary["q_tilde"], np.full(cfg_small.L, share / cfg_small.L),
+                               rtol=1e-12)
+    assert summary["q"].sum() + summary["q_tilde"].sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_analytic_matches_empirical_throughput(cfg_small):
@@ -318,6 +327,48 @@ def test_a_one_worker_run_imports_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+# bound in mobicell.pipeline for perfbench, but called by no run
+IDLE_WRAPS = {"macro_ccdf", "small_ccdf", "class_membership"}
+
+
+def _pipeline_wraps() -> set:
+    """The names perfbench replaces at mobicell.pipeline: the span targets
+    of spans.py and the wraps of checks.FixedPointWatch, read, not edited."""
+    spec = importlib.util.spec_from_file_location("_perfbench_spans",
+                                                  os.path.join(PERFBENCH, "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with open(os.path.join(PERFBENCH, "checks.py")) as fh:
+        watched = set(re.findall(r'wrap\("mobicell\.pipeline", "(\w+)"', fh.read()))
+    assert {"run_replication", "coupled_loads_fixed_point"} <= watched
+    return {path for mod, path, _ in spans.SPAN_TARGETS if mod == "mobicell.pipeline"} | watched
+
+
+def test_every_name_perfbench_wraps_in_the_pipeline_is_called_there(cfg_small, monkeypatch):
+    """A small run calls every name that perfbench times or watches at
+    mobicell.pipeline through that binding, but for the idle set, which must
+    stay bound: a name the run no longer calls there would read 0 in its
+    per-layer metric."""
+    pipeline = mobicell.pipeline
+    names = _pipeline_wraps()
+    assert IDLE_WRAPS <= names
+    calls = collections.Counter()
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in sorted(names):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    pipeline.run_dynamics(replace(cfg_small, mc_samples=2000, duration_s=300.0,
+                                  snapshot_s=30.0, workers=1))
+    assert sorted(name for name in names - IDLE_WRAPS if calls[name] == 0) == []
 
 
 def test_period_sweep_at_loaded_period_gives_loaded_policy():

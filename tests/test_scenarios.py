@@ -64,7 +64,7 @@ VALID = {
     "mobility.dv_kmh": reals(0.0, 20.0, 0.0),
     "mobility.stops": st.sampled_from(["", "0.25,0.5,60", "0.0,0.75,0", "0.25,0.25,0.5"]),
     "mobility.turn_probs": st.sampled_from(["0.25,0.5,0.25", "0,1,0", "1,0,0", "0.5,0,0.5"]),
-    "traffic.lambda_tot": reals(0.0, 15.0, 0.0),
+    "traffic.lambda_tot": reals(0.0, 15.0, exclude_min=True),
     "traffic.sigma0_mbits": reals(1e-6, 10.0, 1e-6),
     "classes.k_macro": integers(1, 8),
     "classes.l_small": integers(1, 8),
@@ -119,7 +119,7 @@ INVALID = {
     "mobility.stops": st.sampled_from(["0.25,0.5,inf", "0.25,0.5,-1"]),
     "mobility.turn_probs": st.sampled_from(["0.25,nan,0.25", "0.5,0.5,0.5", "-0.5,1,0.5",
                                             "0.5,0.5"]),
-    "traffic.lambda_tot": _NAN | below(0.0, exclude_max=True),
+    "traffic.lambda_tot": _NAN | reals(-10.0, 0.0, 0.0),
     "traffic.sigma0_mbits": below(1e-6, exclude_max=True) | _NAN,
     "classes.k_macro": integers(-2, 0) | st.just("2.5"),
     "classes.l_small": integers(-2, 0) | st.just("2.5"),
